@@ -7,14 +7,14 @@ from .decode import (DecodeResult, brute_force_decode, gfhmm_infer,
                      path_loglik)
 from .evaluate import (mix_at_tir, normalize_equal_power, run_experiment,
                        sample_hmm_frames, snr, synth_source)
-from .gain import (GainContext, GainPair, estimate_G0, estimate_gy,
-                   g_of_theta, gains_from_theta)
+from .gain import (GainContext, GainPair, estimate_gy, g_of_theta,
+                   gains_from_theta)
 from .mixmax import log_b_jk, log_b_table, mixmax_combine
 from .models import (DiagGaussian, HmmModel, ModelMismatchError, baum_welch,
                      init_hmm_from_codebook, load_model, log_gaussian_diag,
                      save_model)
-from .quantize import Codebook, gvq_frame_decode, gvq_score, train_lbg
-from .separate import build_hmm_masks, build_vq_masks, separate
+from .quantize import Codebook, gvq_score, train_lbg
+from .separate import build_masks, separate
 from .signal import (AudioSignal, FramingConfig, apply_masks_and_reconstruct,
                      frame_signal, log_spectra, log_spectrum, read_wav,
                      write_wav)

@@ -212,7 +212,9 @@ def build_parser():
     p.add_argument("--theta0", type=float, default=0.0,
                    help="initial gain-ratio guess in dB")
     p.add_argument("--fix-theta", type=float, default=None,
-                   help="skip gain-ratio estimation and use this value")
+                   help="skip gain-ratio estimation and decode at this "
+                        "value in dB (within the -15..15 dB search "
+                        "interval)")
     p.add_argument("--gy-over-g0", type=float, default=None,
                    help="override the estimated observation/nominal gain "
                         "ratio")

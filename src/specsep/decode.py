@@ -1,8 +1,8 @@
 """Joint inference over two hidden Markov chains: parallel Viterbi decoding
 of the best state-pair path, a brute-force oracle, the path-conditioned
 likelihood as a function of the gain ratio theta, one-dimensional
-maximization of theta, and the alternating decode/optimize loops for the
-HMM- and VQ-based separators."""
+maximization of theta, and the alternating decode/optimize loop that the
+HMM- and VQ-based separators share."""
 
 import itertools
 from dataclasses import dataclass, field
@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gain import gains_from_theta
-from .mixmax import log_b_table
-from .models import LOG_2PI
+from .mixmax import log_b_table, mixmax_combine, path_emission_loglik
 from .quantize import gvq_score
 
 OUTER_TOL_DB = 0.25
@@ -168,19 +167,6 @@ def brute_force_decode(y_seq, lambda_x, lambda_v, theta, ctx,
                         iterations=1, theta_per_chunk=(float(theta),))
 
 
-def _emission_loglik_on_paths(y_seq, mu_x, var_x, mu_v, var_v, theta, ctx):
-    """Sum over frames of the joint emission log-likelihood along fixed
-    paths; the only theta-dependent part of the path likelihood."""
-    gp = gains_from_theta(theta, ctx)
-    m_x = mu_x + gp.log10_gx
-    m_v = mu_v + gp.log10_gv
-    target_wins = m_x >= m_v
-    m_max = np.where(target_wins, m_x, m_v)
-    var_max = np.where(target_wins, var_x, var_v)
-    terms = (y_seq - m_max) ** 2 / var_max + np.log(var_max) + LOG_2PI
-    return float(-0.5 * terms.sum())
-
-
 def path_loglik(paths, y_seq, lambda_x, lambda_v, theta, ctx):
     """Joint log-likelihood of a fixed path pair as a function of theta.
 
@@ -198,9 +184,10 @@ def path_loglik(paths, y_seq, lambda_x, lambda_v, theta, ctx):
     const = float(lambda_x.pi[path_x[0]] + lambda_v.pi[path_v[0]]
                   + lambda_x.trans[path_x[:-1], path_x[1:]].sum()
                   + lambda_v.trans[path_v[:-1], path_v[1:]].sum())
-    emis = _emission_loglik_on_paths(
+    emis = path_emission_loglik(
         y_seq, lambda_x.means[path_x], lambda_x.vars[path_x],
-        lambda_v.means[path_v], lambda_v.vars[path_v], theta, ctx)
+        lambda_v.means[path_v], lambda_v.vars[path_v],
+        gains_from_theta(theta, ctx))
     return const + emis
 
 
@@ -281,13 +268,53 @@ def maximize_theta(objective, interval, tol=THETA_STEP_TOL_DB,
     return x_star, points[x_star]
 
 
-def _chunk_b_table(y_seq, lambda_x, lambda_v, chunks, thetas, ctx):
-    R = y_seq.shape[0]
-    b = np.empty((R, lambda_x.K, lambda_v.K))
-    for sl, th in zip(chunks, thetas):
-        gp = gains_from_theta(th, ctx)
-        b[sl] = log_b_table(y_seq[sl], lambda_x, lambda_v, gp)
-    return b
+def _alternate(decode, objective, R, ctx, theta0, outer_tol, max_outer,
+               mega_frames):
+    """The alternating decode/estimate loop shared by both model kinds.
+
+    decode(chunks, thetas) returns (path_x, path_v, score) for one theta
+    per chunk; objective(sl, path_x, path_v) returns the chunk's
+    path-conditioned objective t -> value.  Each round decodes at the
+    current thetas, then maximizes each chunk's objective over theta, never
+    moving to a worse theta, until no theta moves by outer_tol or max_outer
+    rounds have run.  A final decode makes the paths and score match the
+    returned thetas; with max_outer=0 that is the only decode, at theta0.
+    """
+    chunks = list(mega_frames) if mega_frames else [slice(0, R)]
+    interval = (ctx.theta_min, ctx.theta_max)
+    thetas = [min(max(float(theta0), ctx.theta_min), ctx.theta_max)
+              for _ in chunks]
+
+    trace = []
+    iterations = 0
+    converged = False
+    while iterations < max_outer and not converged:
+        iterations += 1
+        path_x, path_v, score = decode(chunks, thetas)
+        trace.append(score)
+
+        new_thetas = []
+        for sl, th in zip(chunks, thetas):
+            chunk_obj = objective(sl, path_x, path_v)
+            th_new, val_new = maximize_theta(chunk_obj, interval)
+            if chunk_obj(th) > val_new:
+                th_new = th              # never move to a worse theta
+            new_thetas.append(th_new)
+        converged = max(abs(new - old)
+                        for new, old in zip(new_thetas, thetas)) < outer_tol
+        thetas = new_thetas
+
+    path_x, path_v, score = decode(chunks, thetas)
+    trace.append(score)
+    if iterations:
+        weights = np.array([sl.stop - sl.start for sl in chunks], dtype=float)
+        theta_hat = float(np.average(thetas, weights=weights))
+    else:
+        theta_hat = thetas[0]            # no round ran: all chunks hold theta0
+    return DecodeResult(path_x, path_v, score, theta_hat=theta_hat,
+                        iterations=iterations,
+                        theta_per_chunk=tuple(thetas),
+                        objective_trace=trace)
 
 
 def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
@@ -307,51 +334,23 @@ def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
     """
     y_seq = _check_pair(y_seq, lambda_x, lambda_v)
     R = y_seq.shape[0]
-    chunks = list(mega_frames) if mega_frames else [slice(0, R)]
-    interval = (ctx.theta_min, ctx.theta_max)
-    thetas = [min(max(float(theta0), ctx.theta_min), ctx.theta_max)
-              for _ in chunks]
 
-    trace = []
-    iterations = 0
-    converged = False
-    while iterations < max_outer and not converged:
-        iterations += 1
-        b = _chunk_b_table(y_seq, lambda_x, lambda_v, chunks, thetas, ctx)
-        path_x, path_v, logprob = _viterbi_from_table(
-            b, lambda_x.pi, lambda_v.pi, lambda_x.trans, lambda_v.trans)
-        trace.append(logprob)
-
-        max_step = 0.0
-        new_thetas = []
+    def decode(chunks, thetas):
+        b = np.empty((R, lambda_x.K, lambda_v.K))
         for sl, th in zip(chunks, thetas):
-            mu_x, var_x = lambda_x.means[path_x[sl]], lambda_x.vars[path_x[sl]]
-            mu_v, var_v = lambda_v.means[path_v[sl]], lambda_v.vars[path_v[sl]]
+            b[sl] = log_b_table(y_seq[sl], lambda_x, lambda_v,
+                                gains_from_theta(th, ctx))
+        return _viterbi_from_table(b, lambda_x.pi, lambda_v.pi,
+                                   lambda_x.trans, lambda_v.trans)
 
-            def chunk_obj(t):
-                return _emission_loglik_on_paths(
-                    y_seq[sl], mu_x, var_x, mu_v, var_v, t, ctx)
+    def objective(sl, path_x, path_v):
+        mu_x, var_x = lambda_x.means[path_x[sl]], lambda_x.vars[path_x[sl]]
+        mu_v, var_v = lambda_v.means[path_v[sl]], lambda_v.vars[path_v[sl]]
+        return lambda t: path_emission_loglik(
+            y_seq[sl], mu_x, var_x, mu_v, var_v, gains_from_theta(t, ctx))
 
-            th_new, val_new = maximize_theta(chunk_obj, interval)
-            if chunk_obj(th) > val_new:
-                th_new = th              # never move to a worse theta
-            max_step = max(max_step, abs(th_new - th))
-            new_thetas.append(th_new)
-        thetas = new_thetas
-        converged = max_step < outer_tol
-
-    # final decode so paths and logprob correspond to the returned theta
-    b = _chunk_b_table(y_seq, lambda_x, lambda_v, chunks, thetas, ctx)
-    path_x, path_v, logprob = _viterbi_from_table(
-        b, lambda_x.pi, lambda_v.pi, lambda_x.trans, lambda_v.trans)
-    trace.append(logprob)
-
-    weights = np.array([sl.stop - sl.start for sl in chunks], dtype=float)
-    theta_hat = float(np.average(thetas, weights=weights))
-    return DecodeResult(path_x, path_v, logprob, theta_hat=theta_hat,
-                        iterations=iterations,
-                        theta_per_chunk=tuple(thetas),
-                        objective_trace=trace)
+    return _alternate(decode, objective, R, ctx, theta0, outer_tol,
+                      max_outer, mega_frames)
 
 
 def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
@@ -365,53 +364,22 @@ def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
     if y_seq.ndim != 2 or y_seq.shape[0] == 0:
         raise ValueError("empty input")
     R = y_seq.shape[0]
-    chunks = list(mega_frames) if mega_frames else [slice(0, R)]
-    interval = (ctx.theta_min, ctx.theta_max)
-    thetas = [min(max(float(theta0), ctx.theta_min), ctx.theta_max)
-              for _ in chunks]
 
-    def decode_all(ths):
+    def decode(chunks, thetas):
         idx_x = np.empty(R, dtype=np.int64)
         idx_v = np.empty(R, dtype=np.int64)
         q = 0.0
-        for sl, th in zip(chunks, ths):
-            sx, sv, q_chunk = gvq_score(y_seq[sl], cb_x, cb_v, th, ctx)
-            idx_x[sl], idx_v[sl] = sx, sv
+        for sl, th in zip(chunks, thetas):
+            idx_x[sl], idx_v[sl], q_chunk = gvq_score(y_seq[sl], cb_x, cb_v,
+                                                      th, ctx)
             q += q_chunk
         return idx_x, idx_v, q
 
-    trace = []
-    iterations = 0
-    converged = False
-    while iterations < max_outer and not converged:
-        iterations += 1
-        idx_x, idx_v, q = decode_all(thetas)
-        trace.append(q)
+    def objective(sl, idx_x, idx_v):
+        cx = cb_x.codevectors[idx_x[sl]]
+        cv = cb_v.codevectors[idx_v[sl]]
+        return lambda t: -float(((y_seq[sl] - mixmax_combine(
+            cx, cv, gains_from_theta(t, ctx))) ** 2).sum())
 
-        max_step = 0.0
-        new_thetas = []
-        for sl, th in zip(chunks, thetas):
-            cx = cb_x.codevectors[idx_x[sl]]
-            cv = cb_v.codevectors[idx_v[sl]]
-
-            def chunk_obj(t):
-                gp = gains_from_theta(t, ctx)
-                combined = np.maximum(cx + gp.log10_gx, cv + gp.log10_gv)
-                return -float(((y_seq[sl] - combined) ** 2).sum())
-
-            th_new, val_new = maximize_theta(chunk_obj, interval)
-            if chunk_obj(th) > val_new:
-                th_new = th
-            max_step = max(max_step, abs(th_new - th))
-            new_thetas.append(th_new)
-        thetas = new_thetas
-        converged = max_step < outer_tol
-
-    idx_x, idx_v, q = decode_all(thetas)
-    trace.append(q)
-    weights = np.array([sl.stop - sl.start for sl in chunks], dtype=float)
-    theta_hat = float(np.average(thetas, weights=weights))
-    return DecodeResult(idx_x, idx_v, q, theta_hat=theta_hat,
-                        iterations=iterations,
-                        theta_per_chunk=tuple(thetas),
-                        objective_trace=trace)
+    return _alternate(decode, objective, R, ctx, theta0, outer_tol,
+                      max_outer, mega_frames)

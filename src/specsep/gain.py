@@ -70,20 +70,3 @@ def estimate_gy(signal):
         raise ValueError("silent observation")
     return float(np.sqrt(power))
 
-
-def estimate_G0(training_signals):
-    """Nominal source RMS: sqrt of the mean per-signal power.
-
-    Returns 1.0 when every training utterance has been normalized to unit
-    RMS, which is the convention used throughout this package.
-    """
-    signals = list(training_signals)
-    if not signals:
-        raise ValueError("empty training set")
-    powers = []
-    for sig in signals:
-        samples = np.asarray(sig.samples, dtype=np.float64)
-        if samples.size == 0:
-            raise ValueError("empty input")
-        powers.append(float(np.mean(samples ** 2)))
-    return float(np.sqrt(np.mean(powers)))

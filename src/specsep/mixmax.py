@@ -1,6 +1,7 @@
 """The max-combination observation model for log spectra: combining clean
-log-spectral frames under gains, and the joint emission likelihood of a
-mixture frame given one state from each speaker model."""
+log-spectral frames under gains, the per-bin dominance rule (the larger
+gain-shifted mean wins, ties to the target), and the joint emission
+likelihood of a mixture frame given one state from each speaker model."""
 
 import numpy as np
 
@@ -17,6 +18,18 @@ def mixmax_combine(x, v, gp):
     if x.shape != v.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {v.shape}")
     return np.maximum(x + gp.log10_gx, v + gp.log10_gv)
+
+
+def dominant(mean_x, mean_v, gp):
+    """Per-bin dominance of two gain-shifted means (broadcasting).
+
+    Returns (target_wins, winning mean); exact ties go to the target.
+    Every production path that assigns a bin to a source uses this rule.
+    """
+    m_x = mean_x + gp.log10_gx
+    m_v = mean_v + gp.log10_gv
+    target_wins = m_x >= m_v
+    return target_wins, np.where(target_wins, m_x, m_v)
 
 
 def log_b_jk(y, state_x, state_v, gp):
@@ -47,10 +60,8 @@ def log_b_table(y_seq, model_x, model_v, gp):
     gains, so it is precomputed once and reused across frames.
     """
     y_seq = np.asarray(y_seq, dtype=np.float64)
-    m_x = model_x.means + gp.log10_gx                     # (K, dim)
-    m_v = model_v.means + gp.log10_gv                     # (K, dim)
-    target_wins = m_x[:, None, :] >= m_v[None, :, :]      # (K, K, dim)
-    m_max = np.where(target_wins, m_x[:, None, :], m_v[None, :, :])
+    target_wins, m_max = dominant(model_x.means[:, None, :],  # (K, K, dim)
+                                  model_v.means[None, :, :], gp)
     var_max = np.where(target_wins, model_x.vars[:, None, :],
                        model_v.vars[None, :, :])
     inv_var = 1.0 / var_max
@@ -63,3 +74,12 @@ def log_b_table(y_seq, model_x, model_v, gp):
         diff = y_seq[r][None, None, :] - m_max
         table[r] = -0.5 * (diff ** 2 * inv_var).sum(axis=2) + const
     return table
+
+
+def path_emission_loglik(y_seq, mean_x, var_x, mean_v, var_v, gp):
+    """Sum over frames of the joint emission log-likelihood along fixed
+    paths, given the per-frame state means and variances of each chain."""
+    target_wins, m_max = dominant(mean_x, mean_v, gp)
+    var_max = np.where(target_wins, var_x, var_v)
+    terms = (y_seq - m_max) ** 2 / var_max + np.log(var_max) + LOG_2PI
+    return float(-0.5 * terms.sum())

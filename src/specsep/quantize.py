@@ -129,32 +129,14 @@ def _pair_cost_tables(cb_x, cb_v, gp):
     return np.maximum(shifted_x[:, None, :], shifted_v[None, :, :])
 
 
-def gvq_frame_decode(y_r, cb_x, cb_v, theta, ctx):
-    """Best codevector pair for one frame at a given theta.
-
-    Exhaustively minimizes the squared error between the frame and the
-    gain-shifted elementwise maximum of every (target, interference)
-    codevector pair.  Returns (i_star, j_star, cost); ties pick the
-    smallest i, then smallest j.
-    """
-    y_r = np.asarray(y_r, dtype=np.float64)
-    if cb_x.dim != y_r.shape[0] or cb_v.dim != y_r.shape[0]:
-        raise ValueError(
-            f"codebook dimension ({cb_x.dim}, {cb_v.dim}) does not match "
-            f"frame dimension {y_r.shape[0]}")
-    gp = gains_from_theta(theta, ctx)
-    combined = _pair_cost_tables(cb_x, cb_v, gp)
-    cost = ((y_r[None, None, :] - combined) ** 2).sum(axis=2)
-    flat = int(np.argmin(cost))            # first occurrence: smallest (i, j)
-    i_star, j_star = divmod(flat, cb_v.K)
-    return i_star, j_star, float(cost[i_star, j_star])
-
-
 def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     """Decode every frame independently and score the whole sequence.
 
-    Returns (idx_x, idx_v, Q) where Q is the negated total cost; Q <= 0,
-    with equality only when every frame is exactly representable.
+    Each frame gets the codevector pair whose gain-shifted elementwise
+    maximum is nearest in squared error; ties pick the smallest target
+    index, then the smallest interference index.  Returns (idx_x, idx_v, Q)
+    where Q is the negated total cost; Q <= 0, with equality only when
+    every frame is exactly representable.
     """
     y_seq = np.asarray(y_seq, dtype=np.float64)
     if y_seq.ndim != 2 or y_seq.shape[0] == 0:
@@ -169,7 +151,7 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     total = 0.0
     for r in range(R):
         cost = ((y_seq[r][None, None, :] - combined) ** 2).sum(axis=2)
-        flat = int(np.argmin(cost))
+        flat = int(np.argmin(cost))        # first occurrence: smallest (i, j)
         i, j = divmod(flat, cb_v.K)
         idx_x[r] = i
         idx_v[r] = j

@@ -7,9 +7,12 @@ import math
 import numpy as np
 
 from . import decode as _decode
-from .gain import GainContext, estimate_gy, g_of_theta
+from .gain import GainContext, estimate_gy, gains_from_theta
+from .mixmax import dominant
 from .models import HmmModel, ModelMismatchError
-from .quantize import Codebook, gvq_score
+from .quantize import Codebook
+# perfbench's traced run patches this name here; keep it bound
+from .quantize import gvq_score  # noqa: F401
 from .signal import apply_masks_and_reconstruct, log_spectra
 
 METHODS = ("gfhmm", "gvq", "fhmm", "vq")
@@ -21,39 +24,19 @@ BASELINE_GY_OVER_G0 = math.sqrt(2.0)
 MEGA_FRAME_SECONDS = 2.0
 
 
-def _masks_from_prototypes(proto_x, proto_v, theta_hat, ctx):
-    """Per-frame binary masks: a bin goes to the target wherever its
-    gain-shifted prototype is at least the interference's (ties included)."""
-    gx = g_of_theta(theta_hat, ctx)
-    gv = g_of_theta(-theta_hat, ctx)
-    masks_x = ((proto_x + gx) >= (proto_v + gv)).astype(np.uint8)
-    return masks_x, (1 - masks_x).astype(np.uint8)
+def build_masks(proto_x, proto_v, chunks, thetas, ctx):
+    """Per-frame binary masks from the decoded spectral prototypes.
 
-
-def build_hmm_masks(result, lambda_x, lambda_v, ctx):
-    """Masks from the decoded HMM state means (one mask pair per frame)."""
-    return _masks_from_prototypes(lambda_x.means[result.path_x],
-                                  lambda_v.means[result.path_v],
-                                  result.theta_hat, ctx)
-
-
-def build_vq_masks(index_sequences, cb_x, cb_v, ctx, theta_hat):
-    """Masks from the decoded codevectors (one mask pair per frame)."""
-    idx_x, idx_v = index_sequences
-    return _masks_from_prototypes(cb_x.codevectors[np.asarray(idx_x)],
-                                  cb_v.codevectors[np.asarray(idx_v)],
-                                  theta_hat, ctx)
-
-
-def _masks_per_chunk(result, proto_x_all, proto_v_all, chunks, ctx):
-    """Mask building honoring a per-mega-frame theta."""
-    R = len(result.path_x)
-    masks_x = np.empty((R, proto_x_all.shape[1]), dtype=np.uint8)
-    for sl, th in zip(chunks, result.theta_per_chunk):
-        mx, _ = _masks_from_prototypes(proto_x_all[sl], proto_v_all[sl],
-                                       th, ctx)
-        masks_x[sl] = mx
-    return masks_x, (1 - masks_x).astype(np.uint8)
+    Within each chunk of frames, a bin goes to the target wherever its
+    gain-shifted prototype dominates the interference's at that chunk's
+    theta (mixmax.dominant: ties go to the target).  The two masks are
+    complementary.
+    """
+    masks_x = np.empty(proto_x.shape, dtype=np.uint8)
+    for sl, th in zip(chunks, thetas):
+        masks_x[sl], _ = dominant(proto_x[sl], proto_v[sl],
+                                  gains_from_theta(th, ctx))
+    return masks_x, 1 - masks_x
 
 
 def _require_kind(model, cls, role, method):
@@ -77,7 +60,8 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
         non-gain-adapted baselines, realized as the same decoders with
         theta frozen at 0 and both gains forced to 1
     theta0 : starting theta for the alternating estimation (dB)
-    fix_theta : skip theta estimation and decode at this value (dB)
+    fix_theta : skip theta estimation and decode once at this value (dB);
+        it must lie in [ctx.theta_min, ctx.theta_max], i.e. +/-15 dB
     gy_over_g0 : override the estimated g_y/G0 ratio (testing hook; the
         baselines set it to sqrt(2) internally)
     mega_frame_seconds : loudness-constancy window; utterances shorter
@@ -116,50 +100,36 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
         ctx = GainContext(g_y=float(ratio), G0=1.0)
 
     R = y_seq.shape[0]
+    if fix_theta is not None:
+        if not ctx.theta_min <= fix_theta <= ctx.theta_max:
+            raise ValueError(
+                f"fix_theta {fix_theta} dB is outside "
+                f"[{ctx.theta_min}, {ctx.theta_max}] dB")
+        # a fixed theta is one whole-sequence decode with no outer rounds
+        theta0, max_outer, mega_frame_seconds = fix_theta, 0, None
     frames_per_chunk = None
     if mega_frame_seconds:
         frames_per_chunk = int(round(
             mega_frame_seconds * mixture.sample_rate / cfg.hop))
     chunks = _decode.mega_frame_slices(R, frames_per_chunk)
 
-    infer_kwargs = {"theta0": theta0, "mega_frames": chunks}
-    if outer_tol is not None:
-        infer_kwargs["outer_tol"] = outer_tol
-    if max_outer is not None:
-        infer_kwargs["max_outer"] = max_outer
-
-    if hmm_based:
-        if fix_theta is not None:
-            result = _decode.parallel_viterbi(
-                y_seq, model_x, model_v, fix_theta, ctx)
-            chunks = [slice(0, R)]
-        else:
-            result = _decode.gfhmm_infer(y_seq, model_x, model_v, ctx,
-                                         **infer_kwargs)
-        proto_x = model_x.means[result.path_x]
-        proto_v = model_v.means[result.path_v]
-    else:
-        if fix_theta is not None:
-            idx_x, idx_v, q = gvq_score(y_seq, model_x, model_v,
-                                        fix_theta, ctx)
-            result = _decode.DecodeResult(
-                idx_x, idx_v, q, theta_hat=float(fix_theta), iterations=1,
-                theta_per_chunk=(float(fix_theta),))
-            chunks = [slice(0, R)]
-        else:
-            result = _decode.gvq_infer(y_seq, model_x, model_v, ctx,
-                                       **infer_kwargs)
-        proto_x = model_x.codevectors[result.path_x]
-        proto_v = model_v.codevectors[result.path_v]
-
-    masks_x, masks_v = _masks_per_chunk(result, proto_x, proto_v, chunks, ctx)
+    infer = _decode.gfhmm_infer if hmm_based else _decode.gvq_infer
+    result = infer(
+        y_seq, model_x, model_v, ctx, theta0=theta0, mega_frames=chunks,
+        outer_tol=_decode.OUTER_TOL_DB if outer_tol is None else outer_tol,
+        max_outer=_decode.MAX_OUTER_ITERS if max_outer is None else max_outer)
+    proto = "means" if hmm_based else "codevectors"
+    masks_x, masks_v = build_masks(getattr(model_x, proto)[result.path_x],
+                                   getattr(model_v, proto)[result.path_v],
+                                   chunks, result.theta_per_chunk, ctx)
     x_hat, v_hat = apply_masks_and_reconstruct(mixture, masks_x, masks_v, cfg)
 
     diagnostics = {
         "method": method,
         "theta_hat": result.theta_hat,
         "theta_per_chunk": list(result.theta_per_chunk),
-        "iterations": result.iterations,
+        # the single decode at a fixed theta is reported as one iteration
+        "iterations": result.iterations if fix_theta is None else 1,
         "logprob": result.logprob,
         "g_y": g_y,
         "path_x": result.path_x,

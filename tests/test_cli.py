@@ -205,6 +205,18 @@ class TestSeparate:
         assert "theta_hat=+3.000" in out
         assert "iterations=1" in out
 
+    def test_fix_theta_outside_search_interval_exits_1(
+            self, speaker_dirs, cli_models, mixture_file):
+        tmp = speaker_dirs["tmp"]
+        rc = main(["separate", "--mixture", str(mixture_file),
+                   "--model-x", str(cli_models["hmm_a"]),
+                   "--model-v", str(cli_models["hmm_b"]),
+                   "--method", "gfhmm", "--fix-theta", "20",
+                   "--out-x", str(tmp / "oor_x.wav"),
+                   "--out-v", str(tmp / "oor_v.wav")])
+        assert rc == 1
+        assert not (tmp / "oor_x.wav").exists()
+
 
 class TestEvaluateReport:
     def test_round_trip_single_pair(self, speaker_dirs, cli_models):

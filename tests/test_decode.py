@@ -285,6 +285,20 @@ class TestGfhmmInfer:
         for th in res.theta_per_chunk:
             assert abs(th - 8.0) <= 1.5
 
+    def test_zero_rounds_is_one_viterbi_pass(self, ctx):
+        rng = np.random.default_rng(20)
+        mx = structured_hmm(rng, K=4, dim=12)
+        mv = structured_hmm(rng, K=4, dim=12)
+        y = sampled_feature_mixture(mx, mv, 5.0, ctx, 50, seed=21)
+        res = gfhmm_infer(y, mx, mv, ctx, theta0=-3.7, max_outer=0)
+        ref = parallel_viterbi(y, mx, mv, -3.7, ctx)
+        np.testing.assert_array_equal(res.path_x, ref.path_x)
+        np.testing.assert_array_equal(res.path_v, ref.path_v)
+        assert res.logprob == ref.logprob
+        assert res.iterations == 0
+        assert res.theta_hat == -3.7
+        assert res.theta_per_chunk == (-3.7,)
+
 
 class TestGvqInfer:
     def make_codebooks(self, rng, K=4, dim=8):
@@ -335,6 +349,18 @@ class TestGvqInfer:
         res = gvq_infer(y, cb_x, cb_v, ctx, theta0=0.0)
         np.testing.assert_array_equal(res.path_x, best[1])
         np.testing.assert_array_equal(res.path_v, best[2])
+
+    def test_zero_rounds_is_one_score_pass(self, ctx):
+        rng = np.random.default_rng(22)
+        cb_x, cb_v = self.make_codebooks(rng)
+        y = rng.normal(0, 1, (15, 8))
+        res = gvq_infer(y, cb_x, cb_v, ctx, theta0=6.2, max_outer=0)
+        idx_x, idx_v, q = gvq_score(y, cb_x, cb_v, 6.2, ctx)
+        np.testing.assert_array_equal(res.path_x, idx_x)
+        np.testing.assert_array_equal(res.path_v, idx_v)
+        assert res.logprob == q
+        assert res.iterations == 0
+        assert res.theta_hat == 6.2
 
 
 class TestMegaFrameSlices:

@@ -226,6 +226,25 @@ class TestRunExperiment:
         assert all(r["error"] != "" for r in bad)
         assert all(r["snr_target_db"] == "" for r in bad)
 
+    def test_fix_theta_outside_search_interval_is_an_error_row(
+            self, experiment_env):
+        env = experiment_env
+        manifest = {
+            "sample_rate": 8000,
+            "theta_grid": [6],
+            "methods": ["gvq", "vq"],
+            "fix_theta": 20,
+            "models": {k: env["paths"][k]
+                       for k in ("hmm_x", "hmm_v", "vq_x", "vq_v")},
+            "pairs": [env["pair_entry"](1)],
+        }
+        out_csv = env["tmp"] / "fix20.csv"
+        run_experiment(manifest, out_csv)
+        with open(out_csv, newline="") as f:
+            rows = {r["method"]: r for r in csv.DictReader(f)}
+        assert rows["gvq"]["error"].startswith("ValueError: fix_theta")
+        assert rows["vq"]["error"] == ""    # the baseline always uses 0 dB
+
     def test_theta_hat_tracks_true_theta(self, experiment_env):
         env = experiment_env
         manifest = {

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from specsep import (AudioSignal, GainContext, estimate_G0, estimate_gy,
-                     g_of_theta, gains_from_theta)
+from specsep import (AudioSignal, GainContext, estimate_gy, g_of_theta,
+                     gains_from_theta)
 
 
 @pytest.fixture
@@ -97,29 +97,6 @@ class TestEstimateGy:
     def test_empty_signal_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             estimate_gy(AudioSignal(np.zeros(0)))
-
-
-class TestEstimateG0:
-    def test_unit_rms_training_set(self):
-        rng = np.random.default_rng(0)
-        sigs = []
-        for _ in range(3):
-            x = rng.standard_normal(2000)
-            sigs.append(AudioSignal(x / np.sqrt(np.mean(x ** 2))))
-        assert estimate_G0(sigs) == pytest.approx(1.0, abs=1e-12)
-
-    def test_power_averaging(self):
-        a = AudioSignal(np.full(100, math.sqrt(0.5)))
-        b = AudioSignal(np.full(100, math.sqrt(1.5)))
-        assert estimate_G0([a, b]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_single_signal(self):
-        sig = AudioSignal(np.full(100, 0.25))
-        assert estimate_G0([sig]) == pytest.approx(0.25, abs=1e-12)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            estimate_G0([])
 
 
 class TestGainContext:

@@ -5,6 +5,7 @@ import pytest
 
 from specsep import (DiagGaussian, GainContext, GainPair, gains_from_theta,
                      log_b_jk, log_b_table, mixmax_combine)
+from specsep.mixmax import dominant
 
 from conftest import random_hmm
 
@@ -53,6 +54,27 @@ class TestMixmaxCombine:
         gp = gains_from_theta(0.0, ctx)
         with pytest.raises(ValueError, match="dimension"):
             mixmax_combine(np.zeros(3), np.zeros(4), gp)
+
+
+class TestDominant:
+    def test_ties_go_to_target(self, ctx):
+        mean = np.array([0.5, -1.0, 2.0])
+        gp = gains_from_theta(0.0, ctx)
+        target_wins, winner = dominant(mean, mean.copy(), gp)
+        assert np.all(target_wins)
+        np.testing.assert_array_equal(winner, mean + gp.log10_gx)
+
+    def test_winning_mean_is_the_max_combination(self, ctx):
+        rng = np.random.default_rng(10)
+        mx = rng.normal(0, 1, (3, 1, 6))
+        mv = rng.normal(0, 1, (1, 4, 6))
+        gp = gains_from_theta(-2.5, ctx)
+        target_wins, winner = dominant(mx, mv, gp)
+        assert target_wins.shape == winner.shape == (3, 4, 6)
+        want = np.maximum(mx + gp.log10_gx, mv + gp.log10_gv)
+        np.testing.assert_array_equal(winner, want)
+        np.testing.assert_array_equal(target_wins,
+                                      mx + gp.log10_gx >= mv + gp.log10_gv)
 
 
 class TestLogBjk:

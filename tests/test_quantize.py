@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specsep import GainContext, gains_from_theta, gvq_frame_decode, gvq_score
+from specsep import GainContext, gains_from_theta, gvq_score
 from specsep.quantize import Codebook, VARIANCE_FLOOR, train_lbg
 
 
@@ -14,6 +14,13 @@ def random_codebook(rng, K, dim):
     return Codebook(codevectors=rng.normal(0.0, 1.0, (K, dim)),
                     cluster_variances=np.full((K, dim), 0.1),
                     occupancy=np.full(K, 10))
+
+
+def decode_frame(y_r, cb_x, cb_v, theta, ctx):
+    """gvq_score over a one-frame sequence, as (i, j, cost)."""
+    idx_x, idx_v, q = gvq_score(np.asarray(y_r)[None, :], cb_x, cb_v,
+                                theta, ctx)
+    return int(idx_x[0]), int(idx_v[0]), -q
 
 
 class TestTrainLbg:
@@ -72,6 +79,8 @@ class TestTrainLbg:
 
 
 class TestGvqFrameDecode:
+    """Single-frame decoding: gvq_score on a one-frame sequence."""
+
     def test_planted_pair_recovered(self, ctx):
         rng = np.random.default_rng(4)
         cb_x = random_codebook(rng, 6, 8)
@@ -80,7 +89,7 @@ class TestGvqFrameDecode:
         gp = gains_from_theta(theta, ctx)
         y = np.maximum(cb_x.codevectors[3] + gp.log10_gx,
                        cb_v.codevectors[5] + gp.log10_gv)
-        i, j, cost = gvq_frame_decode(y, cb_x, cb_v, theta, ctx)
+        i, j, cost = decode_frame(y, cb_x, cb_v, theta, ctx)
         assert (i, j) == (3, 5)
         assert cost == pytest.approx(0.0, abs=1e-18)
 
@@ -100,7 +109,7 @@ class TestGvqFrameDecode:
                 cost = float(((y - combined) ** 2).sum())
                 if best is None or cost < best[2]:
                     best = (i, j, cost)
-        got = gvq_frame_decode(y, cb_x, cb_v, theta, ctx)
+        got = decode_frame(y, cb_x, cb_v, theta, ctx)
         assert got[:2] == best[:2]
         assert got[2] == pytest.approx(best[2], rel=1e-12)
 
@@ -110,13 +119,13 @@ class TestGvqFrameDecode:
         cb_v = random_codebook(rng, 4, 5)
         theta = 200.0   # interference shifted far below every target entry
         y = rng.normal(0.0, 1.0, 5)
-        i, j, cost = gvq_frame_decode(y, cb_x, cb_v, theta, ctx)
+        i, j, cost = decode_frame(y, cb_x, cb_v, theta, ctx)
         assert j == 0
-        costs = [gvq_frame_decode(y, cb_x,
-                                  Codebook(cb_v.codevectors[[k]],
-                                           cb_v.cluster_variances[[k]],
-                                           cb_v.occupancy[[k]]),
-                                  theta, ctx)[2]
+        costs = [decode_frame(y, cb_x,
+                              Codebook(cb_v.codevectors[[k]],
+                                       cb_v.cluster_variances[[k]],
+                                       cb_v.occupancy[[k]]),
+                              theta, ctx)[2]
                  for k in range(4)]
         assert np.allclose(costs, cost)
 
@@ -124,18 +133,18 @@ class TestGvqFrameDecode:
         rng = np.random.default_rng(7)
         cb = random_codebook(rng, 2, 5)
         with pytest.raises(ValueError, match="dimension"):
-            gvq_frame_decode(np.zeros(4), cb, cb, 0.0, ctx)
+            decode_frame(np.zeros(4), cb, cb, 0.0, ctx)
 
     def test_cost_invariant_to_codevector_permutation(self, ctx):
         rng = np.random.default_rng(8)
         cb_x = random_codebook(rng, 4, 6)
         cb_v = random_codebook(rng, 4, 6)
         y = rng.normal(0.0, 1.0, 6)
-        _, _, cost = gvq_frame_decode(y, cb_x, cb_v, 2.0, ctx)
+        _, _, cost = decode_frame(y, cb_x, cb_v, 2.0, ctx)
         perm = np.array([2, 0, 3, 1])
         cb_x_p = Codebook(cb_x.codevectors[perm],
                           cb_x.cluster_variances[perm], cb_x.occupancy[perm])
-        _, _, cost_p = gvq_frame_decode(y, cb_x_p, cb_v, 2.0, ctx)
+        _, _, cost_p = decode_frame(y, cb_x_p, cb_v, 2.0, ctx)
         assert cost == pytest.approx(cost_p, rel=1e-12)
 
 
@@ -145,8 +154,11 @@ class TestGvqScore:
         cb_x = random_codebook(rng, 3, 4)
         cb_v = random_codebook(rng, 3, 4)
         y = rng.normal(0.0, 1.0, (1, 4))
-        _, _, cost = gvq_frame_decode(y[0], cb_x, cb_v, 1.0, ctx)
-        _, _, q = gvq_score(y, cb_x, cb_v, 1.0, ctx)
+        idx_x, idx_v, q = gvq_score(y, cb_x, cb_v, 1.0, ctx)
+        gp = gains_from_theta(1.0, ctx)
+        combined = np.maximum(cb_x.codevectors[idx_x[0]] + gp.log10_gx,
+                              cb_v.codevectors[idx_v[0]] + gp.log10_gv)
+        cost = float(((y[0] - combined) ** 2).sum())
         assert q == pytest.approx(-cost, rel=1e-12)
 
     def test_planted_sequence_peaks_at_true_theta(self, ctx):

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from specsep import (AudioSignal, DecodeResult, GainContext,
-                     ModelMismatchError, apply_masks_and_reconstruct,
-                     build_hmm_masks, build_vq_masks, frame_signal,
+from specsep import (AudioSignal, GainContext, ModelMismatchError,
+                     apply_masks_and_reconstruct, build_masks, frame_signal,
                      g_of_theta, mix_at_tir, normalize_equal_power,
                      separate, snr, synth_source)
 
@@ -17,10 +16,11 @@ def ctx():
     return GainContext(g_y=1.0)
 
 
-def make_result(path_x, path_v, theta_hat):
-    return DecodeResult(np.asarray(path_x), np.asarray(path_v), 0.0,
-                        theta_hat=theta_hat, iterations=1,
-                        theta_per_chunk=(theta_hat,))
+def path_masks(proto_x, proto_v, path_x, path_v, theta, ctx):
+    """build_masks over one whole-sequence chunk of decoded prototypes."""
+    return build_masks(proto_x[np.asarray(path_x)],
+                       proto_v[np.asarray(path_v)],
+                       [slice(0, len(path_x))], [theta], ctx)
 
 
 class TestMaskBuilding:
@@ -29,8 +29,8 @@ class TestMaskBuilding:
         mx = random_hmm(rng, K=2, dim=6)
         mv = random_hmm(rng, K=2, dim=6)
         mx.means += 10.0
-        res = make_result([0, 1], [1, 0], 0.0)
-        masks_x, masks_v = build_hmm_masks(res, mx, mv, ctx)
+        masks_x, masks_v = path_masks(mx.means, mv.means, [0, 1], [1, 0],
+                                      0.0, ctx)
         assert np.all(masks_x == 1)
         assert np.all(masks_v == 0)
 
@@ -39,8 +39,7 @@ class TestMaskBuilding:
         mx = random_hmm(rng, K=1, dim=4)
         mv = random_hmm(rng, K=1, dim=4)
         mv.means = mx.means.copy()     # equal shifted means at theta = 0
-        res = make_result([0], [0], 0.0)
-        masks_x, masks_v = build_hmm_masks(res, mx, mv, ctx)
+        masks_x, masks_v = path_masks(mx.means, mv.means, [0], [0], 0.0, ctx)
         assert np.all(masks_x == 1)
         assert np.all(masks_v == 0)
 
@@ -51,8 +50,8 @@ class TestMaskBuilding:
         path_x = rng.integers(0, 3, 5)
         path_v = rng.integers(0, 3, 5)
         theta = 3.0
-        res = make_result(path_x, path_v, theta)
-        masks_x, masks_v = build_hmm_masks(res, mx, mv, ctx)
+        masks_x, masks_v = path_masks(mx.means, mv.means, path_x, path_v,
+                                      theta, ctx)
         gx, gv = g_of_theta(theta, ctx), g_of_theta(-theta, ctx)
         for r in range(5):
             for d in range(8):
@@ -64,7 +63,8 @@ class TestMaskBuilding:
     def test_vq_identical_codebooks_positive_theta(self, ctx, trained_models):
         cb = trained_models["cb_a"]
         idx = np.zeros(4, dtype=int)
-        masks_x, masks_v = build_vq_masks((idx, idx), cb, cb, ctx, 5.0)
+        masks_x, masks_v = path_masks(cb.codevectors, cb.codevectors, idx,
+                                      idx, 5.0, ctx)
         assert np.all(masks_x == 1)     # g(theta) > g(-theta) for theta > 0
         assert np.all(masks_v == 0)
 
@@ -73,9 +73,25 @@ class TestMaskBuilding:
         cb_a, cb_b = trained_models["cb_a"], trained_models["cb_b"]
         idx_x = rng.integers(0, cb_a.K, 6)
         idx_v = rng.integers(0, cb_b.K, 6)
-        masks_x, masks_v = build_vq_masks((idx_x, idx_v), cb_a, cb_b,
-                                          ctx, -4.0)
+        masks_x, masks_v = path_masks(cb_a.codevectors, cb_b.codevectors,
+                                      idx_x, idx_v, -4.0, ctx)
         np.testing.assert_array_equal(masks_x + masks_v, 1)
+
+    def test_per_chunk_thetas_match_single_chunk_masks(self, ctx):
+        rng = np.random.default_rng(5)
+        proto_x = rng.normal(0.0, 1.0, (10, 7))
+        proto_v = rng.normal(0.0, 1.0, (10, 7))
+        chunks = [slice(0, 4), slice(4, 10)]
+        thetas = [-6.0, 9.0]
+        masks_x, masks_v = build_masks(proto_x, proto_v, chunks, thetas, ctx)
+        for sl, th in zip(chunks, thetas):
+            want_x, want_v = build_masks(proto_x[sl], proto_v[sl],
+                                         [slice(0, sl.stop - sl.start)],
+                                         [th], ctx)
+            np.testing.assert_array_equal(masks_x[sl], want_x)
+            np.testing.assert_array_equal(masks_v[sl], want_v)
+        np.testing.assert_array_equal(masks_x + masks_v, 1)
+        assert masks_x.dtype == masks_v.dtype == np.uint8
 
 
 @pytest.fixture(scope="module")
@@ -115,12 +131,11 @@ class TestSeparatePipeline:
         win = framing.analysis_window()
         frames = frame_signal(y, framing)
         spec = np.fft.rfft(frames * win, n=framing.dft_size, axis=1)
-        from specsep.separate import build_vq_masks as _masks
-        masks_x, masks_v = _masks((diag["path_x"], diag["path_v"]),
-                                  trained_models["cb_a"],
-                                  trained_models["cb_b"],
-                                  GainContext(g_y=diag["g_y"]),
-                                  diag["theta_hat"])
+        masks_x, masks_v = build_masks(
+            trained_models["cb_a"].codevectors[diag["path_x"]],
+            trained_models["cb_b"].codevectors[diag["path_v"]],
+            [slice(0, diag["n_frames"])], diag["theta_per_chunk"],
+            GainContext(g_y=diag["g_y"]))
         e_full = np.abs(spec) ** 2
         e_x = np.abs(spec * masks_x) ** 2
         e_v = np.abs(spec * masks_v) ** 2
@@ -184,6 +199,21 @@ class TestSeparatePipeline:
                               method="gfhmm", fix_theta=6.0)
         assert diag["theta_hat"] == 6.0
         assert diag["iterations"] == 1
+
+    def test_fix_theta_outside_search_interval_rejected(
+            self, framing, trained_models, mixture_setup):
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 6.0)
+        for method, kind in (("gfhmm", "hmm"), ("gvq", "cb")):
+            for bad in (20.0, -15.5, float("nan")):
+                with pytest.raises(ValueError, match="fix_theta"):
+                    separate(y, trained_models[f"{kind}_a"],
+                             trained_models[f"{kind}_b"], framing,
+                             method=method, fix_theta=bad)
+        _, _, diag = separate(y, trained_models["cb_a"],
+                              trained_models["cb_b"], framing,
+                              method="gvq", fix_theta=-15.0)
+        assert diag["theta_hat"] == -15.0
 
     def test_mega_frames_on_long_mixture(self, framing, speaker_generators,
                                          trained_models):
