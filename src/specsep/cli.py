@@ -7,6 +7,7 @@ mismatch, 4 numeric failure.
 import argparse
 import sys
 import wave
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,9 @@ from .decode import NumericError
 from .models import (ModelMismatchError, baum_welch, init_hmm_from_codebook,
                      load_model, save_model)
 from .quantize import train_lbg
-from .separate import METHODS, separate
-from .signal import (AudioSignal, FramingConfig, log_spectra, read_wav,
-                     write_wav)
+from .separate import METHODS, model_kind, separate
+from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
+                     log_spectra, read_wav, write_wav)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,17 +35,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(EXIT_USAGE)
-
-
-def _framing_from_args(args):
-    return FramingConfig(frame_len=args.frame_len, hop=args.hop,
-                         dft_size=args.dft_size)
-
-
-def _framing_from_meta(meta):
-    return FramingConfig(frame_len=int(meta.get("frame_len", 256)),
-                         hop=int(meta.get("hop", 80)),
-                         dft_size=int(meta.get("dft_size", 256)))
 
 
 def cmd_mix(args):
@@ -76,7 +66,8 @@ def cmd_train(args):
     wavs = sorted(Path(args.speaker_dir).glob("*.wav"))
     if not wavs:
         raise OSError(f"no WAV files found in {args.speaker_dir}")
-    cfg = _framing_from_args(args)
+    cfg = FramingConfig(frame_len=args.frame_len, hop=args.hop,
+                        dft_size=args.dft_size)
     utterances = []
     for path in wavs:
         sig = read_wav(path, expected_rate=args.sample_rate)
@@ -92,8 +83,7 @@ def cmd_train(args):
     print(f"training on {len(utterances)} utterances, "
           f"{vectors.shape[0]} frames, K={args.states}")
 
-    meta = {"sample_rate": args.sample_rate, "frame_len": cfg.frame_len,
-            "hop": cfg.hop, "dft_size": cfg.dft_size}
+    meta = {"sample_rate": args.sample_rate, **asdict(cfg)}
     codebook = train_lbg(vectors, args.states)
     codebook.meta.update(meta)
     if args.kind == "vq":
@@ -113,13 +103,11 @@ def cmd_train(args):
 
 
 def cmd_separate(args):
-    kind = "hmm" if args.method in ("gfhmm", "fhmm") else "vq"
+    kind = model_kind(args.method)
     model_x = load_model(args.model_x, expect_kind=kind)
     model_v = load_model(args.model_v, expect_kind=kind)
-    cfg = _framing_from_meta(model_x.meta)
-    if _framing_from_meta(model_v.meta) != cfg:
-        raise ModelMismatchError(
-            "target and interference models disagree on framing")
+    # separate() rejects an interference model framed any other way
+    cfg = FramingConfig.from_meta(model_x.meta)
     mixture = read_wav(args.mixture)
     x_hat, v_hat, diag = separate(
         mixture, model_x, model_v, cfg, method=args.method,
@@ -156,13 +144,13 @@ def cmd_report(args):
 
 
 def _add_framing_flags(p):
-    p.add_argument("--sample-rate", type=int, default=8000,
+    p.add_argument("--sample-rate", type=int, default=DEFAULT_SAMPLE_RATE,
                    help="expected WAV sample rate (Hz)")
-    p.add_argument("--frame-len", type=int, default=256,
+    p.add_argument("--frame-len", type=int, default=FramingConfig.frame_len,
                    help="analysis frame length in samples")
-    p.add_argument("--hop", type=int, default=80,
+    p.add_argument("--hop", type=int, default=FramingConfig.hop,
                    help="frame shift in samples")
-    p.add_argument("--dft-size", type=int, default=256,
+    p.add_argument("--dft-size", type=int, default=FramingConfig.dft_size,
                    help="DFT size in bins")
 
 

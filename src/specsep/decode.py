@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gain import gains_from_theta
+from .gain import THETA_MAX_DB, THETA_MIN_DB, gains_from_theta
 from .mixmax import log_b_table, mixmax_combine, path_emission_loglik
 from .quantize import gvq_score
 
@@ -268,7 +268,7 @@ def maximize_theta(objective, interval, tol=THETA_STEP_TOL_DB,
     return x_star, points[x_star]
 
 
-def _alternate(decode, objective, R, ctx, theta0, outer_tol, max_outer,
+def _alternate(decode, objective, R, theta0, outer_tol, max_outer,
                mega_frames):
     """The alternating decode/estimate loop shared by both model kinds.
 
@@ -281,8 +281,8 @@ def _alternate(decode, objective, R, ctx, theta0, outer_tol, max_outer,
     returned thetas; with max_outer=0 that is the only decode, at theta0.
     """
     chunks = list(mega_frames) if mega_frames else [slice(0, R)]
-    interval = (ctx.theta_min, ctx.theta_max)
-    thetas = [min(max(float(theta0), ctx.theta_min), ctx.theta_max)
+    interval = (THETA_MIN_DB, THETA_MAX_DB)
+    thetas = [min(max(float(theta0), THETA_MIN_DB), THETA_MAX_DB)
               for _ in chunks]
 
     trace = []
@@ -306,11 +306,11 @@ def _alternate(decode, objective, R, ctx, theta0, outer_tol, max_outer,
 
     path_x, path_v, score = decode(chunks, thetas)
     trace.append(score)
-    if iterations:
+    if iterations and len(chunks) > 1:
         weights = np.array([sl.stop - sl.start for sl in chunks], dtype=float)
         theta_hat = float(np.average(thetas, weights=weights))
     else:
-        theta_hat = thetas[0]            # no round ran: all chunks hold theta0
+        theta_hat = thetas[0]            # one window, or all hold theta0
     return DecodeResult(path_x, path_v, score, theta_hat=theta_hat,
                         iterations=iterations,
                         theta_per_chunk=tuple(thetas),
@@ -349,8 +349,8 @@ def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
         return lambda t: path_emission_loglik(
             y_seq[sl], mu_x, var_x, mu_v, var_v, gains_from_theta(t, ctx))
 
-    return _alternate(decode, objective, R, ctx, theta0, outer_tol,
-                      max_outer, mega_frames)
+    return _alternate(decode, objective, R, theta0, outer_tol, max_outer,
+                      mega_frames)
 
 
 def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
@@ -381,5 +381,5 @@ def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
         return lambda t: -float(((y_seq[sl] - mixmax_combine(
             cx, cv, gains_from_theta(t, ctx))) ** 2).sum())
 
-    return _alternate(decode, objective, R, ctx, theta0, outer_tol,
-                      max_outer, mega_frames)
+    return _alternate(decode, objective, R, theta0, outer_tol, max_outer,
+                      mega_frames)

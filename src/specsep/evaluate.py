@@ -11,8 +11,9 @@ import numpy as np
 
 from .gain import estimate_gy
 from .models import load_model
-from .separate import separate
-from .signal import AudioSignal, FramingConfig, read_wav
+from .separate import model_kind, separate
+from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
+                     overlap_add, read_wav)
 
 SNR_CAP_DB = 100.0
 
@@ -85,18 +86,11 @@ def sample_hmm_frames(model, n_frames, rng):
 def _frames_to_signal(log_frames, cfg, sample_rate, rng):
     """Synthesize a waveform from log-spectral frames via random phase and
     Hann overlap-add."""
-    R, n_bins = log_frames.shape
-    out_len = (R - 1) * cfg.hop + cfg.frame_len
-    out = np.zeros(out_len)
-    win = cfg.synthesis_window()
-    for r in range(R):
-        mag = 10.0 ** log_frames[r]
-        phase = rng.uniform(0.0, 2.0 * np.pi, n_bins)
-        phase[0] = 0.0
-        phase[-1] = 0.0                 # DC and Nyquist stay real
-        spec = mag * np.exp(1j * phase)
-        frame = np.fft.irfft(spec, n=cfg.dft_size)[: cfg.frame_len]
-        out[r * cfg.hop : r * cfg.hop + cfg.frame_len] += frame * win
+    phase = rng.uniform(0.0, 2.0 * np.pi, log_frames.shape)
+    phase[:, [0, -1]] = 0.0             # DC and Nyquist stay real
+    spec = 10.0 ** log_frames * np.exp(1j * phase)
+    frames = np.fft.irfft(spec, n=cfg.dft_size, axis=1)[:, : cfg.frame_len]
+    out = overlap_add(frames * cfg.synthesis_window(), cfg.hop)
     peak = np.max(np.abs(out))
     if peak > 0:
         out = out / peak * 0.5
@@ -217,11 +211,8 @@ def run_experiment(manifest, out_csv, jobs=None):
     """
     if not isinstance(manifest, dict):
         manifest = load_manifest(manifest)
-    sample_rate = int(manifest.get("sample_rate", 8000))
-    fr = manifest.get("framing", {})
-    cfg = FramingConfig(frame_len=int(fr.get("frame_len", 256)),
-                        hop=int(fr.get("hop", 80)),
-                        dft_size=int(fr.get("dft_size", 256)))
+    sample_rate = int(manifest.get("sample_rate", DEFAULT_SAMPLE_RATE))
+    cfg = FramingConfig.from_meta(manifest.get("framing", {}))
     theta_grid = [float(t) for t in manifest["theta_grid"]]
     methods = list(manifest["methods"])
     options = {k: manifest[k] for k in ("theta0", "fix_theta")
@@ -231,8 +222,8 @@ def run_experiment(manifest, out_csv, jobs=None):
     n_bins = cfg.n_bins
     loaded = {}
     for method in methods:
-        kind = "hmm" if method in ("gfhmm", "fhmm") else "vq"
         try:
+            kind = model_kind(method)
             mx = _load_cached(loaded, model_paths[f"{kind}_x"], kind, n_bins)
             mv = _load_cached(loaded, model_paths[f"{kind}_v"], kind, n_bins)
             loaded[method] = (mx, mv)
@@ -256,15 +247,11 @@ def run_experiment(manifest, out_csv, jobs=None):
 
     tasks = [(pair, theta, method)
              for pair in pairs for theta in theta_grid for method in methods]
-    jobs = jobs or int(manifest.get("jobs", 1))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(
-                lambda t: _run_single(t[0], t[1], t[2], loaded, cfg, options),
-                tasks))
-    else:
-        rows = [_run_single(p, th, m, loaded, cfg, options)
-                for p, th, m in tasks]
+    jobs = max(1, jobs or int(manifest.get("jobs", 1)))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        rows = list(pool.map(
+            lambda t: _run_single(t[0], t[1], t[2], loaded, cfg, options),
+            tasks))
 
     rows.sort(key=lambda r: (r["pair_id"], float(r["theta_true"]),
                              r["method"]))
@@ -290,20 +277,11 @@ def summarize_rows(rows):
             continue
         key = (float(row["theta_true"]), row["method"])
         groups.setdefault(key, []).append(row)
-    summary = {}
-    for (theta, method), grp in sorted(groups.items()):
-        summary[(theta, method)] = {
-            "n": len(grp),
-            "snr_target_db": float(np.mean(
-                [float(r["snr_target_db"]) for r in grp])),
-            "snr_interf_db": float(np.mean(
-                [float(r["snr_interf_db"]) for r in grp])),
-            "theta_hat": float(np.mean(
-                [float(r["theta_hat"]) for r in grp])),
-            "iterations": float(np.mean(
-                [float(r["iterations"]) for r in grp])),
-        }
-    return summary
+    columns = ("snr_target_db", "snr_interf_db", "theta_hat", "iterations")
+    return {key: {"n": len(grp),
+                  **{c: float(np.mean([float(r[c]) for r in grp]))
+                     for c in columns}}
+            for key, grp in sorted(groups.items())}
 
 
 def write_report(results_csv, out_csv):

@@ -10,27 +10,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the interval over which theta is searched and a fixed theta may lie
 THETA_MIN_DB = -15.0
 THETA_MAX_DB = 15.0
 
 
 @dataclass(frozen=True)
 class GainContext:
-    """Observation gain g_y, nominal source gain G0, and the theta search
-    interval in dB."""
+    """Observation gain g_y and nominal source gain G0."""
 
     g_y: float
     G0: float = 1.0
-    theta_min: float = THETA_MIN_DB
-    theta_max: float = THETA_MAX_DB
 
     def __post_init__(self):
         if not (self.g_y > 0.0):
             raise ValueError("g_y must be positive")
         if not (self.G0 > 0.0):
             raise ValueError("G0 must be positive")
-        if not (self.theta_min < self.theta_max):
-            raise ValueError("theta interval is degenerate")
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,18 @@ likelihood of a mixture frame given one state from each speaker model."""
 
 import numpy as np
 
-from .models import LOG_2PI
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def mixmax_combine(x, v, gp):
     """Elementwise maximum of the two gain-shifted log spectra.
 
-    Works on single frames or (R, dim) stacks of frames.
+    Works on single frames, (R, dim) stacks of frames, or any shapes that
+    broadcast against each other with the same number of bins.
     """
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if x.shape != v.shape:
+    if x.shape[-1] != v.shape[-1]:
         raise ValueError(f"dimension mismatch: {x.shape} vs {v.shape}")
     return np.maximum(x + gp.log10_gx, v + gp.log10_gv)
 

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mixmax import LOG_2PI
 from .quantize import Codebook, VARIANCE_FLOOR
 
-LOG_2PI = float(np.log(2.0 * np.pi))
 PI_FLOOR = 1e-6
 MODEL_MAGIC = "specsep-model"
 MODEL_VERSION = 1

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gain import gains_from_theta
+from .mixmax import mixmax_combine
 
 VARIANCE_FLOOR = 1e-4
 SPLIT_DELTA = 0.01
@@ -122,13 +123,6 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
     return Codebook(codevectors, variances, occupancy)
 
 
-def _pair_cost_tables(cb_x, cb_v, gp):
-    """(K, K, dim) gain-shifted max-combined codevector pairs."""
-    shifted_x = cb_x.codevectors + gp.log10_gx
-    shifted_v = cb_v.codevectors + gp.log10_gv
-    return np.maximum(shifted_x[:, None, :], shifted_v[None, :, :])
-
-
 def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     """Decode every frame independently and score the whole sequence.
 
@@ -144,7 +138,8 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     if cb_x.dim != y_seq.shape[1] or cb_v.dim != y_seq.shape[1]:
         raise ValueError("codebook dimension does not match frames")
     gp = gains_from_theta(theta, ctx)
-    combined = _pair_cost_tables(cb_x, cb_v, gp)
+    combined = mixmax_combine(cb_x.codevectors[:, None, :],  # (K, K, dim)
+                              cb_v.codevectors[None, :, :], gp)
     R = y_seq.shape[0]
     idx_x = np.empty(R, dtype=np.int64)
     idx_v = np.empty(R, dtype=np.int64)

@@ -3,11 +3,13 @@ build per-frame binary masks from the decoded spectral prototypes, and
 reconstruct both sources from the mixture."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 
 from . import decode as _decode
-from .gain import GainContext, estimate_gy, gains_from_theta
+from .gain import (THETA_MAX_DB, THETA_MIN_DB, GainContext, estimate_gy,
+                   gains_from_theta)
 from .mixmax import dominant
 from .models import HmmModel, ModelMismatchError
 from .quantize import Codebook
@@ -15,7 +17,8 @@ from .quantize import Codebook
 from .quantize import gvq_score  # noqa: F401
 from .signal import apply_masks_and_reconstruct, log_spectra
 
-METHODS = ("gfhmm", "gvq", "fhmm", "vq")
+# method -> the model kind it decodes with ("hmm" or "vq")
+METHODS = {"gfhmm": "hmm", "gvq": "vq", "fhmm": "hmm", "vq": "vq"}
 
 # baseline (non-gain-adapted) runs force g_y/G0 = sqrt(2) at theta = 0,
 # which makes both source gains exactly 1
@@ -37,6 +40,14 @@ def build_masks(proto_x, proto_v, chunks, thetas, ctx):
         masks_x[sl], _ = dominant(proto_x[sl], proto_v[sl],
                                   gains_from_theta(th, ctx))
     return masks_x, 1 - masks_x
+
+
+def model_kind(method):
+    """The model kind, "hmm" or "vq", that a method decodes with."""
+    if method not in METHODS:
+        raise ValueError(
+            f"unknown method '{method}' (one of {', '.join(METHODS)})")
+    return METHODS[method]
 
 
 def _require_kind(model, cls, role, method):
@@ -61,32 +72,35 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
         theta frozen at 0 and both gains forced to 1
     theta0 : starting theta for the alternating estimation (dB)
     fix_theta : skip theta estimation and decode once at this value (dB);
-        it must lie in [ctx.theta_min, ctx.theta_max], i.e. +/-15 dB
+        it must lie in [THETA_MIN_DB, THETA_MAX_DB], i.e. +/-15 dB
     gy_over_g0 : override the estimated g_y/G0 ratio (testing hook; the
         baselines set it to sqrt(2) internally)
     mega_frame_seconds : loudness-constancy window; utterances shorter
         than twice this get a single theta
 
+    Every setting a model's meta records (sample_rate, frame_len, hop,
+    dft_size) must match the mixture and cfg, else ModelMismatchError.
+
     Returns (x_hat, v_hat, diagnostics); diagnostics carries theta_hat,
     iterations, the decoder score, and the decoded index paths.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method '{method}' (one of {METHODS})")
-    hmm_based = method in ("gfhmm", "fhmm")
+    hmm_based = model_kind(method) == "hmm"
     cls = HmmModel if hmm_based else Codebook
     _require_kind(model_x, cls, "target", method)
     _require_kind(model_v, cls, "interference", method)
     n_bins = cfg.n_bins
+    setting = {"sample_rate": mixture.sample_rate, **asdict(cfg)}
     for role, m in (("target", model_x), ("interference", model_v)):
         if m.dim != n_bins:
             raise ModelMismatchError(
                 f"{role} model dimension {m.dim} does not match "
                 f"configured {n_bins} bins")
-        rate = m.meta.get("sample_rate")
-        if rate is not None and int(rate) != mixture.sample_rate:
-            raise ModelMismatchError(
-                f"{role} model was trained at {rate} Hz but the mixture "
-                f"is {mixture.sample_rate} Hz")
+        for key, value in setting.items():
+            recorded = m.meta.get(key)
+            if recorded is not None and int(recorded) != value:
+                raise ModelMismatchError(
+                    f"{role} model was trained with {key}={recorded} but "
+                    f"the mixture is separated with {key}={value}")
 
     y_seq = log_spectra(mixture, cfg)
     g_y = estimate_gy(mixture)
@@ -101,10 +115,10 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
 
     R = y_seq.shape[0]
     if fix_theta is not None:
-        if not ctx.theta_min <= fix_theta <= ctx.theta_max:
+        if not THETA_MIN_DB <= fix_theta <= THETA_MAX_DB:
             raise ValueError(
                 f"fix_theta {fix_theta} dB is outside "
-                f"[{ctx.theta_min}, {ctx.theta_max}] dB")
+                f"[{THETA_MIN_DB}, {THETA_MAX_DB}] dB")
         # a fixed theta is one whole-sequence decode with no outer rounds
         theta0, max_outer, mega_frame_seconds = fix_theta, 0, None
     frames_per_chunk = None

@@ -2,11 +2,14 @@
 overlap-add synthesis, and 16-bit PCM mono WAV I/O."""
 
 import wave
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_SAMPLE_RATE = 8000
+# magnitude floor before log10, so every log spectrum is finite
+LOG_FLOOR = 1e-10
 
 
 @dataclass
@@ -41,13 +44,17 @@ class FramingConfig:
     frame_len: int = 256
     hop: int = 80
     dft_size: int = 256
-    log_floor: float = 1e-10
 
     def __post_init__(self):
         if not (0 < self.hop <= self.frame_len <= self.dft_size):
             raise ValueError("need 0 < hop <= frame_len <= dft_size")
-        if self.log_floor <= 0.0:
-            raise ValueError("log_floor must be positive")
+
+    @classmethod
+    def from_meta(cls, meta):
+        """Framing recorded in a model's meta or a manifest's "framing";
+        a field the dict does not record keeps its default."""
+        return cls(**{f.name: int(meta[f.name]) for f in fields(cls)
+                      if f.name in meta})
 
     @property
     def n_bins(self):
@@ -61,13 +68,6 @@ class FramingConfig:
 
     def frames_per_second(self, sample_rate):
         return sample_rate / self.hop
-
-
-def num_frames(n_samples, cfg):
-    """Frame count for a signal of n_samples; short signals pad to one."""
-    if n_samples < cfg.frame_len:
-        return 1
-    return (n_samples - cfg.frame_len) // cfg.hop + 1
 
 
 def frame_signal(signal, cfg):
@@ -84,25 +84,21 @@ def frame_signal(signal, cfg):
         padded = np.zeros(cfg.frame_len)
         padded[: x.size] = x
         return padded[None, :]
-    R = num_frames(x.size, cfg)
-    frames = np.empty((R, cfg.frame_len))
-    for r in range(R):
-        frames[r] = x[r * cfg.hop : r * cfg.hop + cfg.frame_len]
-    return frames
+    return sliding_window_view(x, cfg.frame_len)[::cfg.hop].copy()
 
 
 def log_spectrum(frame, cfg):
     """log10 magnitude spectrum of one analysis frame (bins 0..D/2).
 
     The frame is Hamming-windowed, transformed with a D-point DFT, and the
-    magnitude is floored at cfg.log_floor so the result is always finite.
+    magnitude is floored at LOG_FLOOR so the result is always finite.
     """
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape != (cfg.frame_len,):
         raise ValueError(
             f"expected frame of length {cfg.frame_len}, got {frame.shape}")
     spec = np.fft.rfft(frame * cfg.analysis_window(), n=cfg.dft_size)
-    mag = np.maximum(np.abs(spec), cfg.log_floor)
+    mag = np.maximum(np.abs(spec), LOG_FLOOR)
     return np.log10(mag)
 
 
@@ -111,7 +107,7 @@ def log_spectra(signal, cfg):
     frames = frame_signal(signal, cfg)
     win = cfg.analysis_window()
     spec = np.fft.rfft(frames * win, n=cfg.dft_size, axis=1)
-    mag = np.maximum(np.abs(spec), cfg.log_floor)
+    mag = np.maximum(np.abs(spec), LOG_FLOOR)
     return np.log10(mag)
 
 
@@ -142,24 +138,25 @@ def apply_masks_and_reconstruct(mixture, masks_x, masks_v, cfg):
     win_s = cfg.synthesis_window()
     spec = np.fft.rfft(frames * win_a, n=cfg.dft_size, axis=1)
 
-    out_len = (R - 1) * cfg.hop + cfg.frame_len
-    out_x = np.zeros(out_len)
-    out_v = np.zeros(out_len)
-    envelope = np.zeros(out_len)
     # inverse DFT of a masked half spectrum is real by construction
-    frames_x = np.fft.irfft(spec * masks_x, n=cfg.dft_size, axis=1)
-    frames_v = np.fft.irfft(spec * masks_v, n=cfg.dft_size, axis=1)
-    for r in range(R):
-        lo = r * cfg.hop
-        hi = lo + cfg.frame_len
-        out_x[lo:hi] += frames_x[r, : cfg.frame_len] * win_s
-        out_v[lo:hi] += frames_v[r, : cfg.frame_len] * win_s
-        envelope[lo:hi] += win_a * win_s
+    masked = np.fft.irfft(spec * np.stack([masks_x, masks_v]),
+                          n=cfg.dft_size, axis=2)
+    out_x, out_v = overlap_add(masked[..., : cfg.frame_len] * win_s, cfg.hop)
+    envelope = overlap_add(np.broadcast_to(win_a * win_s, frames.shape),
+                           cfg.hop)
     envelope = np.maximum(envelope, 1e-3)
-    out_x /= envelope
-    out_v /= envelope
-    return (AudioSignal(out_x, mixture.sample_rate),
-            AudioSignal(out_v, mixture.sample_rate))
+    return (AudioSignal(out_x / envelope, mixture.sample_rate),
+            AudioSignal(out_v / envelope, mixture.sample_rate))
+
+
+def overlap_add(frames, hop):
+    """Sum (..., R, L) frames placed hop samples apart into (..., n)
+    signals, n = (R-1)*hop + L, adding frame by frame in order."""
+    R, L = frames.shape[-2:]
+    out = np.zeros(frames.shape[:-2] + ((R - 1) * hop + L,))
+    for r in range(R):
+        out[..., r * hop : r * hop + L] += frames[..., r, :]
+    return out
 
 
 def read_wav(path, expected_rate=None):

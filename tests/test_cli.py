@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from specsep import load_model, read_wav, synth_source, write_wav
+from specsep import (FramingConfig, load_model, read_wav, synth_source,
+                     write_wav)
 from specsep.cli import build_parser, main
 
 
@@ -216,6 +217,37 @@ class TestSeparate:
                    "--out-v", str(tmp / "oor_v.wav")])
         assert rc == 1
         assert not (tmp / "oor_x.wav").exists()
+
+
+class TestFramingCheck:
+    @pytest.fixture(scope="class")
+    def vq_200(self, speaker_dirs):
+        path = speaker_dirs["tmp"] / "vq_b_200.ssm"
+        assert main(["train", "--kind", "vq", "--speaker-dir",
+                     str(speaker_dirs["dirs"]["b"]), "--states", "4",
+                     "--frame-len", "200", "--hop", "100",
+                     "--out", str(path)]) == 0
+        return path
+
+    def test_train_meta_round_trips_framing(self, cli_models, vq_200):
+        assert (FramingConfig.from_meta(load_model(vq_200).meta)
+                == FramingConfig(frame_len=200, hop=100))
+        assert (FramingConfig.from_meta(load_model(cli_models["vq_a"]).meta)
+                == FramingConfig())
+
+    def test_models_framed_differently_exit_3(self, speaker_dirs, cli_models,
+                                              mixture_file, vq_200, capsys):
+        tmp = speaker_dirs["tmp"]
+        for model_x, model_v in ((cli_models["vq_a"], vq_200),
+                                 (vq_200, cli_models["vq_a"])):
+            rc = main(["separate", "--mixture", str(mixture_file),
+                       "--model-x", str(model_x), "--model-v", str(model_v),
+                       "--method", "gvq",
+                       "--out-x", str(tmp / "fr_x.wav"),
+                       "--out-v", str(tmp / "fr_v.wav")])
+            assert rc == 3
+            assert "frame_len" in capsys.readouterr().err
+            assert not (tmp / "fr_x.wav").exists()
 
 
 class TestEvaluateReport:

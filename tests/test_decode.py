@@ -7,6 +7,7 @@ from specsep import (GainContext, HmmModel, brute_force_decode,
                      path_loglik)
 from specsep.decode import (NumericError, _viterbi_from_table,
                             mega_frame_slices)
+from specsep.gain import THETA_MAX_DB, THETA_MIN_DB
 from specsep.mixmax import mixmax_combine
 from specsep.quantize import Codebook, gvq_score
 
@@ -272,7 +273,7 @@ class TestGfhmmInfer:
                                         seed=800 + seed)
             res = gfhmm_infer(y, mx, mv, ctx)
             assert np.all(np.diff(res.objective_trace) >= -1e-6)
-            assert ctx.theta_min <= res.theta_hat <= ctx.theta_max
+            assert THETA_MIN_DB <= res.theta_hat <= THETA_MAX_DB
 
     def test_mega_frames_estimate_per_chunk(self, ctx):
         rng = np.random.default_rng(16)
@@ -361,6 +362,25 @@ class TestGvqInfer:
         assert res.logprob == q
         assert res.iterations == 0
         assert res.theta_hat == 6.2
+
+
+class TestSingleWindowThetaHat:
+    # seeds where the frame-weighted mean of one estimate, (theta*R)/R, is
+    # one ulp off the estimate itself for gfhmm (16, 27) or gvq (21)
+    @pytest.mark.parametrize("seed", [16, 21, 27])
+    def test_theta_hat_is_the_window_estimate(self, ctx, seed):
+        rng = np.random.default_rng(seed)
+        mx = structured_hmm(rng, K=4, dim=16)
+        mv = structured_hmm(rng, K=4, dim=16)
+        theta = float(rng.uniform(-12, 12))
+        y = sampled_feature_mixture(mx, mv, theta, ctx, 37, seed=900 + seed)
+        cb_x, cb_v = (Codebook(m.means, m.vars, np.ones(m.K))
+                      for m in (mx, mv))
+        for res in (gfhmm_infer(y, mx, mv, ctx),
+                    gvq_infer(y, cb_x, cb_v, ctx)):
+            assert res.iterations >= 1
+            assert len(res.theta_per_chunk) == 1
+            assert res.theta_hat == res.theta_per_chunk[0]
 
 
 class TestMegaFrameSlices:

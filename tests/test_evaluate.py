@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -244,6 +245,37 @@ class TestRunExperiment:
             rows = {r["method"]: r for r in csv.DictReader(f)}
         assert rows["gvq"]["error"].startswith("ValueError: fix_theta")
         assert rows["vq"]["error"] == ""    # the baseline always uses 0 dB
+
+    def test_models_framed_otherwise_give_error_rows(self, experiment_env,
+                                                     trained_models):
+        # models recorded at 200/100 and a manifest with no "framing":
+        # the default 256/80 features must not be decoded with them
+        env = experiment_env
+        meta = {"sample_rate": 8000, "frame_len": 200, "hop": 100,
+                "dft_size": 256}
+        models = {}
+        for key, name in (("hmm_x", "hmm_a"), ("hmm_v", "hmm_b"),
+                          ("vq_x", "cb_a"), ("vq_v", "cb_b")):
+            path = env["tmp"] / f"framed_{key}.ssm"
+            save_model(dataclasses.replace(trained_models[name], meta=meta),
+                       path)
+            models[key] = str(path)
+        manifest = {
+            "sample_rate": 8000,
+            "theta_grid": [6],
+            "methods": ["gfhmm", "gvq", "fhmm", "vq"],
+            "models": models,
+            "pairs": [env["pair_entry"](1)],
+        }
+        out_csv = env["tmp"] / "framed.csv"
+        assert run_experiment(manifest, out_csv) == {}
+        with open(out_csv, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 4
+        for row in rows:
+            assert row["error"].startswith("ModelMismatchError")
+            assert "frame_len=200" in row["error"]
+            assert row["snr_target_db"] == ""
 
     def test_theta_hat_tracks_true_theta(self, experiment_env):
         env = experiment_env

@@ -103,7 +103,3 @@ class TestGainContext:
     def test_rejects_nonpositive_gy(self):
         with pytest.raises(ValueError):
             GainContext(g_y=0.0)
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            GainContext(g_y=1.0, theta_min=5.0, theta_max=5.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -245,6 +246,23 @@ class TestSeparatePipeline:
         y = AudioSignal(rng.standard_normal(4000) * 0.1)
         with pytest.raises(ModelMismatchError, match="dimension"):
             separate(y, bad, bad, framing, method="gfhmm")
+
+    @pytest.mark.parametrize("key, value", [
+        ("sample_rate", 16000), ("frame_len", 200), ("hop", 100),
+        ("dft_size", 512)])
+    def test_recorded_setting_mismatch_rejected(
+            self, framing, trained_models, mixture_setup, key, value):
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 0.0)
+        meta = {"sample_rate": 8000, **dataclasses.asdict(framing),
+                key: value}
+        hmm_v = dataclasses.replace(trained_models["hmm_b"], meta=meta)
+        cb_v = dataclasses.replace(trained_models["cb_b"], meta=meta)
+        for method, model_x, model_v in (
+                ("gfhmm", trained_models["hmm_a"], hmm_v),
+                ("vq", trained_models["cb_a"], cb_v)):
+            with pytest.raises(ModelMismatchError, match=f"{key}={value}"):
+                separate(y, model_x, model_v, framing, method=method)
 
     def test_silent_input_rejected(self, framing, trained_models):
         y = AudioSignal(np.zeros(4000))

@@ -1,10 +1,12 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from specsep import (AudioSignal, FramingConfig, apply_masks_and_reconstruct,
                      frame_signal, log_spectrum, read_wav, write_wav)
 from specsep.evaluate import snr
-from specsep.signal import log_spectra
+from specsep.signal import LOG_FLOOR, log_spectra
 
 
 @pytest.fixture
@@ -48,10 +50,22 @@ class TestFraming:
                 frames[r], sig.samples[start:start + cfg.frame_len])
 
 
+class TestFramingFromMeta:
+    def test_missing_fields_keep_defaults(self):
+        assert FramingConfig.from_meta({}) == FramingConfig()
+        assert (FramingConfig.from_meta({"sample_rate": 8000, "hop": 40})
+                == FramingConfig(hop=40))
+
+    def test_round_trips_model_meta(self):
+        cfg = FramingConfig(frame_len=200, hop=100, dft_size=512)
+        meta = {"sample_rate": 8000, **asdict(cfg)}
+        assert FramingConfig.from_meta(meta) == cfg
+
+
 class TestLogSpectrum:
     def test_zero_frame_hits_floor(self, cfg):
         out = log_spectrum(np.zeros(256), cfg)
-        np.testing.assert_allclose(out, np.log10(cfg.log_floor))
+        np.testing.assert_allclose(out, np.log10(LOG_FLOOR))
 
     def test_output_dimension_129(self, cfg):
         out = log_spectrum(np.ones(256), cfg)
