@@ -54,27 +54,47 @@ def log_b_jk(y, state_x, state_v, gp):
     return float(terms.sum())
 
 
+def sq_dist(frames, centers, var=None):
+    """Squared distances of every frame to every center, summed over bins.
+
+    frames is (R, dim); centers is (K, dim) or (K_x, K_v, dim), and var,
+    when given, has the shape of centers and divides each squared
+    difference.  Returns (R, K) or (R, K_x, K_v).  This is the one
+    frame-against-prototype-table kernel.  It scores a block of frames
+    against the whole table at a time, with blocks sized so that the
+    temporaries stay near 256 KiB (at least one frame per block).
+    """
+    rows = np.expand_dims(frames, tuple(range(1, centers.ndim)))
+    out = np.empty(rows.shape[:1] + centers.shape[:-1])
+    # blocks that fit a per-core L2 cache: larger ones (a whole R x K x dim
+    # broadcast) are bound by memory traffic, smaller ones by call overhead
+    step = max(1, (1 << 18) // centers.nbytes)
+    for s in range(0, len(rows), step):
+        terms = (rows[s:s + step] - centers) ** 2
+        if var is not None:
+            terms /= var
+        out[s:s + step] = terms.sum(axis=-1)
+    return out
+
+
+def log_gauss_table(frames, means, var):
+    """Diagonal-Gaussian natural-log densities of every frame under every
+    (mean, var) center; shapes as in sq_dist."""
+    const = (np.log(var) + LOG_2PI).sum(axis=-1)
+    return -0.5 * (sq_dist(frames, means, var) + const)
+
+
 def log_b_table(y_seq, model_x, model_v, gp):
     """(R, K, K) emission log-likelihoods for every frame and state pair.
 
     The dominant-mean/variance choice per (j, k, d) depends only on the
-    gains, so it is precomputed once and reused across frames.
+    gains, so it is made once for all frames.
     """
-    y_seq = np.asarray(y_seq, dtype=np.float64)
     target_wins, m_max = dominant(model_x.means[:, None, :],  # (K, K, dim)
                                   model_v.means[None, :, :], gp)
     var_max = np.where(target_wins, model_x.vars[:, None, :],
                        model_v.vars[None, :, :])
-    inv_var = 1.0 / var_max
-    const = -0.5 * (np.log(var_max) + LOG_2PI).sum(axis=2)  # (K, K)
-
-    R = y_seq.shape[0]
-    K_x, K_v = model_x.means.shape[0], model_v.means.shape[0]
-    table = np.empty((R, K_x, K_v))
-    for r in range(R):
-        diff = y_seq[r][None, None, :] - m_max
-        table[r] = -0.5 * (diff ** 2 * inv_var).sum(axis=2) + const
-    return table
+    return log_gauss_table(y_seq, m_max, var_max)
 
 
 def path_emission_loglik(y_seq, mean_x, var_x, mean_v, var_v, gp):

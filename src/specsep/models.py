@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mixmax import LOG_2PI
-from .quantize import Codebook, VARIANCE_FLOOR
+from .mixmax import LOG_2PI, log_gauss_table
+from .quantize import (VARIANCE_FLOOR, Codebook, ModelMismatchError,
+                       check_model)
 
 PI_FLOOR = 1e-6
 MODEL_MAGIC = "specsep-model"
@@ -19,10 +20,6 @@ MODEL_VERSION = 1
 
 BW_DEFAULT_REL_TOL = 1e-5
 BW_DEFAULT_MAX_ITERS = 15
-
-
-class ModelMismatchError(ValueError):
-    """A model file or object does not match what the caller expects."""
 
 
 @dataclass
@@ -58,11 +55,20 @@ class HmmModel:
         return DiagGaussian(self.means[j], self.vars[j])
 
     def validate(self):
+        """Raise ModelMismatchError unless the model is well formed: the
+        check_model conditions on means and vars, and stochastic pi and
+        trans rows (log-probabilities may be -inf, i.e. probability 0)."""
+        K, dim = len(self.pi), np.shape(self.means)[-1]
+        check_model(self, {"means": (K, dim), "vars": (K, dim)},
+                    positive="vars")
+        if np.shape(self.trans) != (K, K):
+            raise ModelMismatchError(
+                f"trans has shape {np.shape(self.trans)}, expected {(K, K)}")
         if not np.isclose(np.exp(self.pi).sum(), 1.0, atol=1e-6):
-            raise ValueError("initial probabilities do not sum to 1")
+            raise ModelMismatchError("initial probabilities do not sum to 1")
         rows = np.exp(self.trans).sum(axis=1)
         if not np.allclose(rows, 1.0, atol=1e-6):
-            raise ValueError("transition rows do not sum to 1")
+            raise ModelMismatchError("transition rows do not sum to 1")
 
 
 def log_gaussian_diag(x, g):
@@ -73,14 +79,6 @@ def log_gaussian_diag(x, g):
             f"dimension mismatch: x {x.shape} vs mean {g.mean.shape}")
     z2 = (x - g.mean) ** 2 / g.var
     return float(-0.5 * np.sum(z2 + np.log(g.var) + LOG_2PI))
-
-
-def _log_emission_matrix(frames, means, variances):
-    """(R, K) natural-log emission likelihoods for a frame sequence."""
-    diff = frames[:, None, :] - means[None, :, :]          # (R, K, dim)
-    z2 = (diff ** 2 / variances[None, :, :]).sum(axis=2)
-    const = (np.log(variances) + LOG_2PI).sum(axis=1)      # (K,)
-    return -0.5 * (z2 + const[None, :])
 
 
 def init_hmm_from_codebook(cb):
@@ -115,7 +113,7 @@ def _forward_backward(frames, pi, trans, means, variances):
     the utterance natural-log likelihood.
     """
     R, K = frames.shape[0], pi.shape[0]
-    logB = _log_emission_matrix(frames, means, variances)
+    logB = log_gauss_table(frames, means, variances)
     shift = logB.max(axis=1)
     B = np.exp(logB - shift[:, None])
 
@@ -240,7 +238,7 @@ def _meta_from_arrays(keys, values):
     for k, v in zip(keys.tolist(), values.tolist()):
         try:
             num = float(v)
-            meta[k] = int(num) if num == int(num) else num
+            meta[k] = int(num) if num.is_integer() else num
         except ValueError:
             meta[k] = v
     return meta
@@ -284,7 +282,8 @@ def save_model(model, path):
 
 def load_model(path, expect_kind=None, expect_dim=None):
     """Load a model container; optionally enforce kind ("hmm"/"vq") and
-    feature dimension."""
+    feature dimension.  A malformed model (see HmmModel.validate and
+    Codebook.validate) raises ModelMismatchError."""
     with np.load(path, allow_pickle=False) as data:
         if "magic" not in data or str(data["magic"]) != MODEL_MAGIC:
             raise ModelMismatchError(f"{path}: not a model file")
@@ -304,11 +303,21 @@ def load_model(path, expect_kind=None, expect_dim=None):
                 f"configured dimension {expect_dim}")
         meta = _meta_from_arrays(data["meta_keys"], data["meta_values"])
         if kind == "hmm":
-            return HmmModel(pi=data["pi"], trans=data["trans"],
-                            means=data["means"], vars=data["variances"],
-                            meta=meta)
-        if kind == "vq":
-            return Codebook(codevectors=data["codevectors"],
-                            cluster_variances=data["cluster_variances"],
-                            occupancy=data["occupancy"], meta=meta)
-    raise ModelMismatchError(f"{path}: unknown model kind '{kind}'")
+            model = HmmModel(pi=data["pi"], trans=data["trans"],
+                             means=data["means"], vars=data["variances"],
+                             meta=meta)
+        elif kind == "vq":
+            model = Codebook(codevectors=data["codevectors"],
+                             cluster_variances=data["cluster_variances"],
+                             occupancy=data["occupancy"], meta=meta)
+        else:
+            raise ModelMismatchError(f"{path}: unknown model kind '{kind}'")
+        try:
+            model.validate()
+        except ModelMismatchError as exc:
+            raise ModelMismatchError(f"{path}: {exc}") from None
+        if (model.K, model.dim) != (int(data["K"]), dim):
+            raise ModelMismatchError(
+                f"{path}: arrays hold K={model.K}, dim={model.dim} but the "
+                f"file records K={int(data['K'])}, dim={dim}")
+        return model

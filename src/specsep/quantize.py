@@ -1,16 +1,43 @@
 """LBG codebook training over log-spectral vectors, and the gain-adapted
 VQ decoder that matches each observed frame against all codevector pairs."""
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .gain import gains_from_theta
-from .mixmax import mixmax_combine
+from .mixmax import mixmax_combine, sq_dist
+from .signal import FramingConfig
 
 VARIANCE_FLOOR = 1e-4
 SPLIT_DELTA = 0.01
 DEFAULT_REL_TOL = 1e-4
+
+
+class ModelMismatchError(ValueError):
+    """A model file or object does not match what the caller expects."""
+
+
+def check_model(model, shapes, positive):
+    """Raise ModelMismatchError unless every array named in shapes has that
+    shape and finite values, the array named positive is > 0, and each
+    framing setting model.meta records is a positive integer."""
+    for name, shape in shapes.items():
+        a = np.asarray(getattr(model, name))
+        if a.shape != shape:
+            raise ModelMismatchError(
+                f"{name} has shape {a.shape}, expected {shape}")
+        if not np.all(np.isfinite(a)):
+            raise ModelMismatchError(f"{name} has non-finite values")
+    if np.any(getattr(model, positive) <= 0.0):
+        raise ModelMismatchError(f"{positive} has non-positive values")
+    for key in ("sample_rate", *(f.name for f in fields(FramingConfig))):
+        value = model.meta.get(key)
+        if value is not None and not (isinstance(value, numbers.Integral)
+                                      and value > 0):
+            raise ModelMismatchError(
+                f"recorded {key}={value!r} is not a positive integer")
 
 
 @dataclass
@@ -31,11 +58,19 @@ class Codebook:
     def dim(self):
         return self.codevectors.shape[1]
 
+    def validate(self):
+        """Raise ModelMismatchError unless the codebook passes check_model
+        (shapes, finite values, positive variances, recorded framing)."""
+        K, dim = len(self.occupancy), np.shape(self.codevectors)[-1]
+        check_model(self, {"codevectors": (K, dim),
+                           "cluster_variances": (K, dim),
+                           "occupancy": (K,)},
+                    positive="cluster_variances")
+
 
 def _assign(vectors, codevectors):
     """Nearest-codevector index and per-vector squared distance."""
-    # (N, K) distance table; N*K*dim stays small at desk scale
-    d2 = ((vectors[:, None, :] - codevectors[None, :, :]) ** 2).sum(axis=2)
+    d2 = sq_dist(vectors, codevectors)
     labels = np.argmin(d2, axis=1)
     return labels, d2[np.arange(len(vectors)), labels]
 
@@ -58,11 +93,8 @@ def _lloyd(vectors, codevectors, max_iters, rel_tol, trace=None):
             if counts[i]:
                 new_cb[i] = vectors[labels == i].mean(axis=0)
             else:
-                big = int(np.argmax(counts))
-                big_members = vectors[labels == big]
-                far = np.argmax(
-                    ((big_members - codevectors[big]) ** 2).sum(axis=1))
-                new_cb[i] = big_members[far]
+                big = labels == np.argmax(counts)
+                new_cb[i] = vectors[big][np.argmax(dist[big])]
         codevectors = new_cb
         if prev < np.inf and prev > 0 and (prev - distortion) < rel_tol * prev:
             break
@@ -140,15 +172,8 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     gp = gains_from_theta(theta, ctx)
     combined = mixmax_combine(cb_x.codevectors[:, None, :],  # (K, K, dim)
                               cb_v.codevectors[None, :, :], gp)
-    R = y_seq.shape[0]
-    idx_x = np.empty(R, dtype=np.int64)
-    idx_v = np.empty(R, dtype=np.int64)
-    total = 0.0
-    for r in range(R):
-        cost = ((y_seq[r][None, None, :] - combined) ** 2).sum(axis=2)
-        flat = int(np.argmin(cost))        # first occurrence: smallest (i, j)
-        i, j = divmod(flat, cb_v.K)
-        idx_x[r] = i
-        idx_v[r] = j
-        total += float(cost[i, j])
-    return idx_x, idx_v, -total
+    cost = sq_dist(y_seq, combined).reshape(y_seq.shape[0], -1)
+    flat = np.argmin(cost, axis=1)     # first occurrence: smallest (i, j)
+    idx_x, idx_v = np.divmod(flat, cb_v.K)
+    # a frame-order running total; np.sum and sum() may add in another order
+    return idx_x, idx_v, -float(np.add.accumulate(cost.min(axis=1))[-1])

@@ -76,10 +76,13 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
     gy_over_g0 : override the estimated g_y/G0 ratio (testing hook; the
         baselines set it to sqrt(2) internally)
     mega_frame_seconds : loudness-constancy window; utterances shorter
-        than twice this get a single theta
+        than twice this get a single theta, and None or 0 means one
+        window; a non-finite one, or one that rounds to no whole hop, raises
+        ValueError
 
-    Every setting a model's meta records (sample_rate, frame_len, hop,
-    dft_size) must match the mixture and cfg, else ModelMismatchError.
+    Both models must pass their validate(), and every setting a model's
+    meta records (sample_rate, frame_len, hop, dft_size) must match the
+    mixture and cfg, else ModelMismatchError.
 
     Returns (x_hat, v_hat, diagnostics); diagnostics carries theta_hat,
     iterations, the decoder score, and the decoded index paths.
@@ -91,6 +94,7 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
     n_bins = cfg.n_bins
     setting = {"sample_rate": mixture.sample_rate, **asdict(cfg)}
     for role, m in (("target", model_x), ("interference", model_v)):
+        m.validate()
         if m.dim != n_bins:
             raise ModelMismatchError(
                 f"{role} model dimension {m.dim} does not match "
@@ -114,17 +118,21 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
         ctx = GainContext(g_y=float(ratio), G0=1.0)
 
     R = y_seq.shape[0]
+    frames_per_chunk = None
+    if mega_frame_seconds:
+        frames = mega_frame_seconds * mixture.sample_rate / cfg.hop
+        if not (math.isfinite(frames) and round(frames) >= 1):
+            raise ValueError(
+                f"mega_frame_seconds {mega_frame_seconds} gives {frames} "
+                "frames per window; need at least 1 after rounding")
+        frames_per_chunk = int(round(frames))
     if fix_theta is not None:
         if not THETA_MIN_DB <= fix_theta <= THETA_MAX_DB:
             raise ValueError(
                 f"fix_theta {fix_theta} dB is outside "
                 f"[{THETA_MIN_DB}, {THETA_MAX_DB}] dB")
         # a fixed theta is one whole-sequence decode with no outer rounds
-        theta0, max_outer, mega_frame_seconds = fix_theta, 0, None
-    frames_per_chunk = None
-    if mega_frame_seconds:
-        frames_per_chunk = int(round(
-            mega_frame_seconds * mixture.sample_rate / cfg.hop))
+        theta0, max_outer, frames_per_chunk = fix_theta, 0, None
     chunks = _decode.mega_frame_slices(R, frames_per_chunk)
 
     infer = _decode.gfhmm_infer if hmm_based else _decode.gvq_infer

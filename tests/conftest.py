@@ -1,6 +1,8 @@
 """Shared builders for the test suite: random and structured HMMs, planted
 sequences, and a session-scoped pair of tiny trained speaker models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,26 @@ from specsep import (AudioSignal, FramingConfig, HmmModel, baum_welch,
                      init_hmm_from_codebook, sample_hmm_frames, synth_source,
                      train_lbg)
 from specsep.signal import log_spectra
+
+
+# defects that a model file can carry; trans_plus_one applies to HMMs only
+MODEL_DEFECTS = ("nan_mean", "negative_variance", "trans_plus_one",
+                 "hop_inf")
+
+
+def malformed(model, defect):
+    """A copy of an HmmModel or Codebook with one defect planted."""
+    mean, var = (("means", "vars") if isinstance(model, HmmModel)
+                 else ("codevectors", "cluster_variances"))
+    if defect == "trans_plus_one":
+        return dataclasses.replace(model, trans=model.trans + 1.0)
+    if defect == "hop_inf":
+        return dataclasses.replace(model, meta={**model.meta, "hop": "inf"})
+    name, value = {"nan_mean": (mean, np.nan),
+                   "negative_variance": (var, -0.1)}[defect]
+    arr = getattr(model, name).copy()
+    arr[0, 0] = value
+    return dataclasses.replace(model, **{name: arr})
 
 
 def naive_viterbi_deltas(b, log_pi_x, log_pi_v, log_a_x, log_a_v):

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from specsep import (FramingConfig, load_model, read_wav, synth_source,
-                     write_wav)
+from specsep import (FramingConfig, load_model, read_wav, save_model,
+                     synth_source, write_wav)
 from specsep.cli import build_parser, main
+
+from conftest import MODEL_DEFECTS, malformed
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +207,21 @@ class TestSeparate:
         out = capsys.readouterr().out
         assert "theta_hat=+3.000" in out
         assert "iterations=1" in out
+
+    @pytest.mark.parametrize("defect", MODEL_DEFECTS)
+    def test_malformed_model_exits_3(self, speaker_dirs, cli_models,
+                                     mixture_file, defect, capsys):
+        tmp = speaker_dirs["tmp"]
+        bad = tmp / f"bad_{defect}.ssm"
+        save_model(malformed(load_model(cli_models["hmm_b"]), defect), bad)
+        rc = main(["separate", "--mixture", str(mixture_file),
+                   "--model-x", str(cli_models["hmm_a"]),
+                   "--model-v", str(bad), "--method", "gfhmm",
+                   "--out-x", str(tmp / "bad_x.wav"),
+                   "--out-v", str(tmp / "bad_v.wav")])
+        assert rc == 3
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp / "bad_x.wav").exists()
 
     def test_fix_theta_outside_search_interval_exits_1(
             self, speaker_dirs, cli_models, mixture_file):

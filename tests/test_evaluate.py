@@ -11,6 +11,8 @@ from specsep import (AudioSignal, mix_at_tir, normalize_equal_power,
 from specsep.evaluate import CSV_COLUMNS, summarize_rows, write_report
 from specsep.models import save_model
 
+from conftest import malformed
+
 
 class TestNormalizeEqualPower:
     def test_unit_rms_inputs_unchanged(self):
@@ -276,6 +278,29 @@ class TestRunExperiment:
             assert row["error"].startswith("ModelMismatchError")
             assert "frame_len=200" in row["error"]
             assert row["snr_target_db"] == ""
+
+    def test_malformed_model_gives_error_rows(self, experiment_env,
+                                              trained_models):
+        env = experiment_env
+        path = env["tmp"] / "nan_hmm_v.ssm"
+        save_model(malformed(trained_models["hmm_b"], "nan_mean"), path)
+        manifest = {
+            "sample_rate": 8000,
+            "theta_grid": [6],
+            "methods": ["gfhmm", "vq"],
+            "models": {**{k: env["paths"][k]
+                          for k in ("hmm_x", "vq_x", "vq_v")},
+                       "hmm_v": str(path)},
+            "pairs": [env["pair_entry"](1)],
+        }
+        out_csv = env["tmp"] / "nan_model.csv"
+        run_experiment(manifest, out_csv)
+        with open(out_csv, newline="") as f:
+            rows = {r["method"]: r for r in csv.DictReader(f)}
+        # a model that fails to load is reported on each of its rows
+        assert "ModelMismatchError" in rows["gfhmm"]["error"]
+        assert "non-finite" in rows["gfhmm"]["error"]
+        assert rows["vq"]["error"] == ""
 
     def test_theta_hat_tracks_true_theta(self, experiment_env):
         env = experiment_env

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specsep import (DiagGaussian, GainContext, GainPair, gains_from_theta,
                      log_b_jk, log_b_table, mixmax_combine)
-from specsep.mixmax import dominant
+from specsep.mixmax import dominant, sq_dist
 
 from conftest import random_hmm
 
@@ -178,3 +180,28 @@ class TestLogBTable:
                 for k in range(4):
                     want = log_b_jk(y[r], mx.state(j), mv.state(k), gp)
                     assert table[r, j, k] == pytest.approx(want, rel=1e-10)
+
+
+class TestSqDist:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(R=st.integers(1, 40), K_x=st.integers(1, 6), K_v=st.integers(0, 6),
+           dim=st.integers(1, 140), weighted=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(R=1, K_x=3, K_v=2, dim=129, weighted=True, seed=0)
+    @example(R=1, K_x=2, K_v=0, dim=129, weighted=False, seed=1)
+    @example(R=13, K_x=40, K_v=0, dim=129, weighted=True, seed=2)
+    @example(R=3, K_x=20, K_v=16, dim=129, weighted=False, seed=3)
+    def test_equals_naive_broadcast(self, R, K_x, K_v, dim, weighted, seed):
+        # K_v == 0 draws (K, dim) centers, otherwise (K_x, K_v, dim); the
+        # larger examples span several frame blocks of the kernel
+        rng = np.random.default_rng(seed)
+        shape = (K_x, K_v, dim) if K_v else (K_x, dim)
+        frames = rng.normal(0.0, 2.0, (R, dim))
+        centers = rng.normal(0.0, 2.0, shape)
+        var = rng.uniform(0.05, 2.0, shape) if weighted else None
+        diff = frames.reshape((R,) + (1,) * (len(shape) - 1) + (dim,)) \
+            - centers
+        want = diff ** 2 if var is None else diff ** 2 / var
+        got = sq_dist(frames, centers, var)
+        assert got.shape == (R,) + shape[:-1]
+        np.testing.assert_array_equal(got, want.sum(axis=-1))

@@ -8,7 +8,7 @@ from specsep import (Codebook, DiagGaussian, HmmModel, ModelMismatchError,
                      log_gaussian_diag, save_model)
 from specsep.models import LOG_2PI, VARIANCE_FLOOR
 
-from conftest import random_hmm
+from conftest import MODEL_DEFECTS, malformed, random_hmm
 
 
 class TestLogGaussianDiag:
@@ -222,3 +222,43 @@ class TestPersistence:
         np.savez(path, foo=np.zeros(3))
         with pytest.raises(ModelMismatchError, match="not a model file"):
             load_model(path)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("defect", MODEL_DEFECTS)
+    def test_malformed_hmm_rejected_on_load(self, tmp_path, defect):
+        model = random_hmm(np.random.default_rng(10), K=3, dim=5)
+        model.meta.update(sample_rate=8000, hop=80)
+        path = tmp_path / "m.ssm"
+        save_model(malformed(model, defect), path)
+        with pytest.raises(ModelMismatchError, match="m.ssm"):
+            load_model(path)
+
+    @pytest.mark.parametrize("defect", ("nan_mean", "negative_variance",
+                                        "hop_inf"))
+    def test_malformed_codebook_rejected_on_load(self, tmp_path, defect):
+        rng = np.random.default_rng(11)
+        cb = Codebook(rng.normal(0, 1, (4, 5)), np.full((4, 5), 0.2),
+                      np.full(4, 3), meta={"hop": 80})
+        path = tmp_path / "cb.ssm"
+        save_model(malformed(cb, defect), path)
+        with pytest.raises(ModelMismatchError, match="cb.ssm"):
+            load_model(path)
+
+    def test_shapes_checked_against_k_and_dim(self):
+        rng = np.random.default_rng(12)
+        model = random_hmm(rng, K=3, dim=5)
+        for bad in (dict(vars=model.vars[:, :4]),
+                    dict(means=model.means[:2]),
+                    dict(trans=model.trans[:, :2])):
+            with pytest.raises(ModelMismatchError, match="shape"):
+                HmmModel(**{**vars(model), **bad}).validate()
+        cb = Codebook(rng.normal(0, 1, (4, 5)), np.full((4, 5), 0.2),
+                      np.full(3, 3))
+        with pytest.raises(ModelMismatchError, match="shape"):
+            cb.validate()
+
+    def test_zero_probability_transitions_accepted(self):
+        model = random_hmm(np.random.default_rng(13), K=2, dim=3)
+        model.trans = np.array([[0.0, -np.inf], [np.log(0.5), np.log(0.5)]])
+        model.validate()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specsep import GainContext, gains_from_theta, gvq_score
+from specsep import GainContext, gains_from_theta, gvq_score, mixmax_combine
 from specsep.quantize import Codebook, VARIANCE_FLOOR, train_lbg
 
 
@@ -160,6 +160,19 @@ class TestGvqScore:
                               cb_v.codevectors[idx_v[0]] + gp.log10_gv)
         cost = float(((y[0] - combined) ** 2).sum())
         assert q == pytest.approx(-cost, rel=1e-12)
+
+    def test_q_is_frame_order_sum_of_chosen_costs(self, ctx):
+        rng = np.random.default_rng(31)
+        cb_x, cb_v = random_codebook(rng, 8, 129), random_codebook(rng, 4, 129)
+        y = rng.normal(0.0, 1.0, (300, 129))
+        idx_x, idx_v, q = gvq_score(y, cb_x, cb_v, 3.0, ctx)
+        gp = gains_from_theta(3.0, ctx)
+        total = 0.0
+        for r in range(300):
+            pair = mixmax_combine(cb_x.codevectors[idx_x[r]],
+                                  cb_v.codevectors[idx_v[r]], gp)
+            total += float(((y[r] - pair) ** 2).sum())
+        assert q == -total
 
     def test_planted_sequence_peaks_at_true_theta(self, ctx):
         rng = np.random.default_rng(10)

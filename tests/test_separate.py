@@ -9,7 +9,7 @@ from specsep import (AudioSignal, GainContext, ModelMismatchError,
                      g_of_theta, mix_at_tir, normalize_equal_power,
                      separate, snr, synth_source)
 
-from conftest import random_hmm
+from conftest import MODEL_DEFECTS, malformed, random_hmm
 
 
 @pytest.fixture
@@ -263,6 +263,34 @@ class TestSeparatePipeline:
                 ("vq", trained_models["cb_a"], cb_v)):
             with pytest.raises(ModelMismatchError, match=f"{key}={value}"):
                 separate(y, model_x, model_v, framing, method=method)
+
+    @pytest.mark.parametrize("defect", MODEL_DEFECTS)
+    def test_malformed_model_rejected(self, framing, trained_models,
+                                      mixture_setup, defect):
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 0.0)
+        pairs = [("gfhmm", trained_models["hmm_a"], trained_models["hmm_b"])]
+        if defect != "trans_plus_one":
+            pairs.append(("gvq", trained_models["cb_a"],
+                          trained_models["cb_b"]))
+        for method, model_x, model_v in pairs:
+            with pytest.raises(ModelMismatchError):
+                separate(y, model_x, malformed(model_v, defect), framing,
+                         method=method)
+
+    def test_mega_frame_window_checked(self, framing, trained_models,
+                                       mixture_setup):
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 0.0)
+        models = (trained_models["cb_a"], trained_models["cb_b"])
+        for bad in (0.004, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="mega_frame_seconds"):
+                separate(y, *models, framing, method="gvq", max_outer=1,
+                         mega_frame_seconds=bad)
+        for seconds, n_windows in ((None, 1), (0, 1), (0.5, 2)):
+            _, _, diag = separate(y, *models, framing, method="gvq",
+                                  max_outer=1, mega_frame_seconds=seconds)
+            assert len(diag["theta_per_chunk"]) == n_windows
 
     def test_silent_input_rejected(self, framing, trained_models):
         y = AudioSignal(np.zeros(4000))
