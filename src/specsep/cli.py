@@ -17,7 +17,7 @@ from .decode import NumericError
 from .models import (ModelMismatchError, baum_welch, init_hmm_from_codebook,
                      load_model, save_model)
 from .quantize import train_lbg
-from .separate import METHODS, model_kind, separate
+from .separate import METHODS, separate
 from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
                      log_spectra, read_wav, write_wav)
 
@@ -103,10 +103,9 @@ def cmd_train(args):
 
 
 def cmd_separate(args):
-    kind = model_kind(args.method)
-    model_x = load_model(args.model_x, expect_kind=kind)
-    model_v = load_model(args.model_v, expect_kind=kind)
-    # separate() rejects an interference model framed any other way
+    model_x = load_model(args.model_x)
+    model_v = load_model(args.model_v)
+    # separate() checks both models' kind, dimension and recorded framing
     cfg = FramingConfig.from_meta(model_x.meta)
     mixture = read_wav(args.mixture)
     x_hat, v_hat, diag = separate(

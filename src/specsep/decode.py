@@ -62,10 +62,6 @@ def _check_pair(y_seq, lambda_x, lambda_v):
     y_seq = np.asarray(y_seq, dtype=np.float64)
     if y_seq.ndim != 2 or y_seq.shape[0] == 0:
         raise ValueError("empty input")
-    if lambda_x.K != lambda_v.K:
-        raise ValueError(
-            f"state count mismatch between models: {lambda_x.K} vs "
-            f"{lambda_v.K}")
     if lambda_x.dim != y_seq.shape[1] or lambda_v.dim != y_seq.shape[1]:
         raise ValueError("model dimension does not match frames")
     return y_seq
@@ -73,14 +69,14 @@ def _check_pair(y_seq, lambda_x, lambda_v):
 
 def _viterbi_from_table(b, log_pi_x, log_pi_v, log_a_x, log_a_v,
                         delta_trace=None):
-    """Max-product decoding over the K*K product state space.
+    """Max-product decoding over the K_x*K_v product state space.
 
     The per-frame max over predecessor pairs (i, l) is taken in two
     stages, first over i for each (j, l), then over l for each (j, k),
-    which costs O(K^3) per frame yet reproduces the naive O(K^4) double
-    maximum bit for bit.  Argmax ties resolve to the smallest index at
-    each stage, and to the lexicographically smallest (j, k) at
-    termination.  delta_trace, when a list, collects a copy of every
+    which costs O(K_x K_v (K_x + K_v)) per frame yet reproduces the naive
+    O(K_x^2 K_v^2) double maximum bit for bit.  Argmax ties resolve to the
+    smallest index at each stage, and to the lexicographically smallest
+    (j, k) at termination.  delta_trace, when a list, collects a copy of every
     per-frame score table for equivalence testing.
     """
     R, K_x, K_v = b.shape
@@ -140,29 +136,30 @@ def brute_force_decode(y_seq, lambda_x, lambda_v, theta, ctx,
     """
     y_seq = _check_pair(y_seq, lambda_x, lambda_v)
     R = y_seq.shape[0]
-    K = lambda_x.K
-    if float(K) ** (2 * R) > max_instances:
+    if float(lambda_x.K * lambda_v.K) ** R > max_instances:
         raise ValueError(
-            f"instance too large for brute force: K={K}, R={R}")
+            f"instance too large for brute force: K_x={lambda_x.K}, "
+            f"K_v={lambda_v.K}, R={R}")
     gp = gains_from_theta(theta, ctx)
     b = log_b_table(y_seq, lambda_x, lambda_v, gp)
 
-    paths = np.array(list(itertools.product(range(K), repeat=R)),
-                     dtype=np.int64)                        # lexicographic
-    def chain_scores(log_pi, log_a):
-        s = log_pi[paths[:, 0]].copy()
+    def chain(model):
+        """Every path of one chain (lexicographic) and its prior score."""
+        paths = np.array(list(itertools.product(range(model.K), repeat=R)),
+                         dtype=np.int64)
+        s = model.pi[paths[:, 0]].copy()
         for r in range(1, R):
-            s += log_a[paths[:, r - 1], paths[:, r]]
-        return s
+            s += model.trans[paths[:, r - 1], paths[:, r]]
+        return paths, s
 
-    score_x = chain_scores(lambda_x.pi, lambda_x.trans)
-    score_v = chain_scores(lambda_v.pi, lambda_v.trans)
+    paths_x, score_x = chain(lambda_x)
+    paths_v, score_v = chain(lambda_v)
     score = score_x[:, None] + score_v[None, :]
     for r in range(R):
-        score += b[r][paths[:, r][:, None], paths[:, r][None, :]]
+        score += b[r][paths_x[:, r][:, None], paths_v[:, r][None, :]]
     flat = int(np.argmax(score))
-    p, q = divmod(flat, paths.shape[0])
-    return DecodeResult(paths[p].copy(), paths[q].copy(),
+    p, q = divmod(flat, paths_v.shape[0])
+    return DecodeResult(paths_x[p].copy(), paths_v[q].copy(),
                         float(score[p, q]), theta_hat=float(theta),
                         iterations=1, theta_per_chunk=(float(theta),))
 
@@ -279,6 +276,7 @@ def _alternate(decode, objective, R, theta0, outer_tol, max_outer,
     moving to a worse theta, until no theta moves by outer_tol or max_outer
     rounds have run.  A final decode makes the paths and score match the
     returned thetas; with max_outer=0 that is the only decode, at theta0.
+    A non-finite decoder score raises NumericError.
     """
     chunks = list(mega_frames) if mega_frames else [slice(0, R)]
     interval = (THETA_MIN_DB, THETA_MAX_DB)
@@ -286,12 +284,20 @@ def _alternate(decode, objective, R, theta0, outer_tol, max_outer,
               for _ in chunks]
 
     trace = []
+
+    def decode_checked(thetas):
+        path_x, path_v, score = decode(chunks, thetas)
+        if not np.isfinite(score):
+            raise NumericError(
+                f"non-finite decoder score {score} at theta {thetas} dB")
+        trace.append(score)
+        return path_x, path_v, score
+
     iterations = 0
     converged = False
     while iterations < max_outer and not converged:
         iterations += 1
-        path_x, path_v, score = decode(chunks, thetas)
-        trace.append(score)
+        path_x, path_v, score = decode_checked(thetas)
 
         new_thetas = []
         for sl, th in zip(chunks, thetas):
@@ -304,8 +310,7 @@ def _alternate(decode, objective, R, theta0, outer_tol, max_outer,
                         for new, old in zip(new_thetas, thetas)) < outer_tol
         thetas = new_thetas
 
-    path_x, path_v, score = decode(chunks, thetas)
-    trace.append(score)
+    path_x, path_v, score = decode_checked(thetas)
     if iterations and len(chunks) > 1:
         weights = np.array([sl.stop - sl.start for sl in chunks], dtype=float)
         theta_hat = float(np.average(thetas, weights=weights))
@@ -360,9 +365,7 @@ def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
     The decode step picks the best codevector pair per frame; the theta
     step maximizes the negated total cost with the picked pairs fixed.
     """
-    y_seq = np.asarray(y_seq, dtype=np.float64)
-    if y_seq.ndim != 2 or y_seq.shape[0] == 0:
-        raise ValueError("empty input")
+    y_seq = _check_pair(y_seq, cb_x, cb_v)
     R = y_seq.shape[0]
 
     def decode(chunks, thetas):

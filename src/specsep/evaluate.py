@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .gain import estimate_gy
-from .models import load_model
+from .models import HmmModel, ModelMismatchError, load_model
 from .separate import model_kind, separate
 from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
                      overlap_add, read_wav)
@@ -103,18 +103,20 @@ def synth_source(kind, model=None, seed=0, duration=2.0,
 
     kind "hmm_sample": draw a state path from the model's (pi, a) and one
     log-spectral frame per state from its Gaussian, then synthesize with
-    random phase and overlap-add (model required).  kind "tonal": a sum of
-    harmonics of a speaker-specific fundamental, so different speakers
-    occupy disjoint DFT bins.  kind "filtered_noise": white noise shaped
-    by a fixed speaker-specific spectral envelope.
+    random phase and overlap-add (model must be an HmmModel, else
+    ModelMismatchError).  kind "tonal": a sum of harmonics of a
+    speaker-specific fundamental, so different speakers occupy disjoint
+    DFT bins.  kind "filtered_noise": white noise shaped by a fixed
+    speaker-specific spectral envelope.
     """
     rng = np.random.default_rng(seed)
     cfg = cfg or FramingConfig()
     n = int(round(duration * sample_rate))
 
     if kind == "hmm_sample":
-        if model is None:
-            raise ValueError("hmm_sample needs a model")
+        if not isinstance(model, HmmModel):
+            raise ModelMismatchError("hmm_sample needs an HmmModel as its "
+                                     f"model, got {type(model).__name__}")
         R = max(1, (n - cfg.frame_len) // cfg.hop + 1)
         frames, _ = sample_hmm_frames(model, R, rng)
         return _frames_to_signal(frames, cfg, sample_rate, rng)
@@ -159,37 +161,41 @@ def _resolve_source(spec_entry, sample_rate, cfg, default_seed=0):
         s.setdefault("seed", default_seed)
         model = None
         if "model" in s:
-            model = load_model(s.pop("model"), expect_kind="hmm")
+            model = load_model(s.pop("model"))
         return synth_source(kind, model=model, sample_rate=sample_rate,
                             cfg=cfg, **s)
     raise ValueError(f"source entry needs 'wav' or 'synth': {spec_entry}")
 
 
 def _run_single(pair, theta, method, models, cfg, options):
-    """One (pair, theta, method) run; never raises, returns a row dict."""
+    """One (pair, theta, method) run; never raises, returns a row dict.
+    A pair or models that failed to load hold the exception, which is not
+    raised again: threads share it, and each raise extends its traceback."""
     row = {"pair_id": pair["id"], "method": method, "theta_true": theta,
            "theta_hat": "", "iterations": "", "snr_target_db": "",
            "snr_interf_db": "", "logprob": "", "wall_ms": "", "error": ""}
     t0 = time.perf_counter()
-    try:
-        if pair.get("error"):
-            raise RuntimeError(pair["error"])
-        if isinstance(models[method], str):
-            raise RuntimeError(models[method])
-        x, v = pair["target_signal"], pair["interf_signal"]
-        mixture, gx, gv = mix_at_tir(x, v, theta)
-        model_x, model_v = models[method]
-        x_hat, v_hat, diag = separate(mixture, model_x, model_v, cfg,
-                                      method=method, **options)
-        ref_x = AudioSignal(gx * x.samples[: len(mixture)], x.sample_rate)
-        ref_v = AudioSignal(gv * v.samples[: len(mixture)], v.sample_rate)
-        row["theta_hat"] = f"{diag['theta_hat']:.4f}"
-        row["iterations"] = diag["iterations"]
-        row["snr_target_db"] = f"{snr(ref_x, x_hat):.4f}"
-        row["snr_interf_db"] = f"{snr(ref_v, v_hat):.4f}"
-        row["logprob"] = f"{diag['logprob']:.6g}"
-    except Exception as exc:  # noqa: BLE001 - errors become CSV rows
-        row["error"] = f"{type(exc).__name__}: {exc}"
+    error = pair.get("error")
+    if error is None and isinstance(models[method], Exception):
+        error = models[method]
+    if error is None:
+        try:
+            x, v = pair["target_signal"], pair["interf_signal"]
+            mixture, gx, gv = mix_at_tir(x, v, theta)
+            model_x, model_v = models[method]
+            x_hat, v_hat, diag = separate(mixture, model_x, model_v, cfg,
+                                          method=method, **options)
+            ref_x = AudioSignal(gx * x.samples[: len(mixture)], x.sample_rate)
+            ref_v = AudioSignal(gv * v.samples[: len(mixture)], v.sample_rate)
+            row["theta_hat"] = f"{diag['theta_hat']:.4f}"
+            row["iterations"] = diag["iterations"]
+            row["snr_target_db"] = f"{snr(ref_x, x_hat):.4f}"
+            row["snr_interf_db"] = f"{snr(ref_v, v_hat):.4f}"
+            row["logprob"] = f"{diag['logprob']:.6g}"
+        except Exception as exc:  # noqa: BLE001 - errors become CSV rows
+            error = exc
+    if error is not None:
+        row["error"] = f"{type(error).__name__}: {error}"
     row["wall_ms"] = f"{(time.perf_counter() - t0) * 1e3:.1f}"
     return row
 
@@ -219,16 +225,24 @@ def run_experiment(manifest, out_csv, jobs=None):
                if k in manifest}
 
     model_paths = manifest["models"]
-    n_bins = cfg.n_bins
-    loaded = {}
+    cache = {}   # model path -> the model, or the exception its load raised
+    models = {}  # method -> (model_x, model_v), or the exception to report
     for method in methods:
         try:
             kind = model_kind(method)
-            mx = _load_cached(loaded, model_paths[f"{kind}_x"], kind, n_bins)
-            mv = _load_cached(loaded, model_paths[f"{kind}_v"], kind, n_bins)
-            loaded[method] = (mx, mv)
-        except Exception as exc:  # noqa: BLE001 - bad models become rows
-            loaded[method] = f"{type(exc).__name__}: {exc}"
+            paths = (model_paths[f"{kind}_x"], model_paths[f"{kind}_v"])
+        except Exception as exc:  # noqa: BLE001 - bad methods become rows
+            models[method] = exc
+            continue
+        for path in paths:
+            if path not in cache:
+                try:
+                    cache[path] = load_model(path)
+                except Exception as exc:  # noqa: BLE001 - bad models too
+                    cache[path] = exc
+        pair = tuple(cache[path] for path in paths)
+        models[method] = next(
+            (m for m in pair if isinstance(m, Exception)), pair)
 
     default_seed = int(manifest.get("seed", 0))
     pairs = []
@@ -242,15 +256,14 @@ def run_experiment(manifest, out_csv, jobs=None):
             pairs.append({"id": entry["id"], "target_signal": x,
                           "interf_signal": v})
         except Exception as exc:  # noqa: BLE001 - bad pairs become rows
-            pairs.append({"id": entry["id"],
-                          "error": f"{type(exc).__name__}: {exc}"})
+            pairs.append({"id": entry["id"], "error": exc})
 
     tasks = [(pair, theta, method)
              for pair in pairs for theta in theta_grid for method in methods]
     jobs = max(1, jobs or int(manifest.get("jobs", 1)))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         rows = list(pool.map(
-            lambda t: _run_single(t[0], t[1], t[2], loaded, cfg, options),
+            lambda t: _run_single(t[0], t[1], t[2], models, cfg, options),
             tasks))
 
     rows.sort(key=lambda r: (r["pair_id"], float(r["theta_true"]),
@@ -260,13 +273,6 @@ def run_experiment(manifest, out_csv, jobs=None):
         writer.writeheader()
         writer.writerows(rows)
     return summarize_rows(rows)
-
-
-def _load_cached(cache, path, kind, n_bins):
-    key = (path, kind)
-    if key not in cache:
-        cache[key] = load_model(path, expect_kind=kind, expect_dim=n_bins)
-    return cache[key]
 
 
 def summarize_rows(rows):

@@ -85,7 +85,7 @@ def log_gauss_table(frames, means, var):
 
 
 def log_b_table(y_seq, model_x, model_v, gp):
-    """(R, K, K) emission log-likelihoods for every frame and state pair.
+    """(R, K_x, K_v) emission log-likelihoods for each frame and state pair.
 
     The dominant-mean/variance choice per (j, k, d) depends only on the
     gains, so it is made once for all frames.

@@ -1,25 +1,80 @@
-"""Diagonal-Gaussian HMM speaker models: likelihood evaluation, VQ-based
-initialization, multi-utterance Baum-Welch training, and persistence.
+"""Speaker models and their well-formedness checks: diagonal-Gaussian HMMs
+(likelihood, VQ-based initialization, multi-utterance Baum-Welch training),
+VQ codebooks, and persistence.
 
 Log-probability convention: model parameters (pi, trans) and all
 likelihoods are natural-log; the spectral features themselves stay in
 log10-magnitude units.  The two bases never mix.
 """
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .mixmax import LOG_2PI, log_gauss_table
-from .quantize import (VARIANCE_FLOOR, Codebook, ModelMismatchError,
-                       check_model)
+from .signal import FramingConfig
 
+VARIANCE_FLOOR = 1e-4
 PI_FLOOR = 1e-6
 MODEL_MAGIC = "specsep-model"
 MODEL_VERSION = 1
 
 BW_DEFAULT_REL_TOL = 1e-5
 BW_DEFAULT_MAX_ITERS = 15
+
+
+class ModelMismatchError(ValueError):
+    """A model file or object is malformed, or does not fit the job."""
+
+
+def check_model(model, shapes, positive):
+    """Raise ModelMismatchError unless every array named in shapes has that
+    shape and finite values, the array named positive is > 0, and each
+    framing setting model.meta records is a positive integer."""
+    for name, shape in shapes.items():
+        a = np.asarray(getattr(model, name))
+        if a.shape != shape:
+            raise ModelMismatchError(
+                f"{name} has shape {a.shape}, expected {shape}")
+        if not np.all(np.isfinite(a)):
+            raise ModelMismatchError(f"{name} has non-finite values")
+    if np.any(getattr(model, positive) <= 0.0):
+        raise ModelMismatchError(f"{positive} has non-positive values")
+    for key in ("sample_rate", *(f.name for f in fields(FramingConfig))):
+        value = model.meta.get(key)
+        if value is not None and not (isinstance(value, numbers.Integral)
+                                      and value > 0):
+            raise ModelMismatchError(
+                f"recorded {key}={value!r} is not a positive integer")
+
+
+@dataclass
+class Codebook:
+    """K codevectors with per-cluster diagonal variances and occupancy
+    counts (the variances and counts seed HMM initialization)."""
+
+    codevectors: np.ndarray        # (K, dim)
+    cluster_variances: np.ndarray  # (K, dim)
+    occupancy: np.ndarray          # (K,)
+    meta: dict = field(default_factory=dict)
+
+    @property
+    def K(self):
+        return self.codevectors.shape[0]
+
+    @property
+    def dim(self):
+        return self.codevectors.shape[1]
+
+    def validate(self):
+        """Raise ModelMismatchError unless the codebook passes check_model
+        (shapes, finite values, positive variances, recorded framing)."""
+        K, dim = len(self.occupancy), np.shape(self.codevectors)[-1]
+        check_model(self, {"codevectors": (K, dim),
+                           "cluster_variances": (K, dim),
+                           "occupancy": (K,)},
+                    positive="cluster_variances")
 
 
 @dataclass
@@ -280,10 +335,10 @@ def save_model(model, path):
                  **arrays)
 
 
-def load_model(path, expect_kind=None, expect_dim=None):
-    """Load a model container; optionally enforce kind ("hmm"/"vq") and
-    feature dimension.  A malformed model (see HmmModel.validate and
-    Codebook.validate) raises ModelMismatchError."""
+def load_model(path):
+    """Load a model container (an HmmModel or a Codebook).  A file that is
+    not a model, or a malformed model (see HmmModel.validate and
+    Codebook.validate), raises ModelMismatchError naming the path."""
     with np.load(path, allow_pickle=False) as data:
         if "magic" not in data or str(data["magic"]) != MODEL_MAGIC:
             raise ModelMismatchError(f"{path}: not a model file")
@@ -293,14 +348,6 @@ def load_model(path, expect_kind=None, expect_dim=None):
                 f"{path}: unsupported model version {version}")
         kind = str(data["kind"])
         dim = int(data["dim"])
-        if expect_kind is not None and kind != expect_kind:
-            raise ModelMismatchError(
-                f"{path}: model kind is '{kind}' but '{expect_kind}' "
-                "was expected")
-        if expect_dim is not None and dim != expect_dim:
-            raise ModelMismatchError(
-                f"{path}: model dimension {dim} does not match "
-                f"configured dimension {expect_dim}")
         meta = _meta_from_arrays(data["meta_keys"], data["meta_values"])
         if kind == "hmm":
             model = HmmModel(pi=data["pi"], trans=data["trans"],

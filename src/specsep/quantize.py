@@ -1,71 +1,14 @@
 """LBG codebook training over log-spectral vectors, and the gain-adapted
 VQ decoder that matches each observed frame against all codevector pairs."""
 
-import numbers
-from dataclasses import dataclass, field, fields
-
 import numpy as np
 
 from .gain import gains_from_theta
 from .mixmax import mixmax_combine, sq_dist
-from .signal import FramingConfig
+from .models import VARIANCE_FLOOR, Codebook
 
-VARIANCE_FLOOR = 1e-4
 SPLIT_DELTA = 0.01
 DEFAULT_REL_TOL = 1e-4
-
-
-class ModelMismatchError(ValueError):
-    """A model file or object does not match what the caller expects."""
-
-
-def check_model(model, shapes, positive):
-    """Raise ModelMismatchError unless every array named in shapes has that
-    shape and finite values, the array named positive is > 0, and each
-    framing setting model.meta records is a positive integer."""
-    for name, shape in shapes.items():
-        a = np.asarray(getattr(model, name))
-        if a.shape != shape:
-            raise ModelMismatchError(
-                f"{name} has shape {a.shape}, expected {shape}")
-        if not np.all(np.isfinite(a)):
-            raise ModelMismatchError(f"{name} has non-finite values")
-    if np.any(getattr(model, positive) <= 0.0):
-        raise ModelMismatchError(f"{positive} has non-positive values")
-    for key in ("sample_rate", *(f.name for f in fields(FramingConfig))):
-        value = model.meta.get(key)
-        if value is not None and not (isinstance(value, numbers.Integral)
-                                      and value > 0):
-            raise ModelMismatchError(
-                f"recorded {key}={value!r} is not a positive integer")
-
-
-@dataclass
-class Codebook:
-    """K codevectors with per-cluster diagonal variances and occupancy
-    counts (the variances and counts seed HMM initialization)."""
-
-    codevectors: np.ndarray        # (K, dim)
-    cluster_variances: np.ndarray  # (K, dim)
-    occupancy: np.ndarray          # (K,)
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def K(self):
-        return self.codevectors.shape[0]
-
-    @property
-    def dim(self):
-        return self.codevectors.shape[1]
-
-    def validate(self):
-        """Raise ModelMismatchError unless the codebook passes check_model
-        (shapes, finite values, positive variances, recorded framing)."""
-        K, dim = len(self.occupancy), np.shape(self.codevectors)[-1]
-        check_model(self, {"codevectors": (K, dim),
-                           "cluster_variances": (K, dim),
-                           "occupancy": (K,)},
-                    positive="cluster_variances")
 
 
 def _assign(vectors, codevectors):
@@ -99,8 +42,7 @@ def _lloyd(vectors, codevectors, max_iters, rel_tol, trace=None):
         if prev < np.inf and prev > 0 and (prev - distortion) < rel_tol * prev:
             break
         prev = distortion
-    labels, _ = _assign(vectors, codevectors)
-    return codevectors, labels
+    return codevectors
 
 
 def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
@@ -137,14 +79,15 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
         return distortion_trace[-1]
 
     codevectors = vectors.mean(axis=0, keepdims=True)
-    codevectors, labels = _lloyd(vectors, codevectors, max_iters, rel_tol,
-                                 level_trace())
+    codevectors = _lloyd(vectors, codevectors, max_iters, rel_tol,
+                         level_trace())
     while codevectors.shape[0] < K:
         codevectors = np.vstack([codevectors + SPLIT_DELTA,
                                  codevectors - SPLIT_DELTA])
-        codevectors, labels = _lloyd(vectors, codevectors, max_iters, rel_tol,
-                                     level_trace())
+        codevectors = _lloyd(vectors, codevectors, max_iters, rel_tol,
+                             level_trace())
 
+    labels, _ = _assign(vectors, codevectors)
     variances = np.empty_like(codevectors)
     occupancy = np.zeros(K, dtype=np.int64)
     for i in range(K):

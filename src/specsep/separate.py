@@ -11,8 +11,7 @@ from . import decode as _decode
 from .gain import (THETA_MAX_DB, THETA_MIN_DB, GainContext, estimate_gy,
                    gains_from_theta)
 from .mixmax import dominant
-from .models import HmmModel, ModelMismatchError
-from .quantize import Codebook
+from .models import Codebook, HmmModel, ModelMismatchError
 # perfbench's traced run patches this name here; keep it bound
 from .quantize import gvq_score  # noqa: F401
 from .signal import apply_masks_and_reconstruct, log_spectra
@@ -80,9 +79,11 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
         window; a non-finite one, or one that rounds to no whole hop, raises
         ValueError
 
-    Both models must pass their validate(), and every setting a model's
-    meta records (sample_rate, frame_len, hop, dft_size) must match the
-    mixture and cfg, else ModelMismatchError.
+    Both models must be of the method's class, pass their validate() and
+    have cfg.n_bins bins, and every setting a model's meta records
+    (sample_rate, frame_len, hop, dft_size) must match the mixture and
+    cfg, else ModelMismatchError.  The two models may differ in size.
+    A non-finite decoder score raises decode.NumericError.
 
     Returns (x_hat, v_hat, diagnostics); diagnostics carries theta_hat,
     iterations, the decoder score, and the decoded index paths.

@@ -66,9 +66,6 @@ class FramingConfig:
     def synthesis_window(self):
         return np.hanning(self.frame_len)
 
-    def frames_per_second(self, sample_rate):
-        return sample_rate / self.hop
-
 
 def frame_signal(signal, cfg):
     """Split a signal into overlapping frames.

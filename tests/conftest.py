@@ -32,6 +32,16 @@ def malformed(model, defect):
     return dataclasses.replace(model, **{name: arr})
 
 
+def overflowing(model):
+    """A copy of an HmmModel or Codebook that passes validate() but whose
+    decoder scores overflow: variances of 1e-308, or codevectors of 1e200."""
+    if isinstance(model, HmmModel):
+        return dataclasses.replace(model,
+                                   vars=np.full_like(model.vars, 1e-308))
+    return dataclasses.replace(
+        model, codevectors=np.full_like(model.codevectors, 1e200))
+
+
 def naive_viterbi_deltas(b, log_pi_x, log_pi_v, log_a_x, log_a_v):
     """O(K^4) reference recursion with the same summation association
     order as the production two-stage maximum."""

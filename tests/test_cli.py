@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from specsep import (FramingConfig, load_model, read_wav, save_model,
-                     synth_source, write_wav)
+from specsep import (Codebook, FramingConfig, load_model, read_wav,
+                     save_model, synth_source, write_wav)
 from specsep.cli import build_parser, main
 
-from conftest import MODEL_DEFECTS, malformed
+from conftest import MODEL_DEFECTS, malformed, overflowing
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +110,8 @@ class TestMix:
 
 class TestTrain:
     def test_vq_model_file_round_trips(self, cli_models):
-        model = load_model(cli_models["vq_a"], expect_kind="vq")
+        model = load_model(cli_models["vq_a"])
+        assert isinstance(model, Codebook)
         assert model.K == 4
         assert model.meta["sample_rate"] == 8000
 
@@ -222,6 +223,22 @@ class TestSeparate:
         assert rc == 3
         assert str(bad) in capsys.readouterr().err
         assert not (tmp / "bad_x.wav").exists()
+
+    @pytest.mark.parametrize("method, kind", [("fhmm", "hmm"),
+                                              ("vq", "vq")])
+    def test_nonfinite_score_exits_4(self, speaker_dirs, cli_models,
+                                     mixture_file, method, kind, capsys):
+        tmp = speaker_dirs["tmp"]
+        bad = tmp / f"overflowing_{kind}.ssm"
+        save_model(overflowing(load_model(cli_models[f"{kind}_b"])), bad)
+        rc = main(["separate", "--mixture", str(mixture_file),
+                   "--model-x", str(cli_models[f"{kind}_a"]),
+                   "--model-v", str(bad), "--method", method,
+                   "--out-x", str(tmp / "inf_x.wav"),
+                   "--out-v", str(tmp / "inf_v.wav")])
+        assert rc == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp / "inf_x.wav").exists()
 
     def test_fix_theta_outside_search_interval_exits_1(
             self, speaker_dirs, cli_models, mixture_file):

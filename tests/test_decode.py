@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specsep import (GainContext, HmmModel, brute_force_decode,
                      gains_from_theta, gfhmm_infer, gvq_infer,
@@ -67,13 +69,6 @@ class TestParallelViterbi:
             assert res.path_x[r] == j
             assert res.path_v[r] == k
 
-    def test_state_count_mismatch_rejected(self, ctx):
-        rng = np.random.default_rng(3)
-        mx = random_hmm(rng, K=2, dim=3)
-        mv = random_hmm(rng, K=3, dim=3)
-        with pytest.raises(ValueError, match="state count"):
-            parallel_viterbi(np.zeros((2, 3)), mx, mv, 0.0, ctx)
-
     def test_empty_sequence_rejected(self, ctx):
         rng = np.random.default_rng(4)
         m = random_hmm(rng, K=2, dim=3)
@@ -116,6 +111,30 @@ class TestBruteForceOracle:
         fast = parallel_viterbi(y, dup, other, 0.0, ctx)
         oracle = brute_force_decode(y, dup, other, 0.0, ctx)
         assert fast.logprob == pytest.approx(oracle.logprob, rel=1e-12)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(K_x=st.integers(1, 3), K_v=st.integers(1, 3), R=st.integers(1, 4),
+           dim=st.integers(1, 4), theta=st.floats(-15.0, 15.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(K_x=2, K_v=3, R=4, dim=3, theta=1.5, seed=0)
+    @example(K_x=3, K_v=1, R=4, dim=1, theta=-15.0, seed=1)
+    def test_matches_viterbi_with_any_state_counts(self, K_x, K_v, R, dim,
+                                                   theta, seed):
+        ctx = GainContext(g_y=1.0)
+        rng = np.random.default_rng(seed)
+        mx = random_hmm(rng, K=K_x, dim=dim)
+        mv = random_hmm(rng, K=K_v, dim=dim)
+        y = rng.normal(0, 1, (R, dim))
+        fast = parallel_viterbi(y, mx, mv, theta, ctx)
+        oracle = brute_force_decode(y, mx, mv, theta, ctx)
+        assert fast.logprob == pytest.approx(oracle.logprob, rel=1e-9)
+        assert fast.path_x.max() < K_x and fast.path_v.max() < K_v
+        paths = (fast.path_x, fast.path_v)
+        if not (np.array_equal(fast.path_x, oracle.path_x)
+                and np.array_equal(fast.path_v, oracle.path_v)):
+            # another path pair is allowed only when it ties the optimum
+            assert path_loglik(paths, y, mx, mv, theta, ctx) == \
+                pytest.approx(oracle.logprob, rel=1e-9)
 
     def test_size_guard(self, ctx):
         rng = np.random.default_rng(7)

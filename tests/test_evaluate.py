@@ -11,7 +11,7 @@ from specsep import (AudioSignal, mix_at_tir, normalize_equal_power,
 from specsep.evaluate import CSV_COLUMNS, summarize_rows, write_report
 from specsep.models import save_model
 
-from conftest import malformed
+from conftest import malformed, overflowing
 
 
 class TestNormalizeEqualPower:
@@ -298,9 +298,54 @@ class TestRunExperiment:
         with open(out_csv, newline="") as f:
             rows = {r["method"]: r for r in csv.DictReader(f)}
         # a model that fails to load is reported on each of its rows
-        assert "ModelMismatchError" in rows["gfhmm"]["error"]
+        assert rows["gfhmm"]["error"].startswith("ModelMismatchError: ")
         assert "non-finite" in rows["gfhmm"]["error"]
         assert rows["vq"]["error"] == ""
+
+    def test_nonfinite_decoder_score_gives_error_rows(self, experiment_env,
+                                                      trained_models):
+        env = experiment_env
+        paths = dict(env["paths"])
+        for key, name in (("hmm_v", "hmm_b"), ("vq_v", "cb_b")):
+            paths[key] = str(env["tmp"] / f"overflowing_{key}.ssm")
+            save_model(overflowing(trained_models[name]), paths[key])
+        manifest = {
+            "sample_rate": 8000,
+            "theta_grid": [6],
+            "methods": ["gfhmm", "gvq", "fhmm", "vq"],
+            "models": {k: paths[k] for k in ("hmm_x", "hmm_v", "vq_x",
+                                             "vq_v")},
+            "pairs": [env["pair_entry"](1)],
+        }
+        out_csv = env["tmp"] / "overflowing.csv"
+        assert run_experiment(manifest, out_csv, jobs=2) == {}
+        with open(out_csv, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 4
+        for row in rows:
+            assert row["error"].startswith("NumericError: non-finite")
+            assert row["logprob"] == ""
+
+    def test_hmm_sample_from_a_codebook_gives_error_rows(self,
+                                                         experiment_env):
+        env = experiment_env
+        entry = env["pair_entry"](1)
+        entry["interf"]["synth"]["model"] = env["paths"]["vq_v"]
+        manifest = {
+            "sample_rate": 8000,
+            "theta_grid": [0, 6],
+            "methods": ["vq"],
+            "models": env["paths"],
+            "pairs": [entry],
+        }
+        out_csv = env["tmp"] / "codebook_source.csv"
+        run_experiment(manifest, out_csv, jobs=2)
+        with open(out_csv, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
+        for row in rows:
+            assert row["error"] == ("ModelMismatchError: hmm_sample needs "
+                                    "an HmmModel as its model, got Codebook")
 
     def test_theta_hat_tracks_true_theta(self, experiment_env):
         env = experiment_env

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsep import (Codebook, DiagGaussian, HmmModel, ModelMismatchError,
                      baum_welch, init_hmm_from_codebook, load_model,
@@ -198,24 +200,39 @@ class TestPersistence:
                                       cb.cluster_variances)
         np.testing.assert_array_equal(back.occupancy, cb.occupancy)
 
-    def test_dimension_mismatch_on_load(self, tmp_path):
-        rng = np.random.default_rng(8)
-        model = random_hmm(rng, K=2, dim=5)
-        path = tmp_path / "m.ssm"
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(hmm=st.booleans(), K=st.integers(1, 9), dim=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1),
+           meta=st.fixed_dictionaries({}, optional={
+               "sample_rate": st.integers(1, 96000),
+               "frame_len": st.integers(1, 4096),
+               "hop": st.integers(1, 4096),
+               "dft_size": st.integers(1, 8192),
+               # letters only, and none of the words float() parses
+               "speaker": st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1,
+                                  max_size=20).filter(
+                   lambda s: s not in ("inf", "infinity", "nan")),
+               "gain": st.floats(allow_nan=False, allow_infinity=False)}))
+    def test_round_trip_property(self, tmp_path_factory, hmm, K, dim, seed,
+                                 meta):
+        rng = np.random.default_rng(seed)
+        if hmm:
+            model = random_hmm(rng, K=K, dim=dim)
+            model.meta = meta
+        else:
+            model = Codebook(rng.normal(0, 3, (K, dim)),
+                             rng.uniform(1e-3, 2, (K, dim)),
+                             rng.integers(0, 1000, K), meta=meta)
+        path = tmp_path_factory.getbasetemp() / "round_trip.ssm"
         save_model(model, path)
-        with pytest.raises(ModelMismatchError, match="dimension"):
-            load_model(path, expect_dim=129)
-
-    def test_kind_mismatch_names_both_kinds(self, tmp_path):
-        rng = np.random.default_rng(9)
-        cb = Codebook(codevectors=rng.normal(0, 1, (2, 3)),
-                      cluster_variances=np.full((2, 3), 0.2),
-                      occupancy=np.array([1, 1]))
-        path = tmp_path / "cb.ssm"
-        save_model(cb, path)
-        with pytest.raises(ModelMismatchError) as err:
-            load_model(path, expect_kind="hmm")
-        assert "vq" in str(err.value) and "hmm" in str(err.value)
+        back = load_model(path)
+        assert type(back) is type(model)
+        for name, value in vars(model).items():
+            if name == "meta":
+                assert back.meta == meta
+            else:
+                np.testing.assert_array_equal(getattr(back, name), value,
+                                              strict=True)
 
     def test_non_model_file_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"

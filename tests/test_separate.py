@@ -8,8 +8,10 @@ from specsep import (AudioSignal, GainContext, ModelMismatchError,
                      apply_masks_and_reconstruct, build_masks, frame_signal,
                      g_of_theta, mix_at_tir, normalize_equal_power,
                      separate, snr, synth_source)
+from specsep.decode import NumericError
 
-from conftest import MODEL_DEFECTS, malformed, random_hmm
+from conftest import (MODEL_DEFECTS, malformed, overflowing, random_hmm,
+                      train_speaker_models)
 
 
 @pytest.fixture
@@ -104,6 +106,13 @@ def mixture_setup(framing, speaker_generators):
                       cfg=framing)
     x, v = normalize_equal_power(sx, sv)
     return x, v
+
+
+@pytest.fixture(scope="module")
+def k4_models(framing, speaker_generators):
+    """(codebook, HMM) with K=4 for the first speaker."""
+    return train_speaker_models(speaker_generators[0], 100, framing, K=4,
+                                n_clips=6, duration=1.2, bw_iters=2)
 
 
 class TestSeparatePipeline:
@@ -277,6 +286,39 @@ class TestSeparatePipeline:
             with pytest.raises(ModelMismatchError):
                 separate(y, model_x, malformed(model_v, defect), framing,
                          method=method)
+
+    @pytest.mark.parametrize("method", ["gfhmm", "fhmm", "gvq", "vq"])
+    def test_models_of_different_sizes(self, framing, trained_models,
+                                       k4_models, mixture_setup, method):
+        # K=4 target models against the K=8 interference models
+        small, big = ((k4_models[1], trained_models["hmm_b"])
+                      if method in ("gfhmm", "fhmm")
+                      else (k4_models[0], trained_models["cb_b"]))
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 3.0)
+        x_hat, v_hat, diag = separate(y, small, big, framing, method=method,
+                                      max_outer=2)
+        assert diag["path_x"].max() < 4 and diag["path_v"].max() < 8
+        assert np.isfinite(diag["logprob"])
+        xs, vs = x_hat.samples, v_hat.samples
+        assert np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))
+        inner = slice(framing.frame_len, len(xs) - framing.frame_len)
+        np.testing.assert_allclose(xs[inner] + vs[inner], y.samples[inner],
+                                   rtol=0, atol=1e-9)
+
+    def test_nonfinite_decoder_score_raises(self, framing, trained_models,
+                                            mixture_setup):
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 0.0)
+        hmm = (trained_models["hmm_a"], overflowing(trained_models["hmm_b"]))
+        vq = (trained_models["cb_a"], overflowing(trained_models["cb_b"]))
+        # the baselines and a fixed theta decode once and never estimate
+        for models, method, options in (
+                (hmm, "fhmm", {}), (hmm, "gfhmm", {"fix_theta": 3.0}),
+                (hmm, "gfhmm", {}), (vq, "vq", {}),
+                (vq, "gvq", {"fix_theta": 3.0}), (vq, "gvq", {})):
+            with pytest.raises(NumericError, match="non-finite decoder"):
+                separate(y, *models, framing, method=method, **options)
 
     def test_mega_frame_window_checked(self, framing, trained_models,
                                        mixture_setup):
