@@ -122,7 +122,8 @@ def cmd_separate(args):
 
 def cmd_evaluate(args):
     manifest = ev.load_manifest(args.manifest)
-    if args.seed is not None:
+    # anything but an object is rejected by run_experiment
+    if args.seed is not None and isinstance(manifest, dict):
         manifest.setdefault("seed", args.seed)
     summary = ev.run_experiment(manifest, args.out, jobs=args.jobs)
     print(f"wrote {args.out} ({len(summary)} (theta, method) series)")

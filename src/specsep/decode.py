@@ -1,8 +1,8 @@
 """Joint inference over two hidden Markov chains: parallel Viterbi decoding
-of the best state-pair path, a brute-force oracle, the path-conditioned
-likelihood as a function of the gain ratio theta, one-dimensional
-maximization of theta, and the alternating decode/optimize loop that the
-HMM- and VQ-based separators share."""
+of the best state-pair path, a brute-force oracle, one-dimensional
+maximization of the gain ratio theta, and the alternating decode/optimize
+loop that the HMM- and VQ-based separators share, which maximizes each
+window's path-conditioned objective over theta."""
 
 import itertools
 from dataclasses import dataclass, field
@@ -164,30 +164,6 @@ def brute_force_decode(y_seq, lambda_x, lambda_v, theta, ctx,
                         iterations=1, theta_per_chunk=(float(theta),))
 
 
-def path_loglik(paths, y_seq, lambda_x, lambda_v, theta, ctx):
-    """Joint log-likelihood of a fixed path pair as a function of theta.
-
-    Initial and transition terms do not depend on theta; for fixed paths
-    this is the objective that the theta optimizer maximizes.
-    """
-    path_x, path_v = (np.asarray(p, dtype=np.int64) for p in paths)
-    y_seq = _check_pair(y_seq, lambda_x, lambda_v)
-    R = y_seq.shape[0]
-    if path_x.shape != (R,) or path_v.shape != (R,):
-        raise ValueError("path length does not match frame count")
-    for p, K in ((path_x, lambda_x.K), (path_v, lambda_v.K)):
-        if p.min() < 0 or p.max() >= K:
-            raise ValueError("path contains invalid state indices")
-    const = float(lambda_x.pi[path_x[0]] + lambda_v.pi[path_v[0]]
-                  + lambda_x.trans[path_x[:-1], path_x[1:]].sum()
-                  + lambda_v.trans[path_v[:-1], path_v[1:]].sum())
-    emis = path_emission_loglik(
-        y_seq, lambda_x.means[path_x], lambda_x.vars[path_x],
-        lambda_v.means[path_v], lambda_v.vars[path_v],
-        gains_from_theta(theta, ctx))
-    return const + emis
-
-
 def _parabola_vertex(a, b, c, fa, fb, fc):
     """Vertex of the parabola through three points, or None when the fit
     is degenerate (collinear) or does not open downward."""
@@ -286,7 +262,10 @@ def _alternate(decode, objective, R, theta0, outer_tol, max_outer,
     trace = []
 
     def decode_checked(thetas):
-        path_x, path_v, score = decode(chunks, thetas)
+        # overflow only drives scores towards -inf; a non-finite score
+        # raises below
+        with np.errstate(over="ignore"):
+            path_x, path_v, score = decode(chunks, thetas)
         if not np.isfinite(score):
             raise NumericError(
                 f"non-finite decoder score {score} at theta {thetas} dB")

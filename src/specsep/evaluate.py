@@ -4,6 +4,7 @@ writes one CSV row per (pair, theta, method) run."""
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -205,18 +206,45 @@ def load_manifest(path):
         return json.load(f)
 
 
+def _check_manifest(manifest):
+    """Raise ValueError unless manifest is an object whose required keys
+    theta_grid, methods and pairs hold arrays and models an object, and
+    every pair is an object with an id."""
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest must be a JSON object, got "
+                         f"{type(manifest).__name__}")
+    for key, kind, name in (("theta_grid", (list, tuple), "an array"),
+                            ("methods", (list, tuple), "an array"),
+                            ("models", dict, "an object"),
+                            ("pairs", (list, tuple), "an array")):
+        if key not in manifest:
+            raise ValueError(f"manifest lacks required key '{key}'")
+        if not isinstance(manifest[key], kind):
+            raise ValueError(f"manifest '{key}' must be {name}, got "
+                             f"{type(manifest[key]).__name__}")
+    for idx, entry in enumerate(manifest["pairs"]):
+        if not (isinstance(entry, dict) and "id" in entry):
+            raise ValueError(f"manifest pair {idx} has no 'id'")
+
+
 def run_experiment(manifest, out_csv, jobs=None):
     """Run the full (pairs x theta grid x methods) batch.
 
-    manifest is a dict (or a path to a JSON file) with keys: sample_rate,
-    framing {frame_len, hop, dft_size}, theta_grid, methods, models
-    {hmm_x, hmm_v, vq_x, vq_v}, pairs [{id, target, interf}], and optional
-    separate options (theta0, fix_theta).  Failing runs land in the CSV
-    with an error column rather than aborting the batch.  Returns a
-    summary dict of per-(theta, method) means.
+    manifest is a dict (or a path to a JSON file) with required keys
+    theta_grid, methods, models {hmm_x, hmm_v, vq_x, vq_v} and pairs
+    [{id, target, interf}], and optional keys sample_rate, framing
+    {frame_len, hop, dft_size}, seed (the default synth seed of pair i's
+    sources is seed + 2i and seed + 2i + 1), jobs (worker threads, when
+    the jobs argument is not given) and the separate options theta0 and
+    fix_theta.  A manifest that is not an object, lacks a required key
+    or holds a pair without an id raises ValueError before any run;
+    failing runs land in the CSV with an error column rather than
+    aborting the batch.  Returns a summary dict of
+    per-(theta, method) means.
     """
-    if not isinstance(manifest, dict):
+    if isinstance(manifest, (str, bytes, os.PathLike)):
         manifest = load_manifest(manifest)
+    _check_manifest(manifest)
     sample_rate = int(manifest.get("sample_rate", DEFAULT_SAMPLE_RATE))
     cfg = FramingConfig.from_meta(manifest.get("framing", {}))
     theta_grid = [float(t) for t in manifest["theta_grid"]]

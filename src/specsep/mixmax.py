@@ -1,7 +1,8 @@
 """The max-combination observation model for log spectra: combining clean
 log-spectral frames under gains, the per-bin dominance rule (the larger
-gain-shifted mean wins, ties to the target), and the joint emission
-likelihood of a mixture frame given one state from each speaker model."""
+gain-shifted mean wins, ties to the target), the one frame-against-table
+Gaussian kernel, and the joint emission log-likelihoods of mixture frames
+for every state pair (log_b_table) or along fixed paths."""
 
 import numpy as np
 
@@ -31,27 +32,6 @@ def dominant(mean_x, mean_v, gp):
     m_v = mean_v + gp.log10_gv
     target_wins = m_x >= m_v
     return target_wins, np.where(target_wins, m_x, m_v)
-
-
-def log_b_jk(y, state_x, state_v, gp):
-    """Joint emission log-likelihood of mixture frame y for one state pair.
-
-    Per bin, the larger gain-shifted state mean wins and contributes its
-    own variance; the observation is scored against that dominant Gaussian.
-    Exact ties go to the target state.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != state_x.mean.shape or y.shape != state_v.mean.shape:
-        raise ValueError("dimension mismatch between frame and state means")
-    if np.any(state_x.var <= 0.0) or np.any(state_v.var <= 0.0):
-        raise ValueError("non-positive variance")
-    m_x = state_x.mean + gp.log10_gx
-    m_v = state_v.mean + gp.log10_gv
-    target_wins = m_x >= m_v
-    m_max = np.where(target_wins, m_x, m_v)
-    var_max = np.where(target_wins, state_x.var, state_v.var)
-    terms = -0.5 * ((y - m_max) ** 2 / var_max + np.log(var_max) + LOG_2PI)
-    return float(terms.sum())
 
 
 def sq_dist(frames, centers, var=None):

@@ -1,6 +1,6 @@
 """Speaker models and their well-formedness checks: diagonal-Gaussian HMMs
-(likelihood, VQ-based initialization, multi-utterance Baum-Welch training),
-VQ codebooks, and persistence.
+(VQ-based initialization, multi-utterance Baum-Welch training), VQ
+codebooks, and persistence.
 
 Log-probability convention: model parameters (pi, trans) and all
 likelihoods are natural-log; the spectral features themselves stay in
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .mixmax import LOG_2PI, log_gauss_table
+from .mixmax import log_gauss_table
 from .signal import FramingConfig
 
 VARIANCE_FLOOR = 1e-4
@@ -78,12 +78,6 @@ class Codebook:
 
 
 @dataclass
-class DiagGaussian:
-    mean: np.ndarray
-    var: np.ndarray
-
-
-@dataclass
 class HmmModel:
     """K-state HMM with diagonal-Gaussian emissions.
 
@@ -106,9 +100,6 @@ class HmmModel:
     def dim(self):
         return self.means.shape[1]
 
-    def state(self, j):
-        return DiagGaussian(self.means[j], self.vars[j])
-
     def validate(self):
         """Raise ModelMismatchError unless the model is well formed: the
         check_model conditions on means and vars, and stochastic pi and
@@ -124,16 +115,6 @@ class HmmModel:
         rows = np.exp(self.trans).sum(axis=1)
         if not np.allclose(rows, 1.0, atol=1e-6):
             raise ModelMismatchError("transition rows do not sum to 1")
-
-
-def log_gaussian_diag(x, g):
-    """Natural-log density of x under a diagonal Gaussian."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != g.mean.shape:
-        raise ValueError(
-            f"dimension mismatch: x {x.shape} vs mean {g.mean.shape}")
-    z2 = (x - g.mean) ** 2 / g.var
-    return float(-0.5 * np.sum(z2 + np.log(g.var) + LOG_2PI))
 
 
 def init_hmm_from_codebook(cb):

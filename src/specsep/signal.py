@@ -84,21 +84,6 @@ def frame_signal(signal, cfg):
     return sliding_window_view(x, cfg.frame_len)[::cfg.hop].copy()
 
 
-def log_spectrum(frame, cfg):
-    """log10 magnitude spectrum of one analysis frame (bins 0..D/2).
-
-    The frame is Hamming-windowed, transformed with a D-point DFT, and the
-    magnitude is floored at LOG_FLOOR so the result is always finite.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (cfg.frame_len,):
-        raise ValueError(
-            f"expected frame of length {cfg.frame_len}, got {frame.shape}")
-    spec = np.fft.rfft(frame * cfg.analysis_window(), n=cfg.dft_size)
-    mag = np.maximum(np.abs(spec), LOG_FLOOR)
-    return np.log10(mag)
-
-
 def log_spectra(signal, cfg):
     """Frame a signal and return its (R, D/2+1) log-spectral matrix."""
     frames = frame_signal(signal, cfg)

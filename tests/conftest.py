@@ -1,5 +1,6 @@
 """Shared builders for the test suite: random and structured HMMs, planted
-sequences, and a session-scoped pair of tiny trained speaker models."""
+sequences, a session-scoped pair of tiny trained speaker models, and the
+reference implementations that production kernels are checked against."""
 
 import dataclasses
 
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 
 from specsep import (AudioSignal, FramingConfig, HmmModel, baum_welch,
-                     init_hmm_from_codebook, sample_hmm_frames, synth_source,
+                     gains_from_theta, init_hmm_from_codebook,
+                     mixmax_combine, sample_hmm_frames, synth_source,
                      train_lbg)
+from specsep.decode import _check_pair
+from specsep.mixmax import LOG_2PI, path_emission_loglik
 from specsep.signal import log_spectra
 
 
@@ -30,6 +34,28 @@ def malformed(model, defect):
     arr = getattr(model, name).copy()
     arr[0, 0] = value
     return dataclasses.replace(model, **{name: arr})
+
+
+# manifests that run_experiment rejects before any run
+MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
+                    "pair_without_id", "scalar_theta_grid", "top_level_list")
+
+
+def broken_manifest(defect):
+    """A small manifest with one defect planted."""
+    manifest = {"theta_grid": [0], "methods": ["vq"],
+                "models": {"vq_x": "x.ssm", "vq_v": "v.ssm"},
+                "pairs": [{"id": "p0", "target": {"wav": "x.wav"},
+                           "interf": {"wav": "v.wav"}}]}
+    if defect == "top_level_list":
+        return [manifest]
+    if defect == "scalar_theta_grid":
+        return {**manifest, "theta_grid": 0}
+    if defect == "pair_without_id":
+        return {**manifest, "pairs": [{"target": {"wav": "x.wav"},
+                                       "interf": {"wav": "v.wav"}}]}
+    del manifest[defect.removeprefix("no_")]
+    return manifest
 
 
 def overflowing(model):
@@ -55,6 +81,53 @@ def naive_viterbi_deltas(b, log_pi_x, log_pi_v, log_a_x, log_a_v):
         delta = tmp.max(axis=(0, 2)) + b[r]
         deltas.append(delta.copy())
     return deltas
+
+
+def log_b_jk(y, mean_x, var_x, mean_v, var_v, gp):
+    """Joint emission log-likelihood of mixture frame y for one state pair,
+    the per-pair reference for mixmax.log_b_table.
+
+    Per bin, the larger gain-shifted state mean wins and contributes its
+    own variance; the observation is scored against that dominant Gaussian.
+    Exact ties go to the target state.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != mean_x.shape or y.shape != mean_v.shape:
+        raise ValueError("dimension mismatch between frame and state means")
+    if np.any(var_x <= 0.0) or np.any(var_v <= 0.0):
+        raise ValueError("non-positive variance")
+    m_x = mean_x + gp.log10_gx
+    m_v = mean_v + gp.log10_gv
+    target_wins = m_x >= m_v
+    m_max = np.where(target_wins, m_x, m_v)
+    var_max = np.where(target_wins, var_x, var_v)
+    terms = -0.5 * ((y - m_max) ** 2 / var_max + np.log(var_max) + LOG_2PI)
+    return float(terms.sum())
+
+
+def path_loglik(paths, y_seq, lambda_x, lambda_v, theta, ctx):
+    """Joint log-likelihood of a fixed path pair as a function of theta,
+    the reference for brute-force and Viterbi scores.
+
+    Initial and transition terms do not depend on theta; for fixed paths
+    this is the objective that the theta optimizer maximizes.
+    """
+    path_x, path_v = (np.asarray(p, dtype=np.int64) for p in paths)
+    y_seq = _check_pair(y_seq, lambda_x, lambda_v)
+    R = y_seq.shape[0]
+    if path_x.shape != (R,) or path_v.shape != (R,):
+        raise ValueError("path length does not match frame count")
+    for p, K in ((path_x, lambda_x.K), (path_v, lambda_v.K)):
+        if p.min() < 0 or p.max() >= K:
+            raise ValueError("path contains invalid state indices")
+    const = float(lambda_x.pi[path_x[0]] + lambda_v.pi[path_v[0]]
+                  + lambda_x.trans[path_x[:-1], path_x[1:]].sum()
+                  + lambda_v.trans[path_v[:-1], path_v[1:]].sum())
+    emis = path_emission_loglik(
+        y_seq, lambda_x.means[path_x], lambda_x.vars[path_x],
+        lambda_v.means[path_v], lambda_v.vars[path_v],
+        gains_from_theta(theta, ctx))
+    return const + emis
 
 
 def random_hmm(rng, K, dim, var_lo=0.2, var_hi=1.0):
@@ -175,8 +248,6 @@ def trained_models(framing, speaker_generators):
 def sampled_feature_mixture(model_x, model_v, theta, ctx, n_frames, seed):
     """Feature-domain planted instance: sample both chains and max-combine
     at the given theta."""
-    from specsep import gains_from_theta, mixmax_combine
-
     rng = np.random.default_rng(seed)
     x, _ = sample_hmm_frames(model_x, n_frames, rng)
     v, _ = sample_hmm_frames(model_v, n_frames, rng)
@@ -207,8 +278,6 @@ def planted_path_objective(seed, ctx, K=1):
     from the gain-shifted state means along sampled paths, so the
     objective is dominated by a single quadratic-like basin around the
     planted theta.  Returns (objective, theta_true)."""
-    from specsep import gains_from_theta, mixmax_combine, path_loglik
-
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(16, 40))
     n_frames = int(rng.integers(20, 80))

@@ -8,7 +8,8 @@ from specsep import (Codebook, FramingConfig, load_model, read_wav,
                      save_model, synth_source, write_wav)
 from specsep.cli import build_parser, main
 
-from conftest import MODEL_DEFECTS, malformed, overflowing
+from conftest import (MANIFEST_DEFECTS, MODEL_DEFECTS, broken_manifest,
+                      malformed, overflowing)
 
 
 @pytest.fixture(scope="module")
@@ -316,3 +317,14 @@ class TestEvaluateReport:
         rc = main(["evaluate", "--manifest", str(tmp / "none.json"),
                    "--out", str(tmp / "r.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("defect", MANIFEST_DEFECTS)
+    def test_malformed_manifest_exits_1(self, tmp_path, capsys, defect):
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(broken_manifest(defect)))
+        rc = main(["--seed", "3", "evaluate", "--manifest", str(mpath),
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: manifest")
+        assert not (tmp_path / "r.csv").exists()

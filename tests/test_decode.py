@@ -5,17 +5,17 @@ from hypothesis import strategies as st
 
 from specsep import (GainContext, HmmModel, brute_force_decode,
                      gains_from_theta, gfhmm_infer, gvq_infer,
-                     log_b_table, maximize_theta, parallel_viterbi,
-                     path_loglik)
+                     log_b_table, maximize_theta, parallel_viterbi)
 from specsep.decode import (NumericError, _viterbi_from_table,
                             mega_frame_slices)
 from specsep.gain import THETA_MAX_DB, THETA_MIN_DB
 from specsep.mixmax import mixmax_combine
 from specsep.quantize import Codebook, gvq_score
 
-from conftest import (naive_viterbi_deltas, planted_path_objective,
-                      random_hmm, sampled_feature_mixture,
-                      shared_variance_hmm, structured_hmm)
+from conftest import (log_b_jk, naive_viterbi_deltas, path_loglik,
+                      planted_path_objective, random_hmm,
+                      sampled_feature_mixture, shared_variance_hmm,
+                      structured_hmm)
 
 
 @pytest.fixture
@@ -180,12 +180,11 @@ class TestPathLoglik:
         pv = rng.integers(0, 3, 5)
         l1 = path_loglik((px, pv), y, mx, mv, 2.0, ctx)
         l2 = path_loglik((px, pv), y, mx, mv, -7.0, ctx)
-        from specsep import log_b_jk
+        states = [(mx.means[px[r]], mx.vars[px[r]], mv.means[pv[r]],
+                   mv.vars[pv[r]]) for r in range(5)]
         b_diff = sum(
-            log_b_jk(y[r], mx.state(px[r]), mv.state(pv[r]),
-                     gains_from_theta(2.0, ctx))
-            - log_b_jk(y[r], mx.state(px[r]), mv.state(pv[r]),
-                       gains_from_theta(-7.0, ctx))
+            log_b_jk(y[r], *states[r], gains_from_theta(2.0, ctx))
+            - log_b_jk(y[r], *states[r], gains_from_theta(-7.0, ctx))
             for r in range(5))
         assert l1 - l2 == pytest.approx(b_diff, rel=1e-9)
 
@@ -234,6 +233,28 @@ class TestMaximizeTheta:
             grid_best = grid[int(np.argmax([objective(t) for t in grid]))]
             theta_star, _ = maximize_theta(objective, (-15.0, 15.0))
             assert abs(theta_star - grid_best) <= 0.1
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(kinked=st.booleans(), lo=st.floats(-30.0, 15.0),
+           width=st.floats(0.5, 40.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_never_below_its_seed_points(self, kinked, lo, width, seed):
+        # sums of three concave quadratics, or of three |t - c| terms with
+        # random signs (kinks, concave or not); the seeds are lo, mid, hi
+        rng = np.random.default_rng(seed)
+        hi = lo + width
+        centers = rng.uniform(lo - 10.0, hi + 10.0, 3)
+        scales = rng.uniform(0.1, 5.0, 3)
+        if kinked:
+            scales *= rng.choice([-1.0, 1.0], 3)
+
+        def objective(t):
+            dist = np.abs(t - centers) if kinked else (t - centers) ** 2
+            return float(-(scales * dist).sum())
+
+        theta, value = maximize_theta(objective, (lo, hi))
+        assert lo <= theta <= hi
+        assert value == objective(theta)
+        assert value >= max(objective(x) for x in (lo, 0.5 * (lo + hi), hi))
 
     def test_nonfinite_objective_rejected(self):
         with pytest.raises(NumericError):

@@ -11,7 +11,8 @@ from specsep import (AudioSignal, mix_at_tir, normalize_equal_power,
 from specsep.evaluate import CSV_COLUMNS, summarize_rows, write_report
 from specsep.models import save_model
 
-from conftest import malformed, overflowing
+from conftest import (MANIFEST_DEFECTS, broken_manifest, malformed,
+                      overflowing)
 
 
 class TestNormalizeEqualPower:
@@ -405,6 +406,13 @@ class TestRunExperiment:
         out_csv = env["tmp"] / "fromfile.csv"
         summary = run_experiment(str(mpath), out_csv)
         assert len(summary) == 1
+
+    @pytest.mark.parametrize("defect", MANIFEST_DEFECTS)
+    def test_malformed_manifest_rejected(self, tmp_path, defect):
+        out_csv = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match="manifest"):
+            run_experiment(broken_manifest(defect), out_csv)
+        assert not out_csv.exists()
 
 
 class TestReport:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specsep import (AudioSignal, GainContext, estimate_gy, g_of_theta,
                      gains_from_theta)
+from specsep.gain import THETA_MAX_DB, THETA_MIN_DB
 
 
 @pytest.fixture
@@ -47,15 +50,19 @@ class TestGainsFromTheta:
         assert 10.0 * math.log10(gx ** 2 / gv ** 2) == pytest.approx(
             6.0, abs=1e-9)
 
-    def test_identities_across_sweep(self):
-        ctx = GainContext(g_y=1.7, G0=0.8)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(g_y=st.floats(1e-3, 1e3), G0=st.floats(1e-3, 1e3),
+           theta=st.floats(THETA_MIN_DB, THETA_MAX_DB))
+    @example(g_y=1.7, G0=0.8, theta=THETA_MIN_DB)
+    @example(g_y=1.7, G0=0.8, theta=THETA_MAX_DB)
+    def test_identities_across_sweep(self, g_y, G0, theta):
+        ctx = GainContext(g_y=g_y, G0=G0)
         target = (ctx.g_y / ctx.G0) ** 2
-        for theta in np.arange(-15.0, 15.0 + 1e-9, 0.1):
-            gp = gains_from_theta(theta, ctx)
-            gx, gv = 10.0 ** gp.log10_gx, 10.0 ** gp.log10_gv
-            assert gx ** 2 + gv ** 2 == pytest.approx(target, rel=1e-12)
-            assert 10.0 * math.log10(gx ** 2 / gv ** 2) == pytest.approx(
-                theta, abs=1e-9)
+        gp = gains_from_theta(theta, ctx)
+        gx, gv = 10.0 ** gp.log10_gx, 10.0 ** gp.log10_gv
+        assert gx ** 2 + gv ** 2 == pytest.approx(target, rel=1e-12)
+        assert 10.0 * math.log10(gx ** 2 / gv ** 2) == pytest.approx(
+            theta, abs=1e-9)
 
     def test_antisymmetry_swaps_pair(self, unit_ctx):
         gp = gains_from_theta(4.2, unit_ctx)

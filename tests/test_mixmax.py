@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specsep import (DiagGaussian, GainContext, GainPair, gains_from_theta,
-                     log_b_jk, log_b_table, mixmax_combine)
+from specsep import (GainContext, GainPair, gains_from_theta, log_b_table,
+                     mixmax_combine)
 from specsep.mixmax import dominant, sq_dist
 
-from conftest import random_hmm
+from conftest import log_b_jk, random_hmm
 
 
 @pytest.fixture
@@ -80,90 +80,92 @@ class TestDominant:
 
 
 class TestLogBjk:
+    """The per-pair reference in conftest; (mean, var) tuples are states."""
+
     def test_at_dominant_mean_unit_sigma(self, ctx):
         gp = gains_from_theta(2.0, ctx)
-        sx = DiagGaussian(mean=np.zeros(129), var=np.ones(129))
-        sv = DiagGaussian(mean=-5.0 * np.ones(129), var=np.ones(129))
-        y = np.maximum(sx.mean + gp.log10_gx, sv.mean + gp.log10_gv)
+        sx = (np.zeros(129), np.ones(129))
+        sv = (-5.0 * np.ones(129), np.ones(129))
+        y = np.maximum(sx[0] + gp.log10_gx, sv[0] + gp.log10_gv)
         expected = -0.5 * 129 * math.log(2.0 * math.pi)
-        assert log_b_jk(y, sx, sv, gp) == pytest.approx(expected, rel=1e-12)
+        assert log_b_jk(y, *sx, *sv, gp) == pytest.approx(expected,
+                                                          rel=1e-12)
 
     def test_swap_symmetry(self, ctx):
         rng = np.random.default_rng(4)
-        sx = DiagGaussian(rng.normal(0, 1, 8), rng.uniform(0.2, 1, 8))
-        sv = DiagGaussian(rng.normal(0, 1, 8), rng.uniform(0.2, 1, 8))
+        sx = (rng.normal(0, 1, 8), rng.uniform(0.2, 1, 8))
+        sv = (rng.normal(0, 1, 8), rng.uniform(0.2, 1, 8))
         y = rng.normal(0, 1, 8)
         gp = gains_from_theta(5.0, ctx)
         swapped = GainPair(gp.log10_gv, gp.log10_gx)
-        assert log_b_jk(y, sx, sv, gp) == pytest.approx(
-            log_b_jk(y, sv, sx, swapped), rel=1e-12)
+        assert log_b_jk(y, *sx, *sv, gp) == pytest.approx(
+            log_b_jk(y, *sv, *sx, swapped), rel=1e-12)
 
     def test_matches_hand_computation_dim4(self, ctx):
         gp = gains_from_theta(4.0, ctx)
-        sx = DiagGaussian(np.array([1.0, -1.0, 0.5, 2.0]),
-                          np.array([0.5, 1.0, 2.0, 0.25]))
-        sv = DiagGaussian(np.array([0.0, 1.5, 0.4, -3.0]),
-                          np.array([1.0, 0.5, 0.3, 1.0]))
+        sx = (np.array([1.0, -1.0, 0.5, 2.0]),
+              np.array([0.5, 1.0, 2.0, 0.25]))
+        sv = (np.array([0.0, 1.5, 0.4, -3.0]),
+              np.array([1.0, 0.5, 0.3, 1.0]))
         y = np.array([0.8, 1.2, 0.1, 1.9])
         total = 0.0
         for d in range(4):
-            mx = sx.mean[d] + gp.log10_gx
-            mv = sv.mean[d] + gp.log10_gv
+            mx = sx[0][d] + gp.log10_gx
+            mv = sv[0][d] + gp.log10_gv
             if mx >= mv:
-                m, s2 = mx, sx.var[d]
+                m, s2 = mx, sx[1][d]
             else:
-                m, s2 = mv, sv.var[d]
+                m, s2 = mv, sv[1][d]
             total += (-0.5 * (y[d] - m) ** 2 / s2
                       - 0.5 * math.log(s2) - 0.5 * math.log(2 * math.pi))
-        assert log_b_jk(y, sx, sv, gp) == pytest.approx(total, rel=1e-12)
+        assert log_b_jk(y, *sx, *sv, gp) == pytest.approx(total, rel=1e-12)
 
     def test_tie_uses_target_variance(self, ctx):
         gp = GainPair(0.0, 0.0)
-        sx = DiagGaussian(np.array([1.0]), np.array([0.5]))
-        sv = DiagGaussian(np.array([1.0]), np.array([2.0]))  # same mean
+        sx = (np.array([1.0]), np.array([0.5]))
+        sv = (np.array([1.0]), np.array([2.0]))  # same mean
         y = np.array([1.3])
         want = -0.5 * 0.09 / 0.5 - 0.5 * math.log(0.5) \
             - 0.5 * math.log(2 * math.pi)
-        assert log_b_jk(y, sx, sv, gp) == pytest.approx(want, rel=1e-10)
+        assert log_b_jk(y, *sx, *sv, gp) == pytest.approx(want, rel=1e-10)
 
     def test_maximized_at_dominant_mean(self, ctx):
         rng = np.random.default_rng(5)
-        sx = DiagGaussian(rng.normal(0, 1, 5), rng.uniform(0.2, 1, 5))
-        sv = DiagGaussian(rng.normal(0, 1, 5), rng.uniform(0.2, 1, 5))
+        sx = (rng.normal(0, 1, 5), rng.uniform(0.2, 1, 5))
+        sv = (rng.normal(0, 1, 5), rng.uniform(0.2, 1, 5))
         gp = gains_from_theta(3.0, ctx)
-        m_max = np.maximum(sx.mean + gp.log10_gx, sv.mean + gp.log10_gv)
-        best = log_b_jk(m_max, sx, sv, gp)
+        m_max = np.maximum(sx[0] + gp.log10_gx, sv[0] + gp.log10_gv)
+        best = log_b_jk(m_max, *sx, *sv, gp)
         for d in range(5):
             y = m_max.copy()
             y[d] += 0.05
-            assert log_b_jk(y, sx, sv, gp) < best
+            assert log_b_jk(y, *sx, *sv, gp) < best
 
     def test_shift_equivariance(self, ctx):
         rng = np.random.default_rng(6)
-        sx = DiagGaussian(rng.normal(0, 1, 7), rng.uniform(0.2, 1, 7))
-        sv = DiagGaussian(rng.normal(0, 1, 7), rng.uniform(0.2, 1, 7))
+        sx = (rng.normal(0, 1, 7), rng.uniform(0.2, 1, 7))
+        sv = (rng.normal(0, 1, 7), rng.uniform(0.2, 1, 7))
         y = rng.normal(0, 1, 7)
         gp = gains_from_theta(5.0, ctx)
         c = 0.37
         shifted = GainPair(gp.log10_gx + c, gp.log10_gv + c)
-        assert log_b_jk(y, sx, sv, gp) == pytest.approx(
-            log_b_jk(y + c, sx, sv, shifted), rel=1e-12)
+        assert log_b_jk(y, *sx, *sv, gp) == pytest.approx(
+            log_b_jk(y + c, *sx, *sv, shifted), rel=1e-12)
 
     def test_interference_ignored_at_large_theta(self, ctx):
         rng = np.random.default_rng(7)
-        sx = DiagGaussian(rng.normal(0, 1, 6), rng.uniform(0.2, 1, 6))
-        sv1 = DiagGaussian(rng.normal(0, 1, 6), rng.uniform(0.2, 1, 6))
-        sv2 = DiagGaussian(rng.normal(0, 1, 6), rng.uniform(0.2, 1, 6))
+        sx = (rng.normal(0, 1, 6), rng.uniform(0.2, 1, 6))
+        sv1 = (rng.normal(0, 1, 6), rng.uniform(0.2, 1, 6))
+        sv2 = (rng.normal(0, 1, 6), rng.uniform(0.2, 1, 6))
         y = rng.normal(0, 1, 6)
         gp = gains_from_theta(200.0, ctx)
-        assert log_b_jk(y, sx, sv1, gp) == log_b_jk(y, sx, sv2, gp)
+        assert log_b_jk(y, *sx, *sv1, gp) == log_b_jk(y, *sx, *sv2, gp)
 
     def test_nonpositive_variance_rejected(self, ctx):
         gp = gains_from_theta(0.0, ctx)
-        bad = DiagGaussian(np.zeros(3), np.zeros(3))
-        ok = DiagGaussian(np.zeros(3), np.ones(3))
         with pytest.raises(ValueError, match="variance"):
-            log_b_jk(np.zeros(3), bad, ok, gp)
+            log_b_jk(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3),
+                     np.ones(3), gp)
 
 
 class TestLogBTable:
@@ -178,7 +180,8 @@ class TestLogBTable:
         for r in (0, 3, 5):
             for j in range(3):
                 for k in range(4):
-                    want = log_b_jk(y[r], mx.state(j), mv.state(k), gp)
+                    want = log_b_jk(y[r], mx.means[j], mx.vars[j],
+                                    mv.means[k], mv.vars[k], gp)
                     assert table[r, j, k] == pytest.approx(want, rel=1e-10)
 
 

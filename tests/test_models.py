@@ -5,54 +5,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specsep import (Codebook, DiagGaussian, HmmModel, ModelMismatchError,
-                     baum_welch, init_hmm_from_codebook, load_model,
-                     log_gaussian_diag, save_model)
-from specsep.models import LOG_2PI, VARIANCE_FLOOR
+from specsep import (Codebook, HmmModel, ModelMismatchError, baum_welch,
+                     init_hmm_from_codebook, load_model, save_model)
+from specsep.mixmax import LOG_2PI, log_gauss_table
+from specsep.models import VARIANCE_FLOOR
 
 from conftest import MODEL_DEFECTS, malformed, random_hmm
 
 
+def log_gauss(x, mean, var):
+    """mixmax.log_gauss_table on one frame and one center."""
+    return log_gauss_table(x[None], mean[None], var[None])[0, 0]
+
+
 class TestLogGaussianDiag:
     def test_at_mean_unit_variance_dim_129(self):
-        g = DiagGaussian(mean=np.zeros(129), var=np.ones(129))
         expected = -0.5 * 129 * math.log(2.0 * math.pi)
-        assert log_gaussian_diag(np.zeros(129), g) == pytest.approx(
-            expected, rel=1e-12)
+        assert log_gauss(np.zeros(129), np.zeros(129), np.ones(129)) == \
+            pytest.approx(expected, rel=1e-12)
 
     def test_one_sigma_in_one_dimension_costs_half(self):
         rng = np.random.default_rng(0)
         mean = rng.normal(0, 1, 10)
         var = rng.uniform(0.5, 2.0, 10)
-        g = DiagGaussian(mean=mean, var=var)
-        at_mean = log_gaussian_diag(mean, g)
+        at_mean = log_gauss(mean, mean, var)
         x = mean.copy()
         x[3] += math.sqrt(var[3])
-        assert log_gaussian_diag(x, g) == pytest.approx(at_mean - 0.5,
+        assert log_gauss(x, mean, var) == pytest.approx(at_mean - 0.5,
                                                         abs=1e-10)
 
     def test_doubling_sigma_changes_normalizer_only(self):
         mean = np.zeros(129)
-        g1 = DiagGaussian(mean=mean, var=np.ones(129))
-        g2 = DiagGaussian(mean=mean, var=4.0 * np.ones(129))  # sigma doubled
-        diff = log_gaussian_diag(mean, g1) - log_gaussian_diag(mean, g2)
+        diff = (log_gauss(mean, mean, np.ones(129))
+                - log_gauss(mean, mean, 4.0 * np.ones(129)))  # sigma doubled
         assert diff == pytest.approx(129 * math.log(2.0), rel=1e-12)
 
     def test_maximized_at_mean(self):
         rng = np.random.default_rng(1)
         mean = rng.normal(0, 1, 6)
-        g = DiagGaussian(mean=mean, var=rng.uniform(0.2, 1.0, 6))
-        best = log_gaussian_diag(mean, g)
+        var = rng.uniform(0.2, 1.0, 6)
+        best = log_gauss(mean, mean, var)
         for d in range(6):
             for eps in (-0.01, 0.01):
                 x = mean.copy()
                 x[d] += eps
-                assert log_gaussian_diag(x, g) < best
-
-    def test_dimension_mismatch_rejected(self):
-        g = DiagGaussian(mean=np.zeros(4), var=np.ones(4))
-        with pytest.raises(ValueError, match="dimension"):
-            log_gaussian_diag(np.zeros(5), g)
+                assert log_gauss(x, mean, var) < best
 
 
 class TestInitFromCodebook:
