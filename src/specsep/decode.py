@@ -74,38 +74,36 @@ def _viterbi_from_table(b, log_pi_x, log_pi_v, log_a_x, log_a_v,
     The per-frame max over predecessor pairs (i, l) is taken in two
     stages, first over i for each (j, l), then over l for each (j, k),
     which costs O(K_x K_v (K_x + K_v)) per frame yet reproduces the naive
-    O(K_x^2 K_v^2) double maximum bit for bit.  Argmax ties resolve to the
-    smallest index at each stage, and to the lexicographically smallest
-    (j, k) at termination.  delta_trace, when a list, collects a copy of every
+    O(K_x^2 K_v^2) double maximum bit for bit.  The forward pass keeps
+    every frame's score table and no backpointers; the backtrace recomputes
+    the two-stage argmax for the one (j, k) on the path, from the same
+    sums, in O(K_x K_v) per frame.  Argmax ties resolve to the smallest
+    index at each stage, and to the lexicographically smallest (j, k) at
+    termination.  delta_trace, when a list, collects a copy of every
     per-frame score table for equivalence testing.
     """
     R, K_x, K_v = b.shape
-    delta = log_pi_x[:, None] + log_pi_v[None, :] + b[0]
-    if delta_trace is not None:
-        delta_trace.append(delta.copy())
-    psi_i = np.zeros((R, K_x, K_v), dtype=np.int32)
-    psi_l = np.zeros((R, K_x, K_v), dtype=np.int32)
+    deltas = np.empty((R, K_x, K_v))
+    deltas[0] = log_pi_x[:, None] + log_pi_v[None, :] + b[0]
     for r in range(1, R):
-        tmp = delta[:, None, :] + log_a_x[:, :, None]        # (i, j, l)
-        i_star = tmp.argmax(axis=0)                          # (j, l)
-        t1 = np.take_along_axis(tmp, i_star[None, :, :], axis=0)[0]
-        tmp2 = t1[:, :, None] + log_a_v[None, :, :]          # (j, l, k)
-        l_star = tmp2.argmax(axis=1)                         # (j, k)
-        t2 = np.take_along_axis(tmp2, l_star[:, None, :], axis=1)[:, 0, :]
-        delta = t2 + b[r]
-        if delta_trace is not None:
-            delta_trace.append(delta.copy())
-        psi_l[r] = l_star
-        psi_i[r] = np.take_along_axis(i_star, l_star, axis=1)
+        t1 = (deltas[r - 1][:, None, :] + log_a_x[:, :, None]).max(axis=0)
+        t2 = (t1[:, :, None] + log_a_v[None, :, :]).max(axis=1)
+        np.add(t2, b[r], out=deltas[r])
+    if delta_trace is not None:
+        delta_trace.extend(d.copy() for d in deltas)
 
-    flat = int(np.argmax(delta))          # first occurrence: smallest (j, k)
+    flat = int(np.argmax(deltas[-1]))     # first occurrence: smallest (j, k)
     j, k = divmod(flat, K_v)
-    logprob = float(delta[j, k])
+    logprob = float(deltas[-1, j, k])
     path_x = np.empty(R, dtype=np.int64)
     path_v = np.empty(R, dtype=np.int64)
     path_x[R - 1], path_v[R - 1] = j, k
+    cols = np.arange(K_v)
     for r in range(R - 1, 0, -1):
-        j, k = psi_i[r, j, k], psi_l[r, j, k]
+        tmp = deltas[r - 1] + log_a_x[:, j, None]            # (i, l)
+        i_star = tmp.argmax(axis=0)                          # (l,)
+        prev_v = int((tmp[i_star, cols] + log_a_v[:, k]).argmax())
+        j, k = int(i_star[prev_v]), prev_v
         path_x[r - 1], path_v[r - 1] = j, k
     return path_x, path_v, logprob
 
@@ -262,9 +260,9 @@ def _alternate(decode, objective, R, theta0, outer_tol, max_outer,
     trace = []
 
     def decode_checked(thetas):
-        # overflow only drives scores towards -inf; a non-finite score
-        # raises below
-        with np.errstate(over="ignore"):
+        # overflow drives scores towards -inf, or to NaN where the emission
+        # GEMM meets inf - inf; a non-finite score raises below
+        with np.errstate(over="ignore", invalid="ignore"):
             path_x, path_v, score = decode(chunks, thetas)
         if not np.isfinite(score):
             raise NumericError(

@@ -206,10 +206,16 @@ def load_manifest(path):
         return json.load(f)
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_manifest(manifest):
     """Raise ValueError unless manifest is an object whose required keys
-    theta_grid, methods and pairs hold arrays and models an object, and
-    every pair is an object with an id."""
+    theta_grid (numbers), methods (strings) and pairs hold arrays and
+    models an object, every pair is an object with an id, the ids are all
+    strings or all numbers, and the optional framing is an object and
+    sample_rate, seed and jobs are numbers."""
     if not isinstance(manifest, dict):
         raise ValueError("manifest must be a JSON object, got "
                          f"{type(manifest).__name__}")
@@ -222,9 +228,24 @@ def _check_manifest(manifest):
         if not isinstance(manifest[key], kind):
             raise ValueError(f"manifest '{key}' must be {name}, got "
                              f"{type(manifest[key]).__name__}")
+    if not all(_is_number(t) for t in manifest["theta_grid"]):
+        raise ValueError("manifest 'theta_grid' must hold only numbers")
+    if not all(isinstance(m, str) for m in manifest["methods"]):
+        raise ValueError("manifest 'methods' must hold only strings")
+    if not isinstance(manifest.get("framing", {}), dict):
+        raise ValueError("manifest 'framing' must be an object")
+    for key in ("sample_rate", "seed", "jobs"):
+        if key in manifest and not _is_number(manifest[key]):
+            raise ValueError(f"manifest '{key}' must be a number")
     for idx, entry in enumerate(manifest["pairs"]):
         if not (isinstance(entry, dict) and "id" in entry):
             raise ValueError(f"manifest pair {idx} has no 'id'")
+    # rows sort by pair id, so ids must compare with each other
+    ids = [entry["id"] for entry in manifest["pairs"]]
+    if not (all(isinstance(i, str) for i in ids)
+            or all(_is_number(i) for i in ids)):
+        raise ValueError("manifest pair ids must be all strings or all "
+                         "numbers")
 
 
 def run_experiment(manifest, out_csv, jobs=None):
@@ -236,8 +257,12 @@ def run_experiment(manifest, out_csv, jobs=None):
     {frame_len, hop, dft_size}, seed (the default synth seed of pair i's
     sources is seed + 2i and seed + 2i + 1), jobs (worker threads, when
     the jobs argument is not given) and the separate options theta0 and
-    fix_theta.  A manifest that is not an object, lacks a required key
-    or holds a pair without an id raises ValueError before any run;
+    fix_theta.  A manifest that is not an object, lacks a required key,
+    holds a value of the wrong kind (a theta that is not a number, a
+    method that is not a string, ids that mix strings and numbers, a
+    framing that is not an object, a sample_rate, seed or jobs that is
+    not a number) or a pair without an id raises ValueError before any
+    run;
     failing runs land in the CSV with an error column rather than
     aborting the batch.  Returns a summary dict of
     per-(theta, method) means.

@@ -38,7 +38,9 @@ def malformed(model, defect):
 
 # manifests that run_experiment rejects before any run
 MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
-                    "pair_without_id", "scalar_theta_grid", "top_level_list")
+                    "pair_without_id", "scalar_theta_grid", "top_level_list",
+                    "mixed_pair_ids", "mixed_methods", "null_theta",
+                    "scalar_framing", "null_sample_rate")
 
 
 def broken_manifest(defect):
@@ -51,6 +53,17 @@ def broken_manifest(defect):
         return [manifest]
     if defect == "scalar_theta_grid":
         return {**manifest, "theta_grid": 0}
+    if defect == "mixed_pair_ids":
+        return {**manifest, "pairs": manifest["pairs"]
+                + [{**manifest["pairs"][0], "id": 1}]}
+    if defect == "mixed_methods":
+        return {**manifest, "methods": ["vq", 3]}
+    if defect == "null_theta":
+        return {**manifest, "theta_grid": [0, None]}
+    if defect == "scalar_framing":
+        return {**manifest, "framing": 3}
+    if defect == "null_sample_rate":
+        return {**manifest, "sample_rate": None}
     if defect == "pair_without_id":
         return {**manifest, "pairs": [{"target": {"wav": "x.wav"},
                                        "interf": {"wav": "v.wav"}}]}
@@ -81,6 +94,40 @@ def naive_viterbi_deltas(b, log_pi_x, log_pi_v, log_a_x, log_a_v):
         delta = tmp.max(axis=(0, 2)) + b[r]
         deltas.append(delta.copy())
     return deltas
+
+
+def backpointer_viterbi(b, log_pi_x, log_pi_v, log_a_x, log_a_v):
+    """Two-stage product-state Viterbi that stores its argmax tables, the
+    reference for the production decoder, which keeps no backpointers.
+
+    Each frame takes the max over i for every (j, l), then over l for every
+    (j, k), ties to the smallest index at each stage, and records the
+    winning (i, l) per (j, k); termination picks the lexicographically
+    smallest best (j, k).  Returns (path_x, path_v, logprob).
+    """
+    R, K_x, K_v = b.shape
+    delta = log_pi_x[:, None] + log_pi_v[None, :] + b[0]
+    psi_i = np.zeros((R, K_x, K_v), dtype=np.int32)
+    psi_l = np.zeros((R, K_x, K_v), dtype=np.int32)
+    for r in range(1, R):
+        tmp = delta[:, None, :] + log_a_x[:, :, None]        # (i, j, l)
+        i_star = tmp.argmax(axis=0)                          # (j, l)
+        t1 = np.take_along_axis(tmp, i_star[None, :, :], axis=0)[0]
+        tmp2 = t1[:, :, None] + log_a_v[None, :, :]          # (j, l, k)
+        l_star = tmp2.argmax(axis=1)                         # (j, k)
+        t2 = np.take_along_axis(tmp2, l_star[:, None, :], axis=1)[:, 0, :]
+        delta = t2 + b[r]
+        psi_l[r] = l_star
+        psi_i[r] = np.take_along_axis(i_star, l_star, axis=1)
+    j, k = divmod(int(np.argmax(delta)), K_v)
+    logprob = float(delta[j, k])
+    path_x = np.empty(R, dtype=np.int64)
+    path_v = np.empty(R, dtype=np.int64)
+    path_x[R - 1], path_v[R - 1] = j, k
+    for r in range(R - 1, 0, -1):
+        j, k = psi_i[r, j, k], psi_l[r, j, k]
+        path_x[r - 1], path_v[r - 1] = j, k
+    return path_x, path_v, logprob
 
 
 def log_b_jk(y, mean_x, var_x, mean_v, var_v, gp):

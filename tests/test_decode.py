@@ -12,7 +12,8 @@ from specsep.gain import THETA_MAX_DB, THETA_MIN_DB
 from specsep.mixmax import mixmax_combine
 from specsep.quantize import Codebook, gvq_score
 
-from conftest import (log_b_jk, naive_viterbi_deltas, path_loglik,
+from conftest import (backpointer_viterbi, log_b_jk, naive_viterbi_deltas,
+                      path_loglik,
                       planted_path_objective, random_hmm,
                       sampled_feature_mixture, shared_variance_hmm,
                       structured_hmm)
@@ -159,6 +160,36 @@ class TestTwoStageEquivalence:
             assert len(trace) == len(naive)
             for fast_d, naive_d in zip(trace, naive):
                 np.testing.assert_array_equal(fast_d, naive_d)
+
+
+class TestBacktraceByRecomputation:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(K_x=st.integers(1, 6), K_v=st.integers(1, 6), R=st.integers(1, 12),
+           tie_heavy=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(K_x=3, K_v=5, R=6, tie_heavy=True, seed=0)
+    @example(K_x=5, K_v=2, R=8, tie_heavy=False, seed=1)
+    def test_matches_backpointer_reference(self, K_x, K_v, R, tie_heavy,
+                                           seed):
+        # tie-heavy draws hold integer-valued emissions and uniform priors
+        # and transitions, so many predecessors tie at both stages
+        rng = np.random.default_rng(seed)
+        if tie_heavy:
+            b = rng.integers(-2, 1, (R, K_x, K_v)).astype(np.float64)
+            log_pi_x, log_pi_v = (np.full(K, -np.log(K)) for K in (K_x, K_v))
+            log_a_x, log_a_v = (np.full((K, K), -np.log(K))
+                                for K in (K_x, K_v))
+        else:
+            mx = random_hmm(rng, K=K_x, dim=1)
+            mv = random_hmm(rng, K=K_v, dim=1)
+            b = rng.normal(0.0, 3.0, (R, K_x, K_v))
+            log_pi_x, log_pi_v = mx.pi, mv.pi
+            log_a_x, log_a_v = mx.trans, mv.trans
+        args = (b, log_pi_x, log_pi_v, log_a_x, log_a_v)
+        path_x, path_v, logprob = _viterbi_from_table(*args)
+        want_x, want_v, want_logprob = backpointer_viterbi(*args)
+        np.testing.assert_array_equal(path_x, want_x)
+        np.testing.assert_array_equal(path_v, want_v)
+        assert logprob == want_logprob
 
 
 class TestPathLoglik:

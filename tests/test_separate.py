@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specsep import (AudioSignal, GainContext, ModelMismatchError,
                      apply_masks_and_reconstruct, build_masks, frame_signal,
-                     g_of_theta, mix_at_tir, normalize_equal_power,
-                     separate, snr, synth_source)
+                     g_of_theta, gains_from_theta, mix_at_tir,
+                     normalize_equal_power, separate, snr, synth_source)
 from specsep.decode import NumericError
+from specsep.gain import THETA_MAX_DB, THETA_MIN_DB
 
 from conftest import (MODEL_DEFECTS, malformed, overflowing, random_hmm,
                       train_speaker_models)
@@ -95,6 +98,45 @@ class TestMaskBuilding:
             np.testing.assert_array_equal(masks_v[sl], want_v)
         np.testing.assert_array_equal(masks_x + masks_v, 1)
         assert masks_x.dtype == masks_v.dtype == np.uint8
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(R=st.integers(1, 30), dim=st.integers(1, 12),
+           cuts=st.lists(st.integers(1, 29), max_size=3, unique=True),
+           thetas=st.lists(st.one_of(st.just(0.0),
+                                     st.floats(THETA_MIN_DB, THETA_MAX_DB)),
+                           min_size=4, max_size=4),
+           g_y=st.floats(0.05, 20.0), tie_frac=st.sampled_from([0, 0.5, 1]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(R=6, dim=3, cuts=[3], thetas=[0.0, 7.5, 0.0, 0.0], g_y=1.0,
+             tie_frac=1, seed=0)
+    def test_complementary_with_ties_to_target(self, R, dim, cuts, thetas,
+                                               g_y, tie_frac, seed):
+        # chunks from drawn cut points; in a tie_frac share of each chunk's
+        # bins the interference prototype is planted on the target's
+        # gain-shifted value, an exact tie wherever the sum rounds back
+        # (always at theta = 0, where both gains are equal)
+        rng = np.random.default_rng(seed)
+        ctx = GainContext(g_y=g_y)
+        bounds = [0] + sorted(c for c in cuts if c < R) + [R]
+        chunks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        thetas = thetas[:len(chunks)]
+        proto_x = rng.normal(-2.0, 1.0, (R, dim))
+        proto_v = rng.normal(-2.0, 1.0, (R, dim))
+        for sl, th in zip(chunks, thetas):
+            gp = gains_from_theta(th, ctx)
+            tie = rng.random(proto_x[sl].shape) < tie_frac
+            proto_v[sl][tie] = (proto_x[sl] + gp.log10_gx
+                                - gp.log10_gv)[tie]
+        masks_x, masks_v = build_masks(proto_x, proto_v, chunks, thetas, ctx)
+        assert masks_x.dtype == masks_v.dtype == np.uint8
+        np.testing.assert_array_equal(masks_x + masks_v, 1)
+        for sl, th in zip(chunks, thetas):
+            gp = gains_from_theta(th, ctx)
+            m_x, m_v = proto_x[sl] + gp.log10_gx, proto_v[sl] + gp.log10_gv
+            np.testing.assert_array_equal(masks_x[sl], m_x >= m_v)
+            assert np.all(masks_x[sl][m_x == m_v] == 1)
+            if th == 0.0 and tie_frac == 1:
+                assert np.all(masks_x[sl] == 1)
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +361,24 @@ class TestSeparatePipeline:
                 (vq, "gvq", {"fix_theta": 3.0}), (vq, "gvq", {})):
             with pytest.raises(NumericError, match="non-finite decoder"):
                 separate(y, *models, framing, method=method, **options)
+
+    def test_degenerate_state_variance_raises(self, framing, trained_models,
+                                              mixture_setup):
+        # one state whose variances are all 1e-308 passes validate(); in
+        # bins where its mean and the frame share a sign, the emission
+        # GEMM adds -inf to +inf, so the table holds NaN and the decode
+        # stops instead of routing the path around that state
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 0.0)
+        hmm_b = trained_models["hmm_b"]
+        variances = hmm_b.vars.copy()
+        variances[0] = 1e-308
+        degenerate = dataclasses.replace(hmm_b, vars=variances)
+        degenerate.validate()
+        for method in ("fhmm", "gfhmm"):
+            with pytest.raises(NumericError, match="non-finite decoder"):
+                separate(y, trained_models["hmm_a"], degenerate, framing,
+                         method=method)
 
     def test_mega_frame_window_checked(self, framing, trained_models,
                                        mixture_setup):
