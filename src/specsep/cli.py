@@ -14,6 +14,7 @@ import numpy as np
 
 from . import evaluate as ev
 from .decode import NumericError
+from .gain import estimate_gy
 from .models import (ModelMismatchError, baum_welch, init_hmm_from_codebook,
                      load_model, save_model)
 from .quantize import train_lbg
@@ -71,13 +72,14 @@ def cmd_train(args):
     utterances = []
     for path in wavs:
         sig = read_wav(path, expected_rate=args.sample_rate)
-        rms = float(np.sqrt(np.mean(sig.samples ** 2)))
-        if rms == 0.0:
-            continue                     # skip silent files
+        try:
+            rms = estimate_gy(sig)
+        except ValueError:
+            continue                     # skip empty and silent files
         sig = AudioSignal(sig.samples / rms, sig.sample_rate)
         utterances.append(log_spectra(sig, cfg))
     if not utterances:
-        raise OSError(f"no usable (non-silent) WAV files in "
+        raise OSError(f"no usable (non-empty, non-silent) WAV files in "
                       f"{args.speaker_dir}")
     vectors = np.vstack(utterances)
     print(f"training on {len(utterances)} utterances, "

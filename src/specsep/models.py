@@ -28,9 +28,10 @@ class ModelMismatchError(ValueError):
     """A model file or object is malformed, or does not fit the job."""
 
 
-def check_model(model, shapes, positive):
+def check_model(model, shapes, variances):
     """Raise ModelMismatchError unless every array named in shapes has that
-    shape and finite values, the array named positive is > 0, and each
+    shape and finite values, the array named variances is >= VARIANCE_FLOOR
+    (the floor training applies; below it 1/v can overflow), and each
     framing setting model.meta records is a positive integer."""
     for name, shape in shapes.items():
         a = np.asarray(getattr(model, name))
@@ -39,8 +40,9 @@ def check_model(model, shapes, positive):
                 f"{name} has shape {a.shape}, expected {shape}")
         if not np.all(np.isfinite(a)):
             raise ModelMismatchError(f"{name} has non-finite values")
-    if np.any(getattr(model, positive) <= 0.0):
-        raise ModelMismatchError(f"{positive} has non-positive values")
+    if np.any(getattr(model, variances) < VARIANCE_FLOOR):
+        raise ModelMismatchError(
+            f"{variances} has values below {VARIANCE_FLOOR:g}")
     for key in ("sample_rate", *(f.name for f in fields(FramingConfig))):
         value = model.meta.get(key)
         if value is not None and not (isinstance(value, numbers.Integral)
@@ -69,12 +71,16 @@ class Codebook:
 
     def validate(self):
         """Raise ModelMismatchError unless the codebook passes check_model
-        (shapes, finite values, positive variances, recorded framing)."""
+        (shapes, finite values, floored variances, recorded framing) and
+        its occupancy is non-negative with a positive total."""
         K, dim = len(self.occupancy), np.shape(self.codevectors)[-1]
         check_model(self, {"codevectors": (K, dim),
                            "cluster_variances": (K, dim),
                            "occupancy": (K,)},
-                    positive="cluster_variances")
+                    variances="cluster_variances")
+        if np.any(self.occupancy < 0) or np.sum(self.occupancy) <= 0:
+            raise ModelMismatchError(
+                "occupancy must be non-negative with a positive total")
 
 
 @dataclass
@@ -106,7 +112,7 @@ class HmmModel:
         trans rows (log-probabilities may be -inf, i.e. probability 0)."""
         K, dim = len(self.pi), np.shape(self.means)[-1]
         check_model(self, {"means": (K, dim), "vars": (K, dim)},
-                    positive="vars")
+                    variances="vars")
         if np.shape(self.trans) != (K, K):
             raise ModelMismatchError(
                 f"trans has shape {np.shape(self.trans)}, expected {(K, K)}")
@@ -147,6 +153,12 @@ def _forward_backward(frames, pi, trans, means, variances):
     the order of exp(-460) never underflow.  Returns per-frame state
     posteriors gamma (R, K), expected transition counts xi_sum (K, K), and
     the utterance natural-log likelihood.
+
+    With alpha rescaled to sum 1 and beta divided by the next frame's
+    scale, xi_t(i, j) = alpha_t(i) a_ij B_t+1(j) beta_t+1(j) / c_t+1 sums
+    over j to alpha_t(i) beta_t(i), gamma_t(i) before its renormalization,
+    and over (i, j) to 1.  So no frame's xi needs dividing by its sum, and
+    xi_sum is one matrix product.
     """
     R, K = frames.shape[0], pi.shape[0]
     logB = log_gauss_table(frames, means, variances)
@@ -170,12 +182,7 @@ def _forward_backward(frames, pi, trans, means, variances):
 
     gamma = alpha * beta
     gamma /= gamma.sum(axis=1, keepdims=True)
-
-    xi_sum = np.zeros((K, K))
-    for t in range(R - 1):
-        xi = (alpha[t][:, None] * trans) * (B[t + 1] * beta[t + 1])[None, :]
-        xi /= xi.sum()
-        xi_sum += xi
+    xi_sum = trans * (alpha[:-1].T @ (B[1:] * beta[1:] / scale[1:, None]))
 
     loglik = float(np.log(scale).sum() + shift.sum())
     return gamma, xi_sum, loglik
@@ -219,8 +226,7 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
     for _ in range(max_iters):
         pi_acc = np.zeros(K)
         xi_acc = np.zeros((K, K))
-        gamma_acc = np.zeros(K)          # over all frames, for mean/var
-        gamma_trans_acc = np.zeros(K)    # over frames 1..R-1, for rows
+        gamma_acc = np.zeros(K)
         mean_acc = np.zeros((K, dim))
         sq_acc = np.zeros((K, dim))
         total_ll = 0.0
@@ -231,7 +237,6 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
             pi_acc += gamma[0]
             xi_acc += xi_sum
             gamma_acc += gamma.sum(axis=0)
-            gamma_trans_acc += gamma[:-1].sum(axis=0)
             mean_acc += gamma.T @ frames
             sq_acc += gamma.T @ (frames ** 2)
         trace.append(total_ll)
@@ -241,10 +246,11 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
         prev_ll = total_ll
 
         pi = pi_acc / pi_acc.sum()
-        row_mass = gamma_trans_acc[:, None]
+        # a state never occupied before an utterance's last frame gets a
+        # uniform row
+        row_mass = xi_acc.sum(axis=1, keepdims=True)
         trans = np.where(row_mass > 0, xi_acc / np.maximum(row_mass, 1e-300),
                          1.0 / K)
-        trans /= trans.sum(axis=1, keepdims=True)
         occupied = gamma_acc > 0
         denom = np.maximum(gamma_acc, 1e-300)[:, None]
         new_means = mean_acc / denom

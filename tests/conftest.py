@@ -12,13 +12,16 @@ from specsep import (AudioSignal, FramingConfig, HmmModel, baum_welch,
                      mixmax_combine, sample_hmm_frames, synth_source,
                      train_lbg)
 from specsep.decode import _check_pair
-from specsep.mixmax import LOG_2PI, path_emission_loglik
+from specsep.mixmax import LOG_2PI, log_gauss_table, path_emission_loglik
 from specsep.signal import log_spectra
 
 
 # defects that a model file can carry; trans_plus_one applies to HMMs only
-MODEL_DEFECTS = ("nan_mean", "negative_variance", "trans_plus_one",
-                 "hop_inf")
+# and negative_occupancy to codebooks only
+MODEL_DEFECTS = ("nan_mean", "negative_variance", "tiny_variance",
+                 "trans_plus_one", "negative_occupancy", "hop_inf")
+HMM_DEFECTS = tuple(d for d in MODEL_DEFECTS if d != "negative_occupancy")
+CODEBOOK_DEFECTS = tuple(d for d in MODEL_DEFECTS if d != "trans_plus_one")
 
 
 def malformed(model, defect):
@@ -30,9 +33,11 @@ def malformed(model, defect):
     if defect == "hop_inf":
         return dataclasses.replace(model, meta={**model.meta, "hop": "inf"})
     name, value = {"nan_mean": (mean, np.nan),
-                   "negative_variance": (var, -0.1)}[defect]
+                   "negative_variance": (var, -0.1),
+                   "tiny_variance": (var, 1e-308),
+                   "negative_occupancy": ("occupancy", -5)}[defect]
     arr = getattr(model, name).copy()
-    arr[0, 0] = value
+    arr.flat[0] = value
     return dataclasses.replace(model, **{name: arr})
 
 
@@ -73,12 +78,10 @@ def broken_manifest(defect):
 
 def overflowing(model):
     """A copy of an HmmModel or Codebook that passes validate() but whose
-    decoder scores overflow: variances of 1e-308, or codevectors of 1e200."""
-    if isinstance(model, HmmModel):
-        return dataclasses.replace(model,
-                                   vars=np.full_like(model.vars, 1e-308))
+    decoder scores overflow: means or codevectors of 1e200."""
+    mean = "means" if isinstance(model, HmmModel) else "codevectors"
     return dataclasses.replace(
-        model, codevectors=np.full_like(model.codevectors, 1e200))
+        model, **{mean: np.full_like(getattr(model, mean), 1e200)})
 
 
 def naive_viterbi_deltas(b, log_pi_x, log_pi_v, log_a_x, log_a_v):
@@ -128,6 +131,38 @@ def backpointer_viterbi(b, log_pi_x, log_pi_v, log_a_x, log_a_v):
         j, k = psi_i[r, j, k], psi_l[r, j, k]
         path_x[r - 1], path_v[r - 1] = j, k
     return path_x, path_v, logprob
+
+
+def per_frame_xi_counts(frames, pi, trans, means, variances):
+    """Expected transition counts of one utterance summed frame by frame,
+    each frame's K x K xi table divided by its own sum: the reference for
+    models._forward_backward, which forms the sum as one product.
+
+    Same scaled forward-backward recursions as production; pi and trans are
+    probabilities, not logs.
+    """
+    R, K = frames.shape[0], pi.shape[0]
+    logB = log_gauss_table(frames, means, variances)
+    B = np.exp(logB - logB.max(axis=1)[:, None])
+    alpha = np.empty((R, K))
+    scale = np.empty(R)
+    alpha[0] = pi * B[0]
+    scale[0] = alpha[0].sum()
+    alpha[0] /= scale[0]
+    for t in range(1, R):
+        alpha[t] = (alpha[t - 1] @ trans) * B[t]
+        scale[t] = alpha[t].sum()
+        alpha[t] /= scale[t]
+    beta = np.empty((R, K))
+    beta[R - 1] = 1.0
+    for t in range(R - 2, -1, -1):
+        beta[t] = trans @ (B[t + 1] * beta[t + 1]) / scale[t + 1]
+    xi_sum = np.zeros((K, K))
+    for t in range(R - 1):
+        xi = (alpha[t][:, None] * trans) * (B[t + 1] * beta[t + 1])[None, :]
+        xi /= xi.sum()
+        xi_sum += xi
+    return xi_sum
 
 
 def log_b_jk(y, mean_x, var_x, mean_v, var_v, gp):

@@ -1,15 +1,16 @@
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from specsep import (Codebook, FramingConfig, load_model, read_wav,
-                     save_model, synth_source, write_wav)
+from specsep import (AudioSignal, Codebook, FramingConfig, load_model,
+                     read_wav, save_model, synth_source, write_wav)
 from specsep.cli import build_parser, main
 
-from conftest import (MANIFEST_DEFECTS, MODEL_DEFECTS, broken_manifest,
-                      malformed, overflowing)
+from conftest import (CODEBOOK_DEFECTS, HMM_DEFECTS, MANIFEST_DEFECTS,
+                      MODEL_DEFECTS, broken_manifest, malformed, overflowing)
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,32 @@ class TestTrain:
                    "--states", "4", "--out", str(tmp / "no.ssm")])
         assert rc == 2
 
+    @staticmethod
+    def blank_clips_dir(tmp, name):
+        d = tmp / name
+        d.mkdir()
+        write_wav(d / "empty.wav", AudioSignal(np.zeros(0)))
+        write_wav(d / "silent.wav", AudioSignal(np.zeros(4000)))
+        return d
+
+    def test_empty_and_silent_clips_skipped(self, speaker_dirs, capsys):
+        tmp = speaker_dirs["tmp"]
+        d = self.blank_clips_dir(tmp, "with_blanks")
+        for clip in sorted(speaker_dirs["dirs"]["a"].glob("*.wav"))[:3]:
+            shutil.copy(clip, d)
+        rc = main(["train", "--kind", "hmm", "--speaker-dir", str(d),
+                   "--states", "2", "--out", str(tmp / "blanks.ssm"),
+                   "--max-iters", "2"])
+        assert rc == 0
+        assert "training on 3 utterances" in capsys.readouterr().out
+
+    def test_only_empty_and_silent_clips_exits_2(self, speaker_dirs):
+        tmp = speaker_dirs["tmp"]
+        d = self.blank_clips_dir(tmp, "only_blanks")
+        rc = main(["train", "--kind", "vq", "--speaker-dir", str(d),
+                   "--states", "2", "--out", str(tmp / "no.ssm")])
+        assert rc == 2
+
     def test_bad_states_exits_1(self, speaker_dirs):
         rc = main(["train", "--kind", "vq", "--speaker-dir",
                    str(speaker_dirs["dirs"]["a"]), "--states", "3",
@@ -214,16 +241,23 @@ class TestSeparate:
     def test_malformed_model_exits_3(self, speaker_dirs, cli_models,
                                      mixture_file, defect, capsys):
         tmp = speaker_dirs["tmp"]
-        bad = tmp / f"bad_{defect}.ssm"
-        save_model(malformed(load_model(cli_models["hmm_b"]), defect), bad)
-        rc = main(["separate", "--mixture", str(mixture_file),
-                   "--model-x", str(cli_models["hmm_a"]),
-                   "--model-v", str(bad), "--method", "gfhmm",
-                   "--out-x", str(tmp / "bad_x.wav"),
-                   "--out-v", str(tmp / "bad_v.wav")])
-        assert rc == 3
-        assert str(bad) in capsys.readouterr().err
-        assert not (tmp / "bad_x.wav").exists()
+        runs = []
+        if defect in HMM_DEFECTS:
+            runs.append(("gfhmm", "hmm"))
+        if defect in CODEBOOK_DEFECTS:
+            runs.append(("gvq", "vq"))
+        for method, kind in runs:
+            bad = tmp / f"bad_{defect}_{kind}.ssm"
+            save_model(malformed(load_model(cli_models[f"{kind}_b"]), defect),
+                       bad)
+            rc = main(["separate", "--mixture", str(mixture_file),
+                       "--model-x", str(cli_models[f"{kind}_a"]),
+                       "--model-v", str(bad), "--method", method,
+                       "--out-x", str(tmp / "bad_x.wav"),
+                       "--out-v", str(tmp / "bad_v.wav")])
+            assert rc == 3
+            assert str(bad) in capsys.readouterr().err
+            assert not (tmp / "bad_x.wav").exists()
 
     @pytest.mark.parametrize("method, kind", [("fhmm", "hmm"),
                                               ("vq", "vq")])

@@ -11,8 +11,8 @@ from specsep import (AudioSignal, mix_at_tir, normalize_equal_power,
 from specsep.evaluate import CSV_COLUMNS, summarize_rows, write_report
 from specsep.models import save_model
 
-from conftest import (MANIFEST_DEFECTS, broken_manifest, malformed,
-                      overflowing)
+from conftest import (CODEBOOK_DEFECTS, HMM_DEFECTS, MANIFEST_DEFECTS,
+                      MODEL_DEFECTS, broken_manifest, malformed, overflowing)
 
 
 class TestNormalizeEqualPower:
@@ -283,25 +283,36 @@ class TestRunExperiment:
     def test_malformed_model_gives_error_rows(self, experiment_env,
                                               trained_models):
         env = experiment_env
-        path = env["tmp"] / "nan_hmm_v.ssm"
-        save_model(malformed(trained_models["hmm_b"], "nan_mean"), path)
-        manifest = {
-            "sample_rate": 8000,
-            "theta_grid": [6],
-            "methods": ["gfhmm", "vq"],
-            "models": {**{k: env["paths"][k]
-                          for k in ("hmm_x", "vq_x", "vq_v")},
-                       "hmm_v": str(path)},
-            "pairs": [env["pair_entry"](1)],
-        }
-        out_csv = env["tmp"] / "nan_model.csv"
-        run_experiment(manifest, out_csv)
-        with open(out_csv, newline="") as f:
-            rows = {r["method"]: r for r in csv.DictReader(f)}
-        # a model that fails to load is reported on each of its rows
-        assert rows["gfhmm"]["error"].startswith("ModelMismatchError: ")
-        assert "non-finite" in rows["gfhmm"]["error"]
-        assert rows["vq"]["error"] == ""
+        for defect in MODEL_DEFECTS:
+            paths = dict(env["paths"])
+            for key, name, defects in (("hmm_v", "hmm_b", HMM_DEFECTS),
+                                       ("vq_v", "cb_b", CODEBOOK_DEFECTS)):
+                if defect in defects:
+                    paths[key] = str(env["tmp"] / f"{defect}_{key}.ssm")
+                    save_model(malformed(trained_models[name], defect),
+                               paths[key])
+            manifest = {
+                "sample_rate": 8000,
+                "theta_grid": [6],
+                "methods": ["gfhmm", "vq"],
+                "models": {k: paths[k] for k in ("hmm_x", "hmm_v", "vq_x",
+                                                 "vq_v")},
+                "pairs": [env["pair_entry"](1)],
+            }
+            out_csv = env["tmp"] / f"{defect}.csv"
+            run_experiment(manifest, out_csv)
+            with open(out_csv, newline="") as f:
+                rows = {r["method"]: r for r in csv.DictReader(f)}
+            # a model that fails to load is reported on each of its rows
+            for method, defects in (("gfhmm", HMM_DEFECTS),
+                                    ("vq", CODEBOOK_DEFECTS)):
+                error = rows[method]["error"]
+                if defect in defects:
+                    assert error.startswith("ModelMismatchError: "), defect
+                else:
+                    assert error == "", defect
+            if defect == "nan_mean":
+                assert "non-finite" in rows["gfhmm"]["error"]
 
     def test_nonfinite_decoder_score_gives_error_rows(self, experiment_env,
                                                       trained_models):

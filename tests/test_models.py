@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsep import (Codebook, HmmModel, ModelMismatchError, baum_welch,
-                     init_hmm_from_codebook, load_model, save_model)
+                     init_hmm_from_codebook, load_model, sample_hmm_frames,
+                     save_model)
 from specsep.mixmax import LOG_2PI, log_gauss_table
-from specsep.models import VARIANCE_FLOOR
+from specsep.models import VARIANCE_FLOOR, _forward_backward
 
-from conftest import MODEL_DEFECTS, malformed, random_hmm
+from conftest import (CODEBOOK_DEFECTS, HMM_DEFECTS, malformed,
+                      per_frame_xi_counts, random_hmm)
 
 
 def log_gauss(x, mean, var):
@@ -114,7 +116,6 @@ class TestBaumWelch:
             trans=np.log([[0.85, 0.15], [0.2, 0.8]]),
             means=np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]),
             vars=np.full((2, 3), 0.25))
-        from specsep import sample_hmm_frames
         frames, _ = sample_hmm_frames(truth, 2000, rng)
         init = HmmModel(pi=truth.pi.copy(), trans=truth.trans.copy(),
                         means=truth.means + rng.normal(0, 0.2, (2, 3)),
@@ -160,6 +161,55 @@ class TestBaumWelch:
                         means=np.zeros((1, 3)), vars=np.ones((1, 3)))
         model, _ = baum_welch(utts, init, max_iters=3)
         assert np.all(model.vars >= VARIANCE_FLOOR)
+
+    def test_unvisited_state_keeps_emissions_and_gets_uniform_row(self):
+        # state 2 has zero initial probability and no incoming transitions,
+        # so no frame is ever assigned to it
+        rng = np.random.default_rng(8)
+        K, dim = 3, 4
+        trans = np.array([[0.7, 0.3, 0.0], [0.4, 0.6, 0.0],
+                          [0.2, 0.3, 0.5]])
+        with np.errstate(divide="ignore"):
+            init = HmmModel(pi=np.log([0.5, 0.5, 0.0]), trans=np.log(trans),
+                            means=rng.normal(0, 1, (K, dim)),
+                            vars=rng.uniform(0.2, 1.0, (K, dim)))
+        reachable = HmmModel(pi=np.log([0.5, 0.5]),
+                             trans=np.log(trans[:2, :2]),
+                             means=init.means[:2], vars=init.vars[:2])
+        utts = [sample_hmm_frames(reachable, 50, rng)[0] for _ in range(2)]
+        model, _ = baum_welch(utts, init, rel_tol=0.0, max_iters=3)
+        np.testing.assert_allclose(np.exp(model.trans[2]), 1.0 / K,
+                                   rtol=1e-15)
+        np.testing.assert_array_equal(model.means[2], init.means[2])
+        np.testing.assert_array_equal(model.vars[2], init.vars[2])
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(K=st.integers(1, 6), R=st.integers(1, 12), dim=st.integers(1, 6),
+           sticky=st.booleans(), var_lo=st.sampled_from([1e-4, 1e-2, 0.5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_xi_counts_match_per_frame_reference(self, K, R, dim, sticky,
+                                                 var_lo, seed):
+        rng = np.random.default_rng(seed)
+        pi = rng.random(K) + 0.05
+        pi /= pi.sum()
+        # strictly positive rows, either sticky or near-uniform
+        trans = rng.uniform(0.9, 1.1, (K, K))
+        if sticky:
+            trans += np.diag(rng.uniform(5.0, 50.0, K))
+        trans /= trans.sum(axis=1, keepdims=True)
+        means = rng.normal(0.0, 1.0, (K, dim))
+        variances = rng.uniform(var_lo, 2 * var_lo + 0.1, (K, dim))
+        frames = rng.normal(0.0, 1.0, (R, dim))
+        gamma, xi_sum, _ = _forward_backward(frames, pi, trans, means,
+                                             variances)
+        ref_xi = per_frame_xi_counts(frames, pi, trans, means, variances)
+        # each frame's xi sums to 1, up to rounding, on both sides
+        tol = 64 * np.finfo(float).eps * (R - 1)
+        np.testing.assert_allclose(xi_sum, ref_xi, rtol=0, atol=tol)
+        np.testing.assert_allclose(xi_sum.sum(axis=1),
+                                   gamma[:-1].sum(axis=0), rtol=0, atol=tol)
+        if R == 1:
+            np.testing.assert_array_equal(xi_sum, np.zeros((K, K)))
 
     def test_empty_training_set_rejected(self):
         init = HmmModel(pi=np.zeros(1), trans=np.zeros((1, 1)),
@@ -239,7 +289,7 @@ class TestPersistence:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("defect", MODEL_DEFECTS)
+    @pytest.mark.parametrize("defect", HMM_DEFECTS)
     def test_malformed_hmm_rejected_on_load(self, tmp_path, defect):
         model = random_hmm(np.random.default_rng(10), K=3, dim=5)
         model.meta.update(sample_rate=8000, hop=80)
@@ -248,8 +298,7 @@ class TestValidation:
         with pytest.raises(ModelMismatchError, match="m.ssm"):
             load_model(path)
 
-    @pytest.mark.parametrize("defect", ("nan_mean", "negative_variance",
-                                        "hop_inf"))
+    @pytest.mark.parametrize("defect", CODEBOOK_DEFECTS)
     def test_malformed_codebook_rejected_on_load(self, tmp_path, defect):
         rng = np.random.default_rng(11)
         cb = Codebook(rng.normal(0, 1, (4, 5)), np.full((4, 5), 0.2),
@@ -270,6 +319,12 @@ class TestValidation:
         cb = Codebook(rng.normal(0, 1, (4, 5)), np.full((4, 5), 0.2),
                       np.full(3, 3))
         with pytest.raises(ModelMismatchError, match="shape"):
+            cb.validate()
+
+    def test_all_zero_occupancy_rejected(self):
+        # init_hmm_from_codebook would divide by the zero total
+        cb = Codebook(np.zeros((2, 3)), np.full((2, 3), 0.5), np.zeros(2))
+        with pytest.raises(ModelMismatchError, match="occupancy"):
             cb.validate()
 
     def test_zero_probability_transitions_accepted(self):
