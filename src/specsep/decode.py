@@ -9,8 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gain import THETA_MAX_DB, THETA_MIN_DB, gains_from_theta
-from .mixmax import log_b_table, mixmax_combine, path_emission_loglik
+from .gain import THETA_MAX_DB, THETA_MIN_DB, _check_theta, gains_from_theta
+from .mixmax import (_check_pair, log_b_table, mixmax_combine,
+                     path_emission_loglik)
 from .quantize import gvq_score
 
 OUTER_TOL_DB = 0.25
@@ -58,15 +59,6 @@ def mega_frame_slices(n_frames, frames_per_chunk):
     return [slice(bounds[c], bounds[c + 1]) for c in range(n_chunks)]
 
 
-def _check_pair(y_seq, lambda_x, lambda_v):
-    y_seq = np.asarray(y_seq, dtype=np.float64)
-    if y_seq.ndim != 2 or y_seq.shape[0] == 0:
-        raise ValueError("empty input")
-    if lambda_x.dim != y_seq.shape[1] or lambda_v.dim != y_seq.shape[1]:
-        raise ValueError("model dimension does not match frames")
-    return y_seq
-
-
 def _viterbi_from_table(b, log_pi_x, log_pi_v, log_a_x, log_a_v,
                         delta_trace=None):
     """Max-product decoding over the K_x*K_v product state space.
@@ -109,19 +101,17 @@ def _viterbi_from_table(b, log_pi_x, log_pi_v, log_a_x, log_a_v,
 
 
 def parallel_viterbi(y_seq, lambda_x, lambda_v, theta, ctx):
-    """Best joint state-pair path for a known theta.
+    """Best joint state-pair path for a known theta: gfhmm_infer with no
+    outer rounds, so one Viterbi pass over the whole sequence.
 
-    Returns a DecodeResult whose theta_hat echoes the input and whose
-    logprob is the exact maximum of the joint path likelihood.
+    theta must be finite and lie in [THETA_MIN_DB, THETA_MAX_DB], else
+    ValueError.  Returns a DecodeResult whose theta_hat echoes the input,
+    whose logprob is the exact maximum of the joint path likelihood, and
+    whose iterations is 0, as for every zero-round decode.
     """
-    y_seq = _check_pair(y_seq, lambda_x, lambda_v)
-    gp = gains_from_theta(theta, ctx)
-    b = log_b_table(y_seq, lambda_x, lambda_v, gp)
-    path_x, path_v, logprob = _viterbi_from_table(
-        b, lambda_x.pi, lambda_v.pi, lambda_x.trans, lambda_v.trans)
-    return DecodeResult(path_x, path_v, logprob, theta_hat=float(theta),
-                        iterations=1, theta_per_chunk=(float(theta),),
-                        objective_trace=[logprob])
+    _check_theta(theta, "theta")
+    return gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=theta,
+                       max_outer=0)
 
 
 def brute_force_decode(y_seq, lambda_x, lambda_v, theta, ctx,
@@ -341,8 +331,9 @@ def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
 
     The decode step picks the best codevector pair per frame; the theta
     step maximizes the negated total cost with the picked pairs fixed.
+    gvq_score checks the frames against the codebooks.
     """
-    y_seq = _check_pair(y_seq, cb_x, cb_v)
+    y_seq = np.asarray(y_seq, dtype=np.float64)
     R = y_seq.shape[0]
 
     def decode(chunks, thetas):

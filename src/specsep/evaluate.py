@@ -14,7 +14,7 @@ from .gain import estimate_gy
 from .models import HmmModel, ModelMismatchError, load_model
 from .separate import model_kind, separate
 from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
-                     overlap_add, read_wav)
+                     _check_settings, read_wav, synthesize)
 
 SNR_CAP_DB = 100.0
 
@@ -89,9 +89,7 @@ def _frames_to_signal(log_frames, cfg, sample_rate, rng):
     Hann overlap-add."""
     phase = rng.uniform(0.0, 2.0 * np.pi, log_frames.shape)
     phase[:, [0, -1]] = 0.0             # DC and Nyquist stay real
-    spec = 10.0 ** log_frames * np.exp(1j * phase)
-    frames = np.fft.irfft(spec, n=cfg.dft_size, axis=1)[:, : cfg.frame_len]
-    out = overlap_add(frames * cfg.synthesis_window(), cfg.hop)
+    out = synthesize(10.0 ** log_frames * np.exp(1j * phase), cfg)
     peak = np.max(np.abs(out))
     if peak > 0:
         out = out / peak * 0.5
@@ -168,33 +166,42 @@ def _resolve_source(spec_entry, sample_rate, cfg, default_seed=0):
     raise ValueError(f"source entry needs 'wav' or 'synth': {spec_entry}")
 
 
-def _run_single(pair, theta, method, models, cfg, options):
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised: a batch stores a failure and
+    reports it in the rows it affects instead of stopping."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - failures become CSV rows
+        return exc
+
+
+def _separate_row(row, sources, models, theta, method, cfg, options):
+    """Mix the pair's two sources at theta, separate the mixture with the
+    method's two models and fill row's result columns."""
+    (x, v), (model_x, model_v) = sources, models
+    mixture, gx, gv = mix_at_tir(x, v, theta)
+    x_hat, v_hat, diag = separate(mixture, model_x, model_v, cfg,
+                                  method=method, **options)
+    ref_x = AudioSignal(gx * x.samples[: len(mixture)], x.sample_rate)
+    ref_v = AudioSignal(gv * v.samples[: len(mixture)], v.sample_rate)
+    row["theta_hat"] = f"{diag['theta_hat']:.4f}"
+    row["iterations"] = diag["iterations"]
+    row["snr_target_db"] = f"{snr(ref_x, x_hat):.4f}"
+    row["snr_interf_db"] = f"{snr(ref_v, v_hat):.4f}"
+    row["logprob"] = f"{diag['logprob']:.6g}"
+
+
+def _run_single(pair_id, sources, theta, method, models, cfg, options):
     """One (pair, theta, method) run; never raises, returns a row dict.
-    A pair or models that failed to load hold the exception, which is not
+    sources (the pair's two signals) and models (the method's two models)
+    may hold the exception that their resolution raised, which is not
     raised again: threads share it, and each raise extends its traceback."""
-    row = {"pair_id": pair["id"], "method": method, "theta_true": theta,
-           "theta_hat": "", "iterations": "", "snr_target_db": "",
-           "snr_interf_db": "", "logprob": "", "wall_ms": "", "error": ""}
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(pair_id=pair_id, method=method, theta_true=theta)
     t0 = time.perf_counter()
-    error = pair.get("error")
-    if error is None and isinstance(models[method], Exception):
-        error = models[method]
-    if error is None:
-        try:
-            x, v = pair["target_signal"], pair["interf_signal"]
-            mixture, gx, gv = mix_at_tir(x, v, theta)
-            model_x, model_v = models[method]
-            x_hat, v_hat, diag = separate(mixture, model_x, model_v, cfg,
-                                          method=method, **options)
-            ref_x = AudioSignal(gx * x.samples[: len(mixture)], x.sample_rate)
-            ref_v = AudioSignal(gv * v.samples[: len(mixture)], v.sample_rate)
-            row["theta_hat"] = f"{diag['theta_hat']:.4f}"
-            row["iterations"] = diag["iterations"]
-            row["snr_target_db"] = f"{snr(ref_x, x_hat):.4f}"
-            row["snr_interf_db"] = f"{snr(ref_v, v_hat):.4f}"
-            row["logprob"] = f"{diag['logprob']:.6g}"
-        except Exception as exc:  # noqa: BLE001 - errors become CSV rows
-            error = exc
+    stored = [s for s in (sources, models) if isinstance(s, Exception)]
+    error = stored[0] if stored else _attempt(
+        _separate_row, row, sources, models, theta, method, cfg, options)
     if error is not None:
         row["error"] = f"{type(error).__name__}: {error}"
     row["wall_ms"] = f"{(time.perf_counter() - t0) * 1e3:.1f}"
@@ -214,8 +221,9 @@ def _check_manifest(manifest):
     """Raise ValueError unless manifest is an object whose required keys
     theta_grid (numbers), methods (strings) and pairs hold arrays and
     models an object, every pair is an object with an id, the ids are all
-    strings or all numbers, and the optional framing is an object and
-    sample_rate, seed and jobs are numbers."""
+    strings or all numbers, the optional framing is an object, sample_rate
+    and each framing setting are positive integers, and seed and jobs are
+    numbers."""
     if not isinstance(manifest, dict):
         raise ValueError("manifest must be a JSON object, got "
                          f"{type(manifest).__name__}")
@@ -232,9 +240,13 @@ def _check_manifest(manifest):
         raise ValueError("manifest 'theta_grid' must hold only numbers")
     if not all(isinstance(m, str) for m in manifest["methods"]):
         raise ValueError("manifest 'methods' must hold only strings")
-    if not isinstance(manifest.get("framing", {}), dict):
+    framing = manifest.get("framing", {})
+    if not isinstance(framing, dict):
         raise ValueError("manifest 'framing' must be an object")
-    for key in ("sample_rate", "seed", "jobs"):
+    # int() would run a hop of 80.7 as 80 and one of true as 1
+    _check_settings({**framing, "sample_rate": manifest.get(
+        "sample_rate", DEFAULT_SAMPLE_RATE)}, "manifest")
+    for key in ("seed", "jobs"):
         if key in manifest and not _is_number(manifest[key]):
             raise ValueError(f"manifest '{key}' must be a number")
     for idx, entry in enumerate(manifest["pairs"]):
@@ -260,9 +272,9 @@ def run_experiment(manifest, out_csv, jobs=None):
     fix_theta.  A manifest that is not an object, lacks a required key,
     holds a value of the wrong kind (a theta that is not a number, a
     method that is not a string, ids that mix strings and numbers, a
-    framing that is not an object, a sample_rate, seed or jobs that is
-    not a number) or a pair without an id raises ValueError before any
-    run;
+    framing that is not an object, a sample_rate or framing setting that
+    is not a positive integer, a seed or jobs that is not a number) or a
+    pair without an id raises ValueError before any run;
     failing runs land in the CSV with an error column rather than
     aborting the batch.  Returns a summary dict of
     per-(theta, method) means.
@@ -277,47 +289,37 @@ def run_experiment(manifest, out_csv, jobs=None):
     options = {k: manifest[k] for k in ("theta0", "fix_theta")
                if k in manifest}
 
-    model_paths = manifest["models"]
     cache = {}   # model path -> the model, or the exception its load raised
-    models = {}  # method -> (model_x, model_v), or the exception to report
-    for method in methods:
-        try:
-            kind = model_kind(method)
-            paths = (model_paths[f"{kind}_x"], model_paths[f"{kind}_v"])
-        except Exception as exc:  # noqa: BLE001 - bad methods become rows
-            models[method] = exc
-            continue
+
+    def load_pair(method):
+        kind = model_kind(method)
+        paths = [manifest["models"][f"{kind}_{role}"] for role in "xv"]
         for path in paths:
             if path not in cache:
-                try:
-                    cache[path] = load_model(path)
-                except Exception as exc:  # noqa: BLE001 - bad models too
-                    cache[path] = exc
+                cache[path] = _attempt(load_model, path)
         pair = tuple(cache[path] for path in paths)
-        models[method] = next(
-            (m for m in pair if isinstance(m, Exception)), pair)
+        return next((m for m in pair if isinstance(m, Exception)), pair)
+
+    # method -> (model_x, model_v), or the exception to report
+    models = {method: _attempt(load_pair, method) for method in methods}
 
     default_seed = int(manifest.get("seed", 0))
-    pairs = []
-    for idx, entry in enumerate(manifest["pairs"]):
-        try:
-            x = _resolve_source(entry["target"], sample_rate, cfg,
-                                default_seed + 2 * idx)
-            v = _resolve_source(entry["interf"], sample_rate, cfg,
-                                default_seed + 2 * idx + 1)
-            x, v = normalize_equal_power(x, v)
-            pairs.append({"id": entry["id"], "target_signal": x,
-                          "interf_signal": v})
-        except Exception as exc:  # noqa: BLE001 - bad pairs become rows
-            pairs.append({"id": entry["id"], "error": exc})
 
-    tasks = [(pair, theta, method)
-             for pair in pairs for theta in theta_grid for method in methods]
+    def load_sources(idx, entry):
+        seed = default_seed + 2 * idx
+        x = _resolve_source(entry["target"], sample_rate, cfg, seed)
+        v = _resolve_source(entry["interf"], sample_rate, cfg, seed + 1)
+        return normalize_equal_power(x, v)
+
+    pairs = [(entry["id"], _attempt(load_sources, idx, entry))
+             for idx, entry in enumerate(manifest["pairs"])]
+
+    tasks = [(pair_id, sources, theta, method, models[method])
+             for pair_id, sources in pairs
+             for theta in theta_grid for method in methods]
     jobs = max(1, jobs or int(manifest.get("jobs", 1)))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(
-            lambda t: _run_single(t[0], t[1], t[2], models, cfg, options),
-            tasks))
+        rows = list(pool.map(lambda t: _run_single(*t, cfg, options), tasks))
 
     rows.sort(key=lambda r: (r["pair_id"], float(r["theta_true"]),
                              r["method"]))

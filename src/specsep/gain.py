@@ -37,6 +37,15 @@ class GainPair:
     log10_gv: float
 
 
+def _check_theta(theta, name):
+    """Raise ValueError, naming the setting name, unless theta lies in
+    [THETA_MIN_DB, THETA_MAX_DB], the interval a fixed theta must lie in
+    (NaN lies in none)."""
+    if not THETA_MIN_DB <= theta <= THETA_MAX_DB:
+        raise ValueError(f"{name} {theta} dB is outside "
+                         f"[{THETA_MIN_DB}, {THETA_MAX_DB}] dB")
+
+
 def g_of_theta(theta, ctx):
     """log10 gain of the target at ratio theta dB.
 

@@ -1,14 +1,25 @@
-"""The max-combination observation model for log spectra: combining clean
-log-spectral frames under gains, the per-bin dominance rule (the larger
-gain-shifted mean wins, ties to the target), the two frame-against-table
-kernels (exact squared distances for VQ and LBG, diagonal-Gaussian
-log-densities as one GEMM for the HMM tables and Baum-Welch), and the joint
-emission log-likelihoods of mixture frames for every state pair
-(log_b_table) or along fixed paths."""
+"""The max-combination observation model for log spectra: the check that
+mixture frames fit a model pair, combining clean log-spectral frames under
+gains, the per-bin dominance rule (the larger gain-shifted mean wins, ties
+to the target), the two frame-against-table kernels (exact squared
+distances for VQ and LBG, diagonal-Gaussian log-densities as one GEMM for
+the HMM tables and Baum-Welch), and the joint emission log-likelihoods of
+mixture frames for every state pair (log_b_table) or along fixed paths."""
 
 import numpy as np
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _check_pair(y_seq, model_x, model_v):
+    """y_seq as a float64 (R, dim) array, R >= 1, whose dim both models
+    share; ValueError otherwise."""
+    y_seq = np.asarray(y_seq, dtype=np.float64)
+    if y_seq.ndim != 2 or y_seq.shape[0] == 0:
+        raise ValueError("empty input")
+    if model_x.dim != y_seq.shape[1] or model_v.dim != y_seq.shape[1]:
+        raise ValueError("model dimension does not match frames")
+    return y_seq
 
 
 def mixmax_combine(x, v, gp):
@@ -21,19 +32,26 @@ def mixmax_combine(x, v, gp):
     v = np.asarray(v, dtype=np.float64)
     if x.shape[-1] != v.shape[-1]:
         raise ValueError(f"dimension mismatch: {x.shape} vs {v.shape}")
-    return np.maximum(x + gp.log10_gx, v + gp.log10_gv)
+    return dominant(x, v, gp)[1]
 
 
 def dominant(mean_x, mean_v, gp):
     """Per-bin dominance of two gain-shifted means (broadcasting).
 
-    Returns (target_wins, winning mean); exact ties go to the target.
-    Every production path that assigns a bin to a source uses this rule.
+    Returns (target_wins, winning mean); exact ties go to the target, and
+    a NaN mean makes the winning mean NaN.  Every production path that
+    assigns a bin to a source uses this rule.
     """
     m_x = mean_x + gp.log10_gx
     m_v = mean_v + gp.log10_gv
-    target_wins = m_x >= m_v
-    return target_wins, np.where(target_wins, m_x, m_v)
+    return m_x >= m_v, np.maximum(m_x, m_v)
+
+
+def _dominant_gaussian(mean_x, var_x, mean_v, var_v, gp):
+    """Per-bin winning gain-shifted mean and the winning source's
+    variance (broadcasting)."""
+    target_wins, m_max = dominant(mean_x, mean_v, gp)
+    return m_max, np.where(target_wins, var_x, var_v)
 
 
 def sq_dist(frames, centers):
@@ -89,17 +107,15 @@ def log_b_table(y_seq, model_x, model_v, gp):
     The dominant-mean/variance choice per (j, k, d) depends only on the
     gains, so it is made once for all frames.
     """
-    target_wins, m_max = dominant(model_x.means[:, None, :],  # (K, K, dim)
-                                  model_v.means[None, :, :], gp)
-    var_max = np.where(target_wins, model_x.vars[:, None, :],
-                       model_v.vars[None, :, :])
+    m_max, var_max = _dominant_gaussian(                      # (K, K, dim)
+        model_x.means[:, None, :], model_x.vars[:, None, :],
+        model_v.means[None, :, :], model_v.vars[None, :, :], gp)
     return log_gauss_table(y_seq, m_max, var_max)
 
 
 def path_emission_loglik(y_seq, mean_x, var_x, mean_v, var_v, gp):
     """Sum over frames of the joint emission log-likelihood along fixed
     paths, given the per-frame state means and variances of each chain."""
-    target_wins, m_max = dominant(mean_x, mean_v, gp)
-    var_max = np.where(target_wins, var_x, var_v)
+    m_max, var_max = _dominant_gaussian(mean_x, var_x, mean_v, var_v, gp)
     terms = (y_seq - m_max) ** 2 / var_max + np.log(var_max) + LOG_2PI
     return float(-0.5 * terms.sum())

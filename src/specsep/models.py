@@ -7,13 +7,12 @@ likelihoods are natural-log; the spectral features themselves stay in
 log10-magnitude units.  The two bases never mix.
 """
 
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mixmax import log_gauss_table
-from .signal import FramingConfig
+from .signal import _check_settings
 
 VARIANCE_FLOOR = 1e-4
 PI_FLOOR = 1e-6
@@ -43,12 +42,7 @@ def check_model(model, shapes, variances):
     if np.any(getattr(model, variances) < VARIANCE_FLOOR):
         raise ModelMismatchError(
             f"{variances} has values below {VARIANCE_FLOOR:g}")
-    for key in ("sample_rate", *(f.name for f in fields(FramingConfig))):
-        value = model.meta.get(key)
-        if value is not None and not (isinstance(value, numbers.Integral)
-                                      and value > 0):
-            raise ModelMismatchError(
-                f"recorded {key}={value!r} is not a positive integer")
+    _check_settings(model.meta, "recorded", ModelMismatchError)
 
 
 @dataclass
@@ -128,8 +122,10 @@ def init_hmm_from_codebook(cb):
 
     State means/variances come from the codevectors and cluster variances;
     initial probabilities are occupancy fractions (floored at PI_FLOOR and
-    renormalized); transitions start uniform at 1/K.
+    renormalized); transitions start uniform at 1/K.  A codebook that
+    fails Codebook.validate raises ModelMismatchError.
     """
+    cb.validate()
     K = cb.K
     occ = np.asarray(cb.occupancy, dtype=np.float64)
     pi = occ / occ.sum()
@@ -270,9 +266,10 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
 
 
 def _meta_to_arrays(meta):
+    # numpy sizes the string arrays, so nothing is cut short
     keys = sorted(meta)
-    return (np.array(keys, dtype="U64"),
-            np.array([str(meta[k]) for k in keys], dtype="U64"))
+    return (np.array(keys, dtype=str),
+            np.array([str(meta[k]) for k in keys], dtype=str))
 
 
 def _meta_from_arrays(keys, values):
@@ -297,13 +294,11 @@ def save_model(model, path):
         kind = "hmm"
         arrays = dict(pi=model.pi, trans=model.trans,
                       means=model.means, variances=model.vars)
-        K, dim = model.K, model.dim
     elif isinstance(model, Codebook):
         kind = "vq"
         arrays = dict(codevectors=model.codevectors,
                       cluster_variances=model.cluster_variances,
                       occupancy=model.occupancy.astype("<i8"))
-        K, dim = model.K, model.dim
     else:
         raise TypeError(f"cannot save object of type {type(model).__name__}")
     meta_keys, meta_values = _meta_to_arrays(model.meta)
@@ -315,8 +310,8 @@ def save_model(model, path):
                  magic=np.array(MODEL_MAGIC),
                  version=np.array(MODEL_VERSION, dtype="<i8"),
                  kind=np.array(kind),
-                 K=np.array(K, dtype="<i8"),
-                 dim=np.array(dim, dtype="<i8"),
+                 K=np.array(model.K, dtype="<i8"),
+                 dim=np.array(model.dim, dtype="<i8"),
                  meta_keys=meta_keys,
                  meta_values=meta_values,
                  **arrays)

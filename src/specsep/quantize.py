@@ -4,7 +4,7 @@ VQ decoder that matches each observed frame against all codevector pairs."""
 import numpy as np
 
 from .gain import gains_from_theta
-from .mixmax import mixmax_combine, sq_dist
+from .mixmax import _check_pair, mixmax_combine, sq_dist
 from .models import VARIANCE_FLOOR, Codebook
 
 SPLIT_DELTA = 0.01
@@ -105,13 +105,10 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     maximum is nearest in squared error; ties pick the smallest target
     index, then the smallest interference index.  Returns (idx_x, idx_v, Q)
     where Q is the negated total cost; Q <= 0, with equality only when
-    every frame is exactly representable.
+    every frame is exactly representable.  Frames that are empty or do not
+    match the codebooks' dimension raise ValueError.
     """
-    y_seq = np.asarray(y_seq, dtype=np.float64)
-    if y_seq.ndim != 2 or y_seq.shape[0] == 0:
-        raise ValueError("empty input")
-    if cb_x.dim != y_seq.shape[1] or cb_v.dim != y_seq.shape[1]:
-        raise ValueError("codebook dimension does not match frames")
+    y_seq = _check_pair(y_seq, cb_x, cb_v)
     gp = gains_from_theta(theta, ctx)
     combined = mixmax_combine(cb_x.codevectors[:, None, :],  # (K, K, dim)
                               cb_v.codevectors[None, :, :], gp)

@@ -8,8 +8,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import decode as _decode
-from .gain import (THETA_MAX_DB, THETA_MIN_DB, GainContext, estimate_gy,
-                   gains_from_theta)
+from .gain import GainContext, _check_theta, estimate_gy, gains_from_theta
 from .mixmax import dominant
 from .models import Codebook, HmmModel, ModelMismatchError
 # perfbench's traced run patches this name here; keep it bound
@@ -49,13 +48,6 @@ def model_kind(method):
     return METHODS[method]
 
 
-def _require_kind(model, cls, role, method):
-    if not isinstance(model, cls):
-        raise ModelMismatchError(
-            f"method '{method}' needs a {cls.__name__} for the {role} "
-            f"speaker, got {type(model).__name__}")
-
-
 def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
              fix_theta=None, gy_over_g0=None, outer_tol=None,
              max_outer=None, mega_frame_seconds=MEGA_FRAME_SECONDS):
@@ -69,7 +61,9 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
     method : "gfhmm" | "gvq" | "fhmm" | "vq"; the latter two are the
         non-gain-adapted baselines, realized as the same decoders with
         theta frozen at 0 and both gains forced to 1
-    theta0 : starting theta for the alternating estimation (dB)
+    theta0 : starting theta for the alternating estimation (dB); a
+        non-finite one raises ValueError, a finite one is clamped into
+        [THETA_MIN_DB, THETA_MAX_DB]
     fix_theta : skip theta estimation and decode once at this value (dB);
         it must lie in [THETA_MIN_DB, THETA_MAX_DB], i.e. +/-15 dB
     gy_over_g0 : override the estimated g_y/G0 ratio (testing hook; the
@@ -90,11 +84,13 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
     """
     hmm_based = model_kind(method) == "hmm"
     cls = HmmModel if hmm_based else Codebook
-    _require_kind(model_x, cls, "target", method)
-    _require_kind(model_v, cls, "interference", method)
     n_bins = cfg.n_bins
     setting = {"sample_rate": mixture.sample_rate, **asdict(cfg)}
     for role, m in (("target", model_x), ("interference", model_v)):
+        if not isinstance(m, cls):
+            raise ModelMismatchError(
+                f"method '{method}' needs a {cls.__name__} for the {role} "
+                f"speaker, got {type(m).__name__}")
         m.validate()
         if m.dim != n_bins:
             raise ModelMismatchError(
@@ -127,11 +123,10 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
                 f"mega_frame_seconds {mega_frame_seconds} gives {frames} "
                 "frames per window; need at least 1 after rounding")
         frames_per_chunk = int(round(frames))
+    if not math.isfinite(float(theta0)):
+        raise ValueError(f"theta0 {theta0} dB is not a finite number")
     if fix_theta is not None:
-        if not THETA_MIN_DB <= fix_theta <= THETA_MAX_DB:
-            raise ValueError(
-                f"fix_theta {fix_theta} dB is outside "
-                f"[{THETA_MIN_DB}, {THETA_MAX_DB}] dB")
+        _check_theta(fix_theta, "fix_theta")
         # a fixed theta is one whole-sequence decode with no outer rounds
         theta0, max_outer, frames_per_chunk = fix_theta, 0, None
     chunks = _decode.mega_frame_slices(R, frames_per_chunk)

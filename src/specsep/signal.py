@@ -1,6 +1,7 @@
 """Time-domain framing, log-spectral analysis, binary-mask filtering with
 overlap-add synthesis, and 16-bit PCM mono WAV I/O."""
 
+import numbers
 import wave
 from dataclasses import dataclass, fields
 
@@ -67,6 +68,17 @@ class FramingConfig:
         return np.hanning(self.frame_len)
 
 
+def _check_settings(recorded, what, error=ValueError):
+    """Raise error unless sample_rate and each FramingConfig field that the
+    dict recorded holds is a positive integer (not a bool, not None), as
+    in a model's meta or a manifest; what starts the message."""
+    for key in ("sample_rate", *(f.name for f in fields(FramingConfig))):
+        value = recorded.get(key, 1)
+        if isinstance(value, bool) or not (
+                isinstance(value, numbers.Integral) and value > 0):
+            raise error(f"{what} {key}={value!r} is not a positive integer")
+
+
 def frame_signal(signal, cfg):
     """Split a signal into overlapping frames.
 
@@ -84,12 +96,28 @@ def frame_signal(signal, cfg):
     return sliding_window_view(x, cfg.frame_len)[::cfg.hop].copy()
 
 
+def _analyze(signal, cfg):
+    """The (R, D/2+1) half spectra of a signal's Hamming-windowed frames:
+    the analysis path of both the features and the mask filtering."""
+    frames = frame_signal(signal, cfg)
+    return np.fft.rfft(frames * cfg.analysis_window(), n=cfg.dft_size, axis=1)
+
+
+def synthesize(spec, cfg):
+    """Overlap-add (..., R, D/2+1) half spectra back into (..., n) signals,
+    n = (R-1)*hop + frame_len: the inverse real DFT of each frame, cut to
+    frame_len samples and Hann-windowed.  The one synthesis path of mask
+    filtering and of synthetic sources."""
+    frames = np.fft.irfft(spec, n=cfg.dft_size, axis=-1)[..., :cfg.frame_len]
+    # windowed in place: the caller's spectra stay alive during this call,
+    # so one more frame-sized temporary would raise the peak memory
+    frames *= cfg.synthesis_window()
+    return overlap_add(frames, cfg.hop)
+
+
 def log_spectra(signal, cfg):
     """Frame a signal and return its (R, D/2+1) log-spectral matrix."""
-    frames = frame_signal(signal, cfg)
-    win = cfg.analysis_window()
-    spec = np.fft.rfft(frames * win, n=cfg.dft_size, axis=1)
-    mag = np.maximum(np.abs(spec), LOG_FLOOR)
+    mag = np.maximum(np.abs(_analyze(signal, cfg)), LOG_FLOOR)
     return np.log10(mag)
 
 
@@ -105,8 +133,8 @@ def apply_masks_and_reconstruct(mixture, masks_x, masks_v, cfg):
 
     Returns (x_hat, v_hat) as AudioSignals of length (R-1)*hop + frame_len.
     """
-    frames = frame_signal(mixture, cfg)
-    R = frames.shape[0]
+    spec = _analyze(mixture, cfg)
+    R = spec.shape[0]
     masks_x = np.asarray(masks_x, dtype=np.float64)
     masks_v = np.asarray(masks_v, dtype=np.float64)
     if masks_x.shape[0] != R or masks_v.shape[0] != R:
@@ -116,15 +144,10 @@ def apply_masks_and_reconstruct(mixture, masks_x, masks_v, cfg):
     if masks_x.shape[1] != cfg.n_bins or masks_v.shape[1] != cfg.n_bins:
         raise ValueError("mask dimension does not match DFT bins")
 
-    win_a = cfg.analysis_window()
-    win_s = cfg.synthesis_window()
-    spec = np.fft.rfft(frames * win_a, n=cfg.dft_size, axis=1)
-
     # inverse DFT of a masked half spectrum is real by construction
-    masked = np.fft.irfft(spec * np.stack([masks_x, masks_v]),
-                          n=cfg.dft_size, axis=2)
-    out_x, out_v = overlap_add(masked[..., : cfg.frame_len] * win_s, cfg.hop)
-    envelope = overlap_add(np.broadcast_to(win_a * win_s, frames.shape),
+    out_x, out_v = synthesize(spec * np.stack([masks_x, masks_v]), cfg)
+    window = cfg.analysis_window() * cfg.synthesis_window()
+    envelope = overlap_add(np.broadcast_to(window, (R, cfg.frame_len)),
                            cfg.hop)
     envelope = np.maximum(envelope, 1e-3)
     return (AudioSignal(out_x / envelope, mixture.sample_rate),

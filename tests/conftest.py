@@ -11,8 +11,8 @@ from specsep import (AudioSignal, FramingConfig, HmmModel, baum_welch,
                      gains_from_theta, init_hmm_from_codebook,
                      mixmax_combine, sample_hmm_frames, synth_source,
                      train_lbg)
-from specsep.decode import _check_pair
-from specsep.mixmax import LOG_2PI, log_gauss_table, path_emission_loglik
+from specsep.mixmax import (LOG_2PI, _check_pair, log_gauss_table,
+                            path_emission_loglik)
 from specsep.signal import log_spectra
 
 
@@ -45,7 +45,8 @@ def malformed(model, defect):
 MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
                     "pair_without_id", "scalar_theta_grid", "top_level_list",
                     "mixed_pair_ids", "mixed_methods", "null_theta",
-                    "scalar_framing", "null_sample_rate")
+                    "scalar_framing", "null_sample_rate", "fractional_hop",
+                    "boolean_hop", "fractional_sample_rate")
 
 
 def broken_manifest(defect):
@@ -69,6 +70,12 @@ def broken_manifest(defect):
         return {**manifest, "framing": 3}
     if defect == "null_sample_rate":
         return {**manifest, "sample_rate": None}
+    if defect == "fractional_hop":
+        return {**manifest, "framing": {"hop": 80.7}}
+    if defect == "boolean_hop":
+        return {**manifest, "framing": {"hop": True}}
+    if defect == "fractional_sample_rate":
+        return {**manifest, "sample_rate": 8000.5}
     if defect == "pair_without_id":
         return {**manifest, "pairs": [{"target": {"wav": "x.wav"},
                                        "interf": {"wav": "v.wav"}}]}

@@ -287,6 +287,19 @@ class TestSeparate:
         assert rc == 1
         assert not (tmp / "oor_x.wav").exists()
 
+    def test_nonfinite_theta0_exits_1(self, speaker_dirs, cli_models,
+                                      mixture_file, capsys):
+        tmp = speaker_dirs["tmp"]
+        rc = main(["separate", "--mixture", str(mixture_file),
+                   "--model-x", str(cli_models["hmm_a"]),
+                   "--model-v", str(cli_models["hmm_b"]),
+                   "--method", "gfhmm", "--theta0", "nan",
+                   "--out-x", str(tmp / "nan_x.wav"),
+                   "--out-v", str(tmp / "nan_v.wav")])
+        assert rc == 1
+        assert "theta0" in capsys.readouterr().err
+        assert not (tmp / "nan_x.wav").exists()
+
 
 class TestFramingCheck:
     @pytest.fixture(scope="class")

@@ -76,6 +76,15 @@ class TestParallelViterbi:
         with pytest.raises(ValueError, match="empty"):
             parallel_viterbi(np.zeros((0, 3)), m, m, 0.0, ctx)
 
+    def test_theta_outside_search_interval_rejected(self, ctx):
+        rng = np.random.default_rng(4)
+        m = random_hmm(rng, K=2, dim=3)
+        y = rng.normal(0, 1, (4, 3))
+        for bad in (20.0, float("nan")):
+            with pytest.raises(ValueError, match="outside"):
+                parallel_viterbi(y, m, m, bad, ctx)
+        assert parallel_viterbi(y, m, m, 15.0, ctx).theta_hat == 15.0
+
 
 class TestBruteForceOracle:
     def test_k1_any_r_matches(self, ctx):
@@ -363,10 +372,12 @@ class TestGfhmmInfer:
         mv = structured_hmm(rng, K=4, dim=12)
         y = sampled_feature_mixture(mx, mv, 5.0, ctx, 50, seed=21)
         res = gfhmm_infer(y, mx, mv, ctx, theta0=-3.7, max_outer=0)
-        ref = parallel_viterbi(y, mx, mv, -3.7, ctx)
-        np.testing.assert_array_equal(res.path_x, ref.path_x)
-        np.testing.assert_array_equal(res.path_v, ref.path_v)
-        assert res.logprob == ref.logprob
+        b = log_b_table(y, mx, mv, gains_from_theta(-3.7, ctx))
+        path_x, path_v, logprob = _viterbi_from_table(
+            b, mx.pi, mv.pi, mx.trans, mv.trans)
+        np.testing.assert_array_equal(res.path_x, path_x)
+        np.testing.assert_array_equal(res.path_v, path_v)
+        assert res.logprob == logprob
         assert res.iterations == 0
         assert res.theta_hat == -3.7
         assert res.theta_per_chunk == (-3.7,)

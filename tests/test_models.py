@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specsep import (Codebook, HmmModel, ModelMismatchError, baum_welch,
@@ -89,6 +89,12 @@ class TestInitFromCodebook:
         model = init_hmm_from_codebook(cb)
         np.testing.assert_array_equal(model.means, cvs)
         np.testing.assert_array_equal(model.vars, cvars)
+
+    def test_malformed_codebook_rejected(self):
+        cb = Codebook(np.zeros((2, 3)), np.full((2, 3), 0.5),
+                      np.array([5, 3]))
+        with pytest.raises(ModelMismatchError, match="occupancy"):
+            init_hmm_from_codebook(malformed(cb, "negative_occupancy"))
 
 
 class TestBaumWelch:
@@ -257,9 +263,10 @@ class TestPersistence:
                "dft_size": st.integers(1, 8192),
                # letters only, and none of the words float() parses
                "speaker": st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1,
-                                  max_size=20).filter(
+                                  max_size=100).filter(
                    lambda s: s not in ("inf", "infinity", "nan")),
                "gain": st.floats(allow_nan=False, allow_infinity=False)}))
+    @example(hmm=False, K=2, dim=3, seed=0, meta={"speaker": "ab" * 50})
     def test_round_trip_property(self, tmp_path_factory, hmm, K, dim, seed,
                                  meta):
         rng = np.random.default_rng(seed)

@@ -268,6 +268,17 @@ class TestSeparatePipeline:
                               method="gvq", fix_theta=-15.0)
         assert diag["theta_hat"] == -15.0
 
+    def test_nonfinite_theta0_rejected(self, framing, trained_models,
+                                       mixture_setup):
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 6.0)
+        for method, kind in (("gfhmm", "hmm"), ("gvq", "cb")):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="theta0"):
+                    separate(y, trained_models[f"{kind}_a"],
+                             trained_models[f"{kind}_b"], framing,
+                             method=method, theta0=bad)
+
     def test_mega_frames_on_long_mixture(self, framing, speaker_generators,
                                          trained_models):
         gen_a, gen_b = speaker_generators
