@@ -7,6 +7,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
@@ -221,9 +222,9 @@ def _check_manifest(manifest):
     """Raise ValueError unless manifest is an object whose required keys
     theta_grid (numbers), methods (strings) and pairs hold arrays and
     models an object, every pair is an object with an id, the ids are all
-    strings or all numbers, the optional framing is an object, sample_rate
-    and each framing setting are positive integers, and seed and jobs are
-    numbers."""
+    strings or all numbers, the optional framing is an object holding only
+    FramingConfig fields, sample_rate and each framing setting are positive
+    integers, and seed and jobs are numbers."""
     if not isinstance(manifest, dict):
         raise ValueError("manifest must be a JSON object, got "
                          f"{type(manifest).__name__}")
@@ -243,6 +244,12 @@ def _check_manifest(manifest):
     framing = manifest.get("framing", {})
     if not isinstance(framing, dict):
         raise ValueError("manifest 'framing' must be an object")
+    # FramingConfig.from_meta would run a misspelt key at the default
+    known = [f.name for f in fields(FramingConfig)]
+    for key in framing:
+        if key not in known:
+            raise ValueError(f"manifest 'framing' has unknown key {key!r} "
+                             f"(known: {', '.join(known)})")
     # int() would run a hop of 80.7 as 80 and one of true as 1
     _check_settings({**framing, "sample_rate": manifest.get(
         "sample_rate", DEFAULT_SAMPLE_RATE)}, "manifest")
@@ -272,11 +279,11 @@ def run_experiment(manifest, out_csv, jobs=None):
     fix_theta.  A manifest that is not an object, lacks a required key,
     holds a value of the wrong kind (a theta that is not a number, a
     method that is not a string, ids that mix strings and numbers, a
-    framing that is not an object, a sample_rate or framing setting that
-    is not a positive integer, a seed or jobs that is not a number) or a
-    pair without an id raises ValueError before any run;
-    failing runs land in the CSV with an error column rather than
-    aborting the batch.  Returns a summary dict of
+    framing that is not an object or holds a key other than frame_len, hop
+    and dft_size, a sample_rate or framing setting that is not a positive
+    integer, a seed or jobs that is not a number) or a pair without an id
+    raises ValueError before any run; failing runs land in the CSV with an
+    error column rather than aborting the batch.  Returns a summary dict of
     per-(theta, method) means.
     """
     if isinstance(manifest, (str, bytes, os.PathLike)):

@@ -17,16 +17,19 @@ THETA_MAX_DB = 15.0
 
 @dataclass(frozen=True)
 class GainContext:
-    """Observation gain g_y and nominal source gain G0."""
+    """Observation gain g_y and nominal source gain G0, both finite and
+    positive (ValueError otherwise)."""
 
     g_y: float
     G0: float = 1.0
 
     def __post_init__(self):
-        if not (self.g_y > 0.0):
-            raise ValueError("g_y must be positive")
-        if not (self.G0 > 0.0):
-            raise ValueError("G0 must be positive")
+        # an infinite gain would only surface later, as a non-finite score
+        for name in ("g_y", "G0"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value}")
 
 
 @dataclass(frozen=True)

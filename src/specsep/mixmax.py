@@ -1,10 +1,12 @@
 """The max-combination observation model for log spectra: the check that
 mixture frames fit a model pair, combining clean log-spectral frames under
 gains, the per-bin dominance rule (the larger gain-shifted mean wins, ties
-to the target), the two frame-against-table kernels (exact squared
-distances for VQ and LBG, diagonal-Gaussian log-densities as one GEMM for
-the HMM tables and Baum-Welch), and the joint emission log-likelihoods of
-mixture frames for every state pair (log_b_table) or along fixed paths."""
+to the target), the frame-block size of the blocked kernels, the two
+frame-against-table kernels (exact squared distances for LBG,
+diagonal-Gaussian log-densities as one GEMM for the HMM tables and
+Baum-Welch), and the joint emission log-likelihoods of mixture frames for
+every state pair (log_b_table) or along fixed paths.  The VQ pair costs
+(quantize.gvq_score) take their tie rule and frame blocks from here."""
 
 import numpy as np
 
@@ -40,11 +42,17 @@ def dominant(mean_x, mean_v, gp):
 
     Returns (target_wins, winning mean); exact ties go to the target, and
     a NaN mean makes the winning mean NaN.  Every production path that
-    assigns a bin to a source uses this rule.
+    assigns a bin to a source uses this rule (_target_wins).
     """
     m_x = mean_x + gp.log10_gx
     m_v = mean_v + gp.log10_gv
-    return m_x >= m_v, np.maximum(m_x, m_v)
+    return _target_wins(m_x, m_v), np.maximum(m_x, m_v)
+
+
+def _target_wins(m_x, m_v):
+    """The tie rule on already gain-shifted means (broadcasting): the
+    target wins a bin unless the interference is strictly larger."""
+    return m_x >= m_v
 
 
 def _dominant_gaussian(mean_x, var_x, mean_v, var_v, gp):
@@ -54,23 +62,27 @@ def _dominant_gaussian(mean_x, var_x, mean_v, var_v, gp):
     return m_max, np.where(target_wins, var_x, var_v)
 
 
-def sq_dist(frames, centers):
-    """Squared distances of every frame to every center, summed over bins.
-
-    frames is (R, dim); centers is (K, dim) or (K_x, K_v, dim).  Returns
-    (R, K) or (R, K_x, K_v).  This is the exact kernel for the VQ costs and
-    LBG: a frame equal to a center scores exactly 0, which an expanded
-    square would not guarantee.  It scores a block of frames against the
-    whole table at a time, with blocks sized so that the temporaries stay
-    near 256 KiB (at least one frame per block).
-    """
-    rows = np.expand_dims(frames, tuple(range(1, centers.ndim)))
-    out = np.empty(rows.shape[:1] + centers.shape[:-1])
+def _frame_blocks(n_frames, frame_bytes):
+    """Slices that cover n_frames frames in blocks whose temporaries stay
+    near 256 KiB, given the bytes that one frame's temporaries take (at
+    least one frame per block)."""
     # blocks that fit a per-core L2 cache: larger ones (a whole R x K x dim
     # broadcast) are bound by memory traffic, smaller ones by call overhead
-    step = max(1, (1 << 18) // centers.nbytes)
-    for s in range(0, len(rows), step):
-        out[s:s + step] = ((rows[s:s + step] - centers) ** 2).sum(axis=-1)
+    step = max(1, (1 << 18) // frame_bytes)
+    return [slice(s, s + step) for s in range(0, n_frames, step)]
+
+
+def sq_dist(frames, centers):
+    """(R, K) squared distances of every (R, dim) frame to every (K, dim)
+    center, summed over bins.
+
+    This is the exact kernel for LBG: a frame equal to a center scores
+    exactly 0, which an expanded square would not guarantee.  It scores a
+    block of frames against all centers at a time (_frame_blocks).
+    """
+    out = np.empty((len(frames), len(centers)))
+    for sl in _frame_blocks(len(frames), centers.nbytes):
+        out[sl] = ((frames[sl, None, :] - centers) ** 2).sum(axis=-1)
     return out
 
 

@@ -4,7 +4,7 @@ VQ decoder that matches each observed frame against all codevector pairs."""
 import numpy as np
 
 from .gain import gains_from_theta
-from .mixmax import _check_pair, mixmax_combine, sq_dist
+from .mixmax import _check_pair, _frame_blocks, _target_wins, sq_dist
 from .models import VARIANCE_FLOOR, Codebook
 
 SPLIT_DELTA = 0.01
@@ -107,13 +107,36 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     where Q is the negated total cost; Q <= 0, with equality only when
     every frame is exactly representable.  Frames that are empty or do not
     match the codebooks' dimension raise ValueError.
+
+    Which source wins bin d of pair (i, j) depends on the gains only, so
+    the cost is sum_d (y - x_i)^2 wins + sum_d (y - v_j)^2 (1 - wins), with
+    x and v gain-shifted: two batched matrix products of exact squared
+    terms with 0/1 masks.  Every term is >= 0, and a frame equal to a
+    pair's maximum scores exactly 0.
     """
     y_seq = _check_pair(y_seq, cb_x, cb_v)
     gp = gains_from_theta(theta, ctx)
-    combined = mixmax_combine(cb_x.codevectors[:, None, :],  # (K, K, dim)
-                              cb_v.codevectors[None, :, :], gp)
-    cost = sq_dist(y_seq, combined).reshape(y_seq.shape[0], -1)
-    flat = np.argmin(cost, axis=1)     # first occurrence: smallest (i, j)
-    idx_x, idx_v = np.divmod(flat, cb_v.K)
+    shifted_x = cb_x.codevectors + gp.log10_gx
+    shifted_v = cb_v.codevectors + gp.log10_gv
+    wins = _target_wins(shifted_x[:, :, None],          # (K_x, dim, K_v)
+                        shifted_v.T[None, :, :])
+    mask_x = wins.astype(np.float64)
+    mask_v = (~wins).transpose(2, 1, 0).astype(np.float64, order="C")
+    R, K_x, K_v = y_seq.shape[0], cb_x.K, cb_v.K
+    flat = np.empty(R, dtype=np.intp)
+    best = np.empty(R)
+    # one block's squared terms for one codebook, the operand of one
+    # product, take about as much memory as sq_dist's difference block
+    for sl in _frame_blocks(R, max(shifted_x.nbytes, shifted_v.nbytes)):
+        rows = y_seq[sl]
+        cost = np.empty((len(rows), K_x, K_v))
+        np.matmul((rows - shifted_x[:, None, :]) ** 2, mask_x,   # [i, r, j]
+                  out=cost.transpose(1, 0, 2))
+        cost += ((rows - shifted_v[:, None, :]) ** 2             # [j, r, i]
+                 @ mask_v).transpose(1, 2, 0)
+        cost = cost.reshape(len(rows), -1)
+        flat[sl] = np.argmin(cost, axis=1)  # first occurrence: smallest (i, j)
+        best[sl] = cost.min(axis=1)
+    idx_x, idx_v = np.divmod(flat, K_v)
     # a frame-order running total; np.sum and sum() may add in another order
-    return idx_x, idx_v, -float(np.add.accumulate(cost.min(axis=1))[-1])
+    return idx_x, idx_v, -float(np.add.accumulate(best)[-1])

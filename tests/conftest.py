@@ -46,7 +46,8 @@ MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
                     "pair_without_id", "scalar_theta_grid", "top_level_list",
                     "mixed_pair_ids", "mixed_methods", "null_theta",
                     "scalar_framing", "null_sample_rate", "fractional_hop",
-                    "boolean_hop", "fractional_sample_rate")
+                    "boolean_hop", "fractional_sample_rate",
+                    "unknown_framing_key")
 
 
 def broken_manifest(defect):
@@ -74,6 +75,8 @@ def broken_manifest(defect):
         return {**manifest, "framing": {"hop": 80.7}}
     if defect == "boolean_hop":
         return {**manifest, "framing": {"hop": True}}
+    if defect == "unknown_framing_key":
+        return {**manifest, "framing": {"hopp": 40}}
     if defect == "fractional_sample_rate":
         return {**manifest, "sample_rate": 8000.5}
     if defect == "pair_without_id":
@@ -170,6 +173,16 @@ def per_frame_xi_counts(frames, pi, trans, means, variances):
         xi /= xi.sum()
         xi_sum += xi
     return xi_sum
+
+
+def broadcast_gvq_costs(y_seq, cb_x, cb_v, theta, ctx):
+    """(R, K_x, K_v) VQ pair costs by the exact broadcast, the reference for
+    quantize.gvq_score: every pair's gain-shifted maximum, then each
+    frame's squared error against it summed over bins."""
+    combined = mixmax_combine(cb_x.codevectors[:, None, :],  # (K, K, dim)
+                              cb_v.codevectors[None, :, :],
+                              gains_from_theta(theta, ctx))
+    return np.array([((y - combined) ** 2).sum(axis=-1) for y in y_seq])
 
 
 def log_b_jk(y, mean_x, var_x, mean_v, var_v, gp):

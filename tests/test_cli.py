@@ -300,6 +300,23 @@ class TestSeparate:
         assert "theta0" in capsys.readouterr().err
         assert not (tmp / "nan_x.wav").exists()
 
+    @pytest.mark.parametrize("method, kind", [("gfhmm", "hmm"),
+                                              ("gvq", "vq")])
+    def test_nonfinite_gy_over_g0_exits_1(self, speaker_dirs, cli_models,
+                                          mixture_file, method, kind,
+                                          capsys):
+        tmp = speaker_dirs["tmp"]
+        rc = main(["separate", "--mixture", str(mixture_file),
+                   "--model-x", str(cli_models[f"{kind}_a"]),
+                   "--model-v", str(cli_models[f"{kind}_b"]),
+                   "--method", method, "--gy-over-g0", "inf",
+                   "--out-x", str(tmp / "gy_x.wav"),
+                   "--out-v", str(tmp / "gy_v.wav")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "g_y must be finite" in err[0]
+        assert not (tmp / "gy_x.wav").exists()
+
 
 class TestFramingCheck:
     @pytest.fixture(scope="class")

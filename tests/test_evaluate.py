@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib
 import json
 import math
 
@@ -13,6 +14,9 @@ from specsep.models import save_model
 
 from conftest import (CODEBOOK_DEFECTS, HMM_DEFECTS, MANIFEST_DEFECTS,
                       MODEL_DEFECTS, broken_manifest, malformed, overflowing)
+
+# the module, which the package's separate() function shadows
+separate_module = importlib.import_module("specsep.separate")
 
 
 class TestNormalizeEqualPower:
@@ -337,6 +341,37 @@ class TestRunExperiment:
         for row in rows:
             assert row["error"].startswith("NumericError: non-finite")
             assert row["logprob"] == ""
+
+    def test_nonfinite_mixture_level_gives_error_rows(self, experiment_env,
+                                                      monkeypatch):
+        # the batch mixes unit-RMS sources, so an overflowing mixture level
+        # is simulated; the gain-adapted methods reject it as a usage error
+        # before decoding, and the baselines do not use it
+        monkeypatch.setattr(separate_module, "estimate_gy",
+                            lambda signal: float("inf"))
+        env = experiment_env
+        manifest = {
+            "sample_rate": 8000,
+            "theta_grid": [6],
+            "methods": ["gfhmm", "gvq", "fhmm", "vq"],
+            "models": {k: env["paths"][k]
+                       for k in ("hmm_x", "hmm_v", "vq_x", "vq_v")},
+            "pairs": [env["pair_entry"](1)],
+        }
+        out_csv = env["tmp"] / "infinite_gain.csv"
+        run_experiment(manifest, out_csv, jobs=2)
+        with open(out_csv, newline="") as f:
+            rows = {row["method"]: row for row in csv.DictReader(f)}
+        for method in ("gfhmm", "gvq"):
+            assert rows[method]["error"] == ("ValueError: g_y must be "
+                                             "finite and positive, got inf")
+        for method in ("fhmm", "vq"):
+            assert rows[method]["error"] == ""
+
+    def test_unknown_framing_key_named(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown key 'hopp'"):
+            run_experiment(broken_manifest("unknown_framing_key"),
+                           tmp_path / "r.csv")
 
     def test_hmm_sample_from_a_codebook_gives_error_rows(self,
                                                          experiment_env):

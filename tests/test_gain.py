@@ -110,3 +110,13 @@ class TestGainContext:
     def test_rejects_nonpositive_gy(self):
         with pytest.raises(ValueError):
             GainContext(g_y=0.0)
+
+    @pytest.mark.parametrize("name", ["g_y", "G0"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_nonfinite_or_nonpositive_gains(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GainContext(**{"g_y": 1.0, "G0": 1.0, name: bad})
+
+    def test_accepts_large_finite_gains(self):
+        ctx = GainContext(g_y=1e308, G0=1e-300)
+        assert (ctx.g_y, ctx.G0) == (1e308, 1e-300)

@@ -187,24 +187,21 @@ class TestLogBTable:
 
 class TestSqDist:
     @settings(derandomize=True, max_examples=80, deadline=None)
-    @given(R=st.integers(1, 40), K_x=st.integers(1, 6), K_v=st.integers(0, 6),
+    @given(R=st.integers(1, 40), K=st.integers(1, 40),
            dim=st.integers(1, 140), seed=st.integers(0, 2 ** 32 - 1))
-    @example(R=1, K_x=3, K_v=2, dim=129, seed=0)
-    @example(R=1, K_x=2, K_v=0, dim=129, seed=1)
-    @example(R=13, K_x=40, K_v=0, dim=129, seed=2)
-    @example(R=3, K_x=20, K_v=16, dim=129, seed=3)
-    def test_equals_naive_broadcast(self, R, K_x, K_v, dim, seed):
-        # K_v == 0 draws (K, dim) centers, otherwise (K_x, K_v, dim); the
-        # larger examples span several frame blocks of the kernel
+    @example(R=1, K=3, dim=129, seed=0)
+    @example(R=1, K=2, dim=129, seed=1)
+    @example(R=13, K=40, dim=129, seed=2)
+    @example(R=40, K=320, dim=129, seed=3)
+    def test_equals_naive_broadcast(self, R, K, dim, seed):
+        # the larger examples span several frame blocks of the kernel
         rng = np.random.default_rng(seed)
-        shape = (K_x, K_v, dim) if K_v else (K_x, dim)
         frames = rng.normal(0.0, 2.0, (R, dim))
-        centers = rng.normal(0.0, 2.0, shape)
-        diff = frames.reshape((R,) + (1,) * (len(shape) - 1) + (dim,)) \
-            - centers
+        centers = rng.normal(0.0, 2.0, (K, dim))
         got = sq_dist(frames, centers)
-        assert got.shape == (R,) + shape[:-1]
-        np.testing.assert_array_equal(got, (diff ** 2).sum(axis=-1))
+        assert got.shape == (R, K)
+        np.testing.assert_array_equal(
+            got, ((frames[:, None, :] - centers) ** 2).sum(axis=-1))
 
 
 class TestLogGaussTable:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specsep import GainContext, gains_from_theta, gvq_score, mixmax_combine
 from specsep.quantize import Codebook, VARIANCE_FLOOR, train_lbg
+
+from conftest import broadcast_gvq_costs
 
 
 @pytest.fixture
@@ -226,3 +230,57 @@ class TestGvqScore:
         cb = random_codebook(rng, 2, 3)
         with pytest.raises(ValueError, match="empty"):
             gvq_score(np.zeros((0, 3)), cb, cb, 0.0, ctx)
+
+
+class TestGvqKernel:
+    """gvq_score's two masked matrix products against the exact broadcast
+    (conftest.broadcast_gvq_costs)."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(K_x=st.integers(1, 40), K_v=st.integers(1, 40),
+           dim=st.integers(1, 140), R=st.integers(1, 60),
+           duplicates=st.sampled_from(["none", "x", "v", "both"]),
+           theta=st.floats(-15.0, 15.0), g_y=st.floats(0.05, 20.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # the larger codebook sets the frame block: 64 codevectors of 129 bins
+    # give blocks of 3 frames, 5 of them blocks of 50
+    @example(K_x=64, K_v=64, dim=129, R=20, duplicates="both", theta=0.0,
+             g_y=1.0, seed=0)
+    @example(K_x=64, K_v=16, dim=129, R=33, duplicates="v", theta=7.5,
+             g_y=1.0, seed=1)
+    @example(K_x=3, K_v=5, dim=129, R=1, duplicates="x", theta=-4.0,
+             g_y=1.0, seed=2)
+    def test_matches_broadcast(self, K_x, K_v, dim, R, duplicates, theta,
+                               g_y, seed):
+        rng = np.random.default_rng(seed)
+        cb_x, cb_v = random_codebook(rng, K_x, dim), random_codebook(
+            rng, K_v, dim)
+        # a duplicated codevector makes pairs that tie exactly
+        for cb, role in ((cb_x, "x"), (cb_v, "v")):
+            if duplicates in (role, "both") and cb.K > 1:
+                cb.codevectors[-1] = cb.codevectors[0]
+        ctx = GainContext(g_y=g_y)
+        y = rng.normal(0.0, 1.5, (R, dim))
+        ref = broadcast_gvq_costs(y, cb_x, cb_v, theta, ctx).reshape(R, -1)
+        idx_x, idx_v, q = gvq_score(y, cb_x, cb_v, theta, ctx)
+        eps = np.finfo(float).eps
+        best = ref.min(axis=1)
+        # the chosen pair is a best pair up to rounding; where the best two
+        # costs differ by more than rounding it is the reference's choice
+        chosen = ref[np.arange(R), idx_x * K_v + idx_v]
+        assert np.all(chosen <= best * (1 + 8 * dim * eps))
+        if K_x * K_v > 1:
+            second = np.partition(ref, 1, axis=1)[:, 1]
+            clear = second - best > 8 * dim * eps * best
+            flat = np.argmin(ref, axis=1)
+            np.testing.assert_array_equal(idx_x[clear], flat[clear] // K_v)
+            np.testing.assert_array_equal(idx_v[clear], flat[clear] % K_v)
+        q_ref = -float(np.add.accumulate(best)[-1])
+        assert abs(q - q_ref) <= 4 * dim * eps * abs(q_ref)
+        assert q <= 0.0
+
+        # frames built exactly from pairs score exactly 0
+        pi, pj = rng.integers(0, K_x, R), rng.integers(0, K_v, R)
+        planted = mixmax_combine(cb_x.codevectors[pi], cb_v.codevectors[pj],
+                                 gains_from_theta(theta, ctx))
+        assert gvq_score(planted, cb_x, cb_v, theta, ctx)[2] == 0.0

@@ -279,6 +279,18 @@ class TestSeparatePipeline:
                              trained_models[f"{kind}_b"], framing,
                              method=method, theta0=bad)
 
+    def test_nonfinite_gy_over_g0_rejected(self, framing, trained_models,
+                                           mixture_setup):
+        # before any decoding, not as a non-finite score (NumericError)
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 6.0)
+        for method, kind in (("gfhmm", "hmm"), ("gvq", "cb")):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="g_y must be finite"):
+                    separate(y, trained_models[f"{kind}_a"],
+                             trained_models[f"{kind}_b"], framing,
+                             method=method, gy_over_g0=bad)
+
     def test_mega_frames_on_long_mixture(self, framing, speaker_generators,
                                          trained_models):
         gen_a, gen_b = speaker_generators
@@ -369,11 +381,15 @@ class TestSeparatePipeline:
         y, _, _ = mix_at_tir(x, v, 0.0)
         hmm = (trained_models["hmm_a"], overflowing(trained_models["hmm_b"]))
         vq = (trained_models["cb_a"], overflowing(trained_models["cb_b"]))
+        # with both codebooks overflowing, the VQ cost products meet inf * 0
+        vq_both = (overflowing(trained_models["cb_a"]), vq[1])
         # the baselines and a fixed theta decode once and never estimate
         for models, method, options in (
                 (hmm, "fhmm", {}), (hmm, "gfhmm", {"fix_theta": 3.0}),
                 (hmm, "gfhmm", {}), (vq, "vq", {}),
-                (vq, "gvq", {"fix_theta": 3.0}), (vq, "gvq", {})):
+                (vq, "gvq", {"fix_theta": 3.0}), (vq, "gvq", {}),
+                (vq[::-1], "gvq", {}), (vq_both, "vq", {}),
+                (vq_both, "gvq", {})):
             with pytest.raises(NumericError, match="non-finite decoder"):
                 separate(y, *models, framing, method=method, **options)
 
