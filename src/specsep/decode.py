@@ -1,8 +1,9 @@
 """Joint inference over two hidden Markov chains: parallel Viterbi decoding
 of the best state-pair path, a brute-force oracle, one-dimensional
 maximization of the gain ratio theta, and the alternating decode/optimize
-loop that the HMM- and VQ-based separators share, which maximizes each
-window's path-conditioned objective over theta."""
+loop that the HMM- and VQ-based separators share, which maximizes one
+path objective, the emission log-likelihood of each window along its
+decoded paths, over theta for both model kinds."""
 
 import itertools
 from dataclasses import dataclass, field
@@ -10,8 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gain import THETA_MAX_DB, THETA_MIN_DB, _check_theta, gains_from_theta
-from .mixmax import (_check_pair, log_b_table, mixmax_combine,
-                     path_emission_loglik)
+from .mixmax import _check_pair, log_b_table, path_emission_loglik
 from .quantize import gvq_score
 
 OUTER_TOL_DB = 0.25
@@ -229,20 +229,34 @@ def maximize_theta(objective, interval, tol=THETA_STEP_TOL_DB,
     return x_star, points[x_star]
 
 
-def _alternate(decode, objective, R, theta0, outer_tol, max_outer,
+def _path_objective(y_seq, path_x, path_v, prototypes, ctx):
+    """The path objective theta -> emission log-likelihood of y_seq along
+    fixed state paths (mixmax.path_emission_loglik), given each chain's
+    per-state prototypes ((mean_x, var_x), (mean_v, var_v))."""
+    (mean_x, var_x), (mean_v, var_v) = prototypes
+    args = (y_seq, mean_x[path_x], var_x[path_x], mean_v[path_v],
+            var_v[path_v])
+    return lambda t: path_emission_loglik(*args, gains_from_theta(t, ctx))
+
+
+def _alternate(decode, prototypes, y_seq, ctx, theta0, outer_tol, max_outer,
                mega_frames):
     """The alternating decode/estimate loop shared by both model kinds.
 
     decode(chunks, thetas) returns (path_x, path_v, score) for one theta
-    per chunk; objective(sl, path_x, path_v) returns the chunk's
-    path-conditioned objective t -> value.  Each round decodes at the
-    current thetas, then maximizes each chunk's objective over theta, never
-    moving to a worse theta, until no theta moves by outer_tol or max_outer
-    rounds have run.  A final decode makes the paths and score match the
-    returned thetas; with max_outer=0 that is the only decode, at theta0.
+    per chunk; prototypes holds each chain's per-state means and variances,
+    ((mean_x, var_x), (mean_v, var_v)).  Each round decodes at the current
+    thetas, then maximizes each chunk's path objective (_path_objective)
+    over theta, never moving to a worse theta, until no theta moves by
+    outer_tol or max_outer rounds have run.  A final decode makes the paths
+    and score match the returned thetas; with max_outer=0 that is the only
+    decode, at theta0.  A non-finite theta0 raises ValueError before any
+    decode, and a finite one is clamped into [THETA_MIN_DB, THETA_MAX_DB].
     A non-finite decoder score raises NumericError.
     """
-    chunks = list(mega_frames) if mega_frames else [slice(0, R)]
+    if not np.isfinite(float(theta0)):
+        raise ValueError(f"theta0 {theta0} dB is not a finite number")
+    chunks = list(mega_frames) if mega_frames else [slice(0, len(y_seq))]
     interval = (THETA_MIN_DB, THETA_MAX_DB)
     thetas = [min(max(float(theta0), THETA_MIN_DB), THETA_MAX_DB)
               for _ in chunks]
@@ -268,7 +282,8 @@ def _alternate(decode, objective, R, theta0, outer_tol, max_outer,
 
         new_thetas = []
         for sl, th in zip(chunks, thetas):
-            chunk_obj = objective(sl, path_x, path_v)
+            chunk_obj = _path_objective(y_seq[sl], path_x[sl], path_v[sl],
+                                        prototypes, ctx)
             th_new, val_new = maximize_theta(chunk_obj, interval)
             if chunk_obj(th) > val_new:
                 th_new = th              # never move to a worse theta
@@ -295,7 +310,8 @@ def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
     """Alternating joint decoding and gain-ratio estimation.
 
     Repeats (a) parallel Viterbi at the current theta and (b) parabolic
-    maximization of the path-conditioned likelihood over theta, until the
+    maximization of the path-conditioned likelihood over theta (the state
+    means and variances along the decoded paths), until the
     theta update falls below outer_tol or max_outer rounds have run.  The
     decoded objective is non-decreasing across rounds because each half
     step maximizes with the other argument held fixed.
@@ -315,23 +331,21 @@ def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
         return _viterbi_from_table(b, lambda_x.pi, lambda_v.pi,
                                    lambda_x.trans, lambda_v.trans)
 
-    def objective(sl, path_x, path_v):
-        mu_x, var_x = lambda_x.means[path_x[sl]], lambda_x.vars[path_x[sl]]
-        mu_v, var_v = lambda_v.means[path_v[sl]], lambda_v.vars[path_v[sl]]
-        return lambda t: path_emission_loglik(
-            y_seq[sl], mu_x, var_x, mu_v, var_v, gains_from_theta(t, ctx))
-
-    return _alternate(decode, objective, R, theta0, outer_tol, max_outer,
-                      mega_frames)
+    prototypes = tuple((m.means, m.vars) for m in (lambda_x, lambda_v))
+    return _alternate(decode, prototypes, y_seq, ctx, theta0, outer_tol,
+                      max_outer, mega_frames)
 
 
 def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
               max_outer=MAX_OUTER_ITERS, mega_frames=None):
     """VQ counterpart of gfhmm_infer.
 
-    The decode step picks the best codevector pair per frame; the theta
-    step maximizes the negated total cost with the picked pairs fixed.
-    gvq_score checks the frames against the codebooks.
+    The decode step picks the best codevector pair per frame (gvq_score,
+    which also checks the frames against the codebooks); the theta step
+    maximizes the path objective along the picked pairs with the
+    codevectors as means and unit variances.  That objective is
+    -0.5 * (cost + const), the negated total squared-error cost up to a
+    positive scale and a constant, so its argmax over theta is the cost's.
     """
     y_seq = np.asarray(y_seq, dtype=np.float64)
     R = y_seq.shape[0]
@@ -346,11 +360,7 @@ def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
             q += q_chunk
         return idx_x, idx_v, q
 
-    def objective(sl, idx_x, idx_v):
-        cx = cb_x.codevectors[idx_x[sl]]
-        cv = cb_v.codevectors[idx_v[sl]]
-        return lambda t: -float(((y_seq[sl] - mixmax_combine(
-            cx, cv, gains_from_theta(t, ctx))) ** 2).sum())
-
-    return _alternate(decode, objective, R, theta0, outer_tol, max_outer,
-                      mega_frames)
+    prototypes = tuple((cb.codevectors, np.ones_like(cb.codevectors))
+                       for cb in (cb_x, cb_v))
+    return _alternate(decode, prototypes, y_seq, ctx, theta0, outer_tol,
+                      max_outer, mega_frames)

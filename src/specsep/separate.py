@@ -61,9 +61,10 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
     method : "gfhmm" | "gvq" | "fhmm" | "vq"; the latter two are the
         non-gain-adapted baselines, realized as the same decoders with
         theta frozen at 0 and both gains forced to 1
-    theta0 : starting theta for the alternating estimation (dB); a
-        non-finite one raises ValueError, a finite one is clamped into
-        [THETA_MIN_DB, THETA_MAX_DB]
+    theta0 : starting theta for the alternating estimation (dB); the
+        decoders reject a non-finite one with ValueError and clamp a
+        finite one into [THETA_MIN_DB, THETA_MAX_DB]; unused when theta is
+        fixed
     fix_theta : skip theta estimation and decode once at this value (dB);
         it must lie in [THETA_MIN_DB, THETA_MAX_DB], i.e. +/-15 dB
     gy_over_g0 : override the estimated g_y/G0 ratio (testing hook; the
@@ -123,8 +124,6 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
                 f"mega_frame_seconds {mega_frame_seconds} gives {frames} "
                 "frames per window; need at least 1 after rounding")
         frames_per_chunk = int(round(frames))
-    if not math.isfinite(float(theta0)):
-        raise ValueError(f"theta0 {theta0} dB is not a finite number")
     if fix_theta is not None:
         _check_theta(fix_theta, "fix_theta")
         # a fixed theta is one whole-sequence decode with no outer rounds

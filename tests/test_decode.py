@@ -433,6 +433,22 @@ class TestGvqInfer:
         np.testing.assert_array_equal(res.path_x, best[1])
         np.testing.assert_array_equal(res.path_v, best[2])
 
+    def test_k1_matches_grid_argmax(self, ctx):
+        # the path objective at unit variances has the squared-error cost's
+        # argmax: compare with that cost on a 0.01 dB grid
+        rng = np.random.default_rng(15)
+        cb_x, cb_v = self.make_codebooks(rng, K=1, dim=8)
+        gp = gains_from_theta(4.0, ctx)
+        y = mixmax_combine(cb_x.codevectors, cb_v.codevectors, gp)
+        y = y + rng.normal(0, 0.3, (40, 8))
+        res = gvq_infer(y, cb_x, cb_v, ctx)
+        grid = np.arange(-15.0, 15.0 + 1e-9, 0.01)
+        costs = [((y - mixmax_combine(cb_x.codevectors, cb_v.codevectors,
+                                      gains_from_theta(t, ctx))) ** 2).sum()
+                 for t in grid]
+        grid_best = grid[int(np.argmin(costs))]
+        assert abs(res.theta_hat - grid_best) <= 0.1
+
     def test_zero_rounds_is_one_score_pass(self, ctx):
         rng = np.random.default_rng(22)
         cb_x, cb_v = self.make_codebooks(rng)
@@ -444,6 +460,24 @@ class TestGvqInfer:
         assert res.logprob == q
         assert res.iterations == 0
         assert res.theta_hat == 6.2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_theta0_rejected_before_decoding(ctx, bad, monkeypatch):
+    rng = np.random.default_rng(23)
+    mx, mv = random_hmm(rng, 2, 6), random_hmm(rng, 2, 6)
+    cb_x, cb_v = (Codebook(m.means, m.vars, np.ones(m.K)) for m in (mx, mv))
+    y = rng.normal(0, 1, (10, 6))
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoded before checking theta0")
+
+    monkeypatch.setattr("specsep.decode._viterbi_from_table", no_decode)
+    monkeypatch.setattr("specsep.decode.gvq_score", no_decode)
+    with pytest.raises(ValueError, match="theta0"):
+        gfhmm_infer(y, mx, mv, ctx, theta0=bad)
+    with pytest.raises(ValueError, match="theta0"):
+        gvq_infer(y, cb_x, cb_v, ctx, theta0=bad)
 
 
 class TestSingleWindowThetaHat:
