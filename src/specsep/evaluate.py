@@ -33,20 +33,32 @@ def normalize_equal_power(x, v):
     return out[0], out[1]
 
 
+def _tir_gain(theta):
+    """(1 + 10^(-theta/10))^(-1/2), the target's gain at theta dB, without
+    overflow: below -160 dB, 1 + 10^(-theta/10) rounds to 10^(-theta/10),
+    and the gain is 10^(theta/20)."""
+    if theta < -160.0:
+        return 10.0 ** (theta / 20.0)
+    return (1.0 + 10.0 ** (-theta / 10.0)) ** -0.5
+
+
 def mix_at_tir(x, v, theta):
     """Mix two unit-RMS sources at a target-to-interference ratio (dB).
 
     Gains satisfy gx^2 + gv^2 = 1, so the mixture RMS stays near the
     nominal source level.  Returns (mixture, gx, gv); the scaled
-    components gx*x and gv*v are the references for SNR scoring.
+    components gx*x and gv*v are the references for SNR scoring.  theta
+    must be a finite number (ValueError otherwise); at a large |theta| the
+    weaker source's gain may round to 0.
     """
     n = min(len(x), len(v))
     if n == 0:
         raise ValueError("empty input")
     if x.sample_rate != v.sample_rate:
         raise ValueError("sample rate mismatch between sources")
-    gx = (1.0 + 10.0 ** (-theta / 10.0)) ** -0.5
-    gv = (1.0 + 10.0 ** (theta / 10.0)) ** -0.5
+    if not np.isfinite(theta):
+        raise ValueError(f"TIR {theta} dB is not a finite number")
+    gx, gv = _tir_gain(theta), _tir_gain(-theta)
     y = gx * x.samples[:n] + gv * v.samples[:n]
     return AudioSignal(y, x.sample_rate), gx, gv
 
@@ -220,7 +232,7 @@ def _is_number(value):
 
 def _check_manifest(manifest):
     """Raise ValueError unless manifest is an object whose required keys
-    theta_grid (numbers), methods (strings) and pairs hold arrays and
+    theta_grid (finite numbers), methods (strings) and pairs hold arrays and
     models an object, every pair is an object with an id, the ids are all
     strings or all numbers, the optional framing is an object holding only
     FramingConfig fields, sample_rate and each framing setting are positive
@@ -237,8 +249,11 @@ def _check_manifest(manifest):
         if not isinstance(manifest[key], kind):
             raise ValueError(f"manifest '{key}' must be {name}, got "
                              f"{type(manifest[key]).__name__}")
-    if not all(_is_number(t) for t in manifest["theta_grid"]):
-        raise ValueError("manifest 'theta_grid' must hold only numbers")
+    # json reads NaN and Infinity, which mix_at_tir would reject per run
+    if not all(_is_number(t) and np.isfinite(t)
+               for t in manifest["theta_grid"]):
+        raise ValueError("manifest 'theta_grid' must hold only finite "
+                         "numbers")
     if not all(isinstance(m, str) for m in manifest["methods"]):
         raise ValueError("manifest 'methods' must hold only strings")
     framing = manifest.get("framing", {})
@@ -277,7 +292,7 @@ def run_experiment(manifest, out_csv, jobs=None):
     sources is seed + 2i and seed + 2i + 1), jobs (worker threads, when
     the jobs argument is not given) and the separate options theta0 and
     fix_theta.  A manifest that is not an object, lacks a required key,
-    holds a value of the wrong kind (a theta that is not a number, a
+    holds a value of the wrong kind (a theta that is not a finite number, a
     method that is not a string, ids that mix strings and numbers, a
     framing that is not an object or holds a key other than frame_len, hop
     and dft_size, a sample_rate or framing setting that is not a positive

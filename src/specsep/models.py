@@ -266,10 +266,22 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
 
 
 def _meta_to_arrays(meta):
+    """meta's keys and values as two string arrays; ValueError for an entry
+    that would not load back (_meta_from_arrays) equal and of its type."""
+    keys = sorted(meta, key=str)
     # numpy sizes the string arrays, so nothing is cut short
-    keys = sorted(meta)
-    return (np.array(keys, dtype=str),
-            np.array([str(meta[k]) for k in keys], dtype=str))
+    arrays = (np.array([str(k) for k in keys], dtype=str),
+              np.array([str(meta[k]) for k in keys], dtype=str))
+    loaded = _meta_from_arrays(*arrays)
+    for key in keys:
+        if type(key) is not str:
+            raise ValueError(f"model meta key {key!r} is not a string")
+        value, back = meta[key], loaded[key]
+        if not (type(back) is type(value) and back == value):
+            raise ValueError(
+                f"model meta {key!r}: {value!r} ({type(value).__name__}) "
+                f"would load back as {back!r} ({type(back).__name__})")
+    return arrays
 
 
 def _meta_from_arrays(keys, values):
@@ -288,7 +300,10 @@ def save_model(model, path):
 
     Layout (see README): magic, version, kind ("hmm" | "vq"), K, dim,
     string-coded metadata, then the parameter arrays as little-endian
-    float64 (exact round trip).
+    float64 (exact round trip).  Metadata values load back by their text:
+    an int, else a float, else a string.  A key that is not a string, or a
+    value that would not load back equal and of the same type (True,
+    "007", "1e3", 2.0, NaN), raises ValueError before anything is written.
     """
     if isinstance(model, HmmModel):
         kind = "hmm"

@@ -98,6 +98,38 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
     return Codebook(codevectors, variances, occupancy)
 
 
+def _rescore_near_ties(rows, cost, shifted_x, shifted_v, wins, flat, best):
+    """Settle the pairs that a matrix product cannot tell apart.
+
+    A product adds a cost's terms in an order that depends on the output
+    column, so pairs whose costs are equal can differ by an ulp.  In each
+    frame with more than one pair whose (n_frames, K_x * K_v) cost lies
+    within 8 * dim * eps of the frame's best, relative to it, those pairs
+    are rescored by a fixed-order sum of their exact terms, and the frame's
+    flat (i, j) index and best cost (written in place) become the smallest
+    exact cost's, ties to the smallest flat index.
+    """
+    dim, K_v = rows.shape[1], shifted_v.shape[0]
+    near = cost <= best[:, None] * (1.0 + 8 * dim * np.finfo(np.float64).eps)
+    redo = np.flatnonzero(near.sum(axis=1) > 1)
+    if not redo.size:
+        return
+    frames, pairs = np.nonzero(near[redo])
+    exact = np.empty(len(pairs))
+    # about four (pairs, dim) float64 temporaries per block
+    for part in _frame_blocks(len(pairs), 32 * dim):
+        i, j = np.divmod(pairs[part], K_v)
+        y_c = rows[redo[frames[part]]]
+        terms = np.where(wins[i, :, j], (y_c - shifted_x[i]) ** 2,
+                         (y_c - shifted_v[j]) ** 2)
+        exact[part] = np.add.accumulate(terms, axis=1)[:, -1]
+    # per frame: the smallest exact cost, then the smallest flat index
+    order = np.lexsort((pairs, exact, frames))
+    _, first = np.unique(frames[order], return_index=True)
+    flat[redo] = pairs[order[first]]
+    best[redo] = exact[order[first]]
+
+
 def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     """Decode every frame independently and score the whole sequence.
 
@@ -112,7 +144,10 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     the cost is sum_d (y - x_i)^2 wins + sum_d (y - v_j)^2 (1 - wins), with
     x and v gain-shifted: two batched matrix products of exact squared
     terms with 0/1 masks.  Every term is >= 0, and a frame equal to a
-    pair's maximum scores exactly 0.
+    pair's maximum scores exactly 0.  The pairs that tie with a frame's
+    best up to the products' rounding are rescored by a fixed-order exact
+    sum (_rescore_near_ties), so exact ties resolve by the rule above
+    whatever the BLAS and the codebook sizes.
     """
     y_seq = _check_pair(y_seq, cb_x, cb_v)
     gp = gains_from_theta(theta, ctx)
@@ -137,6 +172,8 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
         cost = cost.reshape(len(rows), -1)
         flat[sl] = np.argmin(cost, axis=1)  # first occurrence: smallest (i, j)
         best[sl] = cost.min(axis=1)
+        _rescore_near_ties(rows, cost, shifted_x, shifted_v, wins, flat[sl],
+                           best[sl])
     idx_x, idx_v = np.divmod(flat, K_v)
     # a frame-order running total; np.sum and sum() may add in another order
     return idx_x, idx_v, -float(np.add.accumulate(best)[-1])

@@ -31,7 +31,9 @@ def malformed(model, defect):
     if defect == "trans_plus_one":
         return dataclasses.replace(model, trans=model.trans + 1.0)
     if defect == "hop_inf":
-        return dataclasses.replace(model, meta={**model.meta, "hop": "inf"})
+        # a float, which loads back as saved; the text "inf" would not
+        return dataclasses.replace(model, meta={**model.meta,
+                                                "hop": float("inf")})
     name, value = {"nan_mean": (mean, np.nan),
                    "negative_variance": (var, -0.1),
                    "tiny_variance": (var, 1e-308),
@@ -47,7 +49,7 @@ MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
                     "mixed_pair_ids", "mixed_methods", "null_theta",
                     "scalar_framing", "null_sample_rate", "fractional_hop",
                     "boolean_hop", "fractional_sample_rate",
-                    "unknown_framing_key")
+                    "unknown_framing_key", "nan_theta", "infinite_theta")
 
 
 def broken_manifest(defect):
@@ -67,6 +69,11 @@ def broken_manifest(defect):
         return {**manifest, "methods": ["vq", 3]}
     if defect == "null_theta":
         return {**manifest, "theta_grid": [0, None]}
+    # json reads (and writes) NaN and Infinity
+    if defect == "nan_theta":
+        return {**manifest, "theta_grid": [0, float("nan")]}
+    if defect == "infinite_theta":
+        return {**manifest, "theta_grid": [float("-inf"), 0]}
     if defect == "scalar_framing":
         return {**manifest, "framing": 3}
     if defect == "null_sample_rate":

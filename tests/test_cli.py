@@ -102,6 +102,29 @@ class TestMix:
         p_v = np.sum(ref_v.samples ** 2)
         assert 10 * np.log10(p_x / p_v) == pytest.approx(6.0, abs=0.1)
 
+    def test_nonfinite_tir_exits_1(self, speaker_dirs, capsys):
+        tmp = speaker_dirs["tmp"]
+        for tir in ("nan", "inf", "-inf"):
+            out = tmp / f"mix_{tir}.wav"
+            rc = main(["mix", "--target", str(tmp / "test_a.wav"),
+                       "--interf", str(tmp / "test_b.wav"),
+                       f"--tir={tir}", "--out", str(out)])
+            assert rc == 1
+            assert "not a finite number" in capsys.readouterr().err
+            assert not list(tmp.glob(f"mix_{tir}*"))
+
+    def test_huge_tir_writes_target_only_mixture(self, speaker_dirs):
+        tmp = speaker_dirs["tmp"]
+        out = tmp / "mix_huge.wav"
+        rc = main(["mix", "--target", str(tmp / "test_a.wav"),
+                   "--interf", str(tmp / "test_b.wav"),
+                   "--tir", "1e6", "--out", str(out)])
+        assert rc == 0
+        y = read_wav(out)
+        np.testing.assert_array_equal(
+            y.samples, read_wav(tmp / "mix_huge.target.wav").samples)
+        assert not np.any(read_wav(tmp / "mix_huge.interf.wav").samples)
+
     def test_missing_input_exits_2(self, speaker_dirs):
         tmp = speaker_dirs["tmp"]
         rc = main(["mix", "--target", str(tmp / "absent.wav"),

@@ -82,6 +82,34 @@ class TestMixAtTir:
         with pytest.raises(ValueError, match="empty"):
             mix_at_tir(AudioSignal(np.zeros(0)), AudioSignal(np.ones(5)), 0.0)
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_theta_rejected(self, theta):
+        x = AudioSignal(np.ones(10))
+        with pytest.raises(ValueError, match="not a finite number"):
+            mix_at_tir(x, x, theta)
+
+    def test_gains_are_the_closed_form(self):
+        # the benchmark mixes through mix_at_tir: ordinary gains stay bit
+        # for bit what the closed form gives
+        x = AudioSignal(np.ones(10))
+        for theta in np.arange(-20.0, 20.25, 0.25):
+            _, gx, gv = mix_at_tir(x, x, theta)
+            assert gx == (1.0 + 10.0 ** (-theta / 10.0)) ** -0.5
+            assert gv == (1.0 + 10.0 ** (theta / 10.0)) ** -0.5
+
+    @pytest.mark.parametrize("theta", [200.0, 3100.0, 1e6, 1e300])
+    def test_huge_theta_without_overflow(self, theta):
+        x = AudioSignal(np.ones(10))
+        v = AudioSignal(-np.ones(10))
+        y, gx, gv = mix_at_tir(x, v, theta)
+        assert gx == 1.0
+        # 10^(-theta/20) itself underflows to 0 from about 6,500 dB
+        assert gv == pytest.approx(10.0 ** (-theta / 20.0), rel=1e-12,
+                                   abs=0.0)
+        np.testing.assert_array_equal(y.samples, gx - gv)
+        y, gx2, gv2 = mix_at_tir(x, v, -theta)
+        assert (gx2, gv2) == (gv, gx)
+
 
 class TestSnr:
     def test_identical_signals_capped(self):

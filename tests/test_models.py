@@ -278,15 +278,36 @@ class TestPersistence:
                              rng.uniform(1e-3, 2, (K, dim)),
                              rng.integers(0, 1000, K), meta=meta)
         path = tmp_path_factory.getbasetemp() / "round_trip.ssm"
+        if any(isinstance(v, float) and v.is_integer() for v in meta.values()):
+            # the text of a whole float loads back as an int
+            with pytest.raises(ValueError, match="would load back"):
+                save_model(model, path)
+            return
         save_model(model, path)
         back = load_model(path)
         assert type(back) is type(model)
         for name, value in vars(model).items():
             if name == "meta":
                 assert back.meta == meta
+                assert ([type(v) for v in back.meta.values()]
+                        == [type(meta[k]) for k in back.meta])
             else:
                 np.testing.assert_array_equal(getattr(back, name), value,
                                               strict=True)
+
+    # values whose text loads back as another value or type
+    @pytest.mark.parametrize("meta", [
+        {"speaker": "007"}, {"name": "1e3"}, {"flag": True}, {"x": "nan"},
+        {"gain": 2.0}, {"gain": float("nan")}, {"hop": "80"}, {1: "a"},
+    ], ids=repr)
+    def test_meta_that_would_not_round_trip_refused(self, tmp_path, meta):
+        rng = np.random.default_rng(8)
+        model = random_hmm(rng, K=2, dim=3)
+        model.meta = {"sample_rate": 8000, **meta}
+        path = tmp_path / "m.ssm"
+        with pytest.raises(ValueError, match="model meta"):
+            save_model(model, path)
+        assert not path.exists()
 
     def test_non_model_file_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -118,20 +120,25 @@ class TestGvqFrameDecode:
         assert got[2] == pytest.approx(best[2], rel=1e-12)
 
     def test_masked_interference_ties_to_first_index(self, ctx):
+        # the matrix products alone added exactly tied costs in an order
+        # that depends on the output column, and chose another index at
+        # sizes such as 7, 9, 63 and 65
         rng = np.random.default_rng(6)
-        cb_x = random_codebook(rng, 4, 5)
-        cb_v = random_codebook(rng, 4, 5)
-        theta = 200.0   # interference shifted far below every target entry
-        y = rng.normal(0.0, 1.0, 5)
-        i, j, cost = decode_frame(y, cb_x, cb_v, theta, ctx)
-        assert j == 0
-        costs = [decode_frame(y, cb_x,
-                              Codebook(cb_v.codevectors[[k]],
-                                       cb_v.cluster_variances[[k]],
-                                       cb_v.occupancy[[k]]),
-                              theta, ctx)[2]
-                 for k in range(4)]
-        assert np.allclose(costs, cost)
+        for K_v, _ in itertools.product((4, 7, 8, 9, 63, 64, 65), range(20)):
+            cb_x = random_codebook(rng, 4, 129)
+            cb_v = random_codebook(rng, K_v, 129)
+            # 50 log10 units down, the interference wins no bin at 15 dB,
+            # so every interference index ties with every other
+            cb_v.codevectors -= 50.0
+            y = rng.normal(0.0, 1.0, (5, 129))
+            _, idx_v, q = gvq_score(y, cb_x, cb_v, 15.0, ctx)
+            assert np.all(idx_v == 0), K_v
+            for k in (0, K_v - 1):
+                alone = Codebook(cb_v.codevectors[[k]],
+                                 cb_v.cluster_variances[[k]],
+                                 cb_v.occupancy[[k]])
+                q_k = gvq_score(y, cb_x, alone, 15.0, ctx)[2]
+                assert q == pytest.approx(q_k, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self, ctx):
         rng = np.random.default_rng(7)
@@ -237,21 +244,30 @@ class TestGvqKernel:
     (conftest.broadcast_gvq_costs)."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(K_x=st.integers(1, 40), K_v=st.integers(1, 40),
+    @given(K_x=st.integers(1, 70), K_v=st.integers(1, 70),
            dim=st.integers(1, 140), R=st.integers(1, 60),
            duplicates=st.sampled_from(["none", "x", "v", "both"]),
+           masked=st.booleans(),
            theta=st.floats(-15.0, 15.0), g_y=st.floats(0.05, 20.0),
            seed=st.integers(0, 2 ** 32 - 1))
     # the larger codebook sets the frame block: 64 codevectors of 129 bins
     # give blocks of 3 frames, 5 of them blocks of 50
-    @example(K_x=64, K_v=64, dim=129, R=20, duplicates="both", theta=0.0,
-             g_y=1.0, seed=0)
-    @example(K_x=64, K_v=16, dim=129, R=33, duplicates="v", theta=7.5,
-             g_y=1.0, seed=1)
-    @example(K_x=3, K_v=5, dim=129, R=1, duplicates="x", theta=-4.0,
-             g_y=1.0, seed=2)
-    def test_matches_broadcast(self, K_x, K_v, dim, R, duplicates, theta,
-                               g_y, seed):
+    @example(K_x=64, K_v=64, dim=129, R=20, duplicates="both", masked=False,
+             theta=0.0, g_y=1.0, seed=0)
+    @example(K_x=64, K_v=16, dim=129, R=33, duplicates="v", masked=False,
+             theta=7.5, g_y=1.0, seed=1)
+    @example(K_x=3, K_v=5, dim=129, R=1, duplicates="x", masked=False,
+             theta=-4.0, g_y=1.0, seed=2)
+    # sizes that are not powers of two, where the products' summation
+    # order differs between output columns
+    @example(K_x=4, K_v=65, dim=129, R=5, duplicates="none", masked=True,
+             theta=15.0, g_y=1.0, seed=3)
+    @example(K_x=63, K_v=7, dim=129, R=7, duplicates="both", masked=False,
+             theta=-2.0, g_y=1.0, seed=4)
+    @example(K_x=9, K_v=63, dim=129, R=9, duplicates="x", masked=True,
+             theta=-15.0, g_y=1.0, seed=5)
+    def test_matches_broadcast(self, K_x, K_v, dim, R, duplicates, masked,
+                               theta, g_y, seed):
         rng = np.random.default_rng(seed)
         cb_x, cb_v = random_codebook(rng, K_x, dim), random_codebook(
             rng, K_v, dim)
@@ -259,6 +275,10 @@ class TestGvqKernel:
         for cb, role in ((cb_x, "x"), (cb_v, "v")):
             if duplicates in (role, "both") and cb.K > 1:
                 cb.codevectors[-1] = cb.codevectors[0]
+        # 50 log10 units down, the interference wins no bin, so every
+        # interference index ties exactly with every other
+        if masked:
+            cb_v.codevectors -= 50.0
         ctx = GainContext(g_y=g_y)
         y = rng.normal(0.0, 1.5, (R, dim))
         ref = broadcast_gvq_costs(y, cb_x, cb_v, theta, ctx).reshape(R, -1)
@@ -275,6 +295,14 @@ class TestGvqKernel:
             flat = np.argmin(ref, axis=1)
             np.testing.assert_array_equal(idx_x[clear], flat[clear] // K_v)
             np.testing.assert_array_equal(idx_v[clear], flat[clear] % K_v)
+        # exact ties go to the smallest flat (i, j): never to a duplicate
+        # over its first copy, never past index 0 of a masked codebook
+        if duplicates in ("x", "both") and K_x > 1:
+            assert np.all(idx_x != K_x - 1)
+        if duplicates in ("v", "both") and K_v > 1:
+            assert np.all(idx_v != K_v - 1)
+        if masked:
+            assert np.all(idx_v == 0)
         q_ref = -float(np.add.accumulate(best)[-1])
         assert abs(q - q_ref) <= 4 * dim * eps * abs(q_ref)
         assert q <= 0.0
