@@ -129,5 +129,12 @@ def path_emission_loglik(y_seq, mean_x, var_x, mean_v, var_v, gp):
     """Sum over frames of the joint emission log-likelihood along fixed
     paths, given the per-frame state means and variances of each chain."""
     m_max, var_max = _dominant_gaussian(mean_x, var_x, mean_v, var_v, gp)
-    terms = (y_seq - m_max) ** 2 / var_max + np.log(var_max) + LOG_2PI
+    # (y - m)^2 / v + log v + log 2 pi, in place: the theta search calls
+    # this many times per window, and a fresh array per step costs more
+    # than the arithmetic
+    terms = y_seq - m_max
+    terms **= 2
+    terms /= var_max
+    terms += np.log(var_max, out=var_max)
+    terms += LOG_2PI
     return float(-0.5 * terms.sum())

@@ -98,36 +98,42 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
     return Codebook(codevectors, variances, occupancy)
 
 
-def _rescore_near_ties(rows, cost, shifted_x, shifted_v, wins, flat, best):
-    """Settle the pairs that a matrix product cannot tell apart.
+def _best_pairs(rows, cost, shifted_x, shifted_v, wins):
+    """Each frame's best flat (i, j) index and cost, from its row of the
+    (n_frames, K_x * K_v) pair costs of the matrix products: the smallest
+    cost, ties to the smallest flat index.
 
     A product adds a cost's terms in an order that depends on the output
     column, so pairs whose costs are equal can differ by an ulp.  In each
-    frame with more than one pair whose (n_frames, K_x * K_v) cost lies
-    within 8 * dim * eps of the frame's best, relative to it, those pairs
-    are rescored by a fixed-order sum of their exact terms, and the frame's
-    flat (i, j) index and best cost (written in place) become the smallest
-    exact cost's, ties to the smallest flat index.
+    frame whose second-best cost lies within 8 * dim * eps of its best,
+    relative to it, the pairs that near are rescored by a fixed-order sum
+    of their exact terms, and the best is taken among those.  cost is
+    overwritten.
     """
-    dim, K_v = rows.shape[1], shifted_v.shape[0]
-    near = cost <= best[:, None] * (1.0 + 8 * dim * np.finfo(np.float64).eps)
-    redo = np.flatnonzero(near.sum(axis=1) > 1)
+    frames = np.arange(len(rows))
+    flat = np.argmin(cost, axis=1)      # first occurrence: smallest (i, j)
+    best = cost[frames, flat]
+    limit = best * (1.0 + 8 * rows.shape[1] * np.finfo(np.float64).eps)
+    cost[frames, flat] = np.inf
+    redo = np.flatnonzero(cost.min(axis=1) <= limit)
     if not redo.size:
-        return
-    frames, pairs = np.nonzero(near[redo])
+        return flat, best
+    cost[frames, flat] = best
+    which, pairs = np.nonzero(cost[redo] <= limit[redo, None])
     exact = np.empty(len(pairs))
     # about four (pairs, dim) float64 temporaries per block
-    for part in _frame_blocks(len(pairs), 32 * dim):
-        i, j = np.divmod(pairs[part], K_v)
-        y_c = rows[redo[frames[part]]]
+    for part in _frame_blocks(len(pairs), 32 * rows.shape[1]):
+        i, j = np.divmod(pairs[part], shifted_v.shape[0])
+        y_c = rows[redo[which[part]]]
         terms = np.where(wins[i, :, j], (y_c - shifted_x[i]) ** 2,
                          (y_c - shifted_v[j]) ** 2)
         exact[part] = np.add.accumulate(terms, axis=1)[:, -1]
     # per frame: the smallest exact cost, then the smallest flat index
-    order = np.lexsort((pairs, exact, frames))
-    _, first = np.unique(frames[order], return_index=True)
+    order = np.lexsort((pairs, exact, which))
+    _, first = np.unique(which[order], return_index=True)
     flat[redo] = pairs[order[first]]
     best[redo] = exact[order[first]]
+    return flat, best
 
 
 def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
@@ -146,7 +152,7 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     terms with 0/1 masks.  Every term is >= 0, and a frame equal to a
     pair's maximum scores exactly 0.  The pairs that tie with a frame's
     best up to the products' rounding are rescored by a fixed-order exact
-    sum (_rescore_near_ties), so exact ties resolve by the rule above
+    sum (_best_pairs), so exact ties resolve by the rule above
     whatever the BLAS and the codebook sizes.
     """
     y_seq = _check_pair(y_seq, cb_x, cb_v)
@@ -169,11 +175,8 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
                   out=cost.transpose(1, 0, 2))
         cost += ((rows - shifted_v[:, None, :]) ** 2             # [j, r, i]
                  @ mask_v).transpose(1, 2, 0)
-        cost = cost.reshape(len(rows), -1)
-        flat[sl] = np.argmin(cost, axis=1)  # first occurrence: smallest (i, j)
-        best[sl] = cost.min(axis=1)
-        _rescore_near_ties(rows, cost, shifted_x, shifted_v, wins, flat[sl],
-                           best[sl])
+        flat[sl], best[sl] = _best_pairs(rows, cost.reshape(len(rows), -1),
+                                         shifted_x, shifted_v, wins)
     idx_x, idx_v = np.divmod(flat, K_v)
     # a frame-order running total; np.sum and sum() may add in another order
     return idx_x, idx_v, -float(np.add.accumulate(best)[-1])
