@@ -7,6 +7,8 @@ likelihoods are natural-log; the spectral features themselves stay in
 log10-magnitude units.  The two bases never mix.
 """
 
+import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +19,7 @@ from .signal import _check_settings
 VARIANCE_FLOOR = 1e-4
 PI_FLOOR = 1e-6
 MODEL_MAGIC = "specsep-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 BW_DEFAULT_REL_TOL = 1e-5
 BW_DEFAULT_MAX_ITERS = 15
@@ -265,26 +267,17 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
     return model, trace
 
 
-def _meta_to_arrays(meta):
-    """meta's keys and values as two string arrays; ValueError for an entry
-    that would not load back (_meta_from_arrays) equal and of its type."""
-    keys = sorted(meta, key=str)
-    # numpy sizes the string arrays, so nothing is cut short
-    arrays = (np.array([str(k) for k in keys], dtype=str),
-              np.array([str(meta[k]) for k in keys], dtype=str))
-    loaded = _meta_from_arrays(*arrays)
-    for key in keys:
-        if type(key) is not str:
-            raise ValueError(f"model meta key {key!r} is not a string")
-        value, back = meta[key], loaded[key]
-        if not (type(back) is type(value) and back == value):
-            raise ValueError(
-                f"model meta {key!r}: {value!r} ({type(value).__name__}) "
-                f"would load back as {back!r} ({type(back).__name__})")
-    return arrays
+# kind -> (model class, {file key: attribute}): the arrays of a .ssm file
+_LAYOUT = {"hmm": (HmmModel, {"pi": "pi", "trans": "trans", "means": "means",
+                              "variances": "vars"}),
+           "vq": (Codebook, {"codevectors": "codevectors",
+                             "cluster_variances": "cluster_variances",
+                             "occupancy": "occupancy"})}
 
 
 def _meta_from_arrays(keys, values):
+    """Version-1 metadata: each value loads back by its text, an int, else
+    a float, else a string."""
     meta = {}
     for k, v in zip(keys.tolist(), values.tolist()):
         try:
@@ -298,27 +291,30 @@ def _meta_from_arrays(keys, values):
 def save_model(model, path):
     """Persist an HmmModel or Codebook to a versioned .npz container.
 
-    Layout (see README): magic, version, kind ("hmm" | "vq"), K, dim,
-    string-coded metadata, then the parameter arrays as little-endian
-    float64 (exact round trip).  Metadata values load back by their text:
-    an int, else a float, else a string.  A key that is not a string, or a
-    value that would not load back equal and of the same type (True,
-    "007", "1e3", 2.0, NaN), raises ValueError before anything is written.
+    Layout (see README): magic, version, kind ("hmm" | "vq"), K, dim, the
+    metadata as one JSON text, then the parameter arrays (_LAYOUT) as
+    little-endian int64 counts or float64 values (exact round trip).
+    Metadata that JSON would not load back equal and of the same types
+    (NaN, tuples, keys that are not strings, numpy scalars) raises
+    ValueError before anything is written; inf is written as Infinity.
     """
-    if isinstance(model, HmmModel):
-        kind = "hmm"
-        arrays = dict(pi=model.pi, trans=model.trans,
-                      means=model.means, variances=model.vars)
-    elif isinstance(model, Codebook):
-        kind = "vq"
-        arrays = dict(codevectors=model.codevectors,
-                      cluster_variances=model.cluster_variances,
-                      occupancy=model.occupancy.astype("<i8"))
-    else:
+    kind = next((k for k, (cls, _) in _LAYOUT.items()
+                 if isinstance(model, cls)), None)
+    if kind is None:
         raise TypeError(f"cannot save object of type {type(model).__name__}")
-    meta_keys, meta_values = _meta_to_arrays(model.meta)
-    arrays = {k: (v.astype("<f8") if v.dtype.kind == "f" else v)
-              for k, v in arrays.items()}
+    try:
+        meta = json.dumps(model.meta)
+    except TypeError as exc:
+        raise ValueError(f"model meta {model.meta!r}: {exc}") from None
+    back = json.loads(meta)
+    # equal and printed alike, so of the same types; NaN equals nothing
+    if back != model.meta or repr(back) != repr(model.meta):
+        raise ValueError(f"model meta {model.meta!r} would load back from "
+                         f"JSON as {back!r}")
+    arrays = {key: np.asarray(getattr(model, attr))
+              for key, attr in _LAYOUT[kind][1].items()}
+    arrays = {key: a.astype("<i8" if a.dtype.kind in "iub" else "<f8")
+              for key, a in arrays.items()}
     # write through a handle so numpy does not append ".npz" to the path
     with open(path, "wb") as f:
         np.savez(f,
@@ -327,41 +323,51 @@ def save_model(model, path):
                  kind=np.array(kind),
                  K=np.array(model.K, dtype="<i8"),
                  dim=np.array(model.dim, dtype="<i8"),
-                 meta_keys=meta_keys,
-                 meta_values=meta_values,
+                 meta=np.array(meta),
                  **arrays)
 
 
 def load_model(path):
-    """Load a model container (an HmmModel or a Codebook).  A file that is
-    not a model, or a malformed model (see HmmModel.validate and
-    Codebook.validate), raises ModelMismatchError naming the path."""
-    with np.load(path, allow_pickle=False) as data:
-        if "magic" not in data or str(data["magic"]) != MODEL_MAGIC:
-            raise ModelMismatchError(f"{path}: not a model file")
-        version = int(data["version"])
-        if version != MODEL_VERSION:
+    """Load a model container (an HmmModel or a Codebook).  Version-1
+    files, with string-coded metadata, still load.  A file that is not a
+    model or cannot be read as one (an empty, truncated or foreign file, a
+    missing entry, metadata that is not a JSON object), or a malformed
+    model (see HmmModel.validate and Codebook.validate), raises
+    ModelMismatchError naming the path."""
+    try:
+        # a zip of .npy entries, read without pickles; a lone .npy is foreign
+        with np.lib.npyio.NpzFile(path) as data:
+            if str(data.get("magic")) != MODEL_MAGIC:
+                raise ModelMismatchError("not a model file")
+            version = int(data["version"])
+            if version not in (1, MODEL_VERSION):
+                raise ModelMismatchError(
+                    f"unsupported model version {version}")
+            # version 1, written before metadata became JSON, coded it as text
+            meta = (json.loads(str(data["meta"])) if version == MODEL_VERSION
+                    else _meta_from_arrays(data["meta_keys"],
+                                           data["meta_values"]))
+            if not isinstance(meta, dict):
+                raise ModelMismatchError("meta is not a JSON object")
+            kind = str(data["kind"])
+            if kind not in _LAYOUT:
+                raise ModelMismatchError(f"unknown model kind '{kind}'")
+            cls, keys = _LAYOUT[kind]
+            model = cls(**{attr: data[key] for key, attr in keys.items()},
+                        meta=meta)
+            recorded = int(data["K"]), int(data["dim"])
+        model.validate()
+        if (model.K, model.dim) != recorded:
             raise ModelMismatchError(
-                f"{path}: unsupported model version {version}")
-        kind = str(data["kind"])
-        dim = int(data["dim"])
-        meta = _meta_from_arrays(data["meta_keys"], data["meta_values"])
-        if kind == "hmm":
-            model = HmmModel(pi=data["pi"], trans=data["trans"],
-                             means=data["means"], vars=data["variances"],
-                             meta=meta)
-        elif kind == "vq":
-            model = Codebook(codevectors=data["codevectors"],
-                             cluster_variances=data["cluster_variances"],
-                             occupancy=data["occupancy"], meta=meta)
-        else:
-            raise ModelMismatchError(f"{path}: unknown model kind '{kind}'")
-        try:
-            model.validate()
-        except ModelMismatchError as exc:
-            raise ModelMismatchError(f"{path}: {exc}") from None
-        if (model.K, model.dim) != (int(data["K"]), dim):
-            raise ModelMismatchError(
-                f"{path}: arrays hold K={model.K}, dim={model.dim} but the "
-                f"file records K={int(data['K'])}, dim={dim}")
-        return model
+                f"arrays hold K={model.K}, dim={model.dim} but the file "
+                f"records K={recorded[0]}, dim={recorded[1]}")
+    except ModelMismatchError as exc:
+        raise ModelMismatchError(f"{path}: {exc}") from None
+    except (KeyError, ValueError, TypeError, EOFError,
+            zipfile.BadZipFile) as exc:
+        # a damaged or foreign file; an OSError (a missing or unreadable
+        # path) stays an I/O error
+        raise ModelMismatchError(
+            f"{path}: unreadable model file ({type(exc).__name__}: "
+            f"{exc})") from None
+    return model

@@ -9,8 +9,8 @@ import pytest
 
 from specsep import (AudioSignal, FramingConfig, HmmModel, baum_welch,
                      gains_from_theta, init_hmm_from_codebook,
-                     mixmax_combine, sample_hmm_frames, synth_source,
-                     train_lbg)
+                     mixmax_combine, sample_hmm_frames, save_model,
+                     synth_source, train_lbg)
 from specsep.mixmax import (LOG_2PI, _check_pair, log_gauss_table,
                             path_emission_loglik)
 from specsep.signal import log_spectra
@@ -31,7 +31,7 @@ def malformed(model, defect):
     if defect == "trans_plus_one":
         return dataclasses.replace(model, trans=model.trans + 1.0)
     if defect == "hop_inf":
-        # a float, which loads back as saved; the text "inf" would not
+        # saved as JSON's Infinity, which loads back as a float
         return dataclasses.replace(model, meta={**model.meta,
                                                 "hop": float("inf")})
     name, value = {"nan_mean": (mean, np.nan),
@@ -41,6 +41,62 @@ def malformed(model, defect):
     arr = getattr(model, name).copy()
     arr.flat[0] = value
     return dataclasses.replace(model, **{name: arr})
+
+
+def save_model_v1(model, path):
+    """Write model in the version-1 .ssm layout, which held the metadata as
+    two string arrays, the sorted keys and the text of each value."""
+    if isinstance(model, HmmModel):
+        kind, arrays = "hmm", dict(pi=model.pi, trans=model.trans,
+                                   means=model.means, variances=model.vars)
+    else:
+        kind, arrays = "vq", dict(
+            codevectors=model.codevectors,
+            cluster_variances=model.cluster_variances,
+            occupancy=model.occupancy.astype("<i8"))
+    keys = sorted(model.meta)
+    with open(path, "wb") as f:
+        np.savez(f, magic=np.array("specsep-model"),
+                 version=np.array(1, dtype="<i8"), kind=np.array(kind),
+                 K=np.array(model.K, dtype="<i8"),
+                 dim=np.array(model.dim, dtype="<i8"),
+                 meta_keys=np.array(keys, dtype=str),
+                 meta_values=np.array([str(model.meta[k]) for k in keys],
+                                      dtype=str),
+                 **{k: v.astype("<f8") if v.dtype.kind == "f" else v
+                    for k, v in arrays.items()})
+
+
+# damage that makes a .ssm file unreadable, whatever model it holds
+BAD_FILES = ("empty", "truncated", "not_npz", "lone_npy", "missing_array",
+             "missing_header", "meta_not_object", "meta_not_json")
+
+
+def save_bad_file(model, path, defect):
+    """Save model to path, then plant one defect in the file itself."""
+    save_model(model, path)
+    raw = path.read_bytes()
+    with np.load(path) as data:
+        entries = dict(data)
+    if defect in ("empty", "truncated"):
+        path.write_bytes(raw[:len(raw) // 2 if defect == "truncated" else 0])
+        return
+    if defect == "not_npz":
+        path.write_text('{"kind": "hmm", "K": 2}\n')
+        return
+    if defect == "lone_npy":
+        with open(path, "wb") as f:
+            np.save(f, entries["K"])
+        return
+    if defect == "missing_array":
+        del entries["variances" if "variances" in entries else "occupancy"]
+    elif defect == "missing_header":
+        del entries["dim"]
+    else:
+        entries["meta"] = np.array({"meta_not_object": "[8000, 80]",
+                                    "meta_not_json": "{hop: 80}"}[defect])
+    with open(path, "wb") as f:
+        np.savez(f, **entries)
 
 
 # manifests that run_experiment rejects before any run

@@ -9,8 +9,9 @@ from specsep import (AudioSignal, Codebook, FramingConfig, load_model,
                      read_wav, save_model, synth_source, write_wav)
 from specsep.cli import build_parser, main
 
-from conftest import (CODEBOOK_DEFECTS, HMM_DEFECTS, MANIFEST_DEFECTS,
-                      MODEL_DEFECTS, broken_manifest, malformed, overflowing)
+from conftest import (BAD_FILES, CODEBOOK_DEFECTS, HMM_DEFECTS,
+                      MANIFEST_DEFECTS, MODEL_DEFECTS, broken_manifest,
+                      malformed, overflowing, save_bad_file)
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +282,21 @@ class TestSeparate:
             assert rc == 3
             assert str(bad) in capsys.readouterr().err
             assert not (tmp / "bad_x.wav").exists()
+
+    @pytest.mark.parametrize("defect", BAD_FILES)
+    def test_unreadable_model_file_exits_3(self, speaker_dirs, cli_models,
+                                           mixture_file, defect, capsys):
+        tmp = speaker_dirs["tmp"]
+        bad = tmp / f"unreadable_{defect}.ssm"
+        save_bad_file(load_model(cli_models["hmm_b"]), bad, defect)
+        rc = main(["separate", "--mixture", str(mixture_file),
+                   "--model-x", str(cli_models["hmm_a"]),
+                   "--model-v", str(bad), "--method", "gfhmm",
+                   "--out-x", str(tmp / "unreadable_x.wav"),
+                   "--out-v", str(tmp / "unreadable_v.wav")])
+        assert rc == 3
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp / "unreadable_x.wav").exists()
 
     @pytest.mark.parametrize("method, kind", [("fhmm", "hmm"),
                                               ("vq", "vq")])

@@ -12,8 +12,9 @@ from specsep import (AudioSignal, mix_at_tir, normalize_equal_power,
 from specsep.evaluate import CSV_COLUMNS, summarize_rows, write_report
 from specsep.models import save_model
 
-from conftest import (CODEBOOK_DEFECTS, HMM_DEFECTS, MANIFEST_DEFECTS,
-                      MODEL_DEFECTS, broken_manifest, malformed, overflowing)
+from conftest import (BAD_FILES, CODEBOOK_DEFECTS, HMM_DEFECTS,
+                      MANIFEST_DEFECTS, MODEL_DEFECTS, broken_manifest,
+                      malformed, overflowing, save_bad_file)
 
 # the module, which the package's separate() function shadows
 separate_module = importlib.import_module("specsep.separate")
@@ -345,6 +346,27 @@ class TestRunExperiment:
                     assert error == "", defect
             if defect == "nan_mean":
                 assert "non-finite" in rows["gfhmm"]["error"]
+
+    @pytest.mark.parametrize("defect", BAD_FILES)
+    def test_unreadable_model_file_gives_error_rows(self, experiment_env,
+                                                    trained_models, defect):
+        env = experiment_env
+        bad = env["tmp"] / f"unreadable_{defect}.ssm"
+        save_bad_file(trained_models["cb_b"], bad, defect)
+        manifest = {
+            "sample_rate": 8000,
+            "theta_grid": [6],
+            "methods": ["gvq", "vq"],
+            "models": {**env["paths"], "vq_v": str(bad)},
+            "pairs": [env["pair_entry"](1)],
+        }
+        out_csv = env["tmp"] / f"unreadable_{defect}.csv"
+        assert run_experiment(manifest, out_csv) == {}
+        with open(out_csv, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
+        for row in rows:
+            assert row["error"].startswith(f"ModelMismatchError: {bad}: ")
 
     def test_nonfinite_decoder_score_gives_error_rows(self, experiment_env,
                                                       trained_models):

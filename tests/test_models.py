@@ -11,8 +11,9 @@ from specsep import (Codebook, HmmModel, ModelMismatchError, baum_welch,
 from specsep.mixmax import LOG_2PI, log_gauss_table
 from specsep.models import VARIANCE_FLOOR, _forward_backward
 
-from conftest import (CODEBOOK_DEFECTS, HMM_DEFECTS, malformed,
-                      per_frame_xi_counts, random_hmm)
+from conftest import (BAD_FILES, CODEBOOK_DEFECTS, HMM_DEFECTS, malformed,
+                      per_frame_xi_counts, random_hmm, save_bad_file,
+                      save_model_v1)
 
 
 def log_gauss(x, mean, var):
@@ -261,12 +262,18 @@ class TestPersistence:
                "frame_len": st.integers(1, 4096),
                "hop": st.integers(1, 4096),
                "dft_size": st.integers(1, 8192),
-               # letters only, and none of the words float() parses
-               "speaker": st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1,
-                                  max_size=100).filter(
-                   lambda s: s not in ("inf", "infinity", "nan")),
-               "gain": st.floats(allow_nan=False, allow_infinity=False)}))
+               "speaker": st.text(max_size=100),
+               "gain": st.floats(allow_nan=False),
+               "flag": st.booleans()}))
     @example(hmm=False, K=2, dim=3, seed=0, meta={"speaker": "ab" * 50})
+    # each of these loaded back as another value or type from version-1
+    # files, whose metadata was text
+    @example(hmm=True, K=2, dim=3, seed=0, meta={
+        "flag": True, "speaker": "007", "gain": 2.0})
+    @example(hmm=False, K=2, dim=3, seed=0, meta={
+        "speaker": "1e3", "gain": float("inf")})
+    @example(hmm=True, K=1, dim=1, seed=0, meta={
+        "speaker": "nan", "gain": float("-inf")})
     def test_round_trip_property(self, tmp_path_factory, hmm, K, dim, seed,
                                  meta):
         rng = np.random.default_rng(seed)
@@ -278,11 +285,6 @@ class TestPersistence:
                              rng.uniform(1e-3, 2, (K, dim)),
                              rng.integers(0, 1000, K), meta=meta)
         path = tmp_path_factory.getbasetemp() / "round_trip.ssm"
-        if any(isinstance(v, float) and v.is_integer() for v in meta.values()):
-            # the text of a whole float loads back as an int
-            with pytest.raises(ValueError, match="would load back"):
-                save_model(model, path)
-            return
         save_model(model, path)
         back = load_model(path)
         assert type(back) is type(model)
@@ -295,10 +297,11 @@ class TestPersistence:
                 np.testing.assert_array_equal(getattr(back, name), value,
                                               strict=True)
 
-    # values whose text loads back as another value or type
+    # values that JSON would load back as another value or type
     @pytest.mark.parametrize("meta", [
-        {"speaker": "007"}, {"name": "1e3"}, {"flag": True}, {"x": "nan"},
-        {"gain": 2.0}, {"gain": float("nan")}, {"hop": "80"}, {1: "a"},
+        {"gain": float("nan")}, {"shape": (2, 3)}, {1: "a"},
+        {(1, 2): "a"}, {"hop": np.int64(80)}, {"gain": np.float64(0.5)},
+        {"speakers": ["a", ("b", "c")]},
     ], ids=repr)
     def test_meta_that_would_not_round_trip_refused(self, tmp_path, meta):
         rng = np.random.default_rng(8)
@@ -308,6 +311,57 @@ class TestPersistence:
         with pytest.raises(ValueError, match="model meta"):
             save_model(model, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("hmm", [True, False], ids=["hmm", "vq"])
+    def test_version_1_file_loads_bit_exact(self, tmp_path, hmm):
+        rng = np.random.default_rng(9)
+        meta = {"sample_rate": 8000, "frame_len": 256, "hop": 80,
+                "dft_size": 256, "speaker": "a_b", "gain": 0.25}
+        if hmm:
+            model = random_hmm(rng, K=3, dim=5)
+            model.meta = meta
+        else:
+            model = Codebook(rng.normal(0, 3, (3, 5)),
+                             rng.uniform(1e-3, 2, (3, 5)),
+                             rng.integers(0, 1000, 3), meta=meta)
+        path = tmp_path / "v1.ssm"
+        save_model_v1(model, path)
+        back = load_model(path)
+        assert type(back) is type(model)
+        for name, value in vars(model).items():
+            if name == "meta":
+                assert back.meta == meta
+                assert ([type(v) for v in back.meta.values()]
+                        == [type(meta[k]) for k in back.meta])
+            else:
+                np.testing.assert_array_equal(getattr(back, name), value,
+                                              strict=True)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "m.ssm"
+        save_model(random_hmm(np.random.default_rng(10), K=2, dim=3), path)
+        with np.load(path) as data:
+            entries = {**data, "version": np.array(3)}
+        with open(path, "wb") as f:
+            np.savez(f, **entries)
+        with pytest.raises(ModelMismatchError, match="m.ssm: unsupported"):
+            load_model(path)
+
+    @pytest.mark.parametrize("defect", BAD_FILES)
+    @pytest.mark.parametrize("hmm", [True, False], ids=["hmm", "vq"])
+    def test_unreadable_file_is_model_error(self, tmp_path, hmm, defect):
+        rng = np.random.default_rng(11)
+        model = (random_hmm(rng, K=2, dim=3) if hmm else
+                 Codebook(rng.normal(0, 1, (2, 3)), np.full((2, 3), 0.2),
+                          np.full(2, 3)))
+        path = tmp_path / "bad.ssm"
+        save_bad_file(model, path, defect)
+        with pytest.raises(ModelMismatchError, match="bad.ssm"):
+            load_model(path)
+
+    def test_missing_file_is_io_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_model(tmp_path / "absent.ssm")
 
     def test_non_model_file_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
