@@ -6,6 +6,7 @@ source level G0 is 1 and all loudness information in a test mixture is
 carried by the observation RMS g_y and by theta.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +54,13 @@ def g_of_theta(theta, ctx):
     """log10 gain of the target at ratio theta dB.
 
     g(theta) = log10[ (g_y/G0) * (1 + 10^(-theta/10))^(-1/2) ].  The
-    interference gain is the same map evaluated at -theta.
+    interference gain is the same map evaluated at -theta.  Below -160 dB,
+    1 + 10^(-theta/10) rounds to 10^(-theta/10), so g is computed as
+    log10(g_y/G0) + theta/20 there, which cannot overflow.
     """
     ratio = ctx.g_y / ctx.G0
+    if theta < -160.0:
+        return np.log10(ratio) + theta / 20.0
     return np.log10(ratio) - 0.5 * np.log10(1.0 + 10.0 ** (-theta / 10.0))
 
 
@@ -63,7 +68,10 @@ def gains_from_theta(theta, ctx):
     """Both log10 gains for one theta: (g(theta), g(-theta)).
 
     Satisfies gx^2 + gv^2 = (g_y/G0)^2 and 10*log10(gx^2/gv^2) = theta.
+    A theta that is not a finite number raises ValueError.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta {theta} dB is not a finite number")
     return GainPair(log10_gx=float(g_of_theta(theta, ctx)),
                     log10_gv=float(g_of_theta(-theta, ctx)))
 

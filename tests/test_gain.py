@@ -70,6 +70,36 @@ class TestGainsFromTheta:
         assert gp.log10_gx == swapped.log10_gv
         assert gp.log10_gv == swapped.log10_gx
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_theta_rejected(self, unit_ctx, theta):
+        with pytest.raises(ValueError, match=f"theta {theta} dB"):
+            gains_from_theta(theta, unit_ctx)
+
+    @pytest.mark.parametrize("theta", [-4000.0, -161.0, 161.0, 4000.0,
+                                       -1e308, 1e308])
+    def test_huge_theta_without_overflow(self, theta):
+        ctx = GainContext(g_y=1.7, G0=0.8)
+        gp = gains_from_theta(theta, ctx)
+        loud, quiet = sorted((gp.log10_gx, gp.log10_gv), reverse=True)
+        # the louder source takes all of g_y/G0, the quieter |theta|/20 less
+        assert loud == pytest.approx(math.log10(1.7 / 0.8), abs=1e-15)
+        assert quiet == pytest.approx(loud - abs(theta) / 20.0, rel=1e-15)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(g_y=st.floats(1e-3, 1e3), theta=st.floats(-160.0, 160.0))
+    @example(g_y=1.0, theta=-160.0)
+    @example(g_y=1.0, theta=160.0)
+    def test_g_of_theta_unchanged_within_160_db(self, g_y, theta):
+        ctx = GainContext(g_y=g_y)
+        closed_form = (np.log10(g_y)
+                       - 0.5 * np.log10(1.0 + 10.0 ** (-theta / 10.0)))
+        assert g_of_theta(theta, ctx) == closed_form
+
+    def test_g_of_theta_continuous_at_minus_160_db(self, unit_ctx):
+        below = g_of_theta(np.nextafter(-160.0, -np.inf), unit_ctx)
+        assert below == pytest.approx(g_of_theta(-160.0, unit_ctx),
+                                      rel=1e-15)
+
     def test_monotonicity(self, unit_ctx):
         thetas = np.arange(-15.0, 15.01, 0.5)
         gx = np.array([gains_from_theta(t, unit_ctx).log10_gx

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specsep import GainContext, gains_from_theta, gvq_score, mixmax_combine
+from specsep import (GainContext, g_of_theta, gains_from_theta, gvq_score,
+                     mixmax_combine)
 from specsep.quantize import Codebook, VARIANCE_FLOOR, train_lbg
 
 from conftest import broadcast_gvq_costs
@@ -139,6 +140,28 @@ class TestGvqFrameDecode:
                                  cb_v.occupancy[[k]])
                 q_k = gvq_score(y, cb_x, alone, 15.0, ctx)[2]
                 assert q == pytest.approx(q_k, rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [-4000.0, 4000.0])
+    def test_huge_theta_gives_every_bin_to_louder_source(self, ctx, theta):
+        rng = np.random.default_rng(9)
+        cb_x = random_codebook(rng, 3, 6)
+        cb_v = random_codebook(rng, 3, 6)
+        y = rng.normal(0.0, 1.0, (4, 6))
+        idx_x, idx_v, q = gvq_score(y, cb_x, cb_v, theta, ctx)
+        assert np.isfinite(q)
+        # the quieter source wins no bin, so its index ties to 0
+        assert np.all((idx_v if theta > 0 else idx_x) == 0)
+        loud = cb_x if theta > 0 else cb_v
+        shift = g_of_theta(abs(theta), ctx)
+        alone = ((y[:, None, :] - loud.codevectors - shift) ** 2).sum(axis=2)
+        assert q == pytest.approx(-alone.min(axis=1).sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf])
+    def test_nonfinite_theta_rejected(self, ctx, theta):
+        rng = np.random.default_rng(10)
+        cb = random_codebook(rng, 2, 5)
+        with pytest.raises(ValueError, match="theta"):
+            gvq_score(np.zeros((3, 5)), cb, cb, theta, ctx)
 
     def test_dimension_mismatch_rejected(self, ctx):
         rng = np.random.default_rng(7)

@@ -41,6 +41,23 @@ class TestMaskBuilding:
         assert np.all(masks_x == 1)
         assert np.all(masks_v == 0)
 
+    @pytest.mark.parametrize("theta", [-4000.0, 4000.0])
+    def test_huge_theta_gives_every_bin_to_louder_source(self, ctx, theta):
+        rng = np.random.default_rng(3)
+        mx = random_hmm(rng, K=2, dim=6)
+        mv = random_hmm(rng, K=2, dim=6)
+        masks_x, masks_v = path_masks(mx.means, mv.means, [0, 1], [1, 0],
+                                      theta, ctx)
+        assert np.all(masks_x == (theta > 0))
+        assert np.all(masks_v == (theta < 0))
+
+    @pytest.mark.parametrize("theta", [np.nan, -np.inf])
+    def test_nonfinite_theta_rejected(self, ctx, theta):
+        rng = np.random.default_rng(4)
+        mx = random_hmm(rng, K=2, dim=6)
+        with pytest.raises(ValueError, match="theta"):
+            path_masks(mx.means, mx.means, [0, 1], [1, 0], theta, ctx)
+
     def test_tie_goes_to_target(self, ctx):
         rng = np.random.default_rng(1)
         mx = random_hmm(rng, K=1, dim=4)
