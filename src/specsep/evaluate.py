@@ -4,6 +4,7 @@ writes one CSV row per (pair, theta, method) run."""
 
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -230,13 +231,22 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value):
+    return _is_number(value) and math.isfinite(value)
+
+
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_manifest(manifest):
     """Raise ValueError unless manifest is an object whose required keys
     theta_grid (finite numbers), methods (strings) and pairs hold arrays and
     models an object, every pair is an object with an id, the ids are all
     strings or all numbers, the optional framing is an object holding only
     FramingConfig fields, sample_rate and each framing setting are positive
-    integers, and seed and jobs are numbers."""
+    integers, theta0 is a finite number, fix_theta a finite number or null,
+    and seed and jobs are integers."""
     if not isinstance(manifest, dict):
         raise ValueError("manifest must be a JSON object, got "
                          f"{type(manifest).__name__}")
@@ -250,8 +260,7 @@ def _check_manifest(manifest):
             raise ValueError(f"manifest '{key}' must be {name}, got "
                              f"{type(manifest[key]).__name__}")
     # json reads NaN and Infinity, which mix_at_tir would reject per run
-    if not all(_is_number(t) and np.isfinite(t)
-               for t in manifest["theta_grid"]):
+    if not all(_is_finite(t) for t in manifest["theta_grid"]):
         raise ValueError("manifest 'theta_grid' must hold only finite "
                          "numbers")
     if not all(isinstance(m, str) for m in manifest["methods"]):
@@ -268,9 +277,17 @@ def _check_manifest(manifest):
     # int() would run a hop of 80.7 as 80 and one of true as 1
     _check_settings({**framing, "sample_rate": manifest.get(
         "sample_rate", DEFAULT_SAMPLE_RATE)}, "manifest")
-    for key in ("seed", "jobs"):
-        if key in manifest and not _is_number(manifest[key]):
-            raise ValueError(f"manifest '{key}' must be a number")
+    # separate() would run a theta0 of true from 1 dB, and int() a seed of
+    # 1.5 as 1
+    for key, valid, what in (
+            ("theta0", _is_finite, "a finite number"),
+            ("fix_theta", lambda v: v is None or _is_finite(v),
+             "a finite number or null"),
+            ("seed", _is_integer, "an integer"),
+            ("jobs", _is_integer, "an integer")):
+        if key in manifest and not valid(manifest[key]):
+            raise ValueError(f"manifest '{key}' must be {what}, got "
+                             f"{manifest[key]!r}")
     for idx, entry in enumerate(manifest["pairs"]):
         if not (isinstance(entry, dict) and "id" in entry):
             raise ValueError(f"manifest pair {idx} has no 'id'")
@@ -292,11 +309,12 @@ def run_experiment(manifest, out_csv, jobs=None):
     sources is seed + 2i and seed + 2i + 1), jobs (worker threads, when
     the jobs argument is not given) and the separate options theta0 and
     fix_theta.  A manifest that is not an object, lacks a required key,
-    holds a value of the wrong kind (a theta that is not a finite number, a
-    method that is not a string, ids that mix strings and numbers, a
-    framing that is not an object or holds a key other than frame_len, hop
-    and dft_size, a sample_rate or framing setting that is not a positive
-    integer, a seed or jobs that is not a number) or a pair without an id
+    holds a value of the wrong kind (a theta, theta0 or fix_theta that is
+    not a finite number, a method that is not a string, ids that mix
+    strings and numbers, a framing that is not an object or holds a key
+    other than frame_len, hop and dft_size, a sample_rate or framing
+    setting that is not a positive integer, a seed or jobs that is not an
+    integer) or a pair without an id
     raises ValueError before any run; failing runs land in the CSV with an
     error column rather than aborting the batch.  Returns a summary dict of
     per-(theta, method) means.

@@ -105,7 +105,10 @@ MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
                     "mixed_pair_ids", "mixed_methods", "null_theta",
                     "scalar_framing", "null_sample_rate", "fractional_hop",
                     "boolean_hop", "fractional_sample_rate",
-                    "unknown_framing_key", "nan_theta", "infinite_theta")
+                    "unknown_framing_key", "nan_theta", "infinite_theta",
+                    "boolean_theta0", "string_theta0", "nan_theta0",
+                    "string_fix_theta", "fractional_seed",
+                    "fractional_jobs")
 
 
 def broken_manifest(defect):
@@ -130,6 +133,12 @@ def broken_manifest(defect):
         return {**manifest, "theta_grid": [0, float("nan")]}
     if defect == "infinite_theta":
         return {**manifest, "theta_grid": [float("-inf"), 0]}
+    if defect in ("boolean_theta0", "string_theta0", "nan_theta0",
+                  "string_fix_theta", "fractional_seed", "fractional_jobs"):
+        kind, key = defect.split("_", 1)
+        return {**manifest, key: {"boolean": True, "string": "5",
+                                  "nan": float("nan"),
+                                  "fractional": 1.5}[kind]}
     if defect == "scalar_framing":
         return {**manifest, "framing": 3}
     if defect == "null_sample_rate":

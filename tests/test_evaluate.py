@@ -9,7 +9,8 @@ import pytest
 
 from specsep import (AudioSignal, mix_at_tir, normalize_equal_power,
                      run_experiment, sample_hmm_frames, snr, synth_source)
-from specsep.evaluate import CSV_COLUMNS, summarize_rows, write_report
+from specsep.evaluate import (CSV_COLUMNS, _check_manifest, summarize_rows,
+                              write_report)
 from specsep.models import save_model
 
 from conftest import (BAD_FILES, CODEBOOK_DEFECTS, HMM_DEFECTS,
@@ -509,6 +510,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="manifest"):
             run_experiment(broken_manifest(defect), out_csv)
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("options", [
+        {"theta0": 3}, {"theta0": -20.5}, {"fix_theta": None},
+        {"fix_theta": 4.5}, {"seed": 7, "jobs": 2},
+    ], ids=repr)
+    def test_valid_run_options_accepted(self, options):
+        _check_manifest({"theta_grid": [0], "methods": ["vq"], "models": {},
+                         "pairs": [], **options})
 
 
 class TestReport:
