@@ -18,6 +18,7 @@ OUTER_TOL_DB = 0.25
 MAX_OUTER_ITERS = 10
 THETA_STEP_TOL_DB = 0.1
 MAX_THETA_EVALS = 20
+BRUTE_FORCE_MAX_INSTANCES = 10_000_000
 
 GOLDEN = 0.3819660112501051  # 2 - golden ratio
 
@@ -114,17 +115,16 @@ def parallel_viterbi(y_seq, lambda_x, lambda_v, theta, ctx):
                        max_outer=0)
 
 
-def brute_force_decode(y_seq, lambda_x, lambda_v, theta, ctx,
-                       max_instances=10_000_000):
+def brute_force_decode(y_seq, lambda_x, lambda_v, theta, ctx):
     """Exhaustive oracle over every joint path pair.
 
     Intended for tests on tiny instances; refuses anything with more than
-    max_instances path pairs.  Ties resolve to the lexicographically
-    smallest (path_x, path_v).
+    BRUTE_FORCE_MAX_INSTANCES path pairs.  Ties resolve to the
+    lexicographically smallest (path_x, path_v).
     """
     y_seq = _check_pair(y_seq, lambda_x, lambda_v)
     R = y_seq.shape[0]
-    if float(lambda_x.K * lambda_v.K) ** R > max_instances:
+    if float(lambda_x.K * lambda_v.K) ** R > BRUTE_FORCE_MAX_INSTANCES:
         raise ValueError(
             f"instance too large for brute force: K_x={lambda_x.K}, "
             f"K_v={lambda_v.K}, R={R}")
@@ -166,8 +166,7 @@ def _parabola_vertex(a, b, c, fa, fb, fc):
     return b - 0.5 * num / den
 
 
-def maximize_theta(objective, interval, tol=THETA_STEP_TOL_DB,
-                   max_evals=MAX_THETA_EVALS):
+def maximize_theta(objective, interval):
     """Maximize a scalar objective over an interval.
 
     Successive parabolic interpolation seeded at the endpoints and
@@ -176,10 +175,11 @@ def maximize_theta(objective, interval, tol=THETA_STEP_TOL_DB,
     and re-evaluate.  When the fit degenerates (non-concave or collinear),
     escapes the bracket, or lands on an already-evaluated point, a
     golden-section step subdivides the wider flank instead.  Stops once
-    both neighbors pin the best point within tol (no further step of at
-    least tol is possible) or after max_evals evaluations.  Returns
-    (argmax, value) over everything evaluated.
+    both neighbors pin the best point within THETA_STEP_TOL_DB (no further
+    step of at least that is possible) or after MAX_THETA_EVALS
+    evaluations.  Returns (argmax, value) over everything evaluated.
     """
+    tol, max_evals = THETA_STEP_TOL_DB, MAX_THETA_EVALS
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("degenerate interval")

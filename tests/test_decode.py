@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from specsep import (GainContext, HmmModel, brute_force_decode,
                      gains_from_theta, gfhmm_infer, gvq_infer,
                      log_b_table, maximize_theta, parallel_viterbi)
+from specsep import decode
 from specsep.decode import (NumericError, _viterbi_from_table,
                             mega_frame_slices)
 from specsep.gain import THETA_MAX_DB, THETA_MIN_DB
@@ -300,15 +301,18 @@ class TestMaximizeTheta:
         with pytest.raises(NumericError):
             maximize_theta(lambda t: float("nan"), (-15.0, 15.0))
 
-    def test_respects_max_evals(self):
+    def test_respects_max_evals(self, monkeypatch):
         calls = []
 
         def objective(t):
             calls.append(t)
             return -(t - 3.0) ** 4    # flat-topped, slow convergence
 
-        maximize_theta(objective, (-15.0, 15.0), tol=1e-12, max_evals=20)
-        assert len(calls) <= 20
+        # a tolerance that never stops the search leaves only the cap
+        monkeypatch.setattr(decode, "THETA_STEP_TOL_DB", 1e-12)
+        assert decode.MAX_THETA_EVALS == 20
+        maximize_theta(objective, (-15.0, 15.0))
+        assert len(calls) == 20
 
 
 class TestGfhmmInfer:
