@@ -246,7 +246,7 @@ def _check_manifest(manifest):
     strings or all numbers, the optional framing is an object holding only
     FramingConfig fields, sample_rate and each framing setting are positive
     integers, theta0 is a finite number, fix_theta a finite number or null,
-    and seed and jobs are integers."""
+    seed a non-negative integer and jobs a positive integer."""
     if not isinstance(manifest, dict):
         raise ValueError("manifest must be a JSON object, got "
                          f"{type(manifest).__name__}")
@@ -277,14 +277,16 @@ def _check_manifest(manifest):
     # int() would run a hop of 80.7 as 80 and one of true as 1
     _check_settings({**framing, "sample_rate": manifest.get(
         "sample_rate", DEFAULT_SAMPLE_RATE)}, "manifest")
-    # separate() would run a theta0 of true from 1 dB, and int() a seed of
-    # 1.5 as 1
+    # separate() would run a theta0 of true from 1 dB, int() a seed of 1.5
+    # as 1, and a negative seed would fail every synthesized source
     for key, valid, what in (
             ("theta0", _is_finite, "a finite number"),
             ("fix_theta", lambda v: v is None or _is_finite(v),
              "a finite number or null"),
-            ("seed", _is_integer, "an integer"),
-            ("jobs", _is_integer, "an integer")):
+            ("seed", lambda v: _is_integer(v) and v >= 0,
+             "a non-negative integer"),
+            ("jobs", lambda v: _is_integer(v) and v > 0,
+             "a positive integer")):
         if key in manifest and not valid(manifest[key]):
             raise ValueError(f"manifest '{key}' must be {what}, got "
                              f"{manifest[key]!r}")
@@ -313,8 +315,8 @@ def run_experiment(manifest, out_csv, jobs=None):
     not a finite number, a method that is not a string, ids that mix
     strings and numbers, a framing that is not an object or holds a key
     other than frame_len, hop and dft_size, a sample_rate or framing
-    setting that is not a positive integer, a seed or jobs that is not an
-    integer) or a pair without an id
+    setting or jobs that is not a positive integer, a seed that is not a
+    non-negative integer) or a pair without an id
     raises ValueError before any run; failing runs land in the CSV with an
     error column rather than aborting the batch.  Returns a summary dict of
     per-(theta, method) means.

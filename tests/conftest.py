@@ -19,7 +19,8 @@ from specsep.signal import log_spectra
 # defects that a model file can carry; trans_plus_one applies to HMMs only
 # and negative_occupancy to codebooks only
 MODEL_DEFECTS = ("nan_mean", "negative_variance", "tiny_variance",
-                 "trans_plus_one", "negative_occupancy", "hop_inf")
+                 "trans_plus_one", "negative_occupancy", "hop_inf",
+                 "hop_text")
 HMM_DEFECTS = tuple(d for d in MODEL_DEFECTS if d != "negative_occupancy")
 CODEBOOK_DEFECTS = tuple(d for d in MODEL_DEFECTS if d != "trans_plus_one")
 
@@ -30,10 +31,11 @@ def malformed(model, defect):
                  else ("codevectors", "cluster_variances"))
     if defect == "trans_plus_one":
         return dataclasses.replace(model, trans=model.trans + 1.0)
-    if defect == "hop_inf":
-        # saved as JSON's Infinity, which loads back as a float
-        return dataclasses.replace(model, meta={**model.meta,
-                                                "hop": float("inf")})
+    if defect in ("hop_inf", "hop_text"):
+        # JSON keeps each value's type: inf loads back as a float, "80" as
+        # a string
+        hop = float("inf") if defect == "hop_inf" else "80"
+        return dataclasses.replace(model, meta={**model.meta, "hop": hop})
     name, value = {"nan_mean": (mean, np.nan),
                    "negative_variance": (var, -0.1),
                    "tiny_variance": (var, 1e-308),
@@ -108,7 +110,7 @@ MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
                     "unknown_framing_key", "nan_theta", "infinite_theta",
                     "boolean_theta0", "string_theta0", "nan_theta0",
                     "string_fix_theta", "fractional_seed",
-                    "fractional_jobs")
+                    "fractional_jobs", "negative_seed", "zero_jobs")
 
 
 def broken_manifest(defect):
@@ -134,11 +136,12 @@ def broken_manifest(defect):
     if defect == "infinite_theta":
         return {**manifest, "theta_grid": [float("-inf"), 0]}
     if defect in ("boolean_theta0", "string_theta0", "nan_theta0",
-                  "string_fix_theta", "fractional_seed", "fractional_jobs"):
+                  "string_fix_theta", "fractional_seed", "fractional_jobs",
+                  "negative_seed", "zero_jobs"):
         kind, key = defect.split("_", 1)
         return {**manifest, key: {"boolean": True, "string": "5",
-                                  "nan": float("nan"),
-                                  "fractional": 1.5}[kind]}
+                                  "nan": float("nan"), "fractional": 1.5,
+                                  "negative": -3, "zero": 0}[kind]}
     if defect == "scalar_framing":
         return {**manifest, "framing": 3}
     if defect == "null_sample_rate":

@@ -513,7 +513,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("options", [
         {"theta0": 3}, {"theta0": -20.5}, {"fix_theta": None},
-        {"fix_theta": 4.5}, {"seed": 7, "jobs": 2},
+        {"fix_theta": 4.5}, {"seed": 0, "jobs": 1}, {"seed": 7, "jobs": 2},
     ], ids=repr)
     def test_valid_run_options_accepted(self, options):
         _check_manifest({"theta_grid": [0], "methods": ["vq"], "models": {},
