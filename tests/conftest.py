@@ -135,10 +135,9 @@ def broken_manifest(defect):
         return {**manifest, "theta_grid": [0, float("nan")]}
     if defect == "infinite_theta":
         return {**manifest, "theta_grid": [float("-inf"), 0]}
-    if defect in ("boolean_theta0", "string_theta0", "nan_theta0",
-                  "string_fix_theta", "fractional_seed", "fractional_jobs",
-                  "negative_seed", "zero_jobs"):
-        kind, key = defect.split("_", 1)
+    # "<kind of value>_<run option>"
+    kind, _, key = defect.partition("_")
+    if key in ("theta0", "fix_theta", "seed", "jobs"):
         return {**manifest, key: {"boolean": True, "string": "5",
                                   "nan": float("nan"), "fractional": 1.5,
                                   "negative": -3, "zero": 0}[kind]}

@@ -16,6 +16,20 @@ from conftest import (BAD_FILES, CODEBOOK_DEFECTS, HMM_DEFECTS, malformed,
                       save_model_v1)
 
 
+def assert_same_model(back, model):
+    """back is model bit for bit: same class, arrays, dtypes and metadata
+    values of the same types."""
+    assert type(back) is type(model)
+    for name, value in vars(model).items():
+        if name == "meta":
+            assert back.meta == value
+            assert ([type(v) for v in back.meta.values()]
+                    == [type(value[k]) for k in back.meta])
+        else:
+            np.testing.assert_array_equal(getattr(back, name), value,
+                                          strict=True)
+
+
 def log_gauss(x, mean, var):
     """mixmax.log_gauss_table on one frame and one center."""
     return log_gauss_table(x[None], mean[None], var[None])[0, 0]
@@ -287,15 +301,7 @@ class TestPersistence:
         path = tmp_path_factory.getbasetemp() / "round_trip.ssm"
         save_model(model, path)
         back = load_model(path)
-        assert type(back) is type(model)
-        for name, value in vars(model).items():
-            if name == "meta":
-                assert back.meta == meta
-                assert ([type(v) for v in back.meta.values()]
-                        == [type(meta[k]) for k in back.meta])
-            else:
-                np.testing.assert_array_equal(getattr(back, name), value,
-                                              strict=True)
+        assert_same_model(back, model)
 
     # values that JSON would load back as another value or type
     @pytest.mark.parametrize("meta", [
@@ -327,15 +333,7 @@ class TestPersistence:
         path = tmp_path / "v1.ssm"
         save_model_v1(model, path)
         back = load_model(path)
-        assert type(back) is type(model)
-        for name, value in vars(model).items():
-            if name == "meta":
-                assert back.meta == meta
-                assert ([type(v) for v in back.meta.values()]
-                        == [type(meta[k]) for k in back.meta])
-            else:
-                np.testing.assert_array_equal(getattr(back, name), value,
-                                              strict=True)
+        assert_same_model(back, model)
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "m.ssm"
