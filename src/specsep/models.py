@@ -307,7 +307,8 @@ def save_model(model, path):
     except TypeError as exc:
         raise ValueError(f"model meta {model.meta!r}: {exc}") from None
     back = json.loads(meta)
-    # equal and printed alike, so of the same types; NaN equals nothing
+    # equal and printed alike, so of the same types (numpy 2 prints its
+    # scalars with their type); NaN equals nothing
     if back != model.meta or repr(back) != repr(model.meta):
         raise ValueError(f"model meta {model.meta!r} would load back from "
                          f"JSON as {back!r}")
