@@ -4,8 +4,8 @@ writes one CSV row per (pair, theta, method) run."""
 
 import csv
 import json
-import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -232,7 +232,9 @@ def _is_number(value):
 
 
 def _is_finite(value):
-    return _is_number(value) and math.isfinite(value)
+    # JSON reads an integer of any size; one beyond a float's range is
+    # refused like inf (math.isfinite would raise OverflowError on it)
+    return _is_number(value) and abs(value) <= sys.float_info.max
 
 
 def _is_integer(value):

@@ -8,6 +8,7 @@ log10-magnitude units.  The two bases never mix.
 """
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 
@@ -288,6 +289,21 @@ def _meta_from_arrays(keys, values):
     return meta
 
 
+def _json_exact(value):
+    """True if JSON loads value back equal and of the same types: dicts
+    with string keys, lists, strings, ints, bools, None and floats other
+    than NaN, checked by exact type (a subclass, such as a numpy scalar,
+    loads back as its base type)."""
+    if type(value) is dict:
+        return all(type(k) is str and _json_exact(v)
+                   for k, v in value.items())
+    if type(value) is list:
+        return all(_json_exact(v) for v in value)
+    if type(value) is float:
+        return not math.isnan(value)
+    return value is None or type(value) in (str, int, bool)
+
+
 def save_model(model, path):
     """Persist an HmmModel or Codebook to a versioned .npz container.
 
@@ -302,16 +318,10 @@ def save_model(model, path):
                  if isinstance(model, cls)), None)
     if kind is None:
         raise TypeError(f"cannot save object of type {type(model).__name__}")
-    try:
-        meta = json.dumps(model.meta)
-    except TypeError as exc:
-        raise ValueError(f"model meta {model.meta!r}: {exc}") from None
-    back = json.loads(meta)
-    # equal and printed alike, so of the same types (numpy 2 prints its
-    # scalars with their type); NaN equals nothing
-    if back != model.meta or repr(back) != repr(model.meta):
-        raise ValueError(f"model meta {model.meta!r} would load back from "
-                         f"JSON as {back!r}")
+    if not (type(model.meta) is dict and _json_exact(model.meta)):
+        raise ValueError(f"model meta {model.meta!r} would not load back "
+                         f"from JSON equal and of the same types")
+    meta = json.dumps(model.meta)
     arrays = {key: np.asarray(getattr(model, attr))
               for key, attr in _LAYOUT[kind][1].items()}
     arrays = {key: a.astype("<i8" if a.dtype.kind in "iub" else "<f8")

@@ -110,7 +110,8 @@ MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
                     "unknown_framing_key", "nan_theta", "infinite_theta",
                     "boolean_theta0", "string_theta0", "nan_theta0",
                     "string_fix_theta", "fractional_seed",
-                    "fractional_jobs", "negative_seed", "zero_jobs")
+                    "fractional_jobs", "negative_seed", "zero_jobs",
+                    "huge_theta0", "huge_theta")
 
 
 def broken_manifest(defect):
@@ -135,12 +136,16 @@ def broken_manifest(defect):
         return {**manifest, "theta_grid": [0, float("nan")]}
     if defect == "infinite_theta":
         return {**manifest, "theta_grid": [float("-inf"), 0]}
+    # json reads an integer of any size; this one is beyond a float's range
+    if defect == "huge_theta":
+        return {**manifest, "theta_grid": [0, 10 ** 400]}
     # "<kind of value>_<run option>"
     kind, _, key = defect.partition("_")
     if key in ("theta0", "fix_theta", "seed", "jobs"):
         return {**manifest, key: {"boolean": True, "string": "5",
                                   "nan": float("nan"), "fractional": 1.5,
-                                  "negative": -3, "zero": 0}[kind]}
+                                  "negative": -3, "zero": 0,
+                                  "huge": -10 ** 400}[kind]}
     if defect == "scalar_framing":
         return {**manifest, "framing": 3}
     if defect == "null_sample_rate":

@@ -312,6 +312,7 @@ class TestPersistence:
             ({"gain": float("nan")}, True), ({"shape": (2, 3)}, True),
             ({1: "a"}, True), ({(1, 2): "a"}, True),
             ({"hop": np.int64(80)}, True), ({"gain": np.float64(0.5)}, True),
+            ({"speaker": np.str_("a")}, True), ({"flag": np.bool_(True)}, True),
             ({"speakers": ["a", ("b", "c")]}, True),
             ({"speaker": "007"}, False), ({"name": "1e3"}, False),
             ({"flag": True}, False), ({"x": "nan"}, False),
