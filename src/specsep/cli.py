@@ -112,8 +112,7 @@ def cmd_separate(args):
     mixture = read_wav(args.mixture)
     x_hat, v_hat, diag = separate(
         mixture, model_x, model_v, cfg, method=args.method,
-        theta0=args.theta0, fix_theta=args.fix_theta,
-        gy_over_g0=args.gy_over_g0)
+        theta0=args.theta0, fix_theta=args.fix_theta)
     write_wav(args.out_x, x_hat)
     write_wav(args.out_v, v_hat)
     print(f"method={args.method} theta_hat={diag['theta_hat']:+.3f} dB "
@@ -205,9 +204,6 @@ def build_parser():
                    help="skip gain-ratio estimation and decode at this "
                         "value in dB (within the -15..15 dB search "
                         "interval)")
-    p.add_argument("--gy-over-g0", type=float, default=None,
-                   help="override the estimated observation/nominal gain "
-                        "ratio")
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("evaluate", help="run a batch experiment manifest")

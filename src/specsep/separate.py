@@ -15,11 +15,18 @@ from .models import Codebook, HmmModel, ModelMismatchError
 from .quantize import gvq_score  # noqa: F401
 from .signal import apply_masks_and_reconstruct, log_spectra
 
-# method -> the model kind it decodes with ("hmm" or "vq")
-METHODS = {"gfhmm": "hmm", "gvq": "vq", "fhmm": "hmm", "vq": "vq"}
+# method -> (the model kind it decodes with, whether theta is estimated);
+# the fixed-gain baselines fhmm and vq decode once at theta 0
+METHODS = {"gfhmm": ("hmm", True), "gvq": ("vq", True),
+           "fhmm": ("hmm", False), "vq": ("vq", False)}
 
-# baseline (non-gain-adapted) runs force g_y/G0 = sqrt(2) at theta = 0,
-# which makes both source gains exactly 1
+# model kind -> (model class, decoder, the per-state prototypes masks read)
+_KINDS = {"hmm": (HmmModel, _decode.gfhmm_infer, "means"),
+          "vq": (Codebook, _decode.gvq_infer, "codevectors")}
+
+# the baselines decode at theta 0 with g_y/G0 = sqrt(2), which makes both
+# source gains 1 up to rounding: log10 gains of 2.8e-17 (no float g_y
+# gives exactly 0)
 BASELINE_GY_OVER_G0 = math.sqrt(2.0)
 
 MEGA_FRAME_SECONDS = 2.0
@@ -45,12 +52,13 @@ def model_kind(method):
     if method not in METHODS:
         raise ValueError(
             f"unknown method '{method}' (one of {', '.join(METHODS)})")
-    return METHODS[method]
+    return METHODS[method][0]
 
 
 def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
-             fix_theta=None, gy_over_g0=None, outer_tol=None,
-             max_outer=None, mega_frame_seconds=MEGA_FRAME_SECONDS):
+             fix_theta=None, outer_tol=_decode.OUTER_TOL_DB,
+             max_outer=_decode.MAX_OUTER_ITERS,
+             mega_frame_seconds=MEGA_FRAME_SECONDS):
     """Separate a two-speaker mixture into target and interference.
 
     Parameters
@@ -60,15 +68,15 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
     cfg : FramingConfig
     method : "gfhmm" | "gvq" | "fhmm" | "vq"; the latter two are the
         non-gain-adapted baselines, realized as the same decoders with
-        theta frozen at 0 and both gains forced to 1
+        theta frozen at 0 and g_y/G0 at BASELINE_GY_OVER_G0
     theta0 : starting theta for the alternating estimation (dB); the
         decoders reject a non-finite one with ValueError and clamp a
         finite one into [THETA_MIN_DB, THETA_MAX_DB]; unused when theta is
         fixed
     fix_theta : skip theta estimation and decode once at this value (dB);
         it must lie in [THETA_MIN_DB, THETA_MAX_DB], i.e. +/-15 dB
-    gy_over_g0 : override the estimated g_y/G0 ratio (testing hook; the
-        baselines set it to sqrt(2) internally)
+    outer_tol, max_outer : the decoders' stopping rule for the
+        alternating estimation
     mega_frame_seconds : loudness-constancy window; utterances shorter
         than twice this get a single theta, and None or 0 means one
         window; a non-finite one, or one that rounds to no whole hop, raises
@@ -80,11 +88,13 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
     cfg, else ModelMismatchError.  The two models may differ in size.
     A non-finite decoder score raises decode.NumericError.
 
-    Returns (x_hat, v_hat, diagnostics); diagnostics carries theta_hat,
-    iterations, the decoder score, and the decoded index paths.
+    Returns (x_hat, v_hat, diagnostics); diagnostics holds the decoder's
+    DecodeResult fields (paths, logprob, theta_hat, theta_per_chunk and
+    objective_trace, one score per decode) with the method, the measured
+    g_y and the frame count; a fixed theta counts as one iteration.
     """
-    hmm_based = model_kind(method) == "hmm"
-    cls = HmmModel if hmm_based else Codebook
+    cls, infer, proto = _KINDS[model_kind(method)]
+    estimated = METHODS[method][1]
     n_bins = cfg.n_bins
     setting = {"sample_rate": mixture.sample_rate, **asdict(cfg)}
     for role, m in (("target", model_x), ("interference", model_v)):
@@ -106,14 +116,9 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
 
     y_seq = log_spectra(mixture, cfg)
     g_y = estimate_gy(mixture)
-
-    baseline = method in ("fhmm", "vq")
-    if baseline:
-        ctx = GainContext(g_y=BASELINE_GY_OVER_G0, G0=1.0)
+    ctx = GainContext(g_y=g_y if estimated else BASELINE_GY_OVER_G0)
+    if not estimated:
         fix_theta = 0.0
-    else:
-        ratio = gy_over_g0 if gy_over_g0 is not None else g_y
-        ctx = GainContext(g_y=float(ratio), G0=1.0)
 
     R = y_seq.shape[0]
     frames_per_chunk = None
@@ -130,27 +135,17 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
         theta0, max_outer, frames_per_chunk = fix_theta, 0, None
     chunks = _decode.mega_frame_slices(R, frames_per_chunk)
 
-    infer = _decode.gfhmm_infer if hmm_based else _decode.gvq_infer
-    result = infer(
-        y_seq, model_x, model_v, ctx, theta0=theta0, mega_frames=chunks,
-        outer_tol=_decode.OUTER_TOL_DB if outer_tol is None else outer_tol,
-        max_outer=_decode.MAX_OUTER_ITERS if max_outer is None else max_outer)
-    proto = "means" if hmm_based else "codevectors"
+    result = infer(y_seq, model_x, model_v, ctx, theta0=theta0,
+                   outer_tol=outer_tol, max_outer=max_outer,
+                   mega_frames=chunks)
     masks_x, masks_v = build_masks(getattr(model_x, proto)[result.path_x],
                                    getattr(model_v, proto)[result.path_v],
                                    chunks, result.theta_per_chunk, ctx)
     x_hat, v_hat = apply_masks_and_reconstruct(mixture, masks_x, masks_v, cfg)
 
     diagnostics = {
-        "method": method,
-        "theta_hat": result.theta_hat,
-        "theta_per_chunk": list(result.theta_per_chunk),
+        **vars(result), "method": method, "g_y": g_y, "n_frames": R,
         # the single decode at a fixed theta is reported as one iteration
         "iterations": result.iterations if fix_theta is None else 1,
-        "logprob": result.logprob,
-        "g_y": g_y,
-        "path_x": result.path_x,
-        "path_v": result.path_v,
-        "n_frames": R,
     }
     return x_hat, v_hat, diagnostics

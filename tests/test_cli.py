@@ -1,5 +1,4 @@
 import json
-import math
 import shutil
 
 import numpy as np
@@ -218,24 +217,6 @@ class TestSeparate:
             assert rc == 0
             assert (tmp / f"{method}_x.wav").exists()
 
-    def test_vq_equals_gvq_with_baseline_gains(self, speaker_dirs,
-                                               cli_models, mixture_file):
-        tmp = speaker_dirs["tmp"]
-        main(["separate", "--mixture", str(mixture_file),
-              "--model-x", str(cli_models["vq_a"]),
-              "--model-v", str(cli_models["vq_b"]), "--method", "vq",
-              "--out-x", str(tmp / "bl_x.wav"),
-              "--out-v", str(tmp / "bl_v.wav")])
-        main(["separate", "--mixture", str(mixture_file),
-              "--model-x", str(cli_models["vq_a"]),
-              "--model-v", str(cli_models["vq_b"]), "--method", "gvq",
-              "--fix-theta", "0", "--gy-over-g0", repr(math.sqrt(2.0)),
-              "--out-x", str(tmp / "fx_x.wav"),
-              "--out-v", str(tmp / "fx_v.wav")])
-        a = (tmp / "bl_x.wav").read_bytes()
-        b = (tmp / "fx_x.wav").read_bytes()
-        assert a == b
-
     def test_kind_mismatch_exits_3(self, speaker_dirs, cli_models,
                                    mixture_file):
         tmp = speaker_dirs["tmp"]
@@ -338,23 +319,6 @@ class TestSeparate:
         assert rc == 1
         assert "theta0" in capsys.readouterr().err
         assert not (tmp / "nan_x.wav").exists()
-
-    @pytest.mark.parametrize("method, kind", [("gfhmm", "hmm"),
-                                              ("gvq", "vq")])
-    def test_nonfinite_gy_over_g0_exits_1(self, speaker_dirs, cli_models,
-                                          mixture_file, method, kind,
-                                          capsys):
-        tmp = speaker_dirs["tmp"]
-        rc = main(["separate", "--mixture", str(mixture_file),
-                   "--model-x", str(cli_models[f"{kind}_a"]),
-                   "--model-v", str(cli_models[f"{kind}_b"]),
-                   "--method", method, "--gy-over-g0", "inf",
-                   "--out-x", str(tmp / "gy_x.wav"),
-                   "--out-v", str(tmp / "gy_v.wav")])
-        assert rc == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "g_y must be finite" in err[0]
-        assert not (tmp / "gy_x.wav").exists()
 
 
 class TestFramingCheck:

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from specsep import (AudioSignal, GainContext, ModelMismatchError,
                      apply_masks_and_reconstruct, build_masks, frame_signal,
-                     g_of_theta, gains_from_theta, mix_at_tir,
-                     normalize_equal_power, separate, snr, synth_source)
+                     g_of_theta, gains_from_theta, gvq_infer, log_spectra,
+                     mix_at_tir, normalize_equal_power, parallel_viterbi,
+                     separate, snr, synth_source)
 from specsep.decode import NumericError
 from specsep.gain import THETA_MAX_DB, THETA_MIN_DB
+from specsep.separate import BASELINE_GY_OVER_G0
 
 from conftest import (CODEBOOK_DEFECTS, HMM_DEFECTS, MODEL_DEFECTS,
                       malformed, overflowing, random_hmm,
@@ -247,18 +249,39 @@ class TestSeparatePipeline:
                               method="fhmm")
         assert snr(ref, x_gf) > snr(ref, x_fh)
 
-    def test_vq_baseline_equals_gvq_with_frozen_gains(self, framing,
-                                                      trained_models,
-                                                      mixture_setup):
+    @pytest.mark.parametrize("method, kind", [("fhmm", "hmm"), ("vq", "cb")])
+    def test_baseline_is_the_theta_0_decode_at_baseline_gains(
+            self, framing, trained_models, mixture_setup, method, kind):
         x, v = mixture_setup
         y, _, _ = mix_at_tir(x, v, 6.0)
-        cb_a, cb_b = trained_models["cb_a"], trained_models["cb_b"]
-        base_x, base_v, _ = separate(y, cb_a, cb_b, framing, method="vq")
-        same_x, same_v, _ = separate(y, cb_a, cb_b, framing, method="gvq",
-                                     fix_theta=0.0,
-                                     gy_over_g0=math.sqrt(2.0))
-        np.testing.assert_array_equal(base_x.samples, same_x.samples)
-        np.testing.assert_array_equal(base_v.samples, same_v.samples)
+        model_x, model_v = (trained_models[f"{kind}_{s}"] for s in "ab")
+        _, _, diag = separate(y, model_x, model_v, framing, method=method)
+        y_seq = log_spectra(y, framing)
+        ctx = GainContext(g_y=BASELINE_GY_OVER_G0)
+        if kind == "hmm":
+            ref = parallel_viterbi(y_seq, model_x, model_v, 0.0, ctx)
+        else:
+            ref = gvq_infer(y_seq, model_x, model_v, ctx, theta0=0.0,
+                            max_outer=0)
+        np.testing.assert_array_equal(diag["path_x"], ref.path_x)
+        np.testing.assert_array_equal(diag["path_v"], ref.path_v)
+        assert diag["logprob"] == ref.logprob
+
+    @pytest.mark.parametrize("method, kind, fix_theta", [
+        ("gfhmm", "hmm", None), ("gvq", "cb", None), ("gfhmm", "hmm", 3.0),
+        ("gvq", "cb", -2.0), ("fhmm", "hmm", None), ("vq", "cb", None)])
+    def test_objective_trace_has_one_score_per_decode(
+            self, framing, trained_models, mixture_setup, method, kind,
+            fix_theta):
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 6.0)
+        _, _, diag = separate(y, trained_models[f"{kind}_a"],
+                              trained_models[f"{kind}_b"], framing,
+                              method=method, fix_theta=fix_theta)
+        trace = diag["objective_trace"]
+        estimated = method in ("gfhmm", "gvq") and fix_theta is None
+        assert len(trace) == (diag["iterations"] + 1 if estimated else 1)
+        assert trace[-1] == diag["logprob"]
 
     def test_fix_theta_skips_estimation(self, framing, trained_models,
                                         mixture_setup):
@@ -295,18 +318,6 @@ class TestSeparatePipeline:
                     separate(y, trained_models[f"{kind}_a"],
                              trained_models[f"{kind}_b"], framing,
                              method=method, theta0=bad)
-
-    def test_nonfinite_gy_over_g0_rejected(self, framing, trained_models,
-                                           mixture_setup):
-        # before any decoding, not as a non-finite score (NumericError)
-        x, v = mixture_setup
-        y, _, _ = mix_at_tir(x, v, 6.0)
-        for method, kind in (("gfhmm", "hmm"), ("gvq", "cb")):
-            for bad in (float("nan"), float("inf")):
-                with pytest.raises(ValueError, match="g_y must be finite"):
-                    separate(y, trained_models[f"{kind}_a"],
-                             trained_models[f"{kind}_b"], framing,
-                             method=method, gy_over_g0=bad)
 
     def test_mega_frames_on_long_mixture(self, framing, speaker_generators,
                                          trained_models):
