@@ -20,6 +20,9 @@ from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
 
 SNR_CAP_DB = 100.0
 
+MANIFEST_KEYS = ("theta_grid", "methods", "models", "pairs", "sample_rate",
+                 "framing", "seed", "jobs", "theta0", "fix_theta")
+
 CSV_COLUMNS = ["pair_id", "method", "theta_true", "theta_hat", "iterations",
                "snr_target_db", "snr_interf_db", "logprob", "wall_ms",
                "error"]
@@ -242,7 +245,8 @@ def _is_integer(value):
 
 
 def _check_manifest(manifest):
-    """Raise ValueError unless manifest is an object whose required keys
+    """Raise ValueError unless manifest is an object holding only
+    MANIFEST_KEYS whose required keys
     theta_grid (finite numbers), methods (strings) and pairs hold arrays and
     models an object, every pair is an object with an id, the ids are all
     strings or all numbers, the optional framing is an object holding only
@@ -252,6 +256,11 @@ def _check_manifest(manifest):
     if not isinstance(manifest, dict):
         raise ValueError("manifest must be a JSON object, got "
                          f"{type(manifest).__name__}")
+    # a misspelt "fix_thetaa" would otherwise run the batch at the default
+    for key in manifest:
+        if key not in MANIFEST_KEYS:
+            raise ValueError(f"manifest has unknown key {key!r} "
+                             f"(known: {', '.join(MANIFEST_KEYS)})")
     for key, kind, name in (("theta_grid", (list, tuple), "an array"),
                             ("methods", (list, tuple), "an array"),
                             ("models", dict, "an object"),
@@ -310,10 +319,11 @@ def run_experiment(manifest, out_csv, jobs=None):
     theta_grid, methods, models {hmm_x, hmm_v, vq_x, vq_v} and pairs
     [{id, target, interf}], and optional keys sample_rate, framing
     {frame_len, hop, dft_size}, seed (the default synth seed of pair i's
-    sources is seed + 2i and seed + 2i + 1), jobs (worker threads, when
-    the jobs argument is not given) and the separate options theta0 and
-    fix_theta.  A manifest that is not an object, lacks a required key,
-    holds a value of the wrong kind (a theta, theta0 or fix_theta that is
+    sources is seed + 2i and seed + 2i + 1), jobs (worker threads; the
+    jobs argument, when given, replaces it and is checked as it is) and
+    the separate options theta0 and fix_theta.  A manifest that is not an
+    object, holds any other key, lacks a required key, holds a value of
+    the wrong kind (a theta, theta0 or fix_theta that is
     not a finite number, a method that is not a string, ids that mix
     strings and numbers, a framing that is not an object or holds a key
     other than frame_len, hop and dft_size, a sample_rate or framing
@@ -325,6 +335,9 @@ def run_experiment(manifest, out_csv, jobs=None):
     """
     if isinstance(manifest, (str, bytes, os.PathLike)):
         manifest = load_manifest(manifest)
+    # the jobs argument is checked as the manifest's "jobs" key is
+    if jobs is not None and isinstance(manifest, dict):
+        manifest = {**manifest, "jobs": jobs}
     _check_manifest(manifest)
     sample_rate = int(manifest.get("sample_rate", DEFAULT_SAMPLE_RATE))
     cfg = FramingConfig.from_meta(manifest.get("framing", {}))
@@ -361,8 +374,7 @@ def run_experiment(manifest, out_csv, jobs=None):
     tasks = [(pair_id, sources, theta, method, models[method])
              for pair_id, sources in pairs
              for theta in theta_grid for method in methods]
-    jobs = max(1, jobs or int(manifest.get("jobs", 1)))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=manifest.get("jobs", 1)) as pool:
         rows = list(pool.map(lambda t: _run_single(*t, cfg, options), tasks))
 
     rows.sort(key=lambda r: (r["pair_id"], float(r["theta_true"]),

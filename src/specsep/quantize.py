@@ -153,12 +153,19 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     pair's maximum scores exactly 0.  The pairs that tie with a frame's
     best up to the products' rounding are rescored by a fixed-order exact
     sum (_best_pairs), so exact ties resolve by the rule above
-    whatever the BLAS and the codebook sizes.
+    whatever the BLAS and the codebook sizes.  Any finite theta scores
+    finitely: beyond the codebooks' value span, the quieter source's gain
+    is clamped, which changes no winner, cost or pair.
     """
     y_seq = _check_pair(y_seq, cb_x, cb_v)
     gp = gains_from_theta(theta, ctx)
-    shifted_x = cb_x.codevectors + gp.log10_gx
-    shifted_v = cb_v.codevectors + gp.log10_gv
+    # once the gain gap exceeds the codebooks' value span, one source wins
+    # every bin; the quieter source's gain then only drives its masked-out
+    # terms to overflow, so it is clamped to just beyond that span
+    span = (max(cb_x.codevectors.max(), cb_v.codevectors.max())
+            - min(cb_x.codevectors.min(), cb_v.codevectors.min()))
+    shifted_x = cb_x.codevectors + max(gp.log10_gx, gp.log10_gv - span - 1.0)
+    shifted_v = cb_v.codevectors + max(gp.log10_gv, gp.log10_gx - span - 1.0)
     wins = _target_wins(shifted_x[:, :, None],          # (K_x, dim, K_v)
                         shifted_v.T[None, :, :])
     mask_x = wins.astype(np.float64)

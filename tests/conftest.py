@@ -16,21 +16,23 @@ from specsep.mixmax import (LOG_2PI, _check_pair, log_gauss_table,
 from specsep.signal import log_spectra
 
 
-# defects that a model file can carry; trans_plus_one applies to HMMs only
-# and negative_occupancy to codebooks only
+# defects that a model file can carry; pi_plus_one and trans_plus_one apply
+# to HMMs only and negative_occupancy to codebooks only
 MODEL_DEFECTS = ("nan_mean", "negative_variance", "tiny_variance",
-                 "trans_plus_one", "negative_occupancy", "hop_inf",
-                 "hop_text")
+                 "pi_plus_one", "trans_plus_one", "negative_occupancy",
+                 "hop_inf", "hop_text")
 HMM_DEFECTS = tuple(d for d in MODEL_DEFECTS if d != "negative_occupancy")
-CODEBOOK_DEFECTS = tuple(d for d in MODEL_DEFECTS if d != "trans_plus_one")
+CODEBOOK_DEFECTS = tuple(d for d in MODEL_DEFECTS
+                         if d not in ("pi_plus_one", "trans_plus_one"))
 
 
 def malformed(model, defect):
     """A copy of an HmmModel or Codebook with one defect planted."""
     mean, var = (("means", "vars") if isinstance(model, HmmModel)
                  else ("codevectors", "cluster_variances"))
-    if defect == "trans_plus_one":
-        return dataclasses.replace(model, trans=model.trans + 1.0)
+    if defect in ("pi_plus_one", "trans_plus_one"):
+        name = defect.partition("_")[0]
+        return dataclasses.replace(model, **{name: getattr(model, name) + 1.0})
     if defect in ("hop_inf", "hop_text"):
         # JSON keeps each value's type: inf loads back as a float, "80" as
         # a string
@@ -71,7 +73,8 @@ def save_model_v1(model, path):
 
 # damage that makes a .ssm file unreadable, whatever model it holds
 BAD_FILES = ("empty", "truncated", "not_npz", "lone_npy", "missing_array",
-             "missing_header", "meta_not_object", "meta_not_json")
+             "missing_header", "meta_not_object", "meta_not_json",
+             "unknown_kind", "wrong_K")
 
 
 def save_bad_file(model, path, defect):
@@ -94,6 +97,10 @@ def save_bad_file(model, path, defect):
         del entries["variances" if "variances" in entries else "occupancy"]
     elif defect == "missing_header":
         del entries["dim"]
+    elif defect == "unknown_kind":
+        entries["kind"] = np.array("gmm")
+    elif defect == "wrong_K":
+        entries["K"] = entries["K"] + 1
     else:
         entries["meta"] = np.array({"meta_not_object": "[8000, 80]",
                                     "meta_not_json": "{hop: 80}"}[defect])
@@ -111,7 +118,7 @@ MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
                     "boolean_theta0", "string_theta0", "nan_theta0",
                     "string_fix_theta", "fractional_seed",
                     "fractional_jobs", "negative_seed", "zero_jobs",
-                    "huge_theta0", "huge_theta")
+                    "huge_theta0", "huge_theta", "unknown_key")
 
 
 def broken_manifest(defect):
@@ -154,6 +161,8 @@ def broken_manifest(defect):
         return {**manifest, "framing": {"hop": 80.7}}
     if defect == "boolean_hop":
         return {**manifest, "framing": {"hop": True}}
+    if defect == "unknown_key":
+        return {**manifest, "fix_thetaa": 3}
     if defect == "unknown_framing_key":
         return {**manifest, "framing": {"hopp": 40}}
     if defect == "fractional_sample_rate":

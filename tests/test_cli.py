@@ -125,6 +125,17 @@ class TestMix:
             y.samples, read_wav(tmp / "mix_huge.target.wav").samples)
         assert not np.any(read_wav(tmp / "mix_huge.interf.wav").samples)
 
+    def test_sample_rate_mismatch_exits_1(self, speaker_dirs, capsys):
+        tmp = speaker_dirs["tmp"]
+        fast = tmp / "fast.wav"
+        write_wav(fast, AudioSignal(np.zeros(800), sample_rate=16000))
+        rc = main(["mix", "--target", str(tmp / "test_a.wav"),
+                   "--interf", str(fast), "--tir", "0",
+                   "--out", str(tmp / "mix_rates.wav")])
+        assert rc == 1
+        assert "sample rate mismatch" in capsys.readouterr().err
+        assert not list(tmp.glob("mix_rates*"))
+
     def test_missing_input_exits_2(self, speaker_dirs):
         tmp = speaker_dirs["tmp"]
         rc = main(["mix", "--target", str(tmp / "absent.wav"),
@@ -394,4 +405,17 @@ class TestEvaluateReport:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: manifest")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["-2", "0"])
+    def test_nonpositive_jobs_exits_1(self, tmp_path, capsys, jobs):
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({"theta_grid": [0], "methods": ["vq"],
+                                     "models": {}, "pairs": []}))
+        rc = main(["evaluate", "--manifest", str(mpath),
+                   "--out", str(tmp_path / "r.csv"), f"--jobs={jobs}"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: manifest 'jobs' must be a positive integer, "
+                       f"got {jobs}"]
         assert not (tmp_path / "r.csv").exists()

@@ -297,6 +297,11 @@ class TestMaximizeTheta:
         assert value == objective(theta)
         assert value >= max(objective(x) for x in (lo, 0.5 * (lo + hi), hi))
 
+    @pytest.mark.parametrize("interval", [(1.0, 1.0), (2.0, -2.0)])
+    def test_degenerate_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="degenerate interval"):
+            maximize_theta(lambda t: -t ** 2, interval)
+
     def test_nonfinite_objective_rejected(self):
         with pytest.raises(NumericError):
             maximize_theta(lambda t: float("nan"), (-15.0, 15.0))

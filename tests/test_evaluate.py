@@ -84,6 +84,11 @@ class TestMixAtTir:
         with pytest.raises(ValueError, match="empty"):
             mix_at_tir(AudioSignal(np.zeros(0)), AudioSignal(np.ones(5)), 0.0)
 
+    def test_sample_rate_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="sample rate mismatch"):
+            mix_at_tir(AudioSignal(np.ones(10), 8000),
+                       AudioSignal(np.ones(10), 16000), 0.0)
+
     @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
     def test_nonfinite_theta_rejected(self, theta):
         x = AudioSignal(np.ones(10))
@@ -264,6 +269,26 @@ class TestRunExperiment:
         assert all(r["error"] != "" for r in bad)
         assert all(r["snr_target_db"] == "" for r in bad)
 
+    def test_source_without_wav_or_synth_gives_error_rows(
+            self, experiment_env):
+        env = experiment_env
+        entry = {**env["pair_entry"](1), "interf": {"path": "v.wav"}}
+        manifest = {
+            "sample_rate": 8000,
+            "theta_grid": [0, 6],
+            "methods": ["vq"],
+            "models": env["paths"],
+            "pairs": [entry],
+        }
+        out_csv = env["tmp"] / "no_source.csv"
+        assert run_experiment(manifest, out_csv) == {}
+        with open(out_csv, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 2
+        for row in rows:
+            assert row["error"].startswith(
+                "ValueError: source entry needs 'wav' or 'synth'")
+
     def test_fix_theta_outside_search_interval_is_an_error_row(
             self, experiment_env):
         env = experiment_env
@@ -418,6 +443,20 @@ class TestRunExperiment:
                                              "finite and positive, got inf")
         for method in ("fhmm", "vq"):
             assert rows[method]["error"] == ""
+
+    @pytest.mark.parametrize("jobs", [0, -2, 1.5, True])
+    def test_jobs_argument_checked_as_manifest_key(self, tmp_path, jobs):
+        # it replaces the manifest's own, valid "jobs"
+        manifest = {"theta_grid": [0], "methods": ["vq"], "models": {},
+                    "pairs": [], "jobs": 2}
+        with pytest.raises(ValueError, match="'jobs' must be a positive"):
+            run_experiment(manifest, tmp_path / "r.csv", jobs=jobs)
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_unknown_key_named(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown key 'fix_thetaa'"):
+            run_experiment(broken_manifest("unknown_key"),
+                           tmp_path / "r.csv")
 
     def test_unknown_framing_key_named(self, tmp_path):
         with pytest.raises(ValueError, match="unknown key 'hopp'"):

@@ -232,6 +232,16 @@ class TestBaumWelch:
         if R == 1:
             np.testing.assert_array_equal(xi_sum, np.zeros((K, K)))
 
+    @pytest.mark.parametrize("dims, error, match", [
+        ((3, 4), ValueError, "inconsistent frame dimensions"),
+        ((4, 4), ModelMismatchError, "model dimension 3"),
+    ])
+    def test_frames_that_do_not_fit_rejected(self, dims, error, match):
+        init = HmmModel(pi=np.zeros(1), trans=np.zeros((1, 1)),
+                        means=np.zeros((1, 3)), vars=np.ones((1, 3)))
+        with pytest.raises(error, match=match):
+            baum_welch([np.zeros((5, d)) for d in dims], init)
+
     def test_empty_training_set_rejected(self):
         init = HmmModel(pi=np.zeros(1), trans=np.zeros((1, 1)),
                         means=np.zeros((1, 3)), vars=np.ones((1, 3)))
@@ -369,6 +379,11 @@ class TestPersistence:
         save_bad_file(model, path, defect)
         with pytest.raises(ModelMismatchError, match="bad.ssm"):
             load_model(path)
+
+    def test_non_model_refused_on_save(self, tmp_path):
+        with pytest.raises(TypeError, match="cannot save object of type"):
+            save_model({"pi": np.zeros(1)}, tmp_path / "d.ssm")
+        assert not (tmp_path / "d.ssm").exists()
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):

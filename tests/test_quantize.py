@@ -76,6 +76,12 @@ class TestTrainLbg:
         assert cb.occupancy.sum() == 6
         assert np.all(cb.cluster_variances >= VARIANCE_FLOOR)
 
+    @pytest.mark.parametrize("vectors", [np.zeros((0, 2)), np.zeros(5)],
+                             ids=["no_rows", "one_dimensional"])
+    def test_empty_vectors_rejected(self, vectors):
+        with pytest.raises(ValueError, match="non-empty"):
+            train_lbg(vectors, 1)
+
     def test_too_few_vectors_rejected(self):
         with pytest.raises(ValueError, match="too few"):
             train_lbg(np.zeros((3, 2)), 4)
@@ -141,8 +147,11 @@ class TestGvqFrameDecode:
                 q_k = gvq_score(y, cb_x, alone, 15.0, ctx)[2]
                 assert q == pytest.approx(q_k, rel=1e-12)
 
-    @pytest.mark.parametrize("theta", [-4000.0, 4000.0])
+    @pytest.mark.parametrize("theta", [-4000.0, 4000.0, -1e200, 1e200,
+                                       -1e308, 1e308])
     def test_huge_theta_gives_every_bin_to_louder_source(self, ctx, theta):
+        # beyond about 1e200 the quieter source's unclamped shift squares
+        # to inf, and its 0 mask made the cost NaN
         rng = np.random.default_rng(9)
         cb_x = random_codebook(rng, 3, 6)
         cb_v = random_codebook(rng, 3, 6)

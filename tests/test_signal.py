@@ -119,11 +119,29 @@ class TestMaskingReconstruction:
         np.testing.assert_allclose(x_hat.samples + v_hat.samples,
                                    full.samples, atol=1e-10)
 
+    def test_bin_count_mismatch_rejected(self, cfg):
+        sig = noise_signal(1000)
+        R = frame_signal(sig, cfg).shape[0]
+        bad = np.ones((R, cfg.n_bins - 1))
+        with pytest.raises(ValueError, match="DFT bins"):
+            apply_masks_and_reconstruct(sig, bad, bad, cfg)
+
     def test_frame_count_mismatch_rejected(self, cfg):
         sig = noise_signal(1000)
         bad = np.ones((2, cfg.n_bins))
         with pytest.raises(ValueError, match="frame count"):
             apply_masks_and_reconstruct(sig, bad, bad, cfg)
+
+
+class TestAudioSignal:
+    @pytest.mark.parametrize("samples, rate, match", [
+        (np.zeros((2, 10)), 8000, "mono required"),
+        (np.zeros(10), 0, "sample_rate must be positive"),
+        (np.zeros(10), -8000, "sample_rate must be positive"),
+    ])
+    def test_bad_signal_rejected(self, samples, rate, match):
+        with pytest.raises(ValueError, match=match):
+            AudioSignal(samples, rate)
 
 
 class TestWavIO:
