@@ -246,7 +246,7 @@ def _is_integer(value):
 
 def _check_manifest(manifest):
     """Raise ValueError unless manifest is an object holding only
-    MANIFEST_KEYS whose required keys
+    MANIFEST_KEYS, whose required keys
     theta_grid (finite numbers), methods (strings) and pairs hold arrays and
     models an object, every pair is an object with an id, the ids are all
     strings or all numbers, the optional framing is an object holding only
