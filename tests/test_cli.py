@@ -4,9 +4,12 @@ import shutil
 import numpy as np
 import pytest
 
-from specsep import (AudioSignal, Codebook, FramingConfig, load_model,
-                     read_wav, save_model, synth_source, write_wav)
+from specsep import (AudioSignal, Codebook, FramingConfig, GainContext,
+                     apply_masks_and_reconstruct, build_masks, gvq_infer,
+                     load_model, log_spectra, read_wav, save_model,
+                     synth_source, write_wav)
 from specsep.cli import build_parser, main
+from specsep.separate import BASELINE_GY_OVER_G0
 
 from conftest import (BAD_FILES, CODEBOOK_DEFECTS, HMM_DEFECTS,
                       MANIFEST_DEFECTS, MODEL_DEFECTS, broken_manifest,
@@ -227,6 +230,30 @@ class TestSeparate:
                        "--out-v", str(tmp / f"{method}_v.wav")])
             assert rc == 0
             assert (tmp / f"{method}_x.wav").exists()
+
+    def test_vq_equals_gvq_with_baseline_gains(self, speaker_dirs,
+                                               cli_models, mixture_file):
+        tmp = speaker_dirs["tmp"]
+        assert main(["separate", "--mixture", str(mixture_file),
+                     "--model-x", str(cli_models["vq_a"]),
+                     "--model-v", str(cli_models["vq_b"]), "--method", "vq",
+                     "--out-x", str(tmp / "bl_x.wav"),
+                     "--out-v", str(tmp / "bl_v.wav")]) == 0
+        # gvq with theta frozen at 0 and the baseline gains, written by hand
+        cb_a, cb_b = (load_model(cli_models[f"vq_{s}"]) for s in "ab")
+        cfg = FramingConfig.from_meta(cb_a.meta)
+        y = read_wav(mixture_file)
+        ctx = GainContext(g_y=BASELINE_GY_OVER_G0)
+        res = gvq_infer(log_spectra(y, cfg), cb_a, cb_b, ctx, theta0=0.0,
+                        max_outer=0)
+        masks_x, masks_v = build_masks(
+            cb_a.codevectors[res.path_x], cb_b.codevectors[res.path_v],
+            [slice(0, len(res.path_x))], [0.0], ctx)
+        fx_x, _ = apply_masks_and_reconstruct(y, masks_x, masks_v, cfg)
+        write_wav(tmp / "fx_x.wav", fx_x)
+        a = (tmp / "bl_x.wav").read_bytes()
+        b = (tmp / "fx_x.wav").read_bytes()
+        assert a == b
 
     def test_kind_mismatch_exits_3(self, speaker_dirs, cli_models,
                                    mixture_file):

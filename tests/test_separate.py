@@ -267,6 +267,25 @@ class TestSeparatePipeline:
         np.testing.assert_array_equal(diag["path_v"], ref.path_v)
         assert diag["logprob"] == ref.logprob
 
+    def test_vq_baseline_equals_gvq_with_frozen_gains(self, framing,
+                                                      trained_models,
+                                                      mixture_setup):
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 6.0)
+        cb_a, cb_b = trained_models["cb_a"], trained_models["cb_b"]
+        base_x, base_v, _ = separate(y, cb_a, cb_b, framing, method="vq")
+        # gvq with theta frozen at 0 and the baseline gains, decoded and
+        # masked by hand
+        ctx = GainContext(g_y=BASELINE_GY_OVER_G0)
+        res = gvq_infer(log_spectra(y, framing), cb_a, cb_b, ctx,
+                        theta0=0.0, max_outer=0)
+        masks_x, masks_v = path_masks(cb_a.codevectors, cb_b.codevectors,
+                                      res.path_x, res.path_v, 0.0, ctx)
+        same_x, same_v = apply_masks_and_reconstruct(y, masks_x, masks_v,
+                                                     framing)
+        np.testing.assert_array_equal(base_x.samples, same_x.samples)
+        np.testing.assert_array_equal(base_v.samples, same_v.samples)
+
     @pytest.mark.parametrize("method, kind, fix_theta", [
         ("gfhmm", "hmm", None), ("gvq", "cb", None), ("gfhmm", "hmm", 3.0),
         ("gvq", "cb", -2.0), ("fhmm", "hmm", None), ("vq", "cb", None)])
