@@ -340,14 +340,14 @@ def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
               max_outer=MAX_OUTER_ITERS, mega_frames=None):
     """VQ counterpart of gfhmm_infer.
 
-    The decode step picks the best codevector pair per frame (gvq_score,
-    which also checks the frames against the codebooks); the theta step
-    maximizes the path objective along the picked pairs with the
-    codevectors as means and unit variances.  That objective is
+    The frames are checked against the codebooks before anything else.
+    The decode step picks the best codevector pair per frame (gvq_score);
+    the theta step maximizes the path objective along the picked pairs
+    with the codevectors as means and unit variances.  That objective is
     -0.5 * (cost + const), the negated total squared-error cost up to a
     positive scale and a constant, so its argmax over theta is the cost's.
     """
-    y_seq = np.asarray(y_seq, dtype=np.float64)
+    y_seq = _check_pair(y_seq, cb_x, cb_v)
     R = y_seq.shape[0]
 
     def decode(chunks, thetas):

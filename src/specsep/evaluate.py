@@ -14,7 +14,7 @@ import numpy as np
 
 from .gain import estimate_gy
 from .models import HmmModel, ModelMismatchError, load_model
-from .separate import model_kind, separate
+from .separate import METHODS, model_kind, separate
 from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
                      _check_settings, read_wav, synthesize)
 
@@ -252,7 +252,9 @@ def _check_manifest(manifest):
     strings or all numbers, the optional framing is an object holding only
     FramingConfig fields, sample_rate and each framing setting are positive
     integers, theta0 is a finite number, fix_theta a finite number or null,
-    seed a non-negative integer and jobs a positive integer."""
+    seed a non-negative integer, jobs a positive integer, every method is
+    one of separate.METHODS and models holds the two model paths of each
+    method's kind."""
     if not isinstance(manifest, dict):
         raise ValueError("manifest must be a JSON object, got "
                          f"{type(manifest).__name__}")
@@ -310,6 +312,15 @@ def _check_manifest(manifest):
             or all(_is_number(i) for i in ids)):
         raise ValueError("manifest pair ids must be all strings or all "
                          "numbers")
+    # each would otherwise run the whole batch and fill its rows with errors
+    for method in manifest["methods"]:
+        if method not in METHODS:
+            raise ValueError(f"manifest method {method!r} is unknown (one "
+                             f"of {', '.join(METHODS)})")
+        for key in (f"{model_kind(method)}_{role}" for role in "xv"):
+            if key not in manifest["models"]:
+                raise ValueError(f"manifest 'models' lacks {key!r}, which "
+                                 f"method {method!r} needs")
 
 
 def run_experiment(manifest, out_csv, jobs=None):
@@ -328,8 +339,9 @@ def run_experiment(manifest, out_csv, jobs=None):
     strings and numbers, a framing that is not an object or holds a key
     other than frame_len, hop and dft_size, a sample_rate or framing
     setting or jobs that is not a positive integer, a seed that is not a
-    non-negative integer) or a pair without an id
-    raises ValueError before any run; failing runs land in the CSV with an
+    non-negative integer), a pair without an id, a method that is not one
+    of separate.METHODS or a models object that lacks a path one of the
+    methods needs raises ValueError before any run; failing runs land in the CSV with an
     error column rather than aborting the batch.  Returns a summary dict of
     per-(theta, method) means.
     """

@@ -1,12 +1,14 @@
 """The max-combination observation model for log spectra: the check that
 mixture frames fit a model pair, combining clean log-spectral frames under
 gains, the per-bin dominance rule (the larger gain-shifted mean wins, ties
-to the target), the frame-block size of the blocked kernels, the two
-frame-against-table kernels (exact squared distances for LBG,
+to the target), the frame blocks of the blocked kernels (_frame_blocks:
+blocks near a byte budget, 256 KiB unless a caller passes another), the
+two frame-against-table kernels (exact squared distances for LBG,
 diagonal-Gaussian log-densities as one GEMM for the HMM tables and
 Baum-Welch), and the joint emission log-likelihoods of mixture frames for
 every state pair (log_b_table) or along fixed paths.  The VQ pair costs
-(quantize.gvq_score) take their tie rule and frame blocks from here."""
+(quantize.gvq_score) take their tie rule from here, and their frame
+blocks from _frame_blocks with a 2 MiB budget for the block's costs."""
 
 import numpy as np
 
@@ -15,9 +17,13 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 def _check_pair(y_seq, model_x, model_v):
     """y_seq as a float64 (R, dim) array, R >= 1, whose dim both models
-    share; ValueError otherwise."""
+    share; ValueError otherwise, naming the shape of an array that is not
+    2-D and "empty input" for R = 0."""
     y_seq = np.asarray(y_seq, dtype=np.float64)
-    if y_seq.ndim != 2 or y_seq.shape[0] == 0:
+    if y_seq.ndim != 2:
+        raise ValueError(f"frames must be an (R, dim) array, got shape "
+                         f"{y_seq.shape}")
+    if y_seq.shape[0] == 0:
         raise ValueError("empty input")
     if model_x.dim != y_seq.shape[1] or model_v.dim != y_seq.shape[1]:
         raise ValueError("model dimension does not match frames")
@@ -62,13 +68,14 @@ def _dominant_gaussian(mean_x, var_x, mean_v, var_v, gp):
     return m_max, np.where(target_wins, var_x, var_v)
 
 
-def _frame_blocks(n_frames, frame_bytes):
+def _frame_blocks(n_frames, frame_bytes, block_bytes=1 << 18):
     """Slices that cover n_frames frames in blocks whose temporaries stay
-    near 256 KiB, given the bytes that one frame's temporaries take (at
-    least one frame per block)."""
-    # blocks that fit a per-core L2 cache: larger ones (a whole R x K x dim
-    # broadcast) are bound by memory traffic, smaller ones by call overhead
-    step = max(1, (1 << 18) // frame_bytes)
+    near block_bytes, given the bytes that one frame's temporaries take
+    (at least one frame per block)."""
+    # by default blocks that fit a per-core L2 cache: larger ones (a whole
+    # R x K x dim broadcast) are bound by memory traffic, smaller ones by
+    # call overhead
+    step = max(1, block_bytes // frame_bytes)
     return [slice(s, s + step) for s in range(0, n_frames, step)]
 
 

@@ -119,7 +119,8 @@ def _best_pairs(rows, cost, shifted_x, shifted_v, wins):
     if not redo.size:
         return flat, best
     cost[frames, flat] = best
-    which, pairs = np.nonzero(cost[redo] <= limit[redo, None])
+    # the 0/1 comparison first: a copy of cost's redone rows is 8x larger
+    which, pairs = np.nonzero((cost <= limit[:, None])[redo])
     exact = np.empty(len(pairs))
     # about four (pairs, dim) float64 temporaries per block
     for part in _frame_blocks(len(pairs), 32 * rows.shape[1]):
@@ -136,6 +137,28 @@ def _best_pairs(rows, cost, shifted_x, shifted_v, wins):
     return flat, best
 
 
+def _block_costs(rows, shifted_x, shifted_v, wins, loses, cost):
+    """Write the (n_frames, K_x, K_v) pair costs of a block of frames into
+    cost: per target codevector i, its exact squared terms times the 0/1
+    slice wins[i], written into cost[:, i, :]; per interference codevector
+    j, its terms times loses[j], added into cost[:, :, j].  Each slice is
+    copied into a float buffer once per block, and its buffer and the
+    terms are freed before the block's pairs are chosen."""
+    terms = np.empty_like(rows)
+    mask = np.empty(wins.shape[1:])                     # (dim, K_v)
+    for i, codevector in enumerate(shifted_x):
+        np.copyto(mask, wins[i])
+        np.subtract(rows, codevector, out=terms)
+        terms **= 2
+        np.matmul(terms, mask, out=cost[:, i, :])
+    mask = np.empty(loses.shape[1:])                    # (dim, K_x)
+    for j, codevector in enumerate(shifted_v):
+        np.copyto(mask, loses[j])
+        np.subtract(rows, codevector, out=terms)
+        terms **= 2
+        cost[:, :, j] += terms @ mask
+
+
 def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     """Decode every frame independently and score the whole sequence.
 
@@ -148,14 +171,16 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
 
     Which source wins bin d of pair (i, j) depends on the gains only, so
     the cost is sum_d (y - x_i)^2 wins + sum_d (y - v_j)^2 (1 - wins), with
-    x and v gain-shifted: two batched matrix products of exact squared
-    terms with 0/1 masks.  Every term is >= 0, and a frame equal to a
-    pair's maximum scores exactly 0.  The pairs that tie with a frame's
-    best up to the products' rounding are rescored by a fixed-order exact
-    sum (_best_pairs), so exact ties resolve by the rule above
-    whatever the BLAS and the codebook sizes.  Any finite theta scores
-    finitely: beyond the codebooks' value span, the quieter source's gain
-    is clamped, which changes no winner, cost or pair.
+    x and v gain-shifted: per block of frames, one matrix product of exact
+    squared terms with a 0/1 mask slice per codevector, the target's
+    written into the block's costs and the interference's added to them.
+    Every term is >= 0, and a frame equal to a pair's maximum scores
+    exactly 0.  The pairs that tie with a frame's best up to the products'
+    rounding are rescored by a fixed-order exact sum (_best_pairs), so
+    exact ties resolve by the rule above whatever the BLAS and the
+    codebook sizes.  Any finite theta scores finitely: beyond the
+    codebooks' value span, the quieter source's gain is clamped, which
+    changes no winner, cost or pair.
     """
     y_seq = _check_pair(y_seq, cb_x, cb_v)
     gp = gains_from_theta(theta, ctx)
@@ -168,20 +193,21 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     shifted_v = cb_v.codevectors + max(gp.log10_gv, gp.log10_gx - span - 1.0)
     wins = _target_wins(shifted_x[:, :, None],          # (K_x, dim, K_v)
                         shifted_v.T[None, :, :])
-    mask_x = wins.astype(np.float64)
-    mask_v = (~wins).transpose(2, 1, 0).astype(np.float64, order="C")
+    loses = (~wins).transpose(2, 1, 0).copy()           # (K_v, dim, K_x)
     R, K_x, K_v = y_seq.shape[0], cb_x.K, cb_v.K
     flat = np.empty(R, dtype=np.intp)
     best = np.empty(R)
-    # one block's squared terms for one codebook, the operand of one
-    # product, take about as much memory as sq_dist's difference block
-    for sl in _frame_blocks(R, max(shifted_x.nbytes, shifted_v.nbytes)):
+    # each codevector's mask slice is copied and read once per block, so
+    # blocks are as large as a per-core L2 cache holds the block's costs
+    # across the K_x + K_v products that write them
+    blocks = _frame_blocks(R, 8 * K_x * K_v, 1 << 21)
+    # one cost buffer for all blocks; a shorter last block uses its leading
+    # rows
+    cost_buf = np.empty((min(R, blocks[0].stop), K_x, K_v))
+    for sl in blocks:
         rows = y_seq[sl]
-        cost = np.empty((len(rows), K_x, K_v))
-        np.matmul((rows - shifted_x[:, None, :]) ** 2, mask_x,   # [i, r, j]
-                  out=cost.transpose(1, 0, 2))
-        cost += ((rows - shifted_v[:, None, :]) ** 2             # [j, r, i]
-                 @ mask_v).transpose(1, 2, 0)
+        cost = cost_buf[:len(rows)]
+        _block_costs(rows, shifted_x, shifted_v, wins, loses, cost)
         flat[sl], best[sl] = _best_pairs(rows, cost.reshape(len(rows), -1),
                                          shifted_x, shifted_v, wins)
     idx_x, idx_v = np.divmod(flat, K_v)

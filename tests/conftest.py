@@ -118,7 +118,8 @@ MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
                     "boolean_theta0", "string_theta0", "nan_theta0",
                     "string_fix_theta", "fractional_seed",
                     "fractional_jobs", "negative_seed", "zero_jobs",
-                    "huge_theta0", "huge_theta", "unknown_key")
+                    "huge_theta0", "huge_theta", "unknown_key",
+                    "unknown_method", "missing_model_key")
 
 
 def broken_manifest(defect):
@@ -163,6 +164,11 @@ def broken_manifest(defect):
         return {**manifest, "framing": {"hop": True}}
     if defect == "unknown_key":
         return {**manifest, "fix_thetaa": 3}
+    if defect == "unknown_method":
+        return {**manifest, "methods": ["vq", "gfhm"]}
+    # fhmm needs hmm_x and hmm_v, which the models object lacks
+    if defect == "missing_model_key":
+        return {**manifest, "methods": ["vq", "fhmm"]}
     if defect == "unknown_framing_key":
         return {**manifest, "framing": {"hopp": 40}}
     if defect == "fractional_sample_rate":

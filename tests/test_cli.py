@@ -434,6 +434,22 @@ class TestEvaluateReport:
         assert len(err) == 1 and err[0].startswith("error: manifest")
         assert not (tmp_path / "r.csv").exists()
 
+    def test_unknown_method_and_missing_models_exit_1(self, tmp_path,
+                                                     capsys):
+        # this manifest used to run, exit 0 and write only error rows
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({
+            "theta_grid": [0], "methods": ["gfhm", "gvq"], "models": {},
+            "pairs": [{"id": "p0", "target": {"wav": "x.wav"},
+                       "interf": {"wav": "v.wav"}}]}))
+        rc = main(["evaluate", "--manifest", str(mpath),
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: manifest method 'gfhm' is unknown (one of "
+                       "gfhmm, gvq, fhmm, vq)"]
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("jobs", ["-2", "0"])
     def test_nonpositive_jobs_exits_1(self, tmp_path, capsys, jobs):
         mpath = tmp_path / "manifest.json"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -318,6 +320,33 @@ class TestMaximizeTheta:
         assert decode.MAX_THETA_EVALS == 20
         maximize_theta(objective, (-15.0, 15.0))
         assert len(calls) == 20
+
+
+class TestFrameChecks:
+    """Both decoders check the frames before they derive R and the
+    chunks: a shape that is not (R, dim) is named, and no frames at all
+    are empty input."""
+
+    @pytest.fixture(params=["gfhmm", "gvq"])
+    def infer(self, request, ctx):
+        rng = np.random.default_rng(23)
+        if request.param == "gfhmm":
+            m = random_hmm(rng, K=2, dim=5)
+            return lambda y: gfhmm_infer(y, m, m, ctx)
+        cb = Codebook(rng.normal(0.0, 1.0, (2, 5)), np.ones((2, 5)),
+                      np.full(2, 5))
+        return lambda y: gvq_infer(y, cb, cb, ctx)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 5), ()], ids=str)
+    def test_frames_not_2d_name_their_shape(self, infer, shape):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"(R, dim) array, got shape "
+                                           f"{shape}")):
+            infer(np.zeros(shape))
+
+    def test_no_frames_is_empty_input(self, infer):
+        with pytest.raises(ValueError, match="^empty input$"):
+            infer(np.zeros((0, 5)))
 
 
 class TestGfhmmInfer:

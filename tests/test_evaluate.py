@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -458,6 +459,25 @@ class TestRunExperiment:
             run_experiment(broken_manifest("unknown_key"),
                            tmp_path / "r.csv")
 
+    @pytest.mark.parametrize("methods, models, message", [
+        (["gfhm", "gvq"], {}, "method 'gfhm' is unknown (one of gfhmm, "
+                              "gvq, fhmm, vq)"),
+        (["gvq"], {}, "'models' lacks 'vq_x', which method 'gvq' needs"),
+        (["vq", "gfhmm"], {"vq_x": "x.ssm", "vq_v": "v.ssm",
+                           "hmm_x": "x.ssm"},
+         "'models' lacks 'hmm_v', which method 'gfhmm' needs"),
+    ])
+    def test_methods_and_their_models_checked_before_any_run(
+            self, tmp_path, methods, models, message):
+        # such manifests used to run the batch and write only error rows
+        manifest = {"theta_grid": [0], "methods": methods, "models": models,
+                    "pairs": [{"id": "p0", "target": {"wav": "x.wav"},
+                               "interf": {"wav": "v.wav"}}]}
+        out_csv = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(manifest, out_csv)
+        assert not out_csv.exists()
+
     def test_unknown_framing_key_named(self, tmp_path):
         with pytest.raises(ValueError, match="unknown key 'hopp'"):
             run_experiment(broken_manifest("unknown_framing_key"),
@@ -555,7 +575,8 @@ class TestRunExperiment:
         {"fix_theta": 4.5}, {"seed": 0, "jobs": 1}, {"seed": 7, "jobs": 2},
     ], ids=repr)
     def test_valid_run_options_accepted(self, options):
-        _check_manifest({"theta_grid": [0], "methods": ["vq"], "models": {},
+        _check_manifest({"theta_grid": [0], "methods": ["vq"],
+                         "models": {"vq_x": "x.ssm", "vq_v": "v.ssm"},
                          "pairs": [], **options})
 
 

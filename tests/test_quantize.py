@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,8 +273,8 @@ class TestGvqScore:
 
 
 class TestGvqKernel:
-    """gvq_score's two masked matrix products against the exact broadcast
-    (conftest.broadcast_gvq_costs)."""
+    """gvq_score's per-codevector masked matrix products against the exact
+    broadcast (conftest.broadcast_gvq_costs)."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(K_x=st.integers(1, 70), K_v=st.integers(1, 70),
@@ -282,10 +283,22 @@ class TestGvqKernel:
            masked=st.booleans(),
            theta=st.floats(-15.0, 15.0), g_y=st.floats(0.05, 20.0),
            seed=st.integers(0, 2 ** 32 - 1))
-    # the larger codebook sets the frame block: 64 codevectors of 129 bins
-    # give blocks of 3 frames, 5 of them blocks of 50
+    # a frame block holds about 2 MiB of pair costs, 8 * K_x * K_v bytes a
+    # frame, whatever dim: 64 x 64 codevectors give blocks of 64 frames,
+    # 64 x 16 blocks of 256, 65 x 64 blocks of 63
     @example(K_x=64, K_v=64, dim=129, R=20, duplicates="both", masked=False,
              theta=0.0, g_y=1.0, seed=0)
+    # one frame short of a block, a whole block, and one frame into the
+    # second, which the last block's shorter buffer views must score alike
+    @example(K_x=64, K_v=64, dim=129, R=63, duplicates="both", masked=False,
+             theta=3.0, g_y=1.0, seed=6)
+    @example(K_x=64, K_v=64, dim=129, R=64, duplicates="v", masked=True,
+             theta=15.0, g_y=1.0, seed=7)
+    @example(K_x=64, K_v=64, dim=129, R=65, duplicates="x", masked=False,
+             theta=-9.0, g_y=1.0, seed=8)
+    # codebooks of different sizes, across the edge of a 63-frame block
+    @example(K_x=65, K_v=64, dim=129, R=70, duplicates="both", masked=True,
+             theta=-15.0, g_y=1.0, seed=9)
     @example(K_x=64, K_v=16, dim=129, R=33, duplicates="v", masked=False,
              theta=7.5, g_y=1.0, seed=1)
     @example(K_x=3, K_v=5, dim=129, R=1, duplicates="x", masked=False,
@@ -344,3 +357,29 @@ class TestGvqKernel:
         planted = mixmax_combine(cb_x.codevectors[pi], cb_v.codevectors[pj],
                                  gains_from_theta(theta, ctx))
         assert gvq_score(planted, cb_x, cb_v, theta, ctx)[2] == 0.0
+
+
+class TestGvqMemory:
+    """The tracemalloc peak of one gvq_score call over 197 frames of 129
+    bins (2 s of audio at the default framing) stays at or below the
+    kernel's earlier 9.6 MB at K=64 and 1.13 MB at K=16, with room for the
+    frame rescoring that a masked interference codebook forces on every
+    frame."""
+
+    @pytest.mark.parametrize("K, limit", [(64, 6e6), (16, 1.07e6)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_peak_bounded(self, ctx, K, limit, masked):
+        rng = np.random.default_rng(K)
+        cb_x, cb_v = random_codebook(rng, K, 129), random_codebook(rng, K, 129)
+        if masked:
+            cb_v.codevectors -= 50.0
+        y = rng.normal(0.0, 1.5, (197, 129))
+        gvq_score(y, cb_x, cb_v, 6.0, ctx)
+        tracemalloc.start()
+        try:
+            gvq_score(y, cb_x, cb_v, 6.0, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
+
