@@ -341,9 +341,9 @@ def run_experiment(manifest, out_csv, jobs=None):
     setting or jobs that is not a positive integer, a seed that is not a
     non-negative integer), a pair without an id, a method that is not one
     of separate.METHODS or a models object that lacks a path one of the
-    methods needs raises ValueError before any run; failing runs land in the CSV with an
-    error column rather than aborting the batch.  Returns a summary dict of
-    per-(theta, method) means.
+    methods needs raises ValueError before any run; failing runs land in
+    the CSV with an error column rather than aborting the batch.  Returns
+    a summary dict of per-(theta, method) means.
     """
     if isinstance(manifest, (str, bytes, os.PathLike)):
         manifest = load_manifest(manifest)

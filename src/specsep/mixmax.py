@@ -8,7 +8,7 @@ diagonal-Gaussian log-densities as one GEMM for the HMM tables and
 Baum-Welch), and the joint emission log-likelihoods of mixture frames for
 every state pair (log_b_table) or along fixed paths.  The VQ pair costs
 (quantize.gvq_score) take their tie rule from here, and their frame
-blocks from _frame_blocks with a 2 MiB budget for the block's costs."""
+blocks from _frame_blocks with a budget of their own."""
 
 import numpy as np
 

@@ -361,10 +361,10 @@ class TestGvqKernel:
 
 class TestGvqMemory:
     """The tracemalloc peak of one gvq_score call over 197 frames of 129
-    bins (2 s of audio at the default framing) stays at or below the
-    kernel's earlier 9.6 MB at K=64 and 1.13 MB at K=16, with room for the
-    frame rescoring that a masked interference codebook forces on every
-    frame."""
+    bins (2 s of audio at the default framing) stays within 6 MB at K=64,
+    where (K, dim, K) float masks alone would take 8.4 MB, and within
+    1.07 MB at K=16, also when a masked interference codebook has every
+    frame's pairs rescored."""
 
     @pytest.mark.parametrize("K, limit", [(64, 6e6), (16, 1.07e6)])
     @pytest.mark.parametrize("masked", [False, True])
@@ -382,4 +382,3 @@ class TestGvqMemory:
         finally:
             tracemalloc.stop()
         assert peak <= limit
-
