@@ -15,7 +15,8 @@ import numpy as np
 from . import evaluate as ev
 from .decode import NumericError
 from .gain import estimate_gy
-from .models import (ModelMismatchError, baum_welch, init_hmm_from_codebook,
+from .models import (BW_DEFAULT_MAX_ITERS, BW_DEFAULT_REL_TOL,
+                     ModelMismatchError, baum_welch, init_hmm_from_codebook,
                      load_model, save_model)
 from .quantize import train_lbg
 from .separate import METHODS, separate
@@ -182,9 +183,9 @@ def build_parser():
     p.add_argument("--states", type=int, default=64,
                    help="codebook size / HMM state count (power of two)")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--max-iters", type=int, default=15,
+    p.add_argument("--max-iters", type=int, default=BW_DEFAULT_MAX_ITERS,
                    help="EM iteration cap for HMM training")
-    p.add_argument("--tol", type=float, default=1e-5,
+    p.add_argument("--tol", type=float, default=BW_DEFAULT_REL_TOL,
                    help="relative log-likelihood termination threshold")
     _add_framing_flags(p)
     p.set_defaults(func=cmd_train)

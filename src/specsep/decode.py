@@ -49,10 +49,16 @@ class DecodeResult:
 def mega_frame_slices(n_frames, frames_per_chunk):
     """Split R frames into mega-frames of roughly frames_per_chunk.
 
-    Sequences shorter than two chunks stay whole; otherwise the final
-    chunk absorbs the remainder so no chunk is shorter than
-    frames_per_chunk.
+    Sequences shorter than two chunks stay whole, as do all sequences when
+    frames_per_chunk is None; otherwise the final chunk absorbs the
+    remainder so no chunk is shorter than frames_per_chunk.  A
+    frames_per_chunk that is neither None nor a positive int (a bool or a
+    numpy integer is not one) raises ValueError.
     """
+    if frames_per_chunk is not None and not (
+            type(frames_per_chunk) is int and frames_per_chunk >= 1):
+        raise ValueError("frames_per_chunk must be None or a positive int, "
+                         f"got {frames_per_chunk!r}")
     if frames_per_chunk is None or n_frames < 2 * frames_per_chunk:
         return [slice(0, n_frames)]
     n_chunks = n_frames // frames_per_chunk
@@ -172,8 +178,8 @@ def maximize_theta(objective, interval):
     Successive parabolic interpolation seeded at the endpoints and
     midpoint: fit a parabola through the best evaluated point and its
     bracketing neighbors, jump to the vertex (clamped to the interval),
-    and re-evaluate.  When the fit degenerates (non-concave or collinear),
-    escapes the bracket, or lands on an already-evaluated point, a
+    and re-evaluate.  When the fit degenerates (non-concave or collinear)
+    or lands on an already-evaluated point, a
     golden-section step subdivides the wider flank instead.  Stops once
     both neighbors pin the best point within THETA_STEP_TOL_DB (no further
     step of at least that is possible) or after MAX_THETA_EVALS
@@ -213,8 +219,6 @@ def maximize_theta(objective, interval):
         u = _parabola_vertex(a, b, c, points[a], points[b], points[c])
         if u is not None:
             u = min(max(u, lo), hi)
-            if not (left < u < right) and lo < left and right < hi:
-                u = None                 # escaped a proper interior bracket
         if u is None or any(abs(u - x) < 1e-12 * span for x in xs):
             # golden-section step into the wider flank of the best point
             if x_best - left >= right - x_best:
@@ -240,23 +244,25 @@ def _path_objective(y_seq, path_x, path_v, prototypes, ctx):
 
 
 def _alternate(decode, prototypes, y_seq, ctx, theta0, outer_tol, max_outer,
-               mega_frames):
+               frames_per_chunk):
     """The alternating decode/estimate loop shared by both model kinds.
 
     decode(chunks, thetas) returns (path_x, path_v, score) for one theta
-    per chunk; prototypes holds each chain's per-state means and variances,
+    per chunk, the chunks being mega_frame_slices(R, frames_per_chunk);
+    prototypes holds each chain's per-state means and variances,
     ((mean_x, var_x), (mean_v, var_v)).  Each round decodes at the current
     thetas, then maximizes each chunk's path objective (_path_objective)
     over theta, never moving to a worse theta, until no theta moves by
     outer_tol or max_outer rounds have run.  A final decode makes the paths
     and score match the returned thetas; with max_outer=0 that is the only
-    decode, at theta0.  A non-finite theta0 raises ValueError before any
-    decode, and a finite one is clamped into [THETA_MIN_DB, THETA_MAX_DB].
+    decode, at theta0.  A non-finite theta0 or a frames_per_chunk that
+    mega_frame_slices refuses raises ValueError before any decode, and a
+    finite theta0 is clamped into [THETA_MIN_DB, THETA_MAX_DB].
     A non-finite decoder score raises NumericError.
     """
     if not np.isfinite(float(theta0)):
         raise ValueError(f"theta0 {theta0} dB is not a finite number")
-    chunks = list(mega_frames) if mega_frames else [slice(0, len(y_seq))]
+    chunks = mega_frame_slices(len(y_seq), frames_per_chunk)
     interval = (THETA_MIN_DB, THETA_MAX_DB)
     thetas = [min(max(float(theta0), THETA_MIN_DB), THETA_MAX_DB)
               for _ in chunks]
@@ -306,7 +312,7 @@ def _alternate(decode, prototypes, y_seq, ctx, theta0, outer_tol, max_outer,
 
 def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
                 outer_tol=OUTER_TOL_DB, max_outer=MAX_OUTER_ITERS,
-                mega_frames=None):
+                frames_per_chunk=None):
     """Alternating joint decoding and gain-ratio estimation.
 
     Repeats (a) parallel Viterbi at the current theta and (b) parabolic
@@ -316,9 +322,9 @@ def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
     decoded objective is non-decreasing across rounds because each half
     step maximizes with the other argument held fixed.
 
-    mega_frames, when given, is a list of frame slices; theta is estimated
-    independently per slice while the Viterbi pass always spans the full
-    sequence.
+    frames_per_chunk, when given, splits the frames into windows of about
+    that many (mega_frame_slices); theta is estimated independently per
+    window while the Viterbi pass always spans the full sequence.
     """
     y_seq = _check_pair(y_seq, lambda_x, lambda_v)
     R = y_seq.shape[0]
@@ -333,11 +339,11 @@ def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
 
     prototypes = tuple((m.means, m.vars) for m in (lambda_x, lambda_v))
     return _alternate(decode, prototypes, y_seq, ctx, theta0, outer_tol,
-                      max_outer, mega_frames)
+                      max_outer, frames_per_chunk)
 
 
 def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
-              max_outer=MAX_OUTER_ITERS, mega_frames=None):
+              max_outer=MAX_OUTER_ITERS, frames_per_chunk=None):
     """VQ counterpart of gfhmm_infer.
 
     The frames are checked against the codebooks before anything else.
@@ -363,4 +369,4 @@ def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
     prototypes = tuple((cb.codevectors, np.ones_like(cb.codevectors))
                        for cb in (cb_x, cb_v))
     return _alternate(decode, prototypes, y_seq, ctx, theta0, outer_tol,
-                      max_outer, mega_frames)
+                      max_outer, frames_per_chunk)

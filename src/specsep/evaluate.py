@@ -12,7 +12,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .gain import estimate_gy
+from .gain import ASYMPTOTE_BELOW_DB, estimate_gy
 from .models import HmmModel, ModelMismatchError, load_model
 from .separate import METHODS, model_kind, separate
 from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
@@ -39,9 +39,9 @@ def normalize_equal_power(x, v):
 
 def _tir_gain(theta):
     """(1 + 10^(-theta/10))^(-1/2), the target's gain at theta dB, without
-    overflow: below -160 dB, 1 + 10^(-theta/10) rounds to 10^(-theta/10),
-    and the gain is 10^(theta/20)."""
-    if theta < -160.0:
+    overflow: below gain.ASYMPTOTE_BELOW_DB (-160 dB), the gain is
+    10^(theta/20)."""
+    if theta < ASYMPTOTE_BELOW_DB:
         return 10.0 ** (theta / 20.0)
     return (1.0 + 10.0 ** (-theta / 10.0)) ** -0.5
 
@@ -114,7 +114,7 @@ def _frames_to_signal(log_frames, cfg, sample_rate, rng):
 
 
 def synth_source(kind, model=None, seed=0, duration=2.0,
-                 sample_rate=8000, cfg=None, speaker=0):
+                 sample_rate=DEFAULT_SAMPLE_RATE, cfg=None, speaker=0):
     """Deterministic synthetic test source.
 
     kind "hmm_sample": draw a state path from the model's (pi, a) and one
@@ -254,7 +254,7 @@ def _check_manifest(manifest):
     integers, theta0 is a finite number, fix_theta a finite number or null,
     seed a non-negative integer, jobs a positive integer, every method is
     one of separate.METHODS and models holds the two model paths of each
-    method's kind."""
+    method's kind as strings."""
     if not isinstance(manifest, dict):
         raise ValueError("manifest must be a JSON object, got "
                          f"{type(manifest).__name__}")
@@ -318,9 +318,10 @@ def _check_manifest(manifest):
             raise ValueError(f"manifest method {method!r} is unknown (one "
                              f"of {', '.join(METHODS)})")
         for key in (f"{model_kind(method)}_{role}" for role in "xv"):
-            if key not in manifest["models"]:
+            # a path that is not a string would fail every row of the method
+            if not isinstance(manifest["models"].get(key), str):
                 raise ValueError(f"manifest 'models' lacks {key!r}, which "
-                                 f"method {method!r} needs")
+                                 f"method {method!r} needs as a path string")
 
 
 def run_experiment(manifest, out_csv, jobs=None):
@@ -341,9 +342,10 @@ def run_experiment(manifest, out_csv, jobs=None):
     setting or jobs that is not a positive integer, a seed that is not a
     non-negative integer), a pair without an id, a method that is not one
     of separate.METHODS or a models object that lacks a path one of the
-    methods needs raises ValueError before any run; failing runs land in
-    the CSV with an error column rather than aborting the batch.  Returns
-    a summary dict of per-(theta, method) means.
+    methods needs, or holds one that is not a string, raises ValueError
+    before any run; failing runs land in the CSV with an error column
+    rather than aborting the batch.  Returns a summary dict of
+    per-(theta, method) means.
     """
     if isinstance(manifest, (str, bytes, os.PathLike)):
         manifest = load_manifest(manifest)
@@ -370,7 +372,7 @@ def run_experiment(manifest, out_csv, jobs=None):
         return next((m for m in pair if isinstance(m, Exception)), pair)
 
     # method -> (model_x, model_v), or the exception to report
-    models = {method: _attempt(load_pair, method) for method in methods}
+    models = {method: load_pair(method) for method in methods}
 
     default_seed = int(manifest.get("seed", 0))
 

@@ -14,6 +14,9 @@ import numpy as np
 # the interval over which theta is searched and a fixed theta may lie
 THETA_MIN_DB = -15.0
 THETA_MAX_DB = 15.0
+# below this theta, 1 + 10^(-theta/10) rounds to 10^(-theta/10), and a gain
+# at theta is taken from that asymptote, which cannot overflow
+ASYMPTOTE_BELOW_DB = -160.0
 
 
 @dataclass(frozen=True)
@@ -54,12 +57,11 @@ def g_of_theta(theta, ctx):
     """log10 gain of the target at ratio theta dB.
 
     g(theta) = log10[ (g_y/G0) * (1 + 10^(-theta/10))^(-1/2) ].  The
-    interference gain is the same map evaluated at -theta.  Below -160 dB,
-    1 + 10^(-theta/10) rounds to 10^(-theta/10), so g is computed as
-    log10(g_y/G0) + theta/20 there, which cannot overflow.
+    interference gain is the same map evaluated at -theta.  Below
+    ASYMPTOTE_BELOW_DB (-160 dB), g is computed as log10(g_y/G0) + theta/20.
     """
     ratio = ctx.g_y / ctx.G0
-    if theta < -160.0:
+    if theta < ASYMPTOTE_BELOW_DB:
         return np.log10(ratio) + theta / 20.0
     return np.log10(ratio) - 0.5 * np.log10(1.0 + 10.0 ** (-theta / 10.0))
 

@@ -98,7 +98,7 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
     return Codebook(codevectors, variances, occupancy)
 
 
-def _best_pairs(rows, cost, shifted_x, shifted_v, wins):
+def _best_pairs(rows, cost, shifted_x, shifted_v):
     """Each frame's best flat (i, j) index and cost, from its row of the
     (n_frames, K_x * K_v) pair costs of the matrix products: the smallest
     cost, ties to the smallest flat index.
@@ -107,8 +107,9 @@ def _best_pairs(rows, cost, shifted_x, shifted_v, wins):
     column, so pairs whose costs are equal can differ by an ulp.  In each
     frame whose second-best cost lies within 8 * dim * eps of its best,
     relative to it, the pairs that near are rescored by a fixed-order sum
-    of their exact terms, and the best is taken among those.  cost is
-    overwritten.
+    of their exact terms, (y - max(x_i, v_j))^2 per bin: the winning
+    source's term, the same number whichever source a tie goes to.  The
+    best is taken among those.
     """
     frames = np.arange(len(rows))
     flat = np.argmin(cost, axis=1)      # first occurrence: smallest (i, j)
@@ -116,8 +117,6 @@ def _best_pairs(rows, cost, shifted_x, shifted_v, wins):
     limit = best * (1.0 + 8 * rows.shape[1] * np.finfo(np.float64).eps)
     cost[frames, flat] = np.inf
     redo = np.flatnonzero(cost.min(axis=1) <= limit)
-    if not redo.size:
-        return flat, best
     cost[frames, flat] = best
     # the 0/1 comparison first: a copy of cost's redone rows is 8x larger
     which, pairs = np.nonzero((cost <= limit[:, None])[redo])
@@ -125,9 +124,9 @@ def _best_pairs(rows, cost, shifted_x, shifted_v, wins):
     # about four (pairs, dim) float64 temporaries per block
     for part in _frame_blocks(len(pairs), 32 * rows.shape[1]):
         i, j = np.divmod(pairs[part], shifted_v.shape[0])
-        y_c = rows[redo[which[part]]]
-        terms = np.where(wins[i, :, j], (y_c - shifted_x[i]) ** 2,
-                         (y_c - shifted_v[j]) ** 2)
+        terms = rows[redo[which[part]]] - np.maximum(shifted_x[i],
+                                                     shifted_v[j])
+        terms **= 2
         exact[part] = np.add.accumulate(terms, axis=1)[:, -1]
     # per frame: the smallest exact cost, then the smallest flat index
     order = np.lexsort((pairs, exact, which))
@@ -209,7 +208,7 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
         cost = cost_buf[:len(rows)]
         _block_costs(rows, shifted_x, shifted_v, wins, loses, cost)
         flat[sl], best[sl] = _best_pairs(rows, cost.reshape(len(rows), -1),
-                                         shifted_x, shifted_v, wins)
+                                         shifted_x, shifted_v)
     idx_x, idx_v = np.divmod(flat, K_v)
     # a frame-order running total; np.sum and sum() may add in another order
     return idx_x, idx_v, -float(np.add.accumulate(best)[-1])

@@ -137,7 +137,7 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
 
     result = infer(y_seq, model_x, model_v, ctx, theta0=theta0,
                    outer_tol=outer_tol, max_outer=max_outer,
-                   mega_frames=chunks)
+                   frames_per_chunk=frames_per_chunk)
     masks_x, masks_v = build_masks(getattr(model_x, proto)[result.path_x],
                                    getattr(model_v, proto)[result.path_v],
                                    chunks, result.theta_per_chunk, ctx)

@@ -119,7 +119,8 @@ MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
                     "string_fix_theta", "fractional_seed",
                     "fractional_jobs", "negative_seed", "zero_jobs",
                     "huge_theta0", "huge_theta", "unknown_key",
-                    "unknown_method", "missing_model_key")
+                    "unknown_method", "missing_model_key",
+                    "non_string_model_path")
 
 
 def broken_manifest(defect):
@@ -169,6 +170,9 @@ def broken_manifest(defect):
     # fhmm needs hmm_x and hmm_v, which the models object lacks
     if defect == "missing_model_key":
         return {**manifest, "methods": ["vq", "fhmm"]}
+    # the paths vq needs are a list and a number
+    if defect == "non_string_model_path":
+        return {**manifest, "models": {"vq_x": ["a"], "vq_v": 5}}
     if defect == "unknown_framing_key":
         return {**manifest, "framing": {"hopp": 40}}
     if defect == "fractional_sample_rate":

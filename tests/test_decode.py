@@ -290,14 +290,28 @@ class TestMaximizeTheta:
         if kinked:
             scales *= rng.choice([-1.0, 1.0], 3)
 
+        calls = []
+
         def objective(t):
+            calls.append(t)
             dist = np.abs(t - centers) if kinked else (t - centers) ** 2
             return float(-(scales * dist).sum())
 
         theta, value = maximize_theta(objective, (lo, hi))
-        assert lo <= theta <= hi
-        assert value == objective(theta)
+        evaluated = list(calls)
+        values = [objective(x) for x in evaluated]
+        # every point evaluated lies in the interval, none twice, and the
+        # result is the first evaluated point of the best value
+        assert all(lo <= x <= hi for x in evaluated)
+        assert len(set(evaluated)) == len(evaluated)
+        assert value == max(values)
+        assert theta == evaluated[values.index(value)]
         assert value >= max(objective(x) for x in (lo, 0.5 * (lo + hi), hi))
+
+    def test_parabola_through_underflowing_points_is_no_fit(self):
+        # a concave fit whose denominator underflows to 0
+        assert decode._parabola_vertex(0.0, 1e-200, 2e-200,
+                                       0.0, 1e-200, 0.0) is None
 
     @pytest.mark.parametrize("interval", [(1.0, 1.0), (2.0, -2.0)])
     def test_degenerate_interval_rejected(self, interval):
@@ -398,8 +412,7 @@ class TestGfhmmInfer:
         mx = structured_hmm(rng, K=4, dim=12)
         mv = structured_hmm(rng, K=4, dim=12)
         y = sampled_feature_mixture(mx, mv, 8.0, ctx, 120, seed=9)
-        chunks = mega_frame_slices(120, 60)
-        res = gfhmm_infer(y, mx, mv, ctx, mega_frames=chunks)
+        res = gfhmm_infer(y, mx, mv, ctx, frames_per_chunk=60)
         assert len(res.theta_per_chunk) == 2
         for th in res.theta_per_chunk:
             assert abs(th - 8.0) <= 1.5
@@ -500,22 +513,38 @@ class TestGvqInfer:
         assert res.theta_hat == 6.2
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_nonfinite_theta0_rejected_before_decoding(ctx, bad, monkeypatch):
+@pytest.fixture
+def undecodable(ctx, monkeypatch):
+    """Both decoders on 10 frames with their decode kernels patched to
+    fail, for checks that must raise before any decode: infer(**options)
+    runs gfhmm_infer, then gvq_infer."""
     rng = np.random.default_rng(23)
     mx, mv = random_hmm(rng, 2, 6), random_hmm(rng, 2, 6)
     cb_x, cb_v = (Codebook(m.means, m.vars, np.ones(m.K)) for m in (mx, mv))
     y = rng.normal(0, 1, (10, 6))
 
     def no_decode(*args, **kwargs):
-        raise AssertionError("decoded before checking theta0")
+        raise AssertionError("decoded before checking the options")
 
     monkeypatch.setattr("specsep.decode._viterbi_from_table", no_decode)
     monkeypatch.setattr("specsep.decode.gvq_score", no_decode)
-    with pytest.raises(ValueError, match="theta0"):
-        gfhmm_infer(y, mx, mv, ctx, theta0=bad)
-    with pytest.raises(ValueError, match="theta0"):
-        gvq_infer(y, cb_x, cb_v, ctx, theta0=bad)
+    return [lambda **options: gfhmm_infer(y, mx, mv, ctx, **options),
+            lambda **options: gvq_infer(y, cb_x, cb_v, ctx, **options)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_theta0_rejected_before_decoding(undecodable, bad):
+    for infer in undecodable:
+        with pytest.raises(ValueError, match="theta0"):
+            infer(theta0=bad)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, True, "60"], ids=repr)
+def test_bad_frames_per_chunk_rejected_before_decoding(undecodable, bad):
+    for infer in undecodable:
+        with pytest.raises(ValueError, match="frames_per_chunk must be None "
+                                             "or a positive int"):
+            infer(frames_per_chunk=bad)
 
 
 class TestSingleWindowThetaHat:

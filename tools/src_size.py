@@ -1,11 +1,12 @@
 """Print the size of the specsep package: total lines, code-only lines and
-the number of public names.
+the number of public names; with --names, the public names instead, one
+per line.
 
 Code-only lines skip blank lines, comment lines, and the lines of module,
 class and function docstrings.  Public names are the names in
 dir(specsep) that do not start with an underscore.
 
-Run from the repository root:  python tools/src_size.py [src/specsep]
+Run from the repository root:  python tools/src_size.py [--names] [src/specsep]
 """
 
 import ast
@@ -39,7 +40,9 @@ def file_size(path):
 
 
 def main(argv):
-    package = Path(argv[1] if len(argv) > 1 else "src/specsep")
+    names_only = "--names" in argv[1:]
+    args = [a for a in argv[1:] if a != "--names"]
+    package = Path(args[0] if args else "src/specsep")
     total = code = 0
     for path in sorted(package.rglob("*.py")):
         t, c = file_size(path)
@@ -48,6 +51,9 @@ def main(argv):
     sys.path.insert(0, str(package.parent))
     module = importlib.import_module(package.name)
     public = [name for name in dir(module) if not name.startswith("_")]
+    if names_only:
+        print("\n".join(public))
+        return
     print(f"total lines: {total}")
     print(f"code-only lines: {code}")
     print(f"public names: {len(public)}")
