@@ -231,7 +231,7 @@ def main(argv=None):
     except ModelMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (NumericError, FloatingPointError) as exc:
+    except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, wave.Error) as exc:

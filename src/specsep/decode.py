@@ -160,7 +160,8 @@ def brute_force_decode(y_seq, lambda_x, lambda_v, theta, ctx):
 
 def _parabola_vertex(a, b, c, fa, fb, fc):
     """Vertex of the parabola through three points, or None when the fit
-    is degenerate (collinear) or does not open downward."""
+    is degenerate (collinear), does not open downward, or overflows to a
+    vertex that is not a finite number."""
     s_left = (fb - fa) / (b - a)
     s_right = (fc - fb) / (c - b)
     if not (s_right < s_left):          # needs strictly concave fit
@@ -169,7 +170,8 @@ def _parabola_vertex(a, b, c, fa, fb, fc):
     den = (b - a) * (fb - fc) - (b - c) * (fb - fa)
     if den == 0.0:
         return None
-    return b - 0.5 * num / den
+    u = b - 0.5 * num / den
+    return u if np.isfinite(u) else None
 
 
 def maximize_theta(objective, interval):
@@ -178,17 +180,20 @@ def maximize_theta(objective, interval):
     Successive parabolic interpolation seeded at the endpoints and
     midpoint: fit a parabola through the best evaluated point and its
     bracketing neighbors, jump to the vertex (clamped to the interval),
-    and re-evaluate.  When the fit degenerates (non-concave or collinear)
-    or lands on an already-evaluated point, a
+    and re-evaluate.  When there is no usable fit (_parabola_vertex gives
+    None) or the vertex lands on an already-evaluated point, a
     golden-section step subdivides the wider flank instead.  Stops once
     both neighbors pin the best point within THETA_STEP_TOL_DB (no further
-    step of at least that is possible) or after MAX_THETA_EVALS
-    evaluations.  Returns (argmax, value) over everything evaluated.
+    step of at least that is possible) or when the MAX_THETA_EVALS
+    evaluations are spent.  Returns (argmax, value) over everything
+    evaluated.  An interval that is empty or has an end that is not a
+    finite number raises ValueError before any evaluation.
     """
-    tol, max_evals = THETA_STEP_TOL_DB, MAX_THETA_EVALS
+    tol = THETA_STEP_TOL_DB
     lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError("degenerate interval")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"degenerate interval ({lo}, {hi}): the ends must "
+                         "be finite numbers with lo < hi")
 
     points = {}
 
@@ -203,7 +208,11 @@ def maximize_theta(objective, interval):
         evaluate(x)
 
     span = hi - lo
-    while len(points) < max_evals:
+    # one step per evaluation left in the budget.  Each step that does not
+    # stop adds a new point (a vertex is kept only off every evaluated
+    # point; a golden step lands 0.38 of a flank >= tol inside it), unless
+    # the ends are so large that such a step rounds onto a point
+    for _ in range(MAX_THETA_EVALS - len(points)):
         xs = sorted(points)
         fs = [points[x] for x in xs]
         i_best = int(np.argmax(fs))
@@ -225,8 +234,6 @@ def maximize_theta(objective, interval):
                 u = x_best - GOLDEN * (x_best - left)
             else:
                 u = x_best + GOLDEN * (right - x_best)
-            if any(abs(u - x) < 1e-12 * span for x in xs):
-                break                    # bracket exhausted
         evaluate(u)
 
     x_star = max(points, key=points.get)

@@ -111,15 +111,15 @@ def _best_pairs(rows, cost, shifted_x, shifted_v):
     source's term, the same number whichever source a tie goes to.  The
     best is taken among those.
     """
-    frames = np.arange(len(rows))
     flat = np.argmin(cost, axis=1)      # first occurrence: smallest (i, j)
-    best = cost[frames, flat]
+    best = cost[np.arange(len(rows)), flat]
     limit = best * (1.0 + 8 * rows.shape[1] * np.finfo(np.float64).eps)
-    cost[frames, flat] = np.inf
-    redo = np.flatnonzero(cost.min(axis=1) <= limit)
-    cost[frames, flat] = best
-    # the 0/1 comparison first: a copy of cost's redone rows is 8x larger
-    which, pairs = np.nonzero((cost <= limit[:, None])[redo])
+    # costs are >= 0, so a frame's best pair is always near its best, and
+    # the frame has a near-tie when a second pair is.  The redone rows are
+    # taken from this 0/1 comparison: a float copy would be 8x larger
+    near = cost <= limit[:, None]
+    redo = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+    which, pairs = np.nonzero(near[redo])
     exact = np.empty(len(pairs))
     # about four (pairs, dim) float64 temporaries per block
     for part in _frame_blocks(len(pairs), 32 * rows.shape[1]):

@@ -318,6 +318,60 @@ class TestMaximizeTheta:
         with pytest.raises(ValueError, match="degenerate interval"):
             maximize_theta(lambda t: -t ** 2, interval)
 
+    @pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 0.0),
+                                          (-np.inf, np.inf)], ids=str)
+    def test_nonfinite_interval_rejected(self, interval):
+        # the midpoint of (0, inf) rounds to inf, so a search over it would
+        # only ever repeat its two points; the objective, finite at +-inf
+        # and best at 0, gives up after 100 calls so that such a search
+        # fails, not hangs
+        calls = []
+
+        def objective(t):
+            calls.append(t)
+            if len(calls) > 100:
+                raise RuntimeError("the search does not end")
+            return -float(np.tanh(t)) ** 2
+
+        with pytest.raises(ValueError, match="must be finite"):
+            maximize_theta(objective, interval)
+        assert calls == []
+
+    def test_huge_objectives_searched_at_finite_points(self):
+        # kinked and peaked shapes of magnitude <= 1, scaled by 1e300 to
+        # 1e307: near the top, the parabola fit overflows to a vertex that
+        # is not a number; such a fit is no fit, and the step goes to
+        # golden section
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            scale = 10.0 ** rng.uniform(300.0, 307.0)
+            centers = rng.uniform(-15.0, 15.0, 3)
+            weights = rng.uniform(0.1, 1.0, 3)
+            if seed % 2:
+                weights *= rng.choice([-1.0, 1.0], 3) / 90.0
+                widths = None
+            else:
+                weights /= 3.0
+                widths = rng.uniform(0.1, 5.0, 3)
+            calls = []
+
+            def objective(t):
+                calls.append(t)
+                if widths is None:
+                    shape = -(weights * np.abs(t - centers)).sum()
+                else:
+                    shape = (weights / (1.0 + ((t - centers) / widths) ** 2)
+                             ).sum()
+                return scale * float(shape)
+
+            theta, value = maximize_theta(objective, (-15.0, 15.0))
+            evaluated = list(calls)
+            values = [objective(x) for x in evaluated]
+            assert not np.isnan(evaluated).any()
+            assert len(evaluated) <= decode.MAX_THETA_EVALS
+            assert value == max(values)
+            assert theta == evaluated[values.index(value)]
+
     def test_nonfinite_objective_rejected(self):
         with pytest.raises(NumericError):
             maximize_theta(lambda t: float("nan"), (-15.0, 15.0))
@@ -564,6 +618,51 @@ class TestSingleWindowThetaHat:
             assert res.iterations >= 1
             assert len(res.theta_per_chunk) == 1
             assert res.theta_hat == res.theta_per_chunk[0]
+
+
+class TestAlternatingLoopProperties:
+    """Invariants of the alternating decode/estimate loop, on tiny random
+    models of both kinds, with one window and with windows of 1-19
+    frames."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["gfhmm", "gvq"]), K_x=st.integers(1, 6),
+           K_v=st.integers(1, 6), dim=st.integers(1, 12),
+           R=st.integers(1, 40),
+           frames_per_chunk=st.none() | st.integers(1, 19),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(kind="gfhmm", K_x=4, K_v=3, R=40, dim=12, frames_per_chunk=7,
+             seed=0)
+    @example(kind="gvq", K_x=6, K_v=5, R=37, dim=9, frames_per_chunk=6,
+             seed=1)
+    def test_loop_invariants(self, kind, K_x, K_v, dim, R, frames_per_chunk,
+                             seed):
+        ctx = GainContext(g_y=1.0)
+        rng = np.random.default_rng(seed)
+        mx, mv = random_hmm(rng, K_x, dim), random_hmm(rng, K_v, dim)
+        y = sampled_feature_mixture(mx, mv, float(rng.uniform(-15, 15)), ctx,
+                                    R, seed=seed)
+        if kind == "gfhmm":
+            models, infer, tol = (mx, mv), gfhmm_infer, 1e-6
+        else:
+            models = tuple(Codebook(m.means, m.vars, np.ones(m.K))
+                           for m in (mx, mv))
+            infer, tol = gvq_infer, 1e-9
+        res = infer(y, *models, ctx, frames_per_chunk=frames_per_chunk)
+
+        # the objective never drops, up to the emission GEMM's rounding
+        assert np.all(np.diff(res.objective_trace) >= -tol)
+        chunks = mega_frame_slices(R, frames_per_chunk)
+        assert len(res.theta_per_chunk) == len(chunks)
+        assert all(THETA_MIN_DB <= th <= THETA_MAX_DB
+                   for th in res.theta_per_chunk)
+        if len(chunks) == 1:
+            once = infer(y, *models, ctx, theta0=res.theta_hat, max_outer=0)
+            assert once.logprob == res.logprob
+        else:
+            weights = [sl.stop - sl.start for sl in chunks]
+            assert res.theta_hat == pytest.approx(
+                np.dot(weights, res.theta_per_chunk) / R, abs=1e-12)
 
 
 class TestMegaFrameSlices:
