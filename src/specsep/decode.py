@@ -66,28 +66,52 @@ def mega_frame_slices(n_frames, frames_per_chunk):
     return [slice(bounds[c], bounds[c + 1]) for c in range(n_chunks)]
 
 
+def _max_stage(scores, tile):
+    """max over a of scores[a, b] + tile[a, b, c], as a (b, c) table.
+
+    The sum is built as a contiguous cube, scores repeated along c plus the
+    contiguous tile, and reduced over its leading axis: numpy runs one
+    long add and an elementwise max of whole rows, where a broadcast add
+    would run one short inner loop per (a, b).  The cube is freed on
+    return.
+    """
+    cube = scores.repeat(tile.shape[2]).reshape(tile.shape)
+    cube += tile
+    return cube.max(axis=0)
+
+
 def _viterbi_from_table(b, log_pi_x, log_pi_v, log_a_x, log_a_v,
                         delta_trace=None):
     """Max-product decoding over the K_x*K_v product state space.
 
     The per-frame max over predecessor pairs (i, l) is taken in two
-    stages, first over i for each (j, l), then over l for each (j, k),
+    stages, first over i for each (l, j), then over l for each (j, k),
     which costs O(K_x K_v (K_x + K_v)) per frame yet reproduces the naive
-    O(K_x^2 K_v^2) double maximum bit for bit.  The forward pass keeps
-    every frame's score table and no backpointers; the backtrace recomputes
-    the two-stage argmax for the one (j, k) on the path, from the same
-    sums, in O(K_x K_v) per frame.  Argmax ties resolve to the smallest
-    index at each stage, and to the lexicographically smallest (j, k) at
-    termination.  delta_trace, when a list, collects a copy of every
-    per-frame score table for equivalence testing.
+    O(K_x^2 K_v^2) double maximum bit for bit: every score is the same
+    sum (delta[i, l] + a_x[i, j]) + a_v[l, k], and a maximum is exact in
+    any order.  Each stage (_max_stage) reduces a contiguous cube over its
+    leading axis: (i, l, j) with the transitions tiled once per call as
+    tile_x[i, l, j] = log_a_x[i, j], then (l, j, k) with
+    tile_v[l, j, k] = log_a_v[l, k].  Besides the R x K_x x K_v score
+    tables, a call holds the two tiles and one stage's cube with its
+    repeated scores, about three K^3 float64 cubes (2 MB each at K=64).
+
+    The forward pass keeps every frame's score table and no backpointers;
+    the backtrace recomputes the two-stage argmax for the one (j, k) on
+    the path, from the same sums, in O(K_x K_v) per frame.  Argmax ties
+    resolve to the smallest index at each stage, and to the
+    lexicographically smallest (j, k) at termination.  delta_trace, when a
+    list, collects a copy of every per-frame score table for equivalence
+    testing.
     """
     R, K_x, K_v = b.shape
     deltas = np.empty((R, K_x, K_v))
     deltas[0] = log_pi_x[:, None] + log_pi_v[None, :] + b[0]
+    tile_x = np.repeat(log_a_x[:, None, :], K_v, axis=1)   # (i, l, j)
+    tile_v = np.repeat(log_a_v[:, None, :], K_x, axis=1)   # (l, j, k)
     for r in range(1, R):
-        t1 = (deltas[r - 1][:, None, :] + log_a_x[:, :, None]).max(axis=0)
-        t2 = (t1[:, :, None] + log_a_v[None, :, :]).max(axis=1)
-        np.add(t2, b[r], out=deltas[r])
+        t1 = _max_stage(deltas[r - 1], tile_x)              # (l, j)
+        np.add(_max_stage(t1, tile_v), b[r], out=deltas[r])
     if delta_trace is not None:
         delta_trace.extend(d.copy() for d in deltas)
 

@@ -86,6 +86,8 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
     have cfg.n_bins bins, and every setting a model's meta records
     (sample_rate, frame_len, hop, dft_size) must match the mixture and
     cfg, else ModelMismatchError.  The two models may differ in size.
+    A mixture with a sample that is not a finite number (NaN or inf)
+    raises ValueError before any decode, for every method.
     A non-finite decoder score raises decode.NumericError.
 
     Returns (x_hat, v_hat, diagnostics); diagnostics holds the decoder's
@@ -113,6 +115,12 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
                 raise ModelMismatchError(
                     f"{role} model was trained with {key}={recorded} but "
                     f"the mixture is separated with {key}={value}")
+
+    finite = np.isfinite(mixture.samples)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ValueError(f"mixture sample {first} is "
+                         f"{mixture.samples[first]}, not a finite number")
 
     y_seq = log_spectra(mixture, cfg)
     g_y = estimate_gy(mixture)

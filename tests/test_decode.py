@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,64 @@ class TestTwoStageEquivalence:
             assert len(trace) == len(naive)
             for fast_d, naive_d in zip(trace, naive):
                 np.testing.assert_array_equal(fast_d, naive_d)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(K_x=st.integers(1, 12), K_v=st.integers(1, 12), R=st.integers(1, 8),
+           tie_heavy=st.booleans(), p_impossible=st.sampled_from([0, 0.3, 0.8]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(K_x=3, K_v=7, R=5, tie_heavy=False, p_impossible=0.3, seed=0)
+    @example(K_x=12, K_v=2, R=8, tie_heavy=True, p_impossible=0.8, seed=1)
+    def test_bit_identical_with_any_state_counts(self, K_x, K_v, R, tie_heavy,
+                                                 p_impossible, seed):
+        # the two chains differ in size, so a layout that swaps K_x and K_v
+        # fails here; impossible (-inf) priors and transitions are the
+        # probability-0 entries HmmModel.validate accepts, one finite entry
+        # kept per row, and tie-heavy draws hold small integers throughout
+        rng = np.random.default_rng(seed)
+
+        def table(shape):
+            if tie_heavy:
+                return rng.integers(-2, 1, shape).astype(np.float64)
+            return rng.normal(-2.0, 3.0, shape)
+
+        def log_probs(n_rows, K):
+            rows = table((n_rows, K))
+            impossible = rng.random((n_rows, K)) < p_impossible
+            impossible[np.arange(n_rows), rng.integers(0, K, n_rows)] = False
+            rows[impossible] = -np.inf
+            return rows
+
+        args = (table((R, K_x, K_v)), log_probs(1, K_x)[0],
+                log_probs(1, K_v)[0], log_probs(K_x, K_x), log_probs(K_v, K_v))
+        trace = []
+        _viterbi_from_table(*args, delta_trace=trace)
+        naive = naive_viterbi_deltas(*args)
+        assert len(trace) == len(naive) == R
+        for fast_d, naive_d in zip(trace, naive):
+            np.testing.assert_array_equal(fast_d, naive_d)
+
+
+class TestViterbiMemory:
+    """The tracemalloc peak of one _viterbi_from_table call over 197 frames
+    (2 s of audio at the default framing) stays within 16 MB at K=64 and
+    within 3.5 MB at K_x=64, K_v=16.  At K=64 the score tables take
+    6.5 MB and each (K, K, K) float64 cube 2.1 MB."""
+
+    @pytest.mark.parametrize("K_x, K_v, limit", [(64, 64, 16e6),
+                                                 (64, 16, 3.5e6)])
+    def test_peak_bounded(self, K_x, K_v, limit):
+        rng = np.random.default_rng(K_v)
+        mx, mv = random_hmm(rng, K=K_x, dim=1), random_hmm(rng, K=K_v, dim=1)
+        args = (rng.normal(0.0, 30.0, (197, K_x, K_v)), mx.pi, mv.pi,
+                mx.trans, mv.trans)
+        _viterbi_from_table(*args)
+        tracemalloc.start()
+        try:
+            _viterbi_from_table(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
 
 
 class TestBacktraceByRecomputation:

@@ -471,6 +471,22 @@ class TestSeparatePipeline:
                                   max_outer=1, mega_frame_seconds=seconds)
             assert len(diag["theta_per_chunk"]) == n_windows
 
+    @pytest.mark.parametrize("method, kind", [
+        ("gfhmm", "hmm"), ("fhmm", "hmm"), ("gvq", "cb"), ("vq", "cb")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_mixture_sample_rejected(self, framing, trained_models,
+                                               mixture_setup, method, kind,
+                                               bad):
+        # one error for every method, raised before any decode
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 0.0)
+        samples = y.samples.copy()
+        samples[1234] = bad
+        with pytest.raises(ValueError, match="mixture sample 1234 is"):
+            separate(AudioSignal(samples, y.sample_rate),
+                     trained_models[f"{kind}_a"], trained_models[f"{kind}_b"],
+                     framing, method=method)
+
     def test_silent_input_rejected(self, framing, trained_models):
         y = AudioSignal(np.zeros(4000))
         with pytest.raises(ValueError, match="silent"):
