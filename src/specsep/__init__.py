@@ -12,7 +12,7 @@ from .mixmax import log_b_table, mixmax_combine
 from .models import (Codebook, HmmModel, ModelMismatchError, baum_welch,
                      init_hmm_from_codebook, load_model, save_model)
 from .quantize import gvq_score, train_lbg
-from .separate import build_masks, separate
+from .separate import separate
 from .signal import (AudioSignal, FramingConfig, apply_masks_and_reconstruct,
                      frame_signal, log_spectra, read_wav, write_wav)
 

@@ -3,15 +3,16 @@ of the best state-pair path, a brute-force oracle, one-dimensional
 maximization of the gain ratio theta, and the alternating decode/optimize
 loop that the HMM- and VQ-based separators share, which maximizes one
 path objective, the emission log-likelihood of each window along its
-decoded paths, over theta for both model kinds."""
+decoded paths, over theta for both model kinds and ends with the binary
+target mask that those paths and thetas give."""
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gain import THETA_MAX_DB, THETA_MIN_DB, _check_theta, gains_from_theta
-from .mixmax import _check_pair, log_b_table, path_emission_loglik
+from .mixmax import (_check_pair, dominant, log_b_table,
+                     path_emission_loglik)
 from .quantize import gvq_score
 
 OUTER_TOL_DB = 0.25
@@ -29,12 +30,15 @@ class NumericError(RuntimeError):
 
 @dataclass
 class DecodeResult:
-    """Decoded state/codevector index paths with their score.
+    """Decoded state/codevector index paths with their score and mask.
 
     logprob is the joint path log-likelihood P(theta) for HMM decoding, or
     the negated total cost Q(theta) for VQ decoding.  theta_per_chunk has
     one entry per mega-frame; theta_hat is the single estimate when there
-    is one chunk, otherwise the frame-weighted mean.
+    is one chunk, otherwise the frame-weighted mean.  mask_x is the
+    (R, dim) uint8 target mask: 1 where the target's prototype along
+    path_x dominates the interference's along path_v at the frame's
+    window theta (_target_mask); the interference mask is 1 - mask_x.
     """
 
     path_x: np.ndarray
@@ -42,6 +46,7 @@ class DecodeResult:
     logprob: float
     theta_hat: float
     iterations: int
+    mask_x: np.ndarray
     theta_per_chunk: tuple = ()
     objective_trace: list = field(default_factory=list)
 
@@ -64,6 +69,18 @@ def mega_frame_slices(n_frames, frames_per_chunk):
     n_chunks = n_frames // frames_per_chunk
     bounds = [c * frames_per_chunk for c in range(n_chunks)] + [n_frames]
     return [slice(bounds[c], bounds[c + 1]) for c in range(n_chunks)]
+
+
+def _target_mask(proto_x, proto_v, chunks, thetas, ctx):
+    """uint8 (R, dim) target mask from per-frame prototypes: within each
+    chunk of frames, 1 wherever the target's gain-shifted prototype
+    dominates the interference's at that chunk's theta (mixmax.dominant:
+    ties go to the target)."""
+    mask_x = np.empty(proto_x.shape, dtype=np.uint8)
+    for sl, th in zip(chunks, thetas):
+        mask_x[sl], _ = dominant(proto_x[sl], proto_v[sl],
+                                 gains_from_theta(th, ctx))
+    return mask_x
 
 
 def _max_stage(scores, tile):
@@ -150,36 +167,42 @@ def brute_force_decode(y_seq, lambda_x, lambda_v, theta, ctx):
 
     Intended for tests on tiny instances; refuses anything with more than
     BRUTE_FORCE_MAX_INSTANCES path pairs.  Ties resolve to the
-    lexicographically smallest (path_x, path_v).
+    lexicographically smallest (path_x, path_v).  Only the decode step
+    differs from parallel_viterbi's: the same zero-round loop (_alternate)
+    checks the input (a theta outside [THETA_MIN_DB, THETA_MAX_DB] raises
+    ValueError) and returns the mask along the paths and 0 iterations.
     """
-    y_seq = _check_pair(y_seq, lambda_x, lambda_v)
-    R = y_seq.shape[0]
-    if float(lambda_x.K * lambda_v.K) ** R > BRUTE_FORCE_MAX_INSTANCES:
-        raise ValueError(
-            f"instance too large for brute force: K_x={lambda_x.K}, "
-            f"K_v={lambda_v.K}, R={R}")
-    gp = gains_from_theta(theta, ctx)
-    b = log_b_table(y_seq, lambda_x, lambda_v, gp)
+    _check_theta(theta, "theta")
 
-    def chain(model):
-        """Every path of one chain (lexicographic) and its prior score."""
-        paths = np.array(list(itertools.product(range(model.K), repeat=R)),
-                         dtype=np.int64)
-        s = model.pi[paths[:, 0]].copy()
-        for r in range(1, R):
-            s += model.trans[paths[:, r - 1], paths[:, r]]
-        return paths, s
+    def decode(y_seq, chunks, thetas):
+        R = len(y_seq)
+        if float(lambda_x.K * lambda_v.K) ** R > BRUTE_FORCE_MAX_INSTANCES:
+            raise ValueError(
+                f"instance too large for brute force: K_x={lambda_x.K}, "
+                f"K_v={lambda_v.K}, R={R}")
+        b = log_b_table(y_seq, lambda_x, lambda_v,
+                        gains_from_theta(thetas[0], ctx))
+        paths_x, score_x = _every_path(lambda_x, R)
+        paths_v, score_v = _every_path(lambda_v, R)
+        score = score_x[:, None] + score_v[None, :]
+        for r in range(R):
+            score += b[r][paths_x[:, r][:, None], paths_v[:, r][None, :]]
+        p, q = divmod(int(np.argmax(score)), paths_v.shape[0])
+        return paths_x[p].copy(), paths_v[q].copy(), float(score[p, q])
 
-    paths_x, score_x = chain(lambda_x)
-    paths_v, score_v = chain(lambda_v)
-    score = score_x[:, None] + score_v[None, :]
-    for r in range(R):
-        score += b[r][paths_x[:, r][:, None], paths_v[:, r][None, :]]
-    flat = int(np.argmax(score))
-    p, q = divmod(flat, paths_v.shape[0])
-    return DecodeResult(paths_x[p].copy(), paths_v[q].copy(),
-                        float(score[p, q]), theta_hat=float(theta),
-                        iterations=1, theta_per_chunk=(float(theta),))
+    return _alternate(decode, (lambda_x, lambda_v),
+                      lambda m: (m.means, m.vars), y_seq, ctx, theta,
+                      outer_tol=0.0, max_outer=0, frames_per_chunk=None)
+
+
+def _every_path(model, R):
+    """Every R-frame path of one chain, one per row in lexicographic order,
+    and its prior score."""
+    paths = np.indices((model.K,) * R).reshape(R, -1).T
+    s = model.pi[paths[:, 0]].copy()
+    for r in range(1, R):
+        s += model.trans[paths[:, r - 1], paths[:, r]]
+    return paths, s
 
 
 def _parabola_vertex(a, b, c, fa, fb, fc):
@@ -274,23 +297,29 @@ def _path_objective(y_seq, path_x, path_v, prototypes, ctx):
     return lambda t: path_emission_loglik(*args, gains_from_theta(t, ctx))
 
 
-def _alternate(decode, prototypes, y_seq, ctx, theta0, outer_tol, max_outer,
-               frames_per_chunk):
+def _alternate(decode, models, prototype, y_seq, ctx, theta0, outer_tol,
+               max_outer, frames_per_chunk):
     """The alternating decode/estimate loop shared by both model kinds.
 
-    decode(chunks, thetas) returns (path_x, path_v, score) for one theta
-    per chunk, the chunks being mega_frame_slices(R, frames_per_chunk);
-    prototypes holds each chain's per-state means and variances,
-    ((mean_x, var_x), (mean_v, var_v)).  Each round decodes at the current
-    thetas, then maximizes each chunk's path objective (_path_objective)
-    over theta, never moving to a worse theta, until no theta moves by
-    outer_tol or max_outer rounds have run.  A final decode makes the paths
-    and score match the returned thetas; with max_outer=0 that is the only
-    decode, at theta0.  A non-finite theta0 or a frames_per_chunk that
-    mega_frame_slices refuses raises ValueError before any decode, and a
-    finite theta0 is clamped into [THETA_MIN_DB, THETA_MAX_DB].
-    A non-finite decoder score raises NumericError.
+    decode(y_seq, chunks, thetas) returns (path_x, path_v, score) for one
+    theta per chunk, the chunks being mega_frame_slices(R,
+    frames_per_chunk); models is the (target, interference) pair and
+    prototype(model) gives one model's per-state means and variances,
+    making prototypes ((mean_x, var_x), (mean_v, var_v)).  Each round
+    decodes at the current thetas, then maximizes each chunk's path
+    objective (_path_objective) over theta, never moving to a worse theta,
+    until no theta moves by outer_tol or max_outer rounds have run.  A
+    final decode makes the paths and score match the returned thetas;
+    with max_outer=0 that is the only decode, at theta0.  The target mask
+    is built from the means along the final paths at the final thetas
+    (_target_mask).  Frames that do not fit the models
+    (mixmax._check_pair), then a non-finite theta0 or a frames_per_chunk
+    that mega_frame_slices refuses, raise ValueError before any decode,
+    and a finite theta0 is clamped into [THETA_MIN_DB, THETA_MAX_DB].  A
+    non-finite decoder score raises NumericError.
     """
+    y_seq = _check_pair(y_seq, *models)
+    prototypes = tuple(prototype(m) for m in models)
     if not np.isfinite(float(theta0)):
         raise ValueError(f"theta0 {theta0} dB is not a finite number")
     chunks = mega_frame_slices(len(y_seq), frames_per_chunk)
@@ -304,7 +333,7 @@ def _alternate(decode, prototypes, y_seq, ctx, theta0, outer_tol, max_outer,
         # overflow drives scores towards -inf, or to NaN where the emission
         # GEMM meets inf - inf; a non-finite score raises below
         with np.errstate(over="ignore", invalid="ignore"):
-            path_x, path_v, score = decode(chunks, thetas)
+            path_x, path_v, score = decode(y_seq, chunks, thetas)
         if not np.isfinite(score):
             raise NumericError(
                 f"non-finite decoder score {score} at theta {thetas} dB")
@@ -335,10 +364,11 @@ def _alternate(decode, prototypes, y_seq, ctx, theta0, outer_tol, max_outer,
         theta_hat = float(np.average(thetas, weights=weights))
     else:
         theta_hat = thetas[0]            # one window, or all hold theta0
+    (mean_x, _), (mean_v, _) = prototypes
+    mask_x = _target_mask(mean_x[path_x], mean_v[path_v], chunks, thetas, ctx)
     return DecodeResult(path_x, path_v, score, theta_hat=theta_hat,
-                        iterations=iterations,
-                        theta_per_chunk=tuple(thetas),
-                        objective_trace=trace)
+                        iterations=iterations, mask_x=mask_x,
+                        theta_per_chunk=tuple(thetas), objective_trace=trace)
 
 
 def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
@@ -355,22 +385,20 @@ def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
 
     frames_per_chunk, when given, splits the frames into windows of about
     that many (mega_frame_slices); theta is estimated independently per
-    window while the Viterbi pass always spans the full sequence.
+    window while the Viterbi pass always spans the full sequence.  The
+    result's mask_x compares the state means along the final paths.
     """
-    y_seq = _check_pair(y_seq, lambda_x, lambda_v)
-    R = y_seq.shape[0]
-
-    def decode(chunks, thetas):
-        b = np.empty((R, lambda_x.K, lambda_v.K))
+    def decode(y_seq, chunks, thetas):
+        b = np.empty((len(y_seq), lambda_x.K, lambda_v.K))
         for sl, th in zip(chunks, thetas):
             b[sl] = log_b_table(y_seq[sl], lambda_x, lambda_v,
                                 gains_from_theta(th, ctx))
         return _viterbi_from_table(b, lambda_x.pi, lambda_v.pi,
                                    lambda_x.trans, lambda_v.trans)
 
-    prototypes = tuple((m.means, m.vars) for m in (lambda_x, lambda_v))
-    return _alternate(decode, prototypes, y_seq, ctx, theta0, outer_tol,
-                      max_outer, frames_per_chunk)
+    return _alternate(decode, (lambda_x, lambda_v),
+                      lambda m: (m.means, m.vars), y_seq, ctx, theta0,
+                      outer_tol, max_outer, frames_per_chunk)
 
 
 def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
@@ -383,13 +411,11 @@ def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
     with the codevectors as means and unit variances.  That objective is
     -0.5 * (cost + const), the negated total squared-error cost up to a
     positive scale and a constant, so its argmax over theta is the cost's.
+    The result's mask_x compares the codevectors along the final paths.
     """
-    y_seq = _check_pair(y_seq, cb_x, cb_v)
-    R = y_seq.shape[0]
-
-    def decode(chunks, thetas):
-        idx_x = np.empty(R, dtype=np.int64)
-        idx_v = np.empty(R, dtype=np.int64)
+    def decode(y_seq, chunks, thetas):
+        idx_x = np.empty(len(y_seq), dtype=np.int64)
+        idx_v = np.empty(len(y_seq), dtype=np.int64)
         q = 0.0
         for sl, th in zip(chunks, thetas):
             idx_x[sl], idx_v[sl], q_chunk = gvq_score(y_seq[sl], cb_x, cb_v,
@@ -397,7 +423,8 @@ def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
             q += q_chunk
         return idx_x, idx_v, q
 
-    prototypes = tuple((cb.codevectors, np.ones_like(cb.codevectors))
-                       for cb in (cb_x, cb_v))
-    return _alternate(decode, prototypes, y_seq, ctx, theta0, outer_tol,
-                      max_outer, frames_per_chunk)
+    def prototype(cb):
+        return cb.codevectors, np.ones_like(cb.codevectors)
+
+    return _alternate(decode, (cb_x, cb_v), prototype, y_seq, ctx, theta0,
+                      outer_tol, max_outer, frames_per_chunk)

@@ -417,9 +417,14 @@ def summarize_rows(rows):
 
 def write_report(results_csv, out_csv):
     """Aggregate a results CSV into mean-SNR-vs-theta and theta_hat-vs-theta
-    series per method."""
+    series per method.  A CSV whose header lacks any of CSV_COLUMNS raises
+    ValueError naming the missing ones, before out_csv is written."""
     with open(results_csv, newline="") as f:
-        rows = [row for row in csv.DictReader(f)]
+        reader = csv.DictReader(f)
+        header, rows = reader.fieldnames or [], list(reader)
+    missing = [c for c in CSV_COLUMNS if c not in header]
+    if missing:
+        raise ValueError("missing results columns: " + ", ".join(missing))
     summary = summarize_rows(rows)
     n_errors = sum(1 for r in rows if r["error"])
     with open(out_csv, "w", newline="") as f:

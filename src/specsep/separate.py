@@ -1,6 +1,6 @@
-"""End-to-end separation: infer state/codevector paths and the gain ratio,
-build per-frame binary masks from the decoded spectral prototypes, and
-reconstruct both sources from the mixture."""
+"""End-to-end separation: infer state/codevector paths, the gain ratio and
+the binary target mask they give, and reconstruct both sources from the
+mixture."""
 
 import math
 from dataclasses import asdict
@@ -8,8 +8,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import decode as _decode
-from .gain import GainContext, _check_theta, estimate_gy, gains_from_theta
-from .mixmax import dominant
+from .gain import GainContext, _check_theta, estimate_gy
 from .models import Codebook, HmmModel, ModelMismatchError
 # perfbench's traced run patches this name here; keep it bound
 from .quantize import gvq_score  # noqa: F401
@@ -20,9 +19,9 @@ from .signal import apply_masks_and_reconstruct, log_spectra
 METHODS = {"gfhmm": ("hmm", True), "gvq": ("vq", True),
            "fhmm": ("hmm", False), "vq": ("vq", False)}
 
-# model kind -> (model class, decoder, the per-state prototypes masks read)
-_KINDS = {"hmm": (HmmModel, _decode.gfhmm_infer, "means"),
-          "vq": (Codebook, _decode.gvq_infer, "codevectors")}
+# model kind -> (model class, decoder)
+_KINDS = {"hmm": (HmmModel, _decode.gfhmm_infer),
+          "vq": (Codebook, _decode.gvq_infer)}
 
 # the baselines decode at theta 0 with g_y/G0 = sqrt(2), which makes both
 # source gains 1 up to rounding: log10 gains of 2.8e-17 (no float g_y
@@ -30,21 +29,6 @@ _KINDS = {"hmm": (HmmModel, _decode.gfhmm_infer, "means"),
 BASELINE_GY_OVER_G0 = math.sqrt(2.0)
 
 MEGA_FRAME_SECONDS = 2.0
-
-
-def build_masks(proto_x, proto_v, chunks, thetas, ctx):
-    """Per-frame binary masks from the decoded spectral prototypes.
-
-    Within each chunk of frames, a bin goes to the target wherever its
-    gain-shifted prototype dominates the interference's at that chunk's
-    theta (mixmax.dominant: ties go to the target).  The two masks are
-    complementary.
-    """
-    masks_x = np.empty(proto_x.shape, dtype=np.uint8)
-    for sl, th in zip(chunks, thetas):
-        masks_x[sl], _ = dominant(proto_x[sl], proto_v[sl],
-                                  gains_from_theta(th, ctx))
-    return masks_x, 1 - masks_x
 
 
 def model_kind(method):
@@ -72,9 +56,10 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
     theta0 : starting theta for the alternating estimation (dB); the
         decoders reject a non-finite one with ValueError and clamp a
         finite one into [THETA_MIN_DB, THETA_MAX_DB]; unused when theta is
-        fixed
+        fixed, and so ignored by the baselines
     fix_theta : skip theta estimation and decode once at this value (dB);
-        it must lie in [THETA_MIN_DB, THETA_MAX_DB], i.e. +/-15 dB
+        it must lie in [THETA_MIN_DB, THETA_MAX_DB], i.e. +/-15 dB; the
+        baselines ignore it and decode at 0
     outer_tol, max_outer : the decoders' stopping rule for the
         alternating estimation
     mega_frame_seconds : loudness-constancy window; utterances shorter
@@ -90,12 +75,16 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
     raises ValueError before any decode, for every method.
     A non-finite decoder score raises decode.NumericError.
 
+    The target keeps the bins of the decoder's mask_x and the
+    interference the rest.
+
     Returns (x_hat, v_hat, diagnostics); diagnostics holds the decoder's
-    DecodeResult fields (paths, logprob, theta_hat, theta_per_chunk and
-    objective_trace, one score per decode) with the method, the measured
-    g_y and the frame count; a fixed theta counts as one iteration.
+    DecodeResult fields (paths, logprob, theta_hat, theta_per_chunk,
+    objective_trace, one score per decode, and mask_x) with the method,
+    the measured g_y and the frame count; a fixed theta counts as one
+    iteration.
     """
-    cls, infer, proto = _KINDS[model_kind(method)]
+    cls, infer = _KINDS[model_kind(method)]
     estimated = METHODS[method][1]
     n_bins = cfg.n_bins
     setting = {"sample_rate": mixture.sample_rate, **asdict(cfg)}
@@ -128,7 +117,6 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
     if not estimated:
         fix_theta = 0.0
 
-    R = y_seq.shape[0]
     frames_per_chunk = None
     if mega_frame_seconds:
         frames = mega_frame_seconds * mixture.sample_rate / cfg.hop
@@ -141,18 +129,15 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
         _check_theta(fix_theta, "fix_theta")
         # a fixed theta is one whole-sequence decode with no outer rounds
         theta0, max_outer, frames_per_chunk = fix_theta, 0, None
-    chunks = _decode.mega_frame_slices(R, frames_per_chunk)
 
     result = infer(y_seq, model_x, model_v, ctx, theta0=theta0,
                    outer_tol=outer_tol, max_outer=max_outer,
                    frames_per_chunk=frames_per_chunk)
-    masks_x, masks_v = build_masks(getattr(model_x, proto)[result.path_x],
-                                   getattr(model_v, proto)[result.path_v],
-                                   chunks, result.theta_per_chunk, ctx)
-    x_hat, v_hat = apply_masks_and_reconstruct(mixture, masks_x, masks_v, cfg)
+    x_hat, v_hat = apply_masks_and_reconstruct(
+        mixture, result.mask_x, 1 - result.mask_x, cfg)
 
     diagnostics = {
-        **vars(result), "method": method, "g_y": g_y, "n_frames": R,
+        **vars(result), "method": method, "g_y": g_y, "n_frames": len(y_seq),
         # the single decode at a fixed theta is reported as one iteration
         "iterations": result.iterations if fix_theta is None else 1,
     }

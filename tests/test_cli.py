@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specsep import (AudioSignal, Codebook, FramingConfig, GainContext,
-                     apply_masks_and_reconstruct, build_masks, gvq_infer,
+                     apply_masks_and_reconstruct, gvq_infer,
                      load_model, log_spectra, read_wav, save_model,
                      synth_source, write_wav)
 from specsep.cli import build_parser, main
@@ -246,10 +246,8 @@ class TestSeparate:
         ctx = GainContext(g_y=BASELINE_GY_OVER_G0)
         res = gvq_infer(log_spectra(y, cfg), cb_a, cb_b, ctx, theta0=0.0,
                         max_outer=0)
-        masks_x, masks_v = build_masks(
-            cb_a.codevectors[res.path_x], cb_b.codevectors[res.path_v],
-            [slice(0, len(res.path_x))], [0.0], ctx)
-        fx_x, _ = apply_masks_and_reconstruct(y, masks_x, masks_v, cfg)
+        fx_x, _ = apply_masks_and_reconstruct(y, res.mask_x, 1 - res.mask_x,
+                                              cfg)
         write_wav(tmp / "fx_x.wav", fx_x)
         a = (tmp / "bl_x.wav").read_bytes()
         b = (tmp / "fx_x.wav").read_bytes()
@@ -416,6 +414,18 @@ class TestEvaluateReport:
         assert main(["report", "--in", str(results),
                      "--out", str(curves)]) == 0
         assert len(curves.read_text().strip().splitlines()) == 2
+
+    def test_report_without_result_columns_exits_1(self, tmp_path, capsys):
+        # a CSV that evaluate did not write used to end in a KeyError
+        src = tmp_path / "x.csv"
+        src.write_text("a,b\n1,2\n")
+        rc = main(["report", "--in", str(src),
+                   "--out", str(tmp_path / "curves.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "missing results columns: pair_id" in err[0]
+        assert not (tmp_path / "curves.csv").exists()
 
     def test_missing_manifest_exits_2(self, speaker_dirs):
         tmp = speaker_dirs["tmp"]

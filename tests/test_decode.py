@@ -143,9 +143,17 @@ class TestBruteForceOracle:
         oracle = brute_force_decode(y, mx, mv, theta, ctx)
         assert fast.logprob == pytest.approx(oracle.logprob, rel=1e-9)
         assert fast.path_x.max() < K_x and fast.path_v.max() < K_v
+        # the oracle reports what parallel_viterbi reports
+        assert oracle.iterations == fast.iterations == 0
+        assert oracle.theta_hat == fast.theta_hat
+        assert oracle.theta_per_chunk == fast.theta_per_chunk
+        assert oracle.mask_x.dtype == fast.mask_x.dtype == np.uint8
+        assert oracle.mask_x.shape == fast.mask_x.shape == (R, dim)
         paths = (fast.path_x, fast.path_v)
-        if not (np.array_equal(fast.path_x, oracle.path_x)
+        if (np.array_equal(fast.path_x, oracle.path_x)
                 and np.array_equal(fast.path_v, oracle.path_v)):
+            np.testing.assert_array_equal(fast.mask_x, oracle.mask_x)
+        else:
             # another path pair is allowed only when it ties the optimum
             assert path_loglik(paths, y, mx, mv, theta, ctx) == \
                 pytest.approx(oracle.logprob, rel=1e-9)
@@ -680,9 +688,9 @@ class TestSingleWindowThetaHat:
 
 
 class TestAlternatingLoopProperties:
-    """Invariants of the alternating decode/estimate loop, on tiny random
-    models of both kinds, with one window and with windows of 1-19
-    frames."""
+    """Invariants of the alternating decode/estimate loop and its mask, on
+    tiny random models of both kinds, with one window and with windows of
+    1-19 frames."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(kind=st.sampled_from(["gfhmm", "gvq"]), K_x=st.integers(1, 6),
@@ -722,6 +730,14 @@ class TestAlternatingLoopProperties:
             weights = [sl.stop - sl.start for sl in chunks]
             assert res.theta_hat == pytest.approx(
                 np.dot(weights, res.theta_per_chunk) / R, abs=1e-12)
+        # the mask compares the means along the final paths at each
+        # window's theta, ties to the target
+        assert res.mask_x.dtype == np.uint8
+        for sl, th in zip(chunks, res.theta_per_chunk):
+            gp = gains_from_theta(th, ctx)
+            np.testing.assert_array_equal(
+                res.mask_x[sl], mx.means[res.path_x[sl]] + gp.log10_gx
+                >= mv.means[res.path_v[sl]] + gp.log10_gv)
 
 
 class TestMegaFrameSlices:

@@ -605,6 +605,17 @@ class TestReport:
                for r in rows}
         assert all(n == 2 for n in grp.values())
 
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", ""],
+                             ids=["two_columns", "empty"])
+    def test_csv_without_result_columns_rejected(self, tmp_path, text):
+        src = tmp_path / "x.csv"
+        src.write_text(text)
+        out = tmp_path / "curves.csv"
+        with pytest.raises(ValueError, match="missing results columns: "
+                                             "pair_id, method,.* error$"):
+            write_report(src, out)
+        assert not out.exists()
+
     def test_summarize_skips_error_rows(self):
         rows = [
             {"pair_id": "a", "method": "vq", "theta_true": "0",

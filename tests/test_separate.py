@@ -7,13 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specsep import (AudioSignal, GainContext, ModelMismatchError,
-                     apply_masks_and_reconstruct, build_masks, frame_signal,
+                     apply_masks_and_reconstruct, frame_signal,
                      g_of_theta, gains_from_theta, gvq_infer, log_spectra,
                      mix_at_tir, normalize_equal_power, parallel_viterbi,
                      separate, snr, synth_source)
-from specsep.decode import NumericError
+from specsep.decode import NumericError, _target_mask, mega_frame_slices
 from specsep.gain import THETA_MAX_DB, THETA_MIN_DB
-from specsep.separate import BASELINE_GY_OVER_G0
+from specsep.separate import BASELINE_GY_OVER_G0, MEGA_FRAME_SECONDS
 
 from conftest import (CODEBOOK_DEFECTS, HMM_DEFECTS, MODEL_DEFECTS,
                       malformed, overflowing, random_hmm,
@@ -25,11 +25,18 @@ def ctx():
     return GainContext(g_y=1.0)
 
 
+def mask_pair(proto_x, proto_v, chunks, thetas, ctx):
+    """The decoders' target mask (_target_mask) and its complement, the
+    interference mask that separate() applies."""
+    mask_x = _target_mask(proto_x, proto_v, chunks, thetas, ctx)
+    return mask_x, 1 - mask_x
+
+
 def path_masks(proto_x, proto_v, path_x, path_v, theta, ctx):
-    """build_masks over one whole-sequence chunk of decoded prototypes."""
-    return build_masks(proto_x[np.asarray(path_x)],
-                       proto_v[np.asarray(path_v)],
-                       [slice(0, len(path_x))], [theta], ctx)
+    """mask_pair over one whole-sequence chunk of decoded prototypes."""
+    return mask_pair(proto_x[np.asarray(path_x)],
+                     proto_v[np.asarray(path_v)],
+                     [slice(0, len(path_x))], [theta], ctx)
 
 
 class TestMaskBuilding:
@@ -109,11 +116,11 @@ class TestMaskBuilding:
         proto_v = rng.normal(0.0, 1.0, (10, 7))
         chunks = [slice(0, 4), slice(4, 10)]
         thetas = [-6.0, 9.0]
-        masks_x, masks_v = build_masks(proto_x, proto_v, chunks, thetas, ctx)
+        masks_x, masks_v = mask_pair(proto_x, proto_v, chunks, thetas, ctx)
         for sl, th in zip(chunks, thetas):
-            want_x, want_v = build_masks(proto_x[sl], proto_v[sl],
-                                         [slice(0, sl.stop - sl.start)],
-                                         [th], ctx)
+            want_x, want_v = mask_pair(proto_x[sl], proto_v[sl],
+                                       [slice(0, sl.stop - sl.start)],
+                                       [th], ctx)
             np.testing.assert_array_equal(masks_x[sl], want_x)
             np.testing.assert_array_equal(masks_v[sl], want_v)
         np.testing.assert_array_equal(masks_x + masks_v, 1)
@@ -147,7 +154,7 @@ class TestMaskBuilding:
             tie = rng.random(proto_x[sl].shape) < tie_frac
             proto_v[sl][tie] = (proto_x[sl] + gp.log10_gx
                                 - gp.log10_gv)[tie]
-        masks_x, masks_v = build_masks(proto_x, proto_v, chunks, thetas, ctx)
+        masks_x, masks_v = mask_pair(proto_x, proto_v, chunks, thetas, ctx)
         assert masks_x.dtype == masks_v.dtype == np.uint8
         np.testing.assert_array_equal(masks_x + masks_v, 1)
         for sl, th in zip(chunks, thetas):
@@ -203,11 +210,7 @@ class TestSeparatePipeline:
         win = framing.analysis_window()
         frames = frame_signal(y, framing)
         spec = np.fft.rfft(frames * win, n=framing.dft_size, axis=1)
-        masks_x, masks_v = build_masks(
-            trained_models["cb_a"].codevectors[diag["path_x"]],
-            trained_models["cb_b"].codevectors[diag["path_v"]],
-            [slice(0, diag["n_frames"])], diag["theta_per_chunk"],
-            GainContext(g_y=diag["g_y"]))
+        masks_x, masks_v = diag["mask_x"], 1 - diag["mask_x"]
         e_full = np.abs(spec) ** 2
         e_x = np.abs(spec * masks_x) ** 2
         e_v = np.abs(spec * masks_v) ** 2
@@ -353,6 +356,14 @@ class TestSeparatePipeline:
         assert len(diag["theta_per_chunk"]) == 2
         for th in diag["theta_per_chunk"]:
             assert -15.0 <= th <= 15.0
+        # the decoder's mask reads each window's theta over that window
+        window = round(MEGA_FRAME_SECONDS * y.sample_rate / framing.hop)
+        chunks = mega_frame_slices(diag["n_frames"], window)
+        want_x, _ = mask_pair(trained_models["hmm_a"].means[diag["path_x"]],
+                              trained_models["hmm_b"].means[diag["path_v"]],
+                              chunks, diag["theta_per_chunk"],
+                              GainContext(g_y=diag["g_y"]))
+        np.testing.assert_array_equal(diag["mask_x"], want_x)
 
     def test_kind_mismatch_rejected(self, framing, trained_models,
                                     mixture_setup):

@@ -143,6 +143,15 @@ class TestAudioSignal:
         with pytest.raises(ValueError, match=match):
             AudioSignal(samples, rate)
 
+    def test_duration_is_seconds_of_samples(self):
+        assert noise_signal(12_000).duration == 1.5
+        assert AudioSignal(np.zeros(441), sample_rate=44_100).duration == 0.01
+
+    def test_empty_signal_lasts_zero_seconds(self):
+        sig = AudioSignal(np.zeros(0))
+        assert len(sig) == 0
+        assert sig.duration == 0.0
+
 
 class TestWavIO:
     def test_round_trip_within_quantization_step(self, tmp_path):
