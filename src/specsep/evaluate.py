@@ -400,25 +400,41 @@ def run_experiment(manifest, out_csv, jobs=None):
     return summarize_rows(rows)
 
 
+def _number(row, n, column):
+    """float(row[column]); ValueError naming data row n and the column
+    when the cell is empty, missing or not a number."""
+    try:
+        return float(row[column])
+    except (TypeError, ValueError):
+        raise ValueError(f"results row {n}: {column} {row[column]!r} is "
+                         f"not a number") from None
+
+
 def summarize_rows(rows):
-    """Per-(theta, method) means of the numeric result columns."""
+    """Per-(theta, method) means of the numeric result columns.  Rows with
+    an error are skipped; in any other row a numeric cell that does not
+    parse raises ValueError naming the row (1 for the first data row) and
+    the column."""
+    columns = ("snr_target_db", "snr_interf_db", "theta_hat", "iterations")
     groups = {}
-    for row in rows:
+    for n, row in enumerate(rows, 1):
         if row["error"]:
             continue
-        key = (float(row["theta_true"]), row["method"])
-        groups.setdefault(key, []).append(row)
-    columns = ("snr_target_db", "snr_interf_db", "theta_hat", "iterations")
+        key = (_number(row, n, "theta_true"), row["method"])
+        groups.setdefault(key, []).append(
+            {c: _number(row, n, c) for c in columns})
     return {key: {"n": len(grp),
-                  **{c: float(np.mean([float(r[c]) for r in grp]))
+                  **{c: float(np.mean([r[c] for r in grp]))
                      for c in columns}}
             for key, grp in sorted(groups.items())}
 
 
 def write_report(results_csv, out_csv):
     """Aggregate a results CSV into mean-SNR-vs-theta and theta_hat-vs-theta
-    series per method.  A CSV whose header lacks any of CSV_COLUMNS raises
-    ValueError naming the missing ones, before out_csv is written."""
+    series per method.  A CSV whose header lacks any of CSV_COLUMNS, or a
+    row without an error whose numeric cell does not parse, raises
+    ValueError naming the missing columns or the row and the column,
+    before out_csv is written."""
     with open(results_csv, newline="") as f:
         reader = csv.DictReader(f)
         header, rows = reader.fieldnames or [], list(reader)

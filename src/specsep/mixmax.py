@@ -2,13 +2,12 @@
 mixture frames fit a model pair, combining clean log-spectral frames under
 gains, the per-bin dominance rule (the larger gain-shifted mean wins, ties
 to the target), the frame blocks of the blocked kernels (_frame_blocks:
-blocks near a byte budget, 256 KiB unless a caller passes another), the
-two frame-against-table kernels (exact squared distances for LBG,
-diagonal-Gaussian log-densities as one GEMM for the HMM tables and
-Baum-Welch), and the joint emission log-likelihoods of mixture frames for
-every state pair (log_b_table) or along fixed paths.  The VQ pair costs
-(quantize.gvq_score) take their tie rule from here, and their frame
-blocks from _frame_blocks with a budget of their own."""
+blocks near 256 KiB of temporaries), the two frame-against-table kernels
+(exact squared distances for LBG, diagonal-Gaussian log-densities as one
+GEMM for the HMM tables and Baum-Welch), and the joint emission
+log-likelihoods of mixture frames for every state pair (log_b_table) or
+along fixed paths.  The VQ pair costs (quantize.gvq_score) score frames
+against the pair maxima of mixmax_combine, in blocks from _frame_blocks."""
 
 import numpy as np
 
@@ -46,19 +45,14 @@ def mixmax_combine(x, v, gp):
 def dominant(mean_x, mean_v, gp):
     """Per-bin dominance of two gain-shifted means (broadcasting).
 
-    Returns (target_wins, winning mean); exact ties go to the target, and
-    a NaN mean makes the winning mean NaN.  Every production path that
-    assigns a bin to a source uses this rule (_target_wins).
+    Returns (target_wins, winning mean); exact ties go to the target, which
+    wins a bin unless the interference is strictly larger, and a NaN mean
+    makes the winning mean NaN.  Every production path that assigns a bin
+    to a source uses this rule.
     """
     m_x = mean_x + gp.log10_gx
     m_v = mean_v + gp.log10_gv
-    return _target_wins(m_x, m_v), np.maximum(m_x, m_v)
-
-
-def _target_wins(m_x, m_v):
-    """The tie rule on already gain-shifted means (broadcasting): the
-    target wins a bin unless the interference is strictly larger."""
-    return m_x >= m_v
+    return m_x >= m_v, np.maximum(m_x, m_v)
 
 
 def _dominant_gaussian(mean_x, var_x, mean_v, var_v, gp):
@@ -68,14 +62,14 @@ def _dominant_gaussian(mean_x, var_x, mean_v, var_v, gp):
     return m_max, np.where(target_wins, var_x, var_v)
 
 
-def _frame_blocks(n_frames, frame_bytes, block_bytes=1 << 18):
+def _frame_blocks(n_frames, frame_bytes):
     """Slices that cover n_frames frames in blocks whose temporaries stay
-    near block_bytes, given the bytes that one frame's temporaries take
-    (at least one frame per block)."""
-    # by default blocks that fit a per-core L2 cache: larger ones (a whole
+    near 256 KiB, given the bytes that one frame's temporaries take (at
+    least one frame per block)."""
+    # blocks that fit a per-core L2 cache: larger ones (a whole
     # R x K x dim broadcast) are bound by memory traffic, smaller ones by
     # call overhead
-    step = max(1, block_bytes // frame_bytes)
+    step = max(1, (1 << 18) // frame_bytes)
     return [slice(s, s + step) for s in range(0, n_frames, step)]
 
 

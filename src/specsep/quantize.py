@@ -1,10 +1,12 @@
 """LBG codebook training over log-spectral vectors, and the gain-adapted
-VQ decoder that matches each observed frame against all codevector pairs."""
+VQ decoder that matches each observed frame against the gain-shifted
+maxima of all codevector pairs: one matrix product per block of frames,
+then an exact rescoring of the pairs that its rounding leaves in doubt."""
 
 import numpy as np
 
 from .gain import gains_from_theta
-from .mixmax import _check_pair, _frame_blocks, _target_wins, sq_dist
+from .mixmax import _check_pair, _frame_blocks, mixmax_combine, sq_dist
 from .models import VARIANCE_FLOOR, Codebook
 
 SPLIT_DELTA = 0.01
@@ -98,64 +100,30 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
     return Codebook(codevectors, variances, occupancy)
 
 
-def _best_pairs(rows, cost, shifted_x, shifted_v):
-    """Each frame's best flat (i, j) index and cost, from its row of the
-    (n_frames, K_x * K_v) pair costs of the matrix products: the smallest
-    cost, ties to the smallest flat index.
+def _best_pairs(rows, cost, pair_max, slack):
+    """Each frame's best flat (i, j) index and exact cost, from its row of
+    the (n_frames, K_x * K_v) product costs: the smallest exact cost, ties
+    to the smallest flat index.
 
-    A product adds a cost's terms in an order that depends on the output
-    column, so pairs whose costs are equal can differ by an ulp.  In each
-    frame whose second-best cost lies within 8 * dim * eps of its best,
-    relative to it, the pairs that near are rescored by a fixed-order sum
-    of their exact terms, (y - max(x_i, v_j))^2 per bin: the winning
-    source's term, the same number whichever source a tie goes to.  The
-    best is taken among those.
+    A product cost can be off from the exact sum by its rounding, so every
+    pair whose product cost lies within the frame's slack of the frame's
+    smallest is rescored by the exact sum over bins of
+    (y - pair_max[p])^2, and the best is taken among those.
     """
-    flat = np.argmin(cost, axis=1)      # first occurrence: smallest (i, j)
-    best = cost[np.arange(len(rows)), flat]
-    limit = best * (1.0 + 8 * rows.shape[1] * np.finfo(np.float64).eps)
-    # costs are >= 0, so a frame's best pair is always near its best, and
-    # the frame has a near-tie when a second pair is.  The redone rows are
-    # taken from this 0/1 comparison: a float copy would be 8x larger
-    near = cost <= limit[:, None]
-    redo = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
-    which, pairs = np.nonzero(near[redo])
+    # not "<=": a frame whose costs are NaN keeps all its pairs, and its
+    # exact cost, and with it Q, comes out NaN
+    near = ~(cost > (cost.min(axis=1) + slack)[:, None])
+    which, pairs = np.nonzero(near)     # by frame, then by flat index
     exact = np.empty(len(pairs))
     # about four (pairs, dim) float64 temporaries per block
     for part in _frame_blocks(len(pairs), 32 * rows.shape[1]):
-        i, j = np.divmod(pairs[part], shifted_v.shape[0])
-        terms = rows[redo[which[part]]] - np.maximum(shifted_x[i],
-                                                     shifted_v[j])
+        terms = rows[which[part]] - pair_max[pairs[part]]
         terms **= 2
-        exact[part] = np.add.accumulate(terms, axis=1)[:, -1]
+        exact[part] = terms.sum(axis=1)
     # per frame: the smallest exact cost, then the smallest flat index
     order = np.lexsort((pairs, exact, which))
     _, first = np.unique(which[order], return_index=True)
-    flat[redo] = pairs[order[first]]
-    best[redo] = exact[order[first]]
-    return flat, best
-
-
-def _block_costs(rows, shifted_x, shifted_v, wins, loses, cost):
-    """Write the (n_frames, K_x, K_v) pair costs of a block of frames into
-    cost: per target codevector i, its exact squared terms times the 0/1
-    slice wins[i], written into cost[:, i, :]; per interference codevector
-    j, its terms times loses[j], added into cost[:, :, j].  Each slice is
-    copied into a float buffer once per block, and its buffer and the
-    terms are freed before the block's pairs are chosen."""
-    terms = np.empty_like(rows)
-    mask = np.empty(wins.shape[1:])                     # (dim, K_v)
-    for i, codevector in enumerate(shifted_x):
-        np.copyto(mask, wins[i])
-        np.subtract(rows, codevector, out=terms)
-        terms **= 2
-        np.matmul(terms, mask, out=cost[:, i, :])
-    mask = np.empty(loses.shape[1:])                    # (dim, K_x)
-    for j, codevector in enumerate(shifted_v):
-        np.copyto(mask, loses[j])
-        np.subtract(rows, codevector, out=terms)
-        terms **= 2
-        cost[:, :, j] += terms @ mask
+    return pairs[order[first]], exact[order[first]]
 
 
 def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
@@ -168,47 +136,36 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     every frame is exactly representable.  Frames that are empty or do not
     match the codebooks' dimension raise ValueError.
 
-    Which source wins bin d of pair (i, j) depends on the gains only, so
-    the cost is sum_d (y - x_i)^2 wins + sum_d (y - v_j)^2 (1 - wins), with
-    x and v gain-shifted: per block of frames, one matrix product of exact
-    squared terms with a 0/1 mask slice per codevector, the target's
-    written into the block's costs and the interference's added to them.
-    Every term is >= 0, and a frame equal to a pair's maximum scores
-    exactly 0.  The pairs that tie with a frame's best up to the products'
-    rounding are rescored by a fixed-order exact sum (_best_pairs), so
+    The (K_x * K_v, dim) pair maxima m are formed once (mixmax_combine),
+    and each block of frames is scored against all of them by one matrix
+    product, sum m^2 - 2 y . m: the cost less the frame's own sum y^2.
+    Every pair within the frame's slack of its best product cost,
+    8 (dim + 2) eps (sum y^2 + 2 max sum m^2), which bounds the rounding of
+    both the product and the exact sums, is rescored by the exact sum of
+    (y - m)^2 (_best_pairs), so no pair outside the slack can win and
     exact ties resolve by the rule above whatever the BLAS and the
-    codebook sizes.  Any finite theta scores finitely: beyond the
-    codebooks' value span, the quieter source's gain is clamped, which
-    changes no winner, cost or pair.
+    codebook sizes.  A frame equal to a pair's maximum scores exactly 0.
+    Both gains are at most g_y / G0 and the louder one at least
+    g_y / (sqrt(2) G0), so every pair maximum, and with it the score,
+    stays finite at any finite theta.
     """
     y_seq = _check_pair(y_seq, cb_x, cb_v)
-    gp = gains_from_theta(theta, ctx)
-    # once the gain gap exceeds the codebooks' value span, one source wins
-    # every bin; the quieter source's gain then only drives its masked-out
-    # terms to overflow, so it is clamped to just beyond that span
-    span = (max(cb_x.codevectors.max(), cb_v.codevectors.max())
-            - min(cb_x.codevectors.min(), cb_v.codevectors.min()))
-    shifted_x = cb_x.codevectors + max(gp.log10_gx, gp.log10_gv - span - 1.0)
-    shifted_v = cb_v.codevectors + max(gp.log10_gv, gp.log10_gx - span - 1.0)
-    wins = _target_wins(shifted_x[:, :, None],          # (K_x, dim, K_v)
-                        shifted_v.T[None, :, :])
-    loses = (~wins).transpose(2, 1, 0).copy()           # (K_v, dim, K_x)
-    R, K_x, K_v = y_seq.shape[0], cb_x.K, cb_v.K
+    pair_max = mixmax_combine(cb_x.codevectors[:, None, :],
+                              cb_v.codevectors[None, :, :],
+                              gains_from_theta(theta, ctx))
+    pair_max = pair_max.reshape(-1, y_seq.shape[1])
+    sq_max = np.einsum("pd,pd->p", pair_max, pair_max)
+    rounding = 8 * (y_seq.shape[1] + 2) * np.finfo(np.float64).eps
+    R = y_seq.shape[0]
     flat = np.empty(R, dtype=np.intp)
     best = np.empty(R)
-    # each codevector's mask slice is copied and read once per block, so
-    # blocks are as large as a per-core L2 cache holds the block's costs
-    # across the K_x + K_v products that write them
-    blocks = _frame_blocks(R, 8 * K_x * K_v, 1 << 21)
-    # one cost buffer for all blocks; a shorter last block uses its leading
-    # rows
-    cost_buf = np.empty((min(R, blocks[0].stop), K_x, K_v))
-    for sl in blocks:
+    for sl in _frame_blocks(R, 8 * len(pair_max)):
         rows = y_seq[sl]
-        cost = cost_buf[:len(rows)]
-        _block_costs(rows, shifted_x, shifted_v, wins, loses, cost)
-        flat[sl], best[sl] = _best_pairs(rows, cost.reshape(len(rows), -1),
-                                         shifted_x, shifted_v)
-    idx_x, idx_v = np.divmod(flat, K_v)
+        slack = rounding * (np.einsum("rd,rd->r", rows, rows)
+                            + 2 * sq_max.max())
+        # the block's costs live only as long as this call
+        flat[sl], best[sl] = _best_pairs(
+            rows, sq_max - 2.0 * (rows @ pair_max.T), pair_max, slack)
+    idx_x, idx_v = np.divmod(flat, cb_v.K)
     # a frame-order running total; np.sum and sum() may add in another order
     return idx_x, idx_v, -float(np.add.accumulate(best)[-1])

@@ -427,6 +427,19 @@ class TestEvaluateReport:
         assert "missing results columns: pair_id" in err[0]
         assert not (tmp_path / "curves.csv").exists()
 
+    def test_report_with_empty_numeric_cell_exits_1(self, tmp_path, capsys):
+        # it used to exit 1 with "could not convert string to float: ''"
+        src = tmp_path / "results.csv"
+        src.write_text("pair_id,method,theta_true,theta_hat,iterations,"
+                       "snr_target_db,snr_interf_db,logprob,wall_ms,error\n"
+                       "p,vq,0,,1,5.0,4.0,0,1,\n")
+        rc = main(["report", "--in", str(src),
+                   "--out", str(tmp_path / "curves.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: results row 1: theta_hat '' is not a number"]
+        assert not (tmp_path / "curves.csv").exists()
+
     def test_missing_manifest_exits_2(self, speaker_dirs):
         tmp = speaker_dirs["tmp"]
         rc = main(["evaluate", "--manifest", str(tmp / "none.json"),

@@ -629,3 +629,29 @@ class TestReport:
         ]
         summary = summarize_rows(rows)
         assert summary[(0.0, "vq")]["n"] == 1
+
+    @pytest.mark.parametrize("column", ["theta_true", "snr_target_db",
+                                        "snr_interf_db", "theta_hat",
+                                        "iterations"])
+    @pytest.mark.parametrize("cell", ["", "n/a"])
+    def test_bad_numeric_cell_names_row_and_column(self, tmp_path, column,
+                                                   cell):
+        # it used to end in "could not convert string to float: ''"
+        good = {"pair_id": "a", "method": "vq", "theta_true": "0",
+                "theta_hat": "1.0", "iterations": "1",
+                "snr_target_db": "5.0", "snr_interf_db": "4.0",
+                "logprob": "0", "wall_ms": "1", "error": ""}
+        rows = [good, dict(good, pair_id="b", **{column: cell})]
+        with pytest.raises(ValueError, match=f"^results row 2: {column} "
+                                             f"'{re.escape(cell)}' is not "
+                                             f"a number$"):
+            summarize_rows(rows)
+        src = tmp_path / "results.csv"
+        with open(src, "w", newline="") as f:
+            writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "curves.csv"
+        with pytest.raises(ValueError, match=f"results row 2: {column}"):
+            write_report(src, out)
+        assert not out.exists()

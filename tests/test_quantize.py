@@ -166,6 +166,21 @@ class TestGvqFrameDecode:
         alone = ((y[:, None, :] - loud.codevectors - shift) ** 2).sum(axis=2)
         assert q == pytest.approx(-alone.min(axis=1).sum(), rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_frame_gives_nonfinite_q(self, ctx, bad):
+        # a frame whose product costs are NaN must keep its pairs, so that
+        # Q reports it (the decoders raise NumericError on it) rather than
+        # the frame going without a pair; the decoders score under the
+        # same errstate
+        rng = np.random.default_rng(15)
+        cb_x, cb_v = random_codebook(rng, 3, 6), random_codebook(rng, 4, 6)
+        y = rng.normal(0.0, 1.0, (5, 6))
+        y[2, 3] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            idx_x, idx_v, q = gvq_score(y, cb_x, cb_v, 2.0, ctx)
+        assert len(idx_x) == len(idx_v) == 5
+        assert not np.isfinite(q)
+
     @pytest.mark.parametrize("theta", [np.nan, np.inf])
     def test_nonfinite_theta_rejected(self, ctx, theta):
         rng = np.random.default_rng(10)
@@ -217,6 +232,46 @@ class TestGvqScore:
                                   cb_v.codevectors[idx_v[r]], gp)
             total += float(((y[r] - pair) ** 2).sum())
         assert q == -total
+
+    def test_near_ties_resolved_by_exact_sums(self, ctx):
+        # target codevectors 1..4 are codevector 0 with bin 0 moved up by
+        # 1..4 ulps, and codevector 5 is a copy of it; with the
+        # interference 50 log10 units down, their pairs' exact costs differ
+        # by far less than the matrix product's rounding, which without the
+        # slack would pick another pair in some frames and sum to another Q
+        dim, K_x, K_v, R = 129, 6, 3, 40
+        rng = np.random.default_rng(32)
+        eps = np.finfo(float).eps
+        gp = gains_from_theta(0.0, ctx)
+        gaps = []
+        for _ in range(10):
+            base = rng.normal(3.0, 1.0, dim)
+            codevectors = np.tile(base, (K_x, 1))
+            codevectors[1:K_x - 1, 0] += (np.arange(1, K_x - 1)
+                                          * np.spacing(base[0]))
+            cb_x = Codebook(codevectors, np.full((K_x, dim), 0.1),
+                            np.full(K_x, 10))
+            cb_v = random_codebook(rng, K_v, dim)
+            cb_v.codevectors -= 50.0
+            y = base + rng.normal(0.0, 1e-3, (R, dim))
+            y[:, 0] = base[0] + (rng.integers(-8, 16, R)
+                                 * np.spacing(base[0]) / 2)
+            idx_x, idx_v, q = gvq_score(y, cb_x, cb_v, 0.0, ctx)
+            pair_max = mixmax_combine(cb_x.codevectors[:, None, :],
+                                      cb_v.codevectors[None, :, :],
+                                      gp).reshape(-1, dim)
+            total = 0.0
+            for r in range(R):
+                exact = np.array([((y[r] - m) ** 2).sum() for m in pair_max])
+                gaps.append(abs(exact[0] - exact[K_v]))
+                assert gaps[-1] < dim * eps * (y[r] ** 2).sum()
+                # argmin: the smallest exact cost, ties to the first pair
+                flat = int(np.argmin(exact))
+                assert (idx_x[r], idx_v[r]) == divmod(flat, K_v)
+                total += float(exact[flat])
+            assert q == -total
+        # some near-ties are exact ties, others are not
+        assert 0.0 in gaps and max(gaps) > 0.0
 
     def test_planted_sequence_peaks_at_true_theta(self, ctx):
         rng = np.random.default_rng(10)
@@ -273,8 +328,8 @@ class TestGvqScore:
 
 
 class TestGvqKernel:
-    """gvq_score's per-codevector masked matrix products against the exact
-    broadcast (conftest.broadcast_gvq_costs)."""
+    """gvq_score's product against the pair maxima and its exact rescoring
+    against the exact broadcast (conftest.broadcast_gvq_costs)."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(K_x=st.integers(1, 70), K_v=st.integers(1, 70),
@@ -283,20 +338,28 @@ class TestGvqKernel:
            masked=st.booleans(),
            theta=st.floats(-15.0, 15.0), g_y=st.floats(0.05, 20.0),
            seed=st.integers(0, 2 ** 32 - 1))
-    # a frame block holds about 2 MiB of pair costs, 8 * K_x * K_v bytes a
-    # frame, whatever dim: 64 x 64 codevectors give blocks of 64 frames,
-    # 64 x 16 blocks of 256, 65 x 64 blocks of 63
+    # a frame block holds about 256 KiB of pair costs, 8 * K_x * K_v bytes
+    # a frame, whatever dim: 64 x 64 codevectors give blocks of 8 frames,
+    # 64 x 16 blocks of 32, 65 x 64 blocks of 7
     @example(K_x=64, K_v=64, dim=129, R=20, duplicates="both", masked=False,
              theta=0.0, g_y=1.0, seed=0)
-    # one frame short of a block, a whole block, and one frame into the
-    # second, which the last block's shorter buffer views must score alike
+    # a whole block, one frame into the second, and one frame into the
+    # third, whose shorter last block must score alike
+    @example(K_x=64, K_v=64, dim=129, R=8, duplicates="both", masked=True,
+             theta=-6.0, g_y=1.0, seed=10)
+    @example(K_x=64, K_v=64, dim=129, R=9, duplicates="v", masked=False,
+             theta=12.0, g_y=1.0, seed=11)
+    @example(K_x=64, K_v=64, dim=129, R=17, duplicates="x", masked=True,
+             theta=1.5, g_y=1.0, seed=12)
+    # several blocks, the last of them 7, 8 or 1 frames long
     @example(K_x=64, K_v=64, dim=129, R=63, duplicates="both", masked=False,
              theta=3.0, g_y=1.0, seed=6)
     @example(K_x=64, K_v=64, dim=129, R=64, duplicates="v", masked=True,
              theta=15.0, g_y=1.0, seed=7)
     @example(K_x=64, K_v=64, dim=129, R=65, duplicates="x", masked=False,
              theta=-9.0, g_y=1.0, seed=8)
-    # codebooks of different sizes, across the edge of a 63-frame block
+    # codebooks of different sizes, across the edges of 7- and 32-frame
+    # blocks
     @example(K_x=65, K_v=64, dim=129, R=70, duplicates="both", masked=True,
              theta=-15.0, g_y=1.0, seed=9)
     @example(K_x=64, K_v=16, dim=129, R=33, duplicates="v", masked=False,
@@ -362,9 +425,9 @@ class TestGvqKernel:
 class TestGvqMemory:
     """The tracemalloc peak of one gvq_score call over 197 frames of 129
     bins (2 s of audio at the default framing) stays within 6 MB at K=64,
-    where (K, dim, K) float masks alone would take 8.4 MB, and within
-    1.07 MB at K=16, also when a masked interference codebook has every
-    frame's pairs rescored."""
+    where the (K * K, dim) pair maxima take 4.2 MB, and within 1.07 MB at
+    K=16, also when a masked interference codebook has every frame's pairs
+    rescored: no block's costs or rescoring temporaries outlive it."""
 
     @pytest.mark.parametrize("K, limit", [(64, 6e6), (16, 1.07e6)])
     @pytest.mark.parametrize("masked", [False, True])

@@ -439,7 +439,8 @@ class TestSeparatePipeline:
         y, _, _ = mix_at_tir(x, v, 0.0)
         hmm = (trained_models["hmm_a"], overflowing(trained_models["hmm_b"]))
         vq = (trained_models["cb_a"], overflowing(trained_models["cb_b"]))
-        # with both codebooks overflowing, the VQ cost products meet inf * 0
+        # with both codebooks overflowing, every VQ pair maximum overflows
+        # when squared
         vq_both = (overflowing(trained_models["cb_a"]), vq[1])
         # the baselines and a fixed theta decode once and never estimate
         for models, method, options in (
