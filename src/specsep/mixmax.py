@@ -1,13 +1,12 @@
 """The max-combination observation model for log spectra: the check that
 mixture frames fit a model pair, combining clean log-spectral frames under
 gains, the per-bin dominance rule (the larger gain-shifted mean wins, ties
-to the target), the frame blocks of the blocked kernels (_frame_blocks:
-blocks near 256 KiB of temporaries), the two frame-against-table kernels
-(exact squared distances for LBG, diagonal-Gaussian log-densities as one
-GEMM for the HMM tables and Baum-Welch), and the joint emission
-log-likelihoods of mixture frames for every state pair (log_b_table) or
-along fixed paths.  The VQ pair costs (quantize.gvq_score) score frames
-against the pair maxima of mixmax_combine, in blocks from _frame_blocks."""
+to the target), the Gaussian kernel (diagonal-Gaussian log-densities of
+frames against a table of centers as one GEMM, for the HMM tables and
+Baum-Welch), and the joint emission log-likelihoods of mixture frames for
+every state pair (log_b_table) or along fixed paths.  The VQ pair costs
+(quantize.gvq_score) score frames against the pair maxima of
+mixmax_combine with quantize's nearest-center search."""
 
 import numpy as np
 
@@ -60,31 +59,6 @@ def _dominant_gaussian(mean_x, var_x, mean_v, var_v, gp):
     variance (broadcasting)."""
     target_wins, m_max = dominant(mean_x, mean_v, gp)
     return m_max, np.where(target_wins, var_x, var_v)
-
-
-def _frame_blocks(n_frames, frame_bytes):
-    """Slices that cover n_frames frames in blocks whose temporaries stay
-    near 256 KiB, given the bytes that one frame's temporaries take (at
-    least one frame per block)."""
-    # blocks that fit a per-core L2 cache: larger ones (a whole
-    # R x K x dim broadcast) are bound by memory traffic, smaller ones by
-    # call overhead
-    step = max(1, (1 << 18) // frame_bytes)
-    return [slice(s, s + step) for s in range(0, n_frames, step)]
-
-
-def sq_dist(frames, centers):
-    """(R, K) squared distances of every (R, dim) frame to every (K, dim)
-    center, summed over bins.
-
-    This is the exact kernel for LBG: a frame equal to a center scores
-    exactly 0, which an expanded square would not guarantee.  It scores a
-    block of frames against all centers at a time (_frame_blocks).
-    """
-    out = np.empty((len(frames), len(centers)))
-    for sl in _frame_blocks(len(frames), centers.nbytes):
-        out[sl] = ((frames[sl, None, :] - centers) ** 2).sum(axis=-1)
-    return out
 
 
 def log_gauss_table(frames, means, var):

@@ -48,6 +48,15 @@ def check_model(model, shapes, variances):
     _check_settings(model.meta, "recorded", ModelMismatchError)
 
 
+def _check_finite(values, what):
+    """ValueError naming the first entry of values that is not a finite
+    number: training on one would return NaN parameters."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        at = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(f"{what} {at} is {values[at]}, not a finite number")
+
+
 @dataclass
 class Codebook:
     """K codevectors with per-cluster diagonal variances and occupancy
@@ -201,9 +210,12 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
     Per-utterance accumulators are pooled before each M-step; variances
     are floored after every update.  Returns (model, loglik_trace) where
     loglik_trace[t] is the total log-likelihood of the parameters entering
-    iteration t; the trace is non-decreasing up to numerical slack.
+    iteration t; the trace is non-decreasing up to numerical slack.  A
+    frame value that is not a finite number raises ValueError.
     """
     utterances = [np.asarray(u, dtype=np.float64) for u in utterances]
+    for u, frames in enumerate(utterances):
+        _check_finite(frames, f"utterance {u} frame, bin")
     utterances = [u for u in utterances if u.shape[0] > 0]
     if not utterances:
         raise ValueError("empty training set")

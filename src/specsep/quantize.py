@@ -1,23 +1,69 @@
 """LBG codebook training over log-spectral vectors, and the gain-adapted
 VQ decoder that matches each observed frame against the gain-shifted
-maxima of all codevector pairs: one matrix product per block of frames,
-then an exact rescoring of the pairs that its rounding leaves in doubt."""
+maxima of all codevector pairs.  Both find each frame's nearest center by
+squared error with one search (_nearest): one matrix product per block of
+frames, then an exact rescoring of the centers that its rounding leaves in
+doubt."""
 
 import numpy as np
 
 from .gain import gains_from_theta
-from .mixmax import _check_pair, _frame_blocks, mixmax_combine, sq_dist
-from .models import VARIANCE_FLOOR, Codebook
+from .mixmax import _check_pair, mixmax_combine
+from .models import VARIANCE_FLOOR, Codebook, _check_finite
 
 SPLIT_DELTA = 0.01
 DEFAULT_REL_TOL = 1e-4
 
 
-def _assign(vectors, codevectors):
-    """Nearest-codevector index and per-vector squared distance."""
-    d2 = sq_dist(vectors, codevectors)
-    labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(len(vectors)), labels]
+def _frame_blocks(n_frames, frame_bytes):
+    """Slices that cover n_frames frames in blocks whose temporaries stay
+    near 256 KiB, given the bytes that one frame's temporaries take (at
+    least one frame per block)."""
+    # blocks that fit a per-core L2 cache: larger ones are bound by memory
+    # traffic, smaller ones by call overhead
+    step = max(1, (1 << 18) // frame_bytes)
+    return [slice(s, s + step) for s in range(0, n_frames, step)]
+
+
+def _nearest(frames, centers):
+    """Each (R, dim) frame's nearest (K, dim) center by squared error, as
+    (index, exact distance): the smallest exact sum over bins of
+    (y - c)^2, ties to the smallest index, the first np.argmin of the
+    naive broadcast distances on finite input.
+
+    Each block of frames is scored against all centers by one matrix
+    product, sum c^2 - 2 y . c: the distance less the frame's own sum y^2.
+    Every center within the frame's slack of its best product cost,
+    8 (dim + 2) eps (sum y^2 + 2 max sum c^2), which bounds the rounding of
+    both the product and the exact sums, is rescored by the exact sum of
+    (y - c)^2, so no center outside the slack can win and exact ties
+    resolve by the rule above whatever the BLAS, its thread count and the
+    number of centers.  A frame equal to a center scores exactly 0.
+    """
+    sq_c = np.einsum("kd,kd->k", centers, centers)
+    rounding = 8 * (frames.shape[1] + 2) * np.finfo(np.float64).eps
+    index = np.empty(len(frames), dtype=np.intp)
+    dist = np.empty(len(frames))
+    for sl in _frame_blocks(len(frames), 8 * len(centers)):
+        rows = frames[sl]
+        slack = rounding * (np.einsum("rd,rd->r", rows, rows)
+                            + 2 * sq_c.max())
+        cost = sq_c - 2.0 * (rows @ centers.T)
+        # not "<=": a frame whose costs are NaN keeps all its centers, and
+        # its exact distance (and gvq_score's Q) comes out NaN
+        near = ~(cost > (cost.min(axis=1) + slack)[:, None])
+        which, cand = np.nonzero(near)  # by frame, then by center index
+        exact = np.empty(len(cand))
+        # about four (candidates, dim) float64 temporaries per block
+        for part in _frame_blocks(len(cand), 32 * frames.shape[1]):
+            terms = rows[which[part]] - centers[cand[part]]
+            terms **= 2
+            exact[part] = terms.sum(axis=1)
+        # per frame: the smallest exact distance, then the smallest index
+        order = np.lexsort((cand, exact, which))
+        _, first = np.unique(which[order], return_index=True)
+        index[sl], dist[sl] = cand[order[first]], exact[order[first]]
+    return index, dist
 
 
 def _lloyd(vectors, codevectors, max_iters, rel_tol, trace=None):
@@ -28,7 +74,7 @@ def _lloyd(vectors, codevectors, max_iters, rel_tol, trace=None):
     """
     prev = np.inf
     for _ in range(max_iters):
-        labels, dist = _assign(vectors, codevectors)
+        labels, dist = _nearest(vectors, codevectors)
         distortion = float(np.mean(dist))
         if trace is not None:
             trace.append(distortion)
@@ -64,7 +110,8 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
     Starts from the global centroid and doubles the codebook by perturbing
     each codevector by +/-SPLIT_DELTA until K entries exist.  Per-cluster
     diagonal variances (floored) and occupancy counts are recorded from the
-    final assignment.
+    final assignment.  A vector value that is not a finite number raises
+    ValueError.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
@@ -73,6 +120,7 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
         raise ValueError("K must be a power of two")
     if vectors.shape[0] < K:
         raise ValueError(f"too few vectors ({vectors.shape[0]}) for K={K}")
+    _check_finite(vectors, "training vector, bin")
 
     def level_trace():
         if distortion_trace is None:
@@ -89,7 +137,7 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
         codevectors = _lloyd(vectors, codevectors, max_iters, rel_tol,
                              level_trace())
 
-    labels, _ = _assign(vectors, codevectors)
+    labels, _ = _nearest(vectors, codevectors)
     variances = np.empty_like(codevectors)
     occupancy = np.zeros(K, dtype=np.int64)
     for i in range(K):
@@ -98,32 +146,6 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
         variances[i] = members.var(axis=0) if len(members) else VARIANCE_FLOOR
     variances = np.maximum(variances, VARIANCE_FLOOR)
     return Codebook(codevectors, variances, occupancy)
-
-
-def _best_pairs(rows, cost, pair_max, slack):
-    """Each frame's best flat (i, j) index and exact cost, from its row of
-    the (n_frames, K_x * K_v) product costs: the smallest exact cost, ties
-    to the smallest flat index.
-
-    A product cost can be off from the exact sum by its rounding, so every
-    pair whose product cost lies within the frame's slack of the frame's
-    smallest is rescored by the exact sum over bins of
-    (y - pair_max[p])^2, and the best is taken among those.
-    """
-    # not "<=": a frame whose costs are NaN keeps all its pairs, and its
-    # exact cost, and with it Q, comes out NaN
-    near = ~(cost > (cost.min(axis=1) + slack)[:, None])
-    which, pairs = np.nonzero(near)     # by frame, then by flat index
-    exact = np.empty(len(pairs))
-    # about four (pairs, dim) float64 temporaries per block
-    for part in _frame_blocks(len(pairs), 32 * rows.shape[1]):
-        terms = rows[which[part]] - pair_max[pairs[part]]
-        terms **= 2
-        exact[part] = terms.sum(axis=1)
-    # per frame: the smallest exact cost, then the smallest flat index
-    order = np.lexsort((pairs, exact, which))
-    _, first = np.unique(which[order], return_index=True)
-    return pairs[order[first]], exact[order[first]]
 
 
 def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
@@ -137,13 +159,10 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     match the codebooks' dimension raise ValueError.
 
     The (K_x * K_v, dim) pair maxima m are formed once (mixmax_combine),
-    and each block of frames is scored against all of them by one matrix
-    product, sum m^2 - 2 y . m: the cost less the frame's own sum y^2.
-    Every pair within the frame's slack of its best product cost,
-    8 (dim + 2) eps (sum y^2 + 2 max sum m^2), which bounds the rounding of
-    both the product and the exact sums, is rescored by the exact sum of
-    (y - m)^2 (_best_pairs), so no pair outside the slack can win and
-    exact ties resolve by the rule above whatever the BLAS and the
+    and each frame's nearest is found among them by the search LBG uses
+    (_nearest): one matrix product per block of frames, and an exact
+    rescoring of every pair within the frame's slack of its best product
+    cost, so exact ties resolve by the rule above whatever the BLAS and the
     codebook sizes.  A frame equal to a pair's maximum scores exactly 0.
     Both gains are at most g_y / G0 and the louder one at least
     g_y / (sqrt(2) G0), so every pair maximum, and with it the score,
@@ -153,19 +172,7 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     pair_max = mixmax_combine(cb_x.codevectors[:, None, :],
                               cb_v.codevectors[None, :, :],
                               gains_from_theta(theta, ctx))
-    pair_max = pair_max.reshape(-1, y_seq.shape[1])
-    sq_max = np.einsum("pd,pd->p", pair_max, pair_max)
-    rounding = 8 * (y_seq.shape[1] + 2) * np.finfo(np.float64).eps
-    R = y_seq.shape[0]
-    flat = np.empty(R, dtype=np.intp)
-    best = np.empty(R)
-    for sl in _frame_blocks(R, 8 * len(pair_max)):
-        rows = y_seq[sl]
-        slack = rounding * (np.einsum("rd,rd->r", rows, rows)
-                            + 2 * sq_max.max())
-        # the block's costs live only as long as this call
-        flat[sl], best[sl] = _best_pairs(
-            rows, sq_max - 2.0 * (rows @ pair_max.T), pair_max, slack)
+    flat, best = _nearest(y_seq, pair_max.reshape(-1, y_seq.shape[1]))
     idx_x, idx_v = np.divmod(flat, cb_v.K)
     # a frame-order running total; np.sum and sum() may add in another order
     return idx_x, idx_v, -float(np.add.accumulate(best)[-1])

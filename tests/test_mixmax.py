@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from specsep import (GainContext, GainPair, gains_from_theta, log_b_table,
                      mixmax_combine)
-from specsep.mixmax import LOG_2PI, dominant, log_gauss_table, sq_dist
+from specsep.mixmax import LOG_2PI, dominant, log_gauss_table
 
 from conftest import log_b_jk, random_hmm
 
@@ -183,25 +183,6 @@ class TestLogBTable:
                     want = log_b_jk(y[r], mx.means[j], mx.vars[j],
                                     mv.means[k], mv.vars[k], gp)
                     assert table[r, j, k] == pytest.approx(want, rel=1e-10)
-
-
-class TestSqDist:
-    @settings(derandomize=True, max_examples=80, deadline=None)
-    @given(R=st.integers(1, 40), K=st.integers(1, 40),
-           dim=st.integers(1, 140), seed=st.integers(0, 2 ** 32 - 1))
-    @example(R=1, K=3, dim=129, seed=0)
-    @example(R=1, K=2, dim=129, seed=1)
-    @example(R=13, K=40, dim=129, seed=2)
-    @example(R=40, K=320, dim=129, seed=3)
-    def test_equals_naive_broadcast(self, R, K, dim, seed):
-        # the larger examples span several frame blocks of the kernel
-        rng = np.random.default_rng(seed)
-        frames = rng.normal(0.0, 2.0, (R, dim))
-        centers = rng.normal(0.0, 2.0, (K, dim))
-        got = sq_dist(frames, centers)
-        assert got.shape == (R, K)
-        np.testing.assert_array_equal(
-            got, ((frames[:, None, :] - centers) ** 2).sum(axis=-1))
 
 
 class TestLogGaussTable:

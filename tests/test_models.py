@@ -248,6 +248,18 @@ class TestBaumWelch:
         with pytest.raises(ValueError, match="empty"):
             baum_welch([], init)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_frame_rejected(self, bad):
+        # a NaN frame would otherwise give a NaN log-likelihood trace, an
+        # infinite one inf - inf
+        init = HmmModel(pi=np.zeros(1), trans=np.zeros((1, 1)),
+                        means=np.zeros((1, 3)), vars=np.ones((1, 3)))
+        utts = [np.zeros((5, 3)), np.zeros((6, 3))]
+        utts[1][4, 2] = bad
+        with pytest.raises(ValueError,
+                           match=r"utterance 1 .*\(4, 2\) is .*not a finite"):
+            baum_welch(utts, init)
+
 
 class TestPersistence:
     def test_hmm_round_trip_bitwise(self, tmp_path):

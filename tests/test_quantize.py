@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from specsep import (GainContext, g_of_theta, gains_from_theta, gvq_score,
                      mixmax_combine)
-from specsep.quantize import Codebook, VARIANCE_FLOOR, train_lbg
+from specsep.quantize import Codebook, VARIANCE_FLOOR, _nearest, train_lbg
 
 from conftest import broadcast_gvq_costs
 
@@ -90,6 +90,64 @@ class TestTrainLbg:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
             train_lbg(np.zeros((10, 2)), 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_vectors_rejected(self, bad):
+        # a NaN vector would otherwise end in a NaN codebook, an infinite
+        # one in inf - inf
+        vecs = np.random.default_rng(4).normal(0.0, 1.0, (200, 8))
+        vecs[57, 3] = bad
+        with pytest.raises(ValueError, match=r"\(57, 3\) is .*not a finite"):
+            train_lbg(vecs, 4)
+
+
+class TestNearest:
+    """The nearest-center search that LBG and gvq_score share, against the
+    first np.argmin of the naive broadcast distances, bit for bit."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(R=st.integers(1, 40), K=st.integers(1, 40),
+           dim=st.integers(1, 140),
+           case=st.sampled_from(["spread", "ties", "far"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(R=1, K=3, dim=129, case="spread", seed=0)
+    @example(R=1, K=2, dim=129, case="spread", seed=1)
+    @example(R=13, K=40, dim=129, case="spread", seed=2)
+    @example(R=40, K=320, dim=129, case="spread", seed=3)
+    # a frame block holds about 256 KiB of costs, 8 * K bytes a frame: at
+    # K=64 one whole block of 512 frames, one frame into the second, and
+    # three blocks; one center puts every frame in one block
+    @example(R=512, K=64, dim=129, case="ties", seed=4)
+    @example(R=513, K=64, dim=129, case="far", seed=5)
+    @example(R=1100, K=64, dim=129, case="ties", seed=6)
+    @example(R=40, K=1, dim=129, case="far", seed=7)
+    def test_equals_naive_argmin(self, R, K, dim, case, seed):
+        rng = np.random.default_rng(seed)
+        if case == "far":
+            # eighths on a common offset of 1e7: the exact distances are
+            # exact sums of eighths squared and tie often, while the
+            # product's terms near 1e14 round by whole units, so only the
+            # exact rescoring within the slack orders them
+            frames = 1e7 + 0.1 + rng.integers(-4, 5, (R, dim)) / 8
+            centers = 1e7 + 0.1 + rng.integers(-4, 5, (K, dim)) / 8
+        else:
+            frames = rng.normal(0.0, 2.0, (R, dim))
+            centers = rng.normal(0.0, 2.0, (K, dim))
+        if case != "spread":
+            # duplicated centers tie exactly, and frames on a center score
+            # exactly 0
+            centers[K // 2:] = centers[:K - K // 2]
+            frames[::2] = centers[rng.integers(0, K, R)[::2]]
+        index, dist = _nearest(frames, centers)
+        # the naive broadcast, a few frames at a time to keep it small
+        for s in range(0, R, 100):
+            d2 = ((frames[s:s + 100, None, :] - centers) ** 2).sum(axis=-1)
+            want = np.argmin(d2, axis=1)
+            np.testing.assert_array_equal(index[s:s + 100], want)
+            np.testing.assert_array_equal(
+                dist[s:s + 100], d2[np.arange(len(want)), want])
+        if case != "spread":
+            assert np.all(dist[::2] == 0.0)
 
 
 class TestGvqFrameDecode:
