@@ -14,6 +14,7 @@ from .gain import THETA_MAX_DB, THETA_MIN_DB, _check_theta, gains_from_theta
 from .mixmax import (_check_pair, dominant, log_b_table,
                      path_emission_loglik)
 from .quantize import gvq_score
+from .signal import _is_count
 
 OUTER_TOL_DB = 0.25
 MAX_OUTER_ITERS = 10
@@ -287,14 +288,22 @@ def maximize_theta(objective, interval):
     return x_star, points[x_star]
 
 
-def _path_objective(y_seq, path_x, path_v, prototypes, ctx):
-    """The path objective theta -> emission log-likelihood of y_seq along
-    fixed state paths (mixmax.path_emission_loglik), given each chain's
-    per-state prototypes ((mean_x, var_x), (mean_v, var_v))."""
+def _estimate_theta(y_seq, path_x, path_v, prototypes, ctx, theta):
+    """The theta half-step for one window: maximize_theta of the emission
+    log-likelihood of y_seq along fixed state paths
+    (mixmax.path_emission_loglik), given each chain's per-state prototypes
+    ((mean_x, var_x), (mean_v, var_v)), over [THETA_MIN_DB, THETA_MAX_DB].
+    Returns the argmax, or theta itself when the argmax scores below it,
+    so the path objective never gets worse."""
     (mean_x, var_x), (mean_v, var_v) = prototypes
     args = (y_seq, mean_x[path_x], var_x[path_x], mean_v[path_v],
             var_v[path_v])
-    return lambda t: path_emission_loglik(*args, gains_from_theta(t, ctx))
+
+    def objective(t):
+        return path_emission_loglik(*args, gains_from_theta(t, ctx))
+
+    th_new, val_new = maximize_theta(objective, (THETA_MIN_DB, THETA_MAX_DB))
+    return theta if objective(theta) > val_new else th_new
 
 
 def _alternate(decode, models, prototype, y_seq, ctx, theta0, outer_tol,
@@ -305,15 +314,17 @@ def _alternate(decode, models, prototype, y_seq, ctx, theta0, outer_tol,
     theta per chunk, the chunks being mega_frame_slices(R,
     frames_per_chunk); models is the (target, interference) pair and
     prototype(model) gives one model's per-state means and variances,
-    making prototypes ((mean_x, var_x), (mean_v, var_v)).  Each round
-    decodes at the current thetas, then maximizes each chunk's path
-    objective (_path_objective) over theta, never moving to a worse theta,
-    until no theta moves by outer_tol or max_outer rounds have run.  A
-    final decode makes the paths and score match the returned thetas;
-    with max_outer=0 that is the only decode, at theta0.  The target mask
-    is built from the means along the final paths at the final thetas
-    (_target_mask).  Frames that do not fit the models
-    (mixmax._check_pair), then a non-finite theta0 or a frames_per_chunk
+    making prototypes ((mean_x, var_x), (mean_v, var_v)).  The loop
+    decodes once at theta0, then runs at most max_outer rounds: each sets
+    every window's theta along the current paths (_estimate_theta) and
+    decodes once at the new thetas, and the rounds stop after the first
+    one in which no theta moved by outer_tol or more.  So a run of n
+    rounds makes n + 1 decodes, and the paths and score always belong to
+    the returned thetas.  The target mask is built from the means along
+    the final paths at the final thetas (_target_mask).  Frames that do
+    not fit the models (mixmax._check_pair), then a theta0 that is not a
+    finite number, an outer_tol that is NaN or negative, a max_outer that
+    is not an integer >= 0 (a bool is not one) or a frames_per_chunk
     that mega_frame_slices refuses, raise ValueError before any decode,
     and a finite theta0 is clamped into [THETA_MIN_DB, THETA_MAX_DB].  A
     non-finite decoder score raises NumericError.
@@ -322,8 +333,12 @@ def _alternate(decode, models, prototype, y_seq, ctx, theta0, outer_tol,
     prototypes = tuple(prototype(m) for m in models)
     if not np.isfinite(float(theta0)):
         raise ValueError(f"theta0 {theta0} dB is not a finite number")
+    if not float(outer_tol) >= 0.0:
+        raise ValueError(f"outer_tol {outer_tol} dB must be a number >= 0")
+    if not _is_count(max_outer, 0):
+        raise ValueError("max_outer must be an integer >= 0, "
+                         f"got {max_outer!r}")
     chunks = mega_frame_slices(len(y_seq), frames_per_chunk)
-    interval = (THETA_MIN_DB, THETA_MAX_DB)
     thetas = [min(max(float(theta0), THETA_MIN_DB), THETA_MAX_DB)
               for _ in chunks]
 
@@ -340,25 +355,17 @@ def _alternate(decode, models, prototype, y_seq, ctx, theta0, outer_tol,
         trace.append(score)
         return path_x, path_v, score
 
-    iterations = 0
-    converged = False
-    while iterations < max_outer and not converged:
-        iterations += 1
-        path_x, path_v, score = decode_checked(thetas)
-
-        new_thetas = []
-        for sl, th in zip(chunks, thetas):
-            chunk_obj = _path_objective(y_seq[sl], path_x[sl], path_v[sl],
-                                        prototypes, ctx)
-            th_new, val_new = maximize_theta(chunk_obj, interval)
-            if chunk_obj(th) > val_new:
-                th_new = th              # never move to a worse theta
-            new_thetas.append(th_new)
-        converged = max(abs(new - old)
-                        for new, old in zip(new_thetas, thetas)) < outer_tol
-        thetas = new_thetas
-
     path_x, path_v, score = decode_checked(thetas)
+    iterations = 0
+    while iterations < max_outer:
+        iterations += 1
+        old = thetas
+        thetas = [_estimate_theta(y_seq[sl], path_x[sl], path_v[sl],
+                                  prototypes, ctx, th)
+                  for sl, th in zip(chunks, old)]
+        path_x, path_v, score = decode_checked(thetas)
+        if max(abs(new - th) for new, th in zip(thetas, old)) < outer_tol:
+            break
     if iterations and len(chunks) > 1:
         weights = np.array([sl.stop - sl.start for sl in chunks], dtype=float)
         theta_hat = float(np.average(thetas, weights=weights))
@@ -376,10 +383,11 @@ def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
                 frames_per_chunk=None):
     """Alternating joint decoding and gain-ratio estimation.
 
-    Repeats (a) parallel Viterbi at the current theta and (b) parabolic
-    maximization of the path-conditioned likelihood over theta (the state
-    means and variances along the decoded paths), until the
-    theta update falls below outer_tol or max_outer rounds have run.  The
+    Decodes once by parallel Viterbi at theta0, then repeats rounds of
+    (a) parabolic maximization of the path-conditioned likelihood over
+    theta (the state means and variances along the current paths) and
+    (b) parallel Viterbi at the new theta, until a round moves theta by
+    less than outer_tol or max_outer rounds have run (_alternate).  The
     decoded objective is non-decreasing across rounds because each half
     step maximizes with the other argument held fixed.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mixmax import log_gauss_table
-from .signal import _check_settings
+from .signal import _check_settings, _is_count
 
 VARIANCE_FLOOR = 1e-4
 PI_FLOOR = 1e-6
@@ -204,17 +204,29 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
     ----------
     utterances : list of (R_u, dim) frame arrays
     init : starting HmmModel
-    rel_tol : terminate when |LL_t - LL_{t-1}| < rel_tol * |LL_{t-1}|
-    max_iters : iteration cap
+    rel_tol : terminate when |LL_t - LL_{t-1}| < rel_tol * |LL_{t-1}|;
+        a finite number >= 0
+    max_iters : iteration cap; an integer >= 0, and 0 runs no EM pass
 
     Per-utterance accumulators are pooled before each M-step; variances
     are floored after every update.  Returns (model, loglik_trace) where
     loglik_trace[t] is the total log-likelihood of the parameters entering
     iteration t; the trace is non-decreasing up to numerical slack.  A
-    frame value that is not a finite number raises ValueError.
+    max_iters that is not an integer >= 0 (a bool is not one), a rel_tol
+    that is not a finite number >= 0, an utterance that is not a 2-D
+    array or a frame value that is not a finite number raises ValueError
+    before any EM pass.
     """
+    if not _is_count(max_iters, 0):
+        raise ValueError("max_iters must be an integer >= 0, "
+                         f"got {max_iters!r}")
+    if not 0.0 <= float(rel_tol) < math.inf:
+        raise ValueError(f"rel_tol {rel_tol} must be a finite number >= 0")
     utterances = [np.asarray(u, dtype=np.float64) for u in utterances]
     for u, frames in enumerate(utterances):
+        if frames.ndim != 2:
+            raise ValueError(f"utterance {u} has shape {frames.shape}, "
+                             "not (frames, dim)")
         _check_finite(frames, f"utterance {u} frame, bin")
     utterances = [u for u in utterances if u.shape[0] > 0]
     if not utterances:

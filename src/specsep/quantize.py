@@ -10,6 +10,7 @@ import numpy as np
 from .gain import gains_from_theta
 from .mixmax import _check_pair, mixmax_combine
 from .models import VARIANCE_FLOOR, Codebook, _check_finite
+from .signal import _is_count
 
 SPLIT_DELTA = 0.01
 DEFAULT_REL_TOL = 1e-4
@@ -100,24 +101,30 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
     Parameters
     ----------
     vectors : (N, dim) array of log-spectral training vectors
-    K : target codebook size; must be a power of two
-    max_iters : Lloyd iteration cap per splitting level
+    K : target codebook size; an integer power of two
+    max_iters : Lloyd iteration cap per splitting level; an integer >= 1
     rel_tol : stop a Lloyd phase when relative distortion improvement
-        drops below this
+        drops below this; a number >= 0
     distortion_trace : optional list; appends one per-level list of the
         mean distortion at each Lloyd iteration
 
     Starts from the global centroid and doubles the codebook by perturbing
     each codevector by +/-SPLIT_DELTA until K entries exist.  Per-cluster
     diagonal variances (floored) and occupancy counts are recorded from the
-    final assignment.  A vector value that is not a finite number raises
-    ValueError.
+    final assignment.  A K, max_iters or rel_tol outside the ranges above
+    (a bool is no integer, a numpy integer is one) or a vector value that
+    is not a finite number raises ValueError before any Lloyd iteration.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError("need a non-empty (N, dim) array of vectors")
-    if K < 1 or (K & (K - 1)) != 0:
-        raise ValueError("K must be a power of two")
+    if not _is_count(K, 1) or (K & (K - 1)) != 0:
+        raise ValueError(f"K must be an integer power of two, got {K!r}")
+    if not _is_count(max_iters, 1):
+        raise ValueError("max_iters must be an integer >= 1, "
+                         f"got {max_iters!r}")
+    if not float(rel_tol) >= 0.0:
+        raise ValueError(f"rel_tol {rel_tol} must be a number >= 0")
     if vectors.shape[0] < K:
         raise ValueError(f"too few vectors ({vectors.shape[0]}) for K={K}")
     _check_finite(vectors, "training vector, bin")

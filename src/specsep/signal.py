@@ -74,9 +74,15 @@ def _check_settings(recorded, what, error=ValueError):
     in a model's meta or a manifest; what starts the message."""
     for key in ("sample_rate", *(f.name for f in fields(FramingConfig))):
         value = recorded.get(key, 1)
-        if isinstance(value, bool) or not (
-                isinstance(value, numbers.Integral) and value > 0):
+        if not _is_count(value, 1):
             raise error(f"{what} {key}={value!r} is not a positive integer")
+
+
+def _is_count(value, least):
+    """Whether value is an integer >= least; a numpy integer is one, a bool
+    is not."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= least)
 
 
 def frame_signal(signal, cfg):
@@ -89,10 +95,7 @@ def frame_signal(signal, cfg):
     x = np.asarray(signal.samples, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty input")
-    if x.size < cfg.frame_len:
-        padded = np.zeros(cfg.frame_len)
-        padded[: x.size] = x
-        return padded[None, :]
+    x = np.pad(x, (0, max(0, cfg.frame_len - x.size)))
     return sliding_window_view(x, cfg.frame_len)[::cfg.hop].copy()
 
 

@@ -200,6 +200,19 @@ class TestTrain:
                    "--states", "2", "--out", str(tmp / "no.ssm")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--max-iters", "-1", "max_iters"), ("--tol", "nan", "rel_tol")])
+    def test_bad_em_setting_exits_1(self, speaker_dirs, capsys, flag, value,
+                                    name):
+        # -1 would write the untrained initial HMM, nan run every iteration
+        out = speaker_dirs["tmp"] / "bad_em.ssm"
+        rc = main(["train", "--kind", "hmm", "--speaker-dir",
+                   str(speaker_dirs["dirs"]["a"]), "--states", "2",
+                   "--out", str(out), flag, value])
+        assert rc == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_states_exits_1(self, speaker_dirs):
         rc = main(["train", "--kind", "vq", "--speaker-dir",
                    str(speaker_dirs["dirs"]["a"]), "--states", "3",

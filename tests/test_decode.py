@@ -10,8 +10,8 @@ from specsep import (GainContext, HmmModel, brute_force_decode,
                      gains_from_theta, gfhmm_infer, gvq_infer,
                      log_b_table, maximize_theta, parallel_viterbi)
 from specsep import decode
-from specsep.decode import (NumericError, _viterbi_from_table,
-                            mega_frame_slices)
+from specsep.decode import (MAX_OUTER_ITERS, NumericError,
+                            _viterbi_from_table, mega_frame_slices)
 from specsep.gain import THETA_MAX_DB, THETA_MIN_DB
 from specsep.mixmax import mixmax_combine
 from specsep.quantize import Codebook, gvq_score
@@ -668,6 +668,21 @@ def test_bad_frames_per_chunk_rejected_before_decoding(undecodable, bad):
             infer(frames_per_chunk=bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf], ids=repr)
+def test_bad_outer_tol_rejected_before_decoding(undecodable, bad):
+    # a NaN or negative tolerance would silently run every round
+    for infer in undecodable:
+        with pytest.raises(ValueError, match="outer_tol"):
+            infer(outer_tol=bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, True, "3", None], ids=repr)
+def test_bad_max_outer_rejected_before_decoding(undecodable, bad):
+    for infer in undecodable:
+        with pytest.raises(ValueError, match="max_outer must be an integer"):
+            infer(max_outer=bad)
+
+
 class TestSingleWindowThetaHat:
     # seeds where the frame-weighted mean of one estimate, (theta*R)/R, is
     # one ulp off the estimate itself for gfhmm (16, 27) or gvq (21)
@@ -717,6 +732,10 @@ class TestAlternatingLoopProperties:
             infer, tol = gvq_infer, 1e-9
         res = infer(y, *models, ctx, frames_per_chunk=frames_per_chunk)
 
+        # one decode at theta0, then one per round, of which the defaults
+        # run at least one
+        assert len(res.objective_trace) == res.iterations + 1
+        assert 1 <= res.iterations <= MAX_OUTER_ITERS
         # the objective never drops, up to the emission GEMM's rounding
         assert np.all(np.diff(res.objective_trace) >= -tol)
         chunks = mega_frame_slices(R, frames_per_chunk)
@@ -738,6 +757,38 @@ class TestAlternatingLoopProperties:
             np.testing.assert_array_equal(
                 res.mask_x[sl], mx.means[res.path_x[sl]] + gp.log10_gx
                 >= mv.means[res.path_v[sl]] + gp.log10_gv)
+
+
+    @pytest.mark.parametrize("kind", ["gfhmm", "gvq"])
+    @pytest.mark.parametrize("rounds", [0, 1, 3])
+    def test_zero_tolerance_runs_every_round(self, monkeypatch, kind,
+                                             rounds):
+        # outer_tol=0 never stops early: max_outer rounds, each one decode
+        # after the decode at theta0
+        ctx = GainContext(g_y=1.0)
+        rng = np.random.default_rng(11)
+        mx, mv = random_hmm(rng, 3, 8), random_hmm(rng, 4, 8)
+        y = sampled_feature_mixture(mx, mv, 5.0, ctx, 30, seed=11)
+        if kind == "gfhmm":
+            models, infer = (mx, mv), gfhmm_infer
+            kernel = "_viterbi_from_table"
+        else:
+            models = tuple(Codebook(m.means, m.vars, np.ones(m.K))
+                           for m in (mx, mv))
+            infer, kernel = gvq_infer, "gvq_score"
+        calls = []
+        original = getattr(decode, kernel)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(decode, kernel, counted)
+        res = infer(y, *models, ctx, outer_tol=0.0, max_outer=rounds,
+                    frames_per_chunk=30)
+        assert res.iterations == rounds
+        assert len(res.objective_trace) == rounds + 1
+        assert len(calls) == rounds + 1
 
 
 class TestMegaFrameSlices:

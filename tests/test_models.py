@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,45 @@ class TestBaumWelch:
                         means=np.zeros((1, 3)), vars=np.ones((1, 3)))
         with pytest.raises(ValueError, match="empty"):
             baum_welch([], init)
+
+    @pytest.mark.parametrize("options, match", [
+        ({"max_iters": -1}, "max_iters"), ({"max_iters": 2.5}, "max_iters"),
+        ({"max_iters": True}, "max_iters"), ({"max_iters": "3"}, "max_iters"),
+        ({"rel_tol": np.nan}, "rel_tol"), ({"rel_tol": np.inf}, "rel_tol"),
+        ({"rel_tol": -1e-5}, "rel_tol"),
+    ], ids=repr)
+    def test_bad_settings_rejected_before_any_pass(self, monkeypatch,
+                                                   options, match):
+        # max_iters=-1 would return the initial model untrained, and a NaN
+        # rel_tol would run every iteration
+        def no_pass(*args):
+            raise AssertionError("ran an EM pass before checking")
+
+        monkeypatch.setattr("specsep.models._forward_backward", no_pass)
+        init = random_hmm(np.random.default_rng(3), K=2, dim=3)
+        with pytest.raises(ValueError, match=match):
+            baum_welch([np.zeros((5, 3))], init, **options)
+
+    @pytest.mark.parametrize("max_iters", [0, np.int64(0)], ids=repr)
+    def test_zero_iterations_run_no_pass(self, monkeypatch, max_iters):
+        def no_pass(*args):
+            raise AssertionError("ran an EM pass")
+
+        monkeypatch.setattr("specsep.models._forward_backward", no_pass)
+        init = random_hmm(np.random.default_rng(3), K=2, dim=3)
+        model, trace = baum_welch([np.zeros((5, 3))], init,
+                                  max_iters=max_iters)
+        assert trace == []
+        np.testing.assert_array_equal(model.means, init.means)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 1), ()], ids=repr)
+    def test_utterance_not_2d_rejected(self, shape):
+        init = HmmModel(pi=np.zeros(1), trans=np.zeros((1, 1)),
+                        means=np.zeros((1, 3)), vars=np.ones((1, 3)))
+        utts = [np.zeros((5, 3)), np.zeros(shape)]
+        with pytest.raises(ValueError, match=re.escape(
+                f"utterance 1 has shape {shape}, not (frames, dim)")):
+            baum_welch(utts, init)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_frame_rejected(self, bad):

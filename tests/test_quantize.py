@@ -91,6 +91,31 @@ class TestTrainLbg:
         with pytest.raises(ValueError, match="power of two"):
             train_lbg(np.zeros((10, 2)), 3)
 
+    @pytest.mark.parametrize("options, match", [
+        ({"K": 2.0}, "K must be"), ({"K": True}, "K must be"),
+        ({"K": "4"}, "K must be"), ({"max_iters": 0}, "max_iters"),
+        ({"max_iters": -1}, "max_iters"), ({"max_iters": 2.5}, "max_iters"),
+        ({"max_iters": True}, "max_iters"), ({"rel_tol": np.nan}, "rel_tol"),
+        ({"rel_tol": -1e-4}, "rel_tol"),
+    ], ids=repr)
+    def test_bad_settings_rejected_before_lloyd(self, monkeypatch, options,
+                                                match):
+        # max_iters=0 would return a codebook of barely split copies of the
+        # global mean
+        def no_search(*args):
+            raise AssertionError("searched before checking the settings")
+
+        monkeypatch.setattr("specsep.quantize._nearest", no_search)
+        vecs = np.random.default_rng(4).normal(0.0, 1.0, (40, 5))
+        with pytest.raises(ValueError, match=match):
+            train_lbg(vecs, **{"K": 4, **options})
+
+    def test_numpy_integer_settings_accepted(self):
+        vecs = np.random.default_rng(4).normal(0.0, 1.0, (40, 5))
+        cb = train_lbg(vecs, np.int64(4), max_iters=np.int32(5))
+        ref = train_lbg(vecs, 4, max_iters=5)
+        np.testing.assert_array_equal(cb.codevectors, ref.codevectors)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_vectors_rejected(self, bad):
         # a NaN vector would otherwise end in a NaN codebook, an infinite
