@@ -16,8 +16,8 @@ from . import evaluate as ev
 from .decode import NumericError
 from .gain import estimate_gy
 from .models import (BW_DEFAULT_MAX_ITERS, BW_DEFAULT_REL_TOL,
-                     ModelMismatchError, baum_welch, init_hmm_from_codebook,
-                     load_model, save_model)
+                     ModelMismatchError, _check_em_settings, baum_welch,
+                     init_hmm_from_codebook, load_model, save_model)
 from .quantize import train_lbg
 from .separate import METHODS, separate
 from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
@@ -65,6 +65,9 @@ def cmd_mix(args):
 
 
 def cmd_train(args):
+    if args.kind == "hmm":
+        # before the codebook, which takes as long as a whole VQ training
+        _check_em_settings(args.tol, args.max_iters)
     wavs = sorted(Path(args.speaker_dir).glob("*.wav"))
     if not wavs:
         raise OSError(f"no WAV files found in {args.speaker_dir}")

@@ -306,6 +306,17 @@ def _estimate_theta(y_seq, path_x, path_v, prototypes, ctx, theta):
     return theta if objective(theta) > val_new else th_new
 
 
+def _check_rounds(outer_tol, max_outer):
+    """ValueError unless outer_tol is a number >= 0 and max_outer an
+    integer >= 0 (a bool is not one): the stopping rule of _alternate's
+    rounds, which separate() also checks where a fixed theta skips them."""
+    if not float(outer_tol) >= 0.0:
+        raise ValueError(f"outer_tol {outer_tol} dB must be a number >= 0")
+    if not _is_count(max_outer, 0):
+        raise ValueError("max_outer must be an integer >= 0, "
+                         f"got {max_outer!r}")
+
+
 def _alternate(decode, models, prototype, y_seq, ctx, theta0, outer_tol,
                max_outer, frames_per_chunk):
     """The alternating decode/estimate loop shared by both model kinds.
@@ -333,11 +344,7 @@ def _alternate(decode, models, prototype, y_seq, ctx, theta0, outer_tol,
     prototypes = tuple(prototype(m) for m in models)
     if not np.isfinite(float(theta0)):
         raise ValueError(f"theta0 {theta0} dB is not a finite number")
-    if not float(outer_tol) >= 0.0:
-        raise ValueError(f"outer_tol {outer_tol} dB must be a number >= 0")
-    if not _is_count(max_outer, 0):
-        raise ValueError("max_outer must be an integer >= 0, "
-                         f"got {max_outer!r}")
+    _check_rounds(outer_tol, max_outer)
     chunks = mega_frame_slices(len(y_seq), frames_per_chunk)
     thetas = [min(max(float(theta0), THETA_MIN_DB), THETA_MAX_DB)
               for _ in chunks]

@@ -153,47 +153,124 @@ def init_hmm_from_codebook(cb):
     )
 
 
-def _forward_backward(frames, pi, trans, means, variances):
-    """Scaled forward-backward pass for one utterance.
+def _forward_backward(utterances, pi, trans, means, variances):
+    """Scaled forward-backward pass over all utterances at once.
+
+    The utterances are stably sorted by length, longest first, and their
+    frames packed time-major: frame t's rows hold, back to back, the n_t
+    utterances that have a frame t, in sorted order, so frame t-1's first
+    n_t rows are the same utterances one frame earlier, and each step of
+    either recursion is one (n_t, K) @ (K, K) product.  The emission,
+    alpha and beta arrays are (N_frames, K) float64 each, N_frames being
+    the total frame count.
 
     Emission likelihoods are renormalized by their per-frame maximum before
     exponentiation, and alpha is rescaled per frame, so probabilities on
-    the order of exp(-460) never underflow.  Returns per-frame state
-    posteriors gamma (R, K), expected transition counts xi_sum (K, K), and
-    the utterance natural-log likelihood.
+    the order of exp(-460) never underflow.  Values below
+    np.finfo(float).tiny in the three normalized quantities that feed a
+    product (alpha after its rescaling, the backward operand B beta / c
+    and gamma) are set to 0, because products that read subnormal operands
+    run on the CPU's slow path.  No such row becomes all zero: alpha and
+    gamma sum to 1, and the backward operand's dot product with the
+    predicted alpha is 1.
 
     With alpha rescaled to sum 1 and beta divided by the next frame's
     scale, xi_t(i, j) = alpha_t(i) a_ij B_t+1(j) beta_t+1(j) / c_t+1 sums
     over j to alpha_t(i) beta_t(i), gamma_t(i) before its renormalization,
     and over (i, j) to 1.  So no frame's xi needs dividing by its sum, and
-    xi_sum is one matrix product.
+    the pooled xi_sum takes one matrix product per run of frames with the
+    same n_t-1, at most one per distinct utterance length.
+
+    Returns the per-frame state posteriors gamma, one (R_u, K) array per
+    utterance in the order given, the expected transition counts xi_sum
+    (K, K) pooled over all utterances, and their total natural-log
+    likelihood.
     """
-    R, K = frames.shape[0], pi.shape[0]
-    logB = log_gauss_table(frames, means, variances)
-    shift = logB.max(axis=1)
-    B = np.exp(logB - shift[:, None])
+    tiny = np.finfo(np.float64).tiny
+    lengths = np.array([u.shape[0] for u in utterances])
+    order = np.argsort(-lengths, kind="stable")
+    R, K = lengths[order[0]], pi.shape[0]
+    # n_active[t] utterances have a frame t; frame t's rows are
+    # start[t]:start[t + 1]
+    n_active = len(lengths) - np.cumsum(np.bincount(lengths))[:R]
+    start = np.concatenate(([0], np.cumsum(n_active)))
+    # rows[u]: utterance u's rows, frame by frame
+    rows = [None] * len(utterances)
+    for n, u in enumerate(order):
+        rows[u] = start[:lengths[u]] + n
+    start = start.tolist()
 
-    alpha = np.empty((R, K))
-    scale = np.empty(R)
-    alpha[0] = pi * B[0]
-    scale[0] = alpha[0].sum()
-    alpha[0] /= scale[0]
-    for t in range(1, R):
-        alpha[t] = (alpha[t - 1] @ trans) * B[t]
-        scale[t] = alpha[t].sum()
-        alpha[t] /= scale[t]
+    B = np.empty((start[-1], K))
+    shift = 0.0
+    for frames, r in zip(utterances, rows):
+        logB = log_gauss_table(frames, means, variances)
+        peak = logB.max(axis=1)
+        B[r] = np.exp(logB - peak[:, None])
+        shift += peak.sum()
 
-    beta = np.empty((R, K))
-    beta[R - 1] = 1.0
-    for t in range(R - 2, -1, -1):
-        beta[t] = trans @ (B[t + 1] * beta[t + 1]) / scale[t + 1]
+    alpha = np.empty_like(B)
+    scale = np.empty(start[-1])
+    alpha[:start[1]] = pi * B[:start[1]]
+    for t in range(R):
+        lo, hi = start[t], start[t + 1]
+        a = alpha[lo:hi]
+        if t:
+            prev = start[t - 1]
+            np.matmul(alpha[prev:prev + hi - lo], trans, out=a)
+            a *= B[lo:hi]
+        scale[lo:hi] = a.sum(axis=1)
+        a /= scale[lo:hi, None]
+        np.copyto(a, 0.0, where=a < tiny)
 
-    gamma = alpha * beta
+    # B's rows become the backward operand B_t beta_t / c_t, frame by frame
+    # from the last (frame 0's are not needed).  Beta is 1 at each
+    # utterance's last frame, and the recursion overwrites the rest
+    beta = np.ones_like(B)
+    for t in range(R - 1, 0, -1):
+        lo, hi = start[t], start[t + 1]
+        op = B[lo:hi]
+        op *= beta[lo:hi]
+        op /= scale[lo:hi, None]
+        np.copyto(op, 0.0, where=op < tiny)
+        prev = start[t - 1]
+        np.matmul(op, trans.T, out=beta[prev:prev + hi - lo])
+
+    # row j of frame t follows row j - n_active[t - 1] of frame t-1, so
+    # over a run of frames with the same n_active[t - 1] the rows before
+    # one contiguous block of operands are one contiguous block of alpha;
+    # runs holds the frames t >= 2 at which n_active[t - 1] changes
+    xi_sum = np.zeros((K, K))
+    runs = np.flatnonzero(np.diff(n_active[:-1])) + 2
+    for t0, t1 in zip(np.concatenate(([1], runs)), np.append(runs, R)):
+        lo, hi, back = start[t0], start[t1], n_active[t0 - 1]
+        xi_sum += alpha[lo - back:hi - back].T @ B[lo:hi]
+    xi_sum *= trans
+    del B
+
+    gamma = alpha
+    gamma *= beta
+    del beta
     gamma /= gamma.sum(axis=1, keepdims=True)
-    xi_sum = trans * (alpha[:-1].T @ (B[1:] * beta[1:] / scale[1:, None]))
+    np.copyto(gamma, 0.0, where=gamma < tiny)
 
-    loglik = float(np.log(scale).sum() + shift.sum())
-    return gamma, xi_sum, loglik
+    # the posteriors are views of one array, utterance after utterance;
+    # B and beta are released first, so the pass holds at most three
+    # (N_frames, K) arrays
+    gammas = np.split(gamma[np.concatenate(rows)], np.cumsum(lengths)[:-1])
+    loglik = float(np.log(scale).sum() + shift)
+    return gammas, xi_sum, loglik
+
+
+def _check_em_settings(rel_tol, max_iters):
+    """ValueError unless max_iters is an integer >= 0 (a bool is not one)
+    and rel_tol a finite number >= 0: Baum-Welch's settings, checked by
+    baum_welch and, before it trains the initial codebook, by
+    `specsep train`."""
+    if not _is_count(max_iters, 0):
+        raise ValueError("max_iters must be an integer >= 0, "
+                         f"got {max_iters!r}")
+    if not 0.0 <= float(rel_tol) < math.inf:
+        raise ValueError(f"rel_tol {rel_tol} must be a finite number >= 0")
 
 
 def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
@@ -208,8 +285,12 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
         a finite number >= 0
     max_iters : iteration cap; an integer >= 0, and 0 runs no EM pass
 
-    Per-utterance accumulators are pooled before each M-step; variances
-    are floored after every update.  Returns (model, loglik_trace) where
+    One _forward_backward pass over all utterances gives each EM
+    iteration's pooled statistics; variances are floored after every
+    update.  A state whose total occupancy is below np.finfo(float).tiny
+    counts as unoccupied: it keeps its mean and variance.  A state whose
+    occupancy before an utterance's last frame is below tiny gets a
+    uniform transition row.  Returns (model, loglik_trace) where
     loglik_trace[t] is the total log-likelihood of the parameters entering
     iteration t; the trace is non-decreasing up to numerical slack.  A
     max_iters that is not an integer >= 0 (a bool is not one), a rel_tol
@@ -217,11 +298,7 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
     array or a frame value that is not a finite number raises ValueError
     before any EM pass.
     """
-    if not _is_count(max_iters, 0):
-        raise ValueError("max_iters must be an integer >= 0, "
-                         f"got {max_iters!r}")
-    if not 0.0 <= float(rel_tol) < math.inf:
-        raise ValueError(f"rel_tol {rel_tol} must be a finite number >= 0")
+    _check_em_settings(rel_tol, max_iters)
     utterances = [np.asarray(u, dtype=np.float64) for u in utterances]
     for u, frames in enumerate(utterances):
         if frames.ndim != 2:
@@ -239,6 +316,7 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
             f"model dimension {init.dim} does not match frames ({dim})")
 
     K = init.K
+    tiny = np.finfo(np.float64).tiny
     pi = np.exp(init.pi)
     trans = np.exp(init.trans)
     means = init.means.copy()
@@ -247,35 +325,33 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
     trace = []
     prev_ll = None
     for _ in range(max_iters):
-        pi_acc = np.zeros(K)
-        xi_acc = np.zeros((K, K))
-        gamma_acc = np.zeros(K)
-        mean_acc = np.zeros((K, dim))
-        sq_acc = np.zeros((K, dim))
-        total_ll = 0.0
-        for frames in utterances:
-            gamma, xi_sum, ll = _forward_backward(
-                frames, pi, trans, means, variances)
-            total_ll += ll
-            pi_acc += gamma[0]
-            xi_acc += xi_sum
-            gamma_acc += gamma.sum(axis=0)
-            mean_acc += gamma.T @ frames
-            sq_acc += gamma.T @ (frames ** 2)
+        gammas, xi_acc, total_ll = _forward_backward(
+            utterances, pi, trans, means, variances)
         trace.append(total_ll)
 
-        if prev_ll is not None and abs(total_ll - prev_ll) < rel_tol * abs(prev_ll):
+        if (prev_ll is not None
+                and abs(total_ll - prev_ll) < rel_tol * abs(prev_ll)):
             break
         prev_ll = total_ll
 
+        pi_acc = np.zeros(K)
+        gamma_acc = np.zeros(K)
+        mean_acc = np.zeros((K, dim))
+        sq_acc = np.zeros((K, dim))
+        for gamma, frames in zip(gammas, utterances):
+            pi_acc += gamma[0]
+            gamma_acc += gamma.sum(axis=0)
+            mean_acc += gamma.T @ frames
+            sq_acc += gamma.T @ (frames ** 2)
+        # release the posteriors before the next pass allocates its arrays
+        del gammas, gamma
+
         pi = pi_acc / pi_acc.sum()
-        # a state never occupied before an utterance's last frame gets a
-        # uniform row
         row_mass = xi_acc.sum(axis=1, keepdims=True)
-        trans = np.where(row_mass > 0, xi_acc / np.maximum(row_mass, 1e-300),
-                         1.0 / K)
-        occupied = gamma_acc > 0
-        denom = np.maximum(gamma_acc, 1e-300)[:, None]
+        trans = np.where(row_mass >= tiny,
+                         xi_acc / np.maximum(row_mass, tiny), 1.0 / K)
+        occupied = gamma_acc >= tiny
+        denom = np.maximum(gamma_acc, tiny)[:, None]
         new_means = mean_acc / denom
         new_vars = sq_acc / denom - new_means ** 2
         means = np.where(occupied[:, None], new_means, means)

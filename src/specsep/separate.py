@@ -125,6 +125,9 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
                 f"mega_frame_seconds {mega_frame_seconds} gives {frames} "
                 "frames per window; need at least 1 after rounding")
         frames_per_chunk = int(round(frames))
+    # checked here, as the decoders check them, because a fixed theta
+    # below replaces max_outer
+    _decode._check_rounds(outer_tol, max_outer)
     if fix_theta is not None:
         _check_theta(fix_theta, "fix_theta")
         # a fixed theta is one whole-sequence decode with no outer rounds

@@ -159,12 +159,22 @@ def apply_masks_and_reconstruct(mixture, masks_x, masks_v, cfg):
 
 def overlap_add(frames, hop):
     """Sum (..., R, L) frames placed hop samples apart into (..., n)
-    signals, n = (R-1)*hop + L, adding frame by frame in order."""
+    signals, n = (R-1)*hop + L, each output sample adding its frames in
+    increasing frame order.
+
+    Each frame is cut into S = ceil(L/hop) segments of hop samples (the
+    last one possibly shorter), and segment s of every frame is added as
+    one shifted (R, hop) slab into the output viewed as (R+S-1, hop) rows.
+    Output row q receives segment s of frame q-s, so adding the segments
+    from the last to the first adds each sample's frames in frame order.
+    """
     R, L = frames.shape[-2:]
-    out = np.zeros(frames.shape[:-2] + ((R - 1) * hop + L,))
-    for r in range(R):
-        out[..., r * hop : r * hop + L] += frames[..., r, :]
-    return out
+    S = -(-L // hop)
+    out = np.zeros(frames.shape[:-2] + (R + S - 1, hop))
+    for s in range(S - 1, -1, -1):
+        segment = frames[..., s * hop:(s + 1) * hop]
+        out[..., s:s + R, :segment.shape[-1]] += segment
+    return out.reshape(frames.shape[:-2] + (-1,))[..., :(R - 1) * hop + L]
 
 
 def read_wav(path, expected_rate=None):

@@ -241,10 +241,44 @@ def backpointer_viterbi(b, log_pi_x, log_pi_v, log_a_x, log_a_v):
     return path_x, path_v, logprob
 
 
+def per_utterance_forward_backward(frames, pi, trans, means, variances):
+    """Scaled forward-backward pass over one utterance, frame by frame: the
+    reference for models._forward_backward, which runs every utterance at
+    once and sets values below np.finfo(float).tiny to 0 where they feed a
+    product.
+
+    pi and trans are probabilities, not logs.  Returns the state posteriors
+    gamma (R, K), the expected transition counts xi_sum (K, K) and the
+    natural-log likelihood.
+    """
+    R, K = frames.shape[0], pi.shape[0]
+    logB = log_gauss_table(frames, means, variances)
+    shift = logB.max(axis=1)
+    B = np.exp(logB - shift[:, None])
+    alpha = np.empty((R, K))
+    scale = np.empty(R)
+    alpha[0] = pi * B[0]
+    scale[0] = alpha[0].sum()
+    alpha[0] /= scale[0]
+    for t in range(1, R):
+        alpha[t] = (alpha[t - 1] @ trans) * B[t]
+        scale[t] = alpha[t].sum()
+        alpha[t] /= scale[t]
+    beta = np.empty((R, K))
+    beta[R - 1] = 1.0
+    for t in range(R - 2, -1, -1):
+        beta[t] = trans @ (B[t + 1] * beta[t + 1]) / scale[t + 1]
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    xi_sum = trans * (alpha[:-1].T @ (B[1:] * beta[1:] / scale[1:, None]))
+    loglik = float(np.log(scale).sum() + shift.sum())
+    return gamma, xi_sum, loglik
+
+
 def per_frame_xi_counts(frames, pi, trans, means, variances):
     """Expected transition counts of one utterance summed frame by frame,
     each frame's K x K xi table divided by its own sum: the reference for
-    models._forward_backward, which forms the sum as one product.
+    models._forward_backward, which forms the pooled sum as one product.
 
     Same scaled forward-backward recursions as production; pi and trans are
     probabilities, not logs.
@@ -271,6 +305,17 @@ def per_frame_xi_counts(frames, pi, trans, means, variances):
         xi /= xi.sum()
         xi_sum += xi
     return xi_sum
+
+
+def loop_overlap_add(frames, hop):
+    """Overlap-add of (..., R, L) frames, one frame at a time in frame
+    order: the reference for signal.overlap_add, which adds one slab per
+    hop-sized segment."""
+    R, L = frames.shape[-2:]
+    out = np.zeros(frames.shape[:-2] + ((R - 1) * hop + L,))
+    for r in range(R):
+        out[..., r * hop : r * hop + L] += frames[..., r, :]
+    return out
 
 
 def broadcast_gvq_costs(y_seq, cb_x, cb_v, theta, ctx):

@@ -202,9 +202,14 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--max-iters", "-1", "max_iters"), ("--tol", "nan", "rel_tol")])
-    def test_bad_em_setting_exits_1(self, speaker_dirs, capsys, flag, value,
-                                    name):
-        # -1 would write the untrained initial HMM, nan run every iteration
+    def test_bad_em_setting_exits_1(self, speaker_dirs, capsys, monkeypatch,
+                                    flag, value, name):
+        # -1 would write the untrained initial HMM, nan run every iteration;
+        # either is refused before the codebook is trained
+        def no_codebook(*args, **kwargs):
+            raise AssertionError("trained the codebook before checking")
+
+        monkeypatch.setattr("specsep.cli.train_lbg", no_codebook)
         out = speaker_dirs["tmp"] / "bad_em.ssm"
         rc = main(["train", "--kind", "hmm", "--speaker-dir",
                    str(speaker_dirs["dirs"]["a"]), "--states", "2",

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from specsep.mixmax import LOG_2PI, log_gauss_table
 from specsep.models import VARIANCE_FLOOR, _forward_backward
 
 from conftest import (BAD_FILES, CODEBOOK_DEFECTS, HMM_DEFECTS, malformed,
-                      per_frame_xi_counts, random_hmm, save_bad_file,
-                      save_model_v1)
+                      per_frame_xi_counts, per_utterance_forward_backward,
+                      random_hmm, save_bad_file, save_model_v1)
 
 
 def assert_same_model(back, model):
@@ -205,6 +207,25 @@ class TestBaumWelch:
         np.testing.assert_array_equal(model.means[2], init.means[2])
         np.testing.assert_array_equal(model.vars[2], init.vars[2])
 
+    def test_subnormal_occupancy_counts_as_unoccupied(self):
+        # state 1 scores every frame about 717 nats below state 0, so its
+        # shifted emissions, and so its posteriors, are subnormal: below
+        # tiny it is unoccupied, and keeps its emissions with a uniform row
+        # instead of a mean and variance divided out of subnormal sums
+        init = HmmModel(pi=np.log([0.5, 0.5]), trans=np.log(np.full((2, 2),
+                                                                    0.5)),
+                        means=np.array([[0.0], [0.38]]),
+                        vars=np.array([[1.0], [VARIANCE_FLOOR]]))
+        frames = np.random.default_rng(9).normal(0.0, 5e-4, (40, 1))
+        logB = log_gauss_table(frames, init.means, init.vars)
+        B = np.exp(logB[:, 1] - logB[:, 0])
+        assert np.all((B > 0) & (B < np.finfo(float).tiny))
+        model, _ = baum_welch([frames], init, rel_tol=0.0, max_iters=2)
+        np.testing.assert_array_equal(model.means[1], init.means[1])
+        np.testing.assert_array_equal(model.vars[1], init.vars[1])
+        np.testing.assert_allclose(np.exp(model.trans[1]), 0.5, rtol=1e-15)
+        model.validate()
+
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(K=st.integers(1, 6), R=st.integers(1, 12), dim=st.integers(1, 6),
            sticky=st.booleans(), var_lo=st.sampled_from([1e-4, 1e-2, 0.5]),
@@ -222,8 +243,8 @@ class TestBaumWelch:
         means = rng.normal(0.0, 1.0, (K, dim))
         variances = rng.uniform(var_lo, 2 * var_lo + 0.1, (K, dim))
         frames = rng.normal(0.0, 1.0, (R, dim))
-        gamma, xi_sum, _ = _forward_backward(frames, pi, trans, means,
-                                             variances)
+        (gamma,), xi_sum, _ = _forward_backward([frames], pi, trans, means,
+                                                variances)
         ref_xi = per_frame_xi_counts(frames, pi, trans, means, variances)
         # each frame's xi sums to 1, up to rounding, on both sides
         tol = 64 * np.finfo(float).eps * (R - 1)
@@ -232,6 +253,83 @@ class TestBaumWelch:
                                    gamma[:-1].sum(axis=0), rtol=0, atol=tol)
         if R == 1:
             np.testing.assert_array_equal(xi_sum, np.zeros((K, K)))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(K=st.integers(1, 6), dim=st.integers(1, 6),
+           lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           sticky=st.booleans(), var_lo=st.sampled_from([1e-4, 1e-2, 0.5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(K=3, dim=2, lengths=[1, 7, 1, 7, 3], sticky=True, var_lo=1e-2,
+             seed=0)
+    def test_batched_pass_matches_per_utterance_reference(
+            self, K, dim, lengths, sticky, var_lo, seed):
+        # unequal and tied lengths, in no particular order: the batched
+        # pass sorts them and must hand gamma back in the order given
+        rng = np.random.default_rng(seed)
+        pi = rng.random(K) + 0.05
+        pi /= pi.sum()
+        trans = rng.uniform(0.9, 1.1, (K, K))
+        if sticky:
+            trans += np.diag(rng.uniform(5.0, 50.0, K))
+        trans /= trans.sum(axis=1, keepdims=True)
+        means = rng.normal(0.0, 1.0, (K, dim))
+        variances = rng.uniform(var_lo, 2 * var_lo + 0.1, (K, dim))
+        utts = [rng.normal(0.0, 1.0, (R, dim)) for R in lengths]
+        gammas, xi_sum, loglik = _forward_backward(utts, pi, trans, means,
+                                                   variances)
+        refs = [per_utterance_forward_backward(u, pi, trans, means,
+                                               variances) for u in utts]
+        # the batched products round differently from the per-utterance
+        # ones, and values below tiny become 0; both move a normalized
+        # posterior by a few ulps per frame, and a count or log-likelihood
+        # by a few ulps of its magnitude per frame
+        eps = np.finfo(float).eps
+        frames = sum(lengths)
+        assert len(gammas) == len(utts)
+        for gamma, (ref_gamma, _, _), R in zip(gammas, refs, lengths):
+            assert gamma.shape == (R, K)
+            np.testing.assert_allclose(gamma, ref_gamma, rtol=0,
+                                       atol=64 * eps * R)
+        ref_xi = sum(xi for _, xi, _ in refs)
+        np.testing.assert_allclose(xi_sum, ref_xi, rtol=0,
+                                   atol=64 * eps * frames)
+        ref_ll = sum(ll for _, _, ll in refs)
+        assert abs(loglik - ref_ll) <= 64 * eps * frames * max(1.0,
+                                                                abs(ref_ll))
+
+    def test_subnormal_regime_trains_a_valid_model(self):
+        # states 0.38 apart at the variance floor: a frame scores its
+        # neighbouring states about 722 +- 40 nats below its own, so exp()
+        # of the shifted emission table lands in the subnormal range
+        # (708-745 nats below the frame's maximum); the transitions form a
+        # cycle, zero off its two diagonals
+        K, dim = 4, 1
+        means = 0.38 * np.arange(K)[:, None] * np.ones((K, dim))
+        trans = np.zeros((K, K))
+        for i in range(K):
+            trans[i, i], trans[i, (i + 1) % K] = 0.7, 0.3
+        with np.errstate(divide="ignore"):
+            truth = HmmModel(pi=np.log(np.full(K, 1.0 / K)),
+                             trans=np.log(trans), means=means,
+                             vars=np.full((K, dim), VARIANCE_FLOOR))
+        rng = np.random.default_rng(12)
+        utts = [sample_hmm_frames(truth, R, rng)[0] for R in (60, 41, 41, 1)]
+        logB = log_gauss_table(np.vstack(utts), truth.means, truth.vars)
+        B = np.exp(logB - logB.max(axis=1, keepdims=True))
+        assert np.any((B > 0) & (B < np.finfo(float).tiny))
+
+        init = dataclasses.replace(truth, means=truth.means + 0.01)
+        model, trace = baum_welch(utts, init, rel_tol=0.0, max_iters=6)
+        assert np.all(np.isfinite(trace))
+        assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1])), trace
+        model.validate()
+        gammas, xi_sum, loglik = _forward_backward(
+            utts, np.exp(model.pi), np.exp(model.trans), model.means,
+            model.vars)
+        assert np.isfinite(loglik) and np.all(np.isfinite(xi_sum))
+        for gamma in gammas:
+            np.testing.assert_allclose(gamma.sum(axis=1), 1.0, rtol=0,
+                                       atol=8 * np.finfo(float).eps)
 
     @pytest.mark.parametrize("dims, error, match", [
         ((3, 4), ValueError, "inconsistent frame dimensions"),
@@ -299,6 +397,31 @@ class TestBaumWelch:
         with pytest.raises(ValueError,
                            match=r"utterance 1 .*\(4, 2\) is .*not a finite"):
             baum_welch(utts, init)
+
+
+class TestForwardBackwardMemory:
+    """The tracemalloc peak of one _forward_backward pass grows with the
+    frame count, not with the longest utterance times the utterance
+    count: one 1,000-frame and 31 ten-frame utterances (1,310 frames) at
+    K=64 stay within 4 float64 arrays of (1,310, K), the three arrays of
+    the recursions plus the emission table's temporaries.  Padding every
+    utterance to the longest would hold 3 x 1,000 x 32 x K values, 49 MB."""
+
+    def test_peak_grows_with_frame_count(self):
+        rng = np.random.default_rng(5)
+        K, dim = 64, 8
+        utts = [rng.normal(0.0, 1.0, (R, dim)) for R in [10] * 15 + [1000]
+                + [10] * 16]
+        args = (np.full(K, 1.0 / K), np.full((K, K), 1.0 / K),
+                rng.normal(0.0, 1.0, (K, dim)), np.ones((K, dim)))
+        _forward_backward(utts, *args)
+        tracemalloc.start()
+        try:
+            _forward_backward(utts, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 1310 * K * 8
 
 
 class TestPersistence:

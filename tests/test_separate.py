@@ -330,6 +330,22 @@ class TestSeparatePipeline:
                               method="gvq", fix_theta=-15.0)
         assert diag["theta_hat"] == -15.0
 
+    @pytest.mark.parametrize("method, kind, options", [
+        ("fhmm", "hmm", {"max_outer": -1}),
+        ("gfhmm", "hmm", {"fix_theta": 2.0, "max_outer": 2.5}),
+        ("vq", "cb", {"max_outer": True}),
+    ], ids=repr)
+    def test_bad_max_outer_rejected_when_theta_is_fixed(
+            self, framing, trained_models, mixture_setup, method, kind,
+            options):
+        # a fixed theta runs no rounds, but the setting is still refused
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 6.0)
+        with pytest.raises(ValueError, match="max_outer must be an integer"):
+            separate(y, trained_models[f"{kind}_a"],
+                     trained_models[f"{kind}_b"], framing, method=method,
+                     **options)
+
     def test_nonfinite_theta0_rejected(self, framing, trained_models,
                                        mixture_setup):
         x, v = mixture_setup

@@ -6,7 +6,9 @@ import pytest
 from specsep import (AudioSignal, FramingConfig, apply_masks_and_reconstruct,
                      frame_signal, read_wav, write_wav)
 from specsep.evaluate import snr
-from specsep.signal import LOG_FLOOR, log_spectra
+from specsep.signal import LOG_FLOOR, log_spectra, overlap_add
+
+from conftest import loop_overlap_add
 
 
 @pytest.fixture
@@ -118,6 +120,23 @@ class TestMaskingReconstruction:
         full, _ = apply_masks_and_reconstruct(sig, ones, ones, cfg)
         np.testing.assert_allclose(x_hat.samples + v_hat.samples,
                                    full.samples, atol=1e-10)
+
+    # (leading axes, R, L, hop): L not a multiple of hop, a multiple, L ==
+    # hop, a single frame, a leading batch axis, two of them
+    @pytest.mark.parametrize("lead, R, L, hop", [
+        ((), 197, 256, 80), ((), 9, 160, 80), ((), 7, 50, 50),
+        ((), 1, 256, 80), ((2,), 197, 256, 80), ((3, 2), 11, 10, 3)],
+        ids=repr)
+    def test_overlap_add_bit_identical_to_frame_loop(self, lead, R, L, hop):
+        # magnitudes over 16 decades, so that any other order of addition
+        # rounds differently; -0.0 checks the sign of exact zeros
+        rng = np.random.default_rng(R * L + hop)
+        frames = (rng.standard_normal(lead + (R, L))
+                  * 10.0 ** rng.uniform(-8, 8, lead + (R, L)))
+        frames.flat[::7] = -0.0
+        got, ref = overlap_add(frames, hop), loop_overlap_add(frames, hop)
+        assert got.shape == ref.shape == lead + ((R - 1) * hop + L,)
+        assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
 
     def test_bin_count_mismatch_rejected(self, cfg):
         sig = noise_signal(1000)
