@@ -14,7 +14,7 @@ from .gain import THETA_MAX_DB, THETA_MIN_DB, _check_theta, gains_from_theta
 from .mixmax import (_check_pair, dominant, log_b_table,
                      path_emission_loglik)
 from .quantize import gvq_score
-from .signal import _is_count
+from .signal import _is_count, _is_real
 
 OUTER_TOL_DB = 0.25
 MAX_OUTER_ITERS = 10
@@ -58,11 +58,10 @@ def mega_frame_slices(n_frames, frames_per_chunk):
     Sequences shorter than two chunks stay whole, as do all sequences when
     frames_per_chunk is None; otherwise the final chunk absorbs the
     remainder so no chunk is shorter than frames_per_chunk.  A
-    frames_per_chunk that is neither None nor a positive int (a bool or a
-    numpy integer is not one) raises ValueError.
+    frames_per_chunk that is neither None nor a positive int raises
+    ValueError.
     """
-    if frames_per_chunk is not None and not (
-            type(frames_per_chunk) is int and frames_per_chunk >= 1):
+    if frames_per_chunk is not None and not _is_count(frames_per_chunk, 1):
         raise ValueError("frames_per_chunk must be None or a positive int, "
                          f"got {frames_per_chunk!r}")
     if frames_per_chunk is None or n_frames < 2 * frames_per_chunk:
@@ -234,12 +233,12 @@ def maximize_theta(objective, interval):
     both neighbors pin the best point within THETA_STEP_TOL_DB (no further
     step of at least that is possible) or when the MAX_THETA_EVALS
     evaluations are spent.  Returns (argmax, value) over everything
-    evaluated.  An interval that is empty or has an end that is not a
-    finite number raises ValueError before any evaluation.
+    evaluated, the ends as given.  An interval that is empty or has an end
+    that is not a finite number raises ValueError before any evaluation.
     """
     tol = THETA_STEP_TOL_DB
-    lo, hi = float(interval[0]), float(interval[1])
-    if not -np.inf < lo < hi < np.inf:
+    lo, hi = interval
+    if not (_is_real(lo) and _is_real(hi) and lo < hi):
         raise ValueError(f"degenerate interval ({lo}, {hi}): the ends must "
                          "be finite numbers with lo < hi")
 
@@ -306,11 +305,13 @@ def _estimate_theta(y_seq, path_x, path_v, prototypes, ctx, theta):
     return theta if objective(theta) > val_new else th_new
 
 
-def _check_rounds(outer_tol, max_outer):
-    """ValueError unless outer_tol is a number >= 0 and max_outer an
-    integer >= 0 (a bool is not one): the stopping rule of _alternate's
-    rounds, which separate() also checks where a fixed theta skips them."""
-    if not float(outer_tol) >= 0.0:
+def _check_loop(theta0, outer_tol, max_outer):
+    """ValueError unless theta0 is a finite number, outer_tol a number >= 0
+    (inf included) and max_outer an integer >= 0: _alternate's settings,
+    which separate() also checks where a fixed theta replaces them."""
+    if not _is_real(theta0):
+        raise ValueError(f"theta0 {theta0} dB is not a finite number")
+    if not _is_real(outer_tol, 0.0, np.inf):
         raise ValueError(f"outer_tol {outer_tol} dB must be a number >= 0")
     if not _is_count(max_outer, 0):
         raise ValueError("max_outer must be an integer >= 0, "
@@ -333,18 +334,14 @@ def _alternate(decode, models, prototype, y_seq, ctx, theta0, outer_tol,
     rounds makes n + 1 decodes, and the paths and score always belong to
     the returned thetas.  The target mask is built from the means along
     the final paths at the final thetas (_target_mask).  Frames that do
-    not fit the models (mixmax._check_pair), then a theta0 that is not a
-    finite number, an outer_tol that is NaN or negative, a max_outer that
-    is not an integer >= 0 (a bool is not one) or a frames_per_chunk
-    that mega_frame_slices refuses, raise ValueError before any decode,
-    and a finite theta0 is clamped into [THETA_MIN_DB, THETA_MAX_DB].  A
-    non-finite decoder score raises NumericError.
+    not fit the models (mixmax._check_pair), then settings that _check_loop
+    or mega_frame_slices refuses, raise ValueError before any decode, and
+    theta0 is clamped into [THETA_MIN_DB, THETA_MAX_DB].  A non-finite
+    decoder score raises NumericError.
     """
     y_seq = _check_pair(y_seq, *models)
     prototypes = tuple(prototype(m) for m in models)
-    if not np.isfinite(float(theta0)):
-        raise ValueError(f"theta0 {theta0} dB is not a finite number")
-    _check_rounds(outer_tol, max_outer)
+    _check_loop(theta0, outer_tol, max_outer)
     chunks = mega_frame_slices(len(y_seq), frames_per_chunk)
     thetas = [min(max(float(theta0), THETA_MIN_DB), THETA_MAX_DB)
               for _ in chunks]

@@ -5,18 +5,18 @@ writes one CSV row per (pair, theta, method) run."""
 import csv
 import json
 import os
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
 
-from .gain import ASYMPTOTE_BELOW_DB, estimate_gy
+from .gain import ASYMPTOTE_BELOW_DB, _check_theta, estimate_gy
 from .models import HmmModel, ModelMismatchError, load_model
 from .separate import METHODS, model_kind, separate
 from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
-                     _check_settings, read_wav, synthesize)
+                     _check_settings, _is_count, _is_real, read_wav,
+                     synthesize)
 
 SNR_CAP_DB = 100.0
 
@@ -60,7 +60,7 @@ def mix_at_tir(x, v, theta):
         raise ValueError("empty input")
     if x.sample_rate != v.sample_rate:
         raise ValueError("sample rate mismatch between sources")
-    if not np.isfinite(theta):
+    if not _is_real(theta):
         raise ValueError(f"TIR {theta} dB is not a finite number")
     gx, gv = _tir_gain(theta), _tir_gain(-theta)
     y = gx * x.samples[:n] + gv * v.samples[:n]
@@ -230,29 +230,16 @@ def load_manifest(path):
         return json.load(f)
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value):
-    # JSON reads an integer of any size; one beyond a float's range is
-    # refused like inf (math.isfinite would raise OverflowError on it)
-    return _is_number(value) and abs(value) <= sys.float_info.max
-
-
-def _is_integer(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_manifest(manifest):
     """Raise ValueError unless manifest is an object holding only
     MANIFEST_KEYS, whose required keys
     theta_grid (finite numbers), methods (strings) and pairs hold arrays and
     models an object, every pair is an object with an id, the ids are all
-    strings or all numbers, the optional framing is an object holding only
-    FramingConfig fields, sample_rate and each framing setting are positive
-    integers, theta0 is a finite number, fix_theta a finite number or null,
-    seed a non-negative integer, jobs a positive integer, every method is
+    strings or all numbers (not NaN), the optional framing is an object
+    holding only FramingConfig fields, sample_rate and each framing setting
+    are positive integers, theta0 is a finite number, fix_theta null or a
+    number in [-15, 15] dB (gain._check_theta), seed a
+    non-negative integer, jobs a positive integer, every method is
     one of separate.METHODS and models holds the two model paths of each
     method's kind as strings."""
     if not isinstance(manifest, dict):
@@ -273,7 +260,7 @@ def _check_manifest(manifest):
             raise ValueError(f"manifest '{key}' must be {name}, got "
                              f"{type(manifest[key]).__name__}")
     # json reads NaN and Infinity, which mix_at_tir would reject per run
-    if not all(_is_finite(t) for t in manifest["theta_grid"]):
+    if not all(_is_real(t) for t in manifest["theta_grid"]):
         raise ValueError("manifest 'theta_grid' must hold only finite "
                          "numbers")
     if not all(isinstance(m, str) for m in manifest["methods"]):
@@ -290,26 +277,27 @@ def _check_manifest(manifest):
     # int() would run a hop of 80.7 as 80 and one of true as 1
     _check_settings({**framing, "sample_rate": manifest.get(
         "sample_rate", DEFAULT_SAMPLE_RATE)}, "manifest")
-    # separate() would run a theta0 of true from 1 dB, int() a seed of 1.5
-    # as 1, and a negative seed would fail every synthesized source
+    # int() would run a seed of 1.5 as 1, and a negative seed would fail
+    # every synthesized source
     for key, valid, what in (
-            ("theta0", _is_finite, "a finite number"),
-            ("fix_theta", lambda v: v is None or _is_finite(v),
+            ("theta0", _is_real, "a finite number"),
+            ("fix_theta", lambda v: v is None or _is_real(v),
              "a finite number or null"),
-            ("seed", lambda v: _is_integer(v) and v >= 0,
-             "a non-negative integer"),
-            ("jobs", lambda v: _is_integer(v) and v > 0,
-             "a positive integer")):
+            ("seed", lambda v: _is_count(v, 0), "a non-negative integer"),
+            ("jobs", lambda v: _is_count(v, 1), "a positive integer")):
         if key in manifest and not valid(manifest[key]):
             raise ValueError(f"manifest '{key}' must be {what}, got "
                              f"{manifest[key]!r}")
+    # one outside the search interval would fail every row
+    if manifest.get("fix_theta") is not None:
+        _check_theta(manifest["fix_theta"], "manifest 'fix_theta'")
     for idx, entry in enumerate(manifest["pairs"]):
         if not (isinstance(entry, dict) and "id" in entry):
             raise ValueError(f"manifest pair {idx} has no 'id'")
     # rows sort by pair id, so ids must compare with each other
     ids = [entry["id"] for entry in manifest["pairs"]]
     if not (all(isinstance(i, str) for i in ids)
-            or all(_is_number(i) for i in ids)):
+            or all(_is_real(i, -np.inf, np.inf) for i in ids)):
         raise ValueError("manifest pair ids must be all strings or all "
                          "numbers")
     # each would otherwise run the whole batch and fill its rows with errors
@@ -336,8 +324,9 @@ def run_experiment(manifest, out_csv, jobs=None):
     the separate options theta0 and fix_theta.  A manifest that is not an
     object, holds any other key, lacks a required key, holds a value of
     the wrong kind (a theta, theta0 or fix_theta that is
-    not a finite number, a method that is not a string, ids that mix
-    strings and numbers, a framing that is not an object or holds a key
+    not a finite number, a fix_theta outside [-15, 15] dB,
+    a method that is not a string, ids that mix strings and numbers or
+    include NaN, a framing that is not an object or holds a key
     other than frame_len, hop and dft_size, a sample_rate or framing
     setting or jobs that is not a positive integer, a seed that is not a
     non-negative integer), a pair without an id, a method that is not one

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signal import _is_real
+
 # the interval over which theta is searched and a fixed theta may lie
 THETA_MIN_DB = -15.0
 THETA_MAX_DB = 15.0
@@ -31,7 +33,8 @@ class GainContext:
         # an infinite gain would only surface later, as a non-finite score
         for name in ("g_y", "G0"):
             value = getattr(self, name)
-            if not 0.0 < value < np.inf:
+            # math.ulp(0.0) is the least positive float
+            if not _is_real(value, math.ulp(0.0)):
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {value}")
 
@@ -47,8 +50,8 @@ class GainPair:
 def _check_theta(theta, name):
     """Raise ValueError, naming the setting name, unless theta lies in
     [THETA_MIN_DB, THETA_MAX_DB], the interval a fixed theta must lie in
-    (NaN lies in none)."""
-    if not THETA_MIN_DB <= theta <= THETA_MAX_DB:
+    (a value that is not a real number lies in none)."""
+    if not _is_real(theta, THETA_MIN_DB, THETA_MAX_DB):
         raise ValueError(f"{name} {theta} dB is outside "
                          f"[{THETA_MIN_DB}, {THETA_MAX_DB}] dB")
 
@@ -70,9 +73,9 @@ def gains_from_theta(theta, ctx):
     """Both log10 gains for one theta: (g(theta), g(-theta)).
 
     Satisfies gx^2 + gv^2 = (g_y/G0)^2 and 10*log10(gx^2/gv^2) = theta.
-    A theta that is not a finite number raises ValueError.
+    A theta that is not a finite real number raises ValueError.
     """
-    if not math.isfinite(theta):
+    if not _is_real(theta):
         raise ValueError(f"theta {theta} dB is not a finite number")
     return GainPair(log10_gx=float(g_of_theta(theta, ctx)),
                     log10_gv=float(g_of_theta(-theta, ctx)))

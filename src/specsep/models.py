@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mixmax import log_gauss_table
-from .signal import _check_settings, _is_count
+from .signal import _check_settings, _is_count, _is_real
 
 VARIANCE_FLOOR = 1e-4
 PI_FLOOR = 1e-6
@@ -269,7 +269,7 @@ def _check_em_settings(rel_tol, max_iters):
     if not _is_count(max_iters, 0):
         raise ValueError("max_iters must be an integer >= 0, "
                          f"got {max_iters!r}")
-    if not 0.0 <= float(rel_tol) < math.inf:
+    if not _is_real(rel_tol, 0.0):
         raise ValueError(f"rel_tol {rel_tol} must be a finite number >= 0")
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from .gain import gains_from_theta
 from .mixmax import _check_pair, mixmax_combine
 from .models import VARIANCE_FLOOR, Codebook, _check_finite
-from .signal import _is_count
+from .signal import _is_count, _is_real
 
 SPLIT_DELTA = 0.01
 DEFAULT_REL_TOL = 1e-4
@@ -104,7 +104,7 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
     K : target codebook size; an integer power of two
     max_iters : Lloyd iteration cap per splitting level; an integer >= 1
     rel_tol : stop a Lloyd phase when relative distortion improvement
-        drops below this; a number >= 0
+        drops below this; a number >= 0, inf included
     distortion_trace : optional list; appends one per-level list of the
         mean distortion at each Lloyd iteration
 
@@ -123,7 +123,7 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
     if not _is_count(max_iters, 1):
         raise ValueError("max_iters must be an integer >= 1, "
                          f"got {max_iters!r}")
-    if not float(rel_tol) >= 0.0:
+    if not _is_real(rel_tol, 0.0, np.inf):
         raise ValueError(f"rel_tol {rel_tol} must be a number >= 0")
     if vectors.shape[0] < K:
         raise ValueError(f"too few vectors ({vectors.shape[0]}) for K={K}")

@@ -12,7 +12,7 @@ from .gain import GainContext, _check_theta, estimate_gy
 from .models import Codebook, HmmModel, ModelMismatchError
 # perfbench's traced run patches this name here; keep it bound
 from .quantize import gvq_score  # noqa: F401
-from .signal import apply_masks_and_reconstruct, log_spectra
+from .signal import _is_real, apply_masks_and_reconstruct, log_spectra
 
 # method -> (the model kind it decodes with, whether theta is estimated);
 # the fixed-gain baselines fhmm and vq decode once at theta 0
@@ -53,19 +53,19 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
     method : "gfhmm" | "gvq" | "fhmm" | "vq"; the latter two are the
         non-gain-adapted baselines, realized as the same decoders with
         theta frozen at 0 and g_y/G0 at BASELINE_GY_OVER_G0
-    theta0 : starting theta for the alternating estimation (dB); the
-        decoders reject a non-finite one with ValueError and clamp a
-        finite one into [THETA_MIN_DB, THETA_MAX_DB]; unused when theta is
-        fixed, and so ignored by the baselines
+    theta0 : starting theta for the alternating estimation (dB); one that
+        is not a finite number raises ValueError, and a finite one is
+        clamped into [THETA_MIN_DB, THETA_MAX_DB]; checked for every
+        method, but unused when theta is fixed, and so by the baselines
     fix_theta : skip theta estimation and decode once at this value (dB);
         it must lie in [THETA_MIN_DB, THETA_MAX_DB], i.e. +/-15 dB; the
-        baselines ignore it and decode at 0
+        baselines check it, then decode at 0
     outer_tol, max_outer : the decoders' stopping rule for the
-        alternating estimation
+        alternating estimation, checked for every method
     mega_frame_seconds : loudness-constancy window; utterances shorter
         than twice this get a single theta, and None or 0 means one
-        window; a non-finite one, or one that rounds to no whole hop, raises
-        ValueError
+        window; any other value that is not a finite number giving at
+        least one hop after rounding raises ValueError
 
     Both models must be of the method's class, pass their validate() and
     have cfg.n_bins bins, and every setting a model's meta records
@@ -86,7 +86,6 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
     """
     cls, infer = _KINDS[model_kind(method)]
     estimated = METHODS[method][1]
-    n_bins = cfg.n_bins
     setting = {"sample_rate": mixture.sample_rate, **asdict(cfg)}
     for role, m in (("target", model_x), ("interference", model_v)):
         if not isinstance(m, cls):
@@ -94,10 +93,10 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
                 f"method '{method}' needs a {cls.__name__} for the {role} "
                 f"speaker, got {type(m).__name__}")
         m.validate()
-        if m.dim != n_bins:
+        if m.dim != cfg.n_bins:
             raise ModelMismatchError(
                 f"{role} model dimension {m.dim} does not match "
-                f"configured {n_bins} bins")
+                f"configured {cfg.n_bins} bins")
         for key, value in setting.items():
             recorded = m.meta.get(key)
             if recorded is not None and int(recorded) != value:
@@ -111,27 +110,29 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
         raise ValueError(f"mixture sample {first} is "
                          f"{mixture.samples[first]}, not a finite number")
 
-    y_seq = log_spectra(mixture, cfg)
-    g_y = estimate_gy(mixture)
-    ctx = GainContext(g_y=g_y if estimated else BASELINE_GY_OVER_G0)
-    if not estimated:
-        fix_theta = 0.0
-
+    # None and 0 seconds mean one window
     frames_per_chunk = None
-    if mega_frame_seconds:
-        frames = mega_frame_seconds * mixture.sample_rate / cfg.hop
-        if not (math.isfinite(frames) and round(frames) >= 1):
+    if not (mega_frame_seconds is None or _is_real(mega_frame_seconds, 0, 0)):
+        frames = (mega_frame_seconds * mixture.sample_rate / cfg.hop
+                  if _is_real(mega_frame_seconds) else math.nan)
+        if not (_is_real(frames) and round(frames) >= 1):
             raise ValueError(
                 f"mega_frame_seconds {mega_frame_seconds} gives {frames} "
                 "frames per window; need at least 1 after rounding")
         frames_per_chunk = int(round(frames))
-    # checked here, as the decoders check them, because a fixed theta
-    # below replaces max_outer
-    _decode._check_rounds(outer_tol, max_outer)
+    # checked here for every method, as the decoders check them, because a
+    # fixed theta below replaces theta0 and max_outer
+    _decode._check_loop(theta0, outer_tol, max_outer)
     if fix_theta is not None:
         _check_theta(fix_theta, "fix_theta")
+    fix_theta = fix_theta if estimated else 0.0
+    if fix_theta is not None:
         # a fixed theta is one whole-sequence decode with no outer rounds
         theta0, max_outer, frames_per_chunk = fix_theta, 0, None
+
+    y_seq = log_spectra(mixture, cfg)
+    g_y = estimate_gy(mixture)
+    ctx = GainContext(g_y=g_y if estimated else BASELINE_GY_OVER_G0)
 
     result = infer(y_seq, model_x, model_v, ctx, theta0=theta0,
                    outer_tol=outer_tol, max_outer=max_outer,

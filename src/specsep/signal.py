@@ -2,6 +2,7 @@
 overlap-add synthesis, and 16-bit PCM mono WAV I/O."""
 
 import numbers
+import sys
 import wave
 from dataclasses import dataclass, fields
 
@@ -22,7 +23,7 @@ class AudioSignal:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError("mono required")
-        if self.sample_rate <= 0:
+        if not _is_count(self.sample_rate, 1):
             raise ValueError("sample_rate must be positive")
 
     def __len__(self):
@@ -47,14 +48,15 @@ class FramingConfig:
     dft_size: int = 256
 
     def __post_init__(self):
-        if not (0 < self.hop <= self.frame_len <= self.dft_size):
+        if not (_is_count(self.hop, 1) and _is_count(self.frame_len, self.hop)
+                and _is_count(self.dft_size, self.frame_len)):
             raise ValueError("need 0 < hop <= frame_len <= dft_size")
 
     @classmethod
     def from_meta(cls, meta):
         """Framing recorded in a model's meta or a manifest's "framing";
         a field the dict does not record keeps its default."""
-        return cls(**{f.name: int(meta[f.name]) for f in fields(cls)
+        return cls(**{f.name: meta[f.name] for f in fields(cls)
                       if f.name in meta})
 
     @property
@@ -79,10 +81,24 @@ def _check_settings(recorded, what, error=ValueError):
 
 
 def _is_count(value, least):
-    """Whether value is an integer >= least; a numpy integer is one, a bool
-    is not."""
+    """Whether value is an integer >= least: a count setting.  A numpy
+    integer is one; a bool, a string and None are not."""
     return (isinstance(value, numbers.Integral)
             and not isinstance(value, bool) and value >= least)
+
+
+def _is_real(value, least=-sys.float_info.max, most=sys.float_info.max):
+    """Whether value is a real number in [least, most]: a real setting.
+    The default bounds are the finite floats, so inf is refused unless a
+    bound admits it.  A numpy scalar is a real number; a bool, a string,
+    None and NaN are not.  The comparisons are exact: an integer beyond a
+    float's range, which JSON reads, lies beyond every finite bound,
+    without overflow."""
+    # a numpy scalar as the Python number it holds, so that a float32 meets
+    # the float64 bounds without an overflowing cast
+    value = value.item() if isinstance(value, np.generic) else value
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and least <= value <= most)
 
 
 def frame_signal(signal, cfg):

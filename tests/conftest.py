@@ -120,7 +120,18 @@ MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
                     "fractional_jobs", "negative_seed", "zero_jobs",
                     "huge_theta0", "huge_theta", "unknown_key",
                     "unknown_method", "missing_model_key",
-                    "non_string_model_path")
+                    "non_string_model_path", "outside_fix_theta",
+                    "nan_pair_id")
+
+
+def patch_out_decoding(monkeypatch):
+    """Patch both decode kernels to fail, for checks that must raise
+    before any decode."""
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoded before checking the options")
+
+    monkeypatch.setattr("specsep.decode._viterbi_from_table", no_decode)
+    monkeypatch.setattr("specsep.decode.gvq_score", no_decode)
 
 
 def broken_manifest(defect):
@@ -136,6 +147,10 @@ def broken_manifest(defect):
     if defect == "mixed_pair_ids":
         return {**manifest, "pairs": manifest["pairs"]
                 + [{**manifest["pairs"][0], "id": 1}]}
+    # rows sort by pair id, which NaN does not order
+    if defect == "nan_pair_id":
+        return {**manifest, "pairs": [{**manifest["pairs"][0], "id": i}
+                                      for i in (0, float("nan"))]}
     if defect == "mixed_methods":
         return {**manifest, "methods": ["vq", 3]}
     if defect == "null_theta":
@@ -154,7 +169,7 @@ def broken_manifest(defect):
         return {**manifest, key: {"boolean": True, "string": "5",
                                   "nan": float("nan"), "fractional": 1.5,
                                   "negative": -3, "zero": 0,
-                                  "huge": -10 ** 400}[kind]}
+                                  "huge": -10 ** 400, "outside": 20}[kind]}
     if defect == "scalar_framing":
         return {**manifest, "framing": 3}
     if defect == "null_sample_rate":

@@ -17,7 +17,7 @@ from specsep.mixmax import mixmax_combine
 from specsep.quantize import Codebook, gvq_score
 
 from conftest import (backpointer_viterbi, log_b_jk, naive_viterbi_deltas,
-                      path_loglik,
+                      patch_out_decoding, path_loglik,
                       planted_path_objective, random_hmm,
                       sampled_feature_mixture, shared_variance_hmm,
                       structured_hmm)
@@ -643,17 +643,12 @@ def undecodable(ctx, monkeypatch):
     mx, mv = random_hmm(rng, 2, 6), random_hmm(rng, 2, 6)
     cb_x, cb_v = (Codebook(m.means, m.vars, np.ones(m.K)) for m in (mx, mv))
     y = rng.normal(0, 1, (10, 6))
-
-    def no_decode(*args, **kwargs):
-        raise AssertionError("decoded before checking the options")
-
-    monkeypatch.setattr("specsep.decode._viterbi_from_table", no_decode)
-    monkeypatch.setattr("specsep.decode.gvq_score", no_decode)
+    patch_out_decoding(monkeypatch)
     return [lambda **options: gfhmm_infer(y, mx, mv, ctx, **options),
             lambda **options: gvq_infer(y, cb_x, cb_v, ctx, **options)]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "3", True, None])
 def test_nonfinite_theta0_rejected_before_decoding(undecodable, bad):
     for infer in undecodable:
         with pytest.raises(ValueError, match="theta0"):
@@ -668,7 +663,8 @@ def test_bad_frames_per_chunk_rejected_before_decoding(undecodable, bad):
             infer(frames_per_chunk=bad)
 
 
-@pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf], ids=repr)
+@pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf, "0.3", True, None],
+                         ids=repr)
 def test_bad_outer_tol_rejected_before_decoding(undecodable, bad):
     # a NaN or negative tolerance would silently run every round
     for infer in undecodable:
@@ -764,7 +760,7 @@ class TestAlternatingLoopProperties:
     def test_zero_tolerance_runs_every_round(self, monkeypatch, kind,
                                              rounds):
         # outer_tol=0 never stops early: max_outer rounds, each one decode
-        # after the decode at theta0
+        # after the decode at theta0; numpy scalars are settings as well
         ctx = GainContext(g_y=1.0)
         rng = np.random.default_rng(11)
         mx, mv = random_hmm(rng, 3, 8), random_hmm(rng, 4, 8)
@@ -784,8 +780,9 @@ class TestAlternatingLoopProperties:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(decode, kernel, counted)
-        res = infer(y, *models, ctx, outer_tol=0.0, max_outer=rounds,
-                    frames_per_chunk=30)
+        res = infer(y, *models, ctx, theta0=np.float64(0.0),
+                    outer_tol=np.float64(0.0), max_outer=rounds,
+                    frames_per_chunk=np.int64(30))
         assert res.iterations == rounds
         assert len(res.objective_trace) == rounds + 1
         assert len(calls) == rounds + 1
@@ -798,6 +795,7 @@ class TestMegaFrameSlices:
     def test_remainder_absorbed_by_last_chunk(self):
         slices = mega_frame_slices(250, 100)
         assert slices == [slice(0, 100), slice(100, 250)]
+        assert mega_frame_slices(250, np.int64(100)) == slices
 
     def test_none_chunk_size(self):
         assert mega_frame_slices(500, None) == [slice(0, 500)]

@@ -290,25 +290,6 @@ class TestRunExperiment:
             assert row["error"].startswith(
                 "ValueError: source entry needs 'wav' or 'synth'")
 
-    def test_fix_theta_outside_search_interval_is_an_error_row(
-            self, experiment_env):
-        env = experiment_env
-        manifest = {
-            "sample_rate": 8000,
-            "theta_grid": [6],
-            "methods": ["gvq", "vq"],
-            "fix_theta": 20,
-            "models": {k: env["paths"][k]
-                       for k in ("hmm_x", "hmm_v", "vq_x", "vq_v")},
-            "pairs": [env["pair_entry"](1)],
-        }
-        out_csv = env["tmp"] / "fix20.csv"
-        run_experiment(manifest, out_csv)
-        with open(out_csv, newline="") as f:
-            rows = {r["method"]: r for r in csv.DictReader(f)}
-        assert rows["gvq"]["error"].startswith("ValueError: fix_theta")
-        assert rows["vq"]["error"] == ""    # the baseline always uses 0 dB
-
     def test_models_framed_otherwise_give_error_rows(self, experiment_env,
                                                      trained_models):
         # models recorded at 200/100 and a manifest with no "framing":
@@ -573,6 +554,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("options", [
         {"theta0": 3}, {"theta0": -20.5}, {"fix_theta": None},
         {"fix_theta": 4.5}, {"seed": 0, "jobs": 1}, {"seed": 7, "jobs": 2},
+        {"fix_theta": -15}, {"fix_theta": 15.0},
+        {"seed": np.int64(7), "jobs": np.int64(2)},
     ], ids=repr)
     def test_valid_run_options_accepted(self, options):
         _check_manifest({"theta_grid": [0], "methods": ["vq"],

@@ -70,7 +70,8 @@ class TestGainsFromTheta:
         assert gp.log10_gx == swapped.log10_gv
         assert gp.log10_gv == swapped.log10_gx
 
-    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf, "3", True,
+                                       None])
     def test_nonfinite_theta_rejected(self, unit_ctx, theta):
         with pytest.raises(ValueError, match=f"theta {theta} dB"):
             gains_from_theta(theta, unit_ctx)
@@ -142,7 +143,8 @@ class TestGainContext:
             GainContext(g_y=0.0)
 
     @pytest.mark.parametrize("name", ["g_y", "G0"])
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -1.0,
+                                     "1.0", True, None])
     def test_rejects_nonfinite_or_nonpositive_gains(self, name, bad):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             GainContext(**{"g_y": 1.0, "G0": 1.0, name: bad})

@@ -351,7 +351,8 @@ class TestBaumWelch:
         ({"max_iters": -1}, "max_iters"), ({"max_iters": 2.5}, "max_iters"),
         ({"max_iters": True}, "max_iters"), ({"max_iters": "3"}, "max_iters"),
         ({"rel_tol": np.nan}, "rel_tol"), ({"rel_tol": np.inf}, "rel_tol"),
-        ({"rel_tol": -1e-5}, "rel_tol"),
+        ({"rel_tol": -1e-5}, "rel_tol"), ({"rel_tol": "1e-4"}, "rel_tol"),
+        ({"rel_tol": True}, "rel_tol"), ({"rel_tol": None}, "rel_tol"),
     ], ids=repr)
     def test_bad_settings_rejected_before_any_pass(self, monkeypatch,
                                                    options, match):

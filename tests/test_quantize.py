@@ -96,7 +96,8 @@ class TestTrainLbg:
         ({"K": "4"}, "K must be"), ({"max_iters": 0}, "max_iters"),
         ({"max_iters": -1}, "max_iters"), ({"max_iters": 2.5}, "max_iters"),
         ({"max_iters": True}, "max_iters"), ({"rel_tol": np.nan}, "rel_tol"),
-        ({"rel_tol": -1e-4}, "rel_tol"),
+        ({"rel_tol": -1e-4}, "rel_tol"), ({"rel_tol": "1e-4"}, "rel_tol"),
+        ({"rel_tol": True}, "rel_tol"), ({"rel_tol": None}, "rel_tol"),
     ], ids=repr)
     def test_bad_settings_rejected_before_lloyd(self, monkeypatch, options,
                                                 match):

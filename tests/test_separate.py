@@ -16,13 +16,18 @@ from specsep.gain import THETA_MAX_DB, THETA_MIN_DB
 from specsep.separate import BASELINE_GY_OVER_G0, MEGA_FRAME_SECONDS
 
 from conftest import (CODEBOOK_DEFECTS, HMM_DEFECTS, MODEL_DEFECTS,
-                      malformed, overflowing, random_hmm,
-                      train_speaker_models)
+                      malformed, overflowing, patch_out_decoding,
+                      random_hmm, train_speaker_models)
 
 
 @pytest.fixture
 def ctx():
     return GainContext(g_y=1.0)
+
+
+# every method with the kind of the models it decodes with
+EVERY_METHOD = (("gfhmm", "hmm"), ("gvq", "cb"), ("fhmm", "hmm"),
+                ("vq", "cb"))
 
 
 def mask_pair(proto_x, proto_v, chunks, thetas, ctx):
@@ -316,15 +321,18 @@ class TestSeparatePipeline:
         assert diag["iterations"] == 1
 
     def test_fix_theta_outside_search_interval_rejected(
-            self, framing, trained_models, mixture_setup):
+            self, framing, trained_models, mixture_setup, monkeypatch):
+        # the baselines decode at 0 dB, but refuse the setting too
         x, v = mixture_setup
         y, _, _ = mix_at_tir(x, v, 6.0)
-        for method, kind in (("gfhmm", "hmm"), ("gvq", "cb")):
-            for bad in (20.0, -15.5, float("nan")):
-                with pytest.raises(ValueError, match="fix_theta"):
-                    separate(y, trained_models[f"{kind}_a"],
-                             trained_models[f"{kind}_b"], framing,
-                             method=method, fix_theta=bad)
+        with monkeypatch.context() as patch:
+            patch_out_decoding(patch)
+            for method, kind in EVERY_METHOD:
+                for bad in (20.0, -15.5, float("nan"), 99.0, "3", True):
+                    with pytest.raises(ValueError, match="fix_theta"):
+                        separate(y, trained_models[f"{kind}_a"],
+                                 trained_models[f"{kind}_b"], framing,
+                                 method=method, fix_theta=bad)
         _, _, diag = separate(y, trained_models["cb_a"],
                               trained_models["cb_b"], framing,
                               method="gvq", fix_theta=-15.0)
@@ -347,15 +355,18 @@ class TestSeparatePipeline:
                      **options)
 
     def test_nonfinite_theta0_rejected(self, framing, trained_models,
-                                       mixture_setup):
+                                       mixture_setup, monkeypatch):
+        # a fixed theta and the baselines ignore theta0, but refuse it too
+        patch_out_decoding(monkeypatch)
         x, v = mixture_setup
         y, _, _ = mix_at_tir(x, v, 6.0)
-        for method, kind in (("gfhmm", "hmm"), ("gvq", "cb")):
-            for bad in (float("nan"), float("inf")):
-                with pytest.raises(ValueError, match="theta0"):
-                    separate(y, trained_models[f"{kind}_a"],
-                             trained_models[f"{kind}_b"], framing,
-                             method=method, theta0=bad)
+        for method, kind in EVERY_METHOD:
+            for fixed in ({}, {"fix_theta": 2.0}):
+                for bad in (float("nan"), float("inf"), "3", True, None):
+                    with pytest.raises(ValueError, match="theta0"):
+                        separate(y, trained_models[f"{kind}_a"],
+                                 trained_models[f"{kind}_b"], framing,
+                                 method=method, theta0=bad, **fixed)
 
     def test_mega_frames_on_long_mixture(self, framing, speaker_generators,
                                          trained_models):
@@ -490,7 +501,8 @@ class TestSeparatePipeline:
         x, v = mixture_setup
         y, _, _ = mix_at_tir(x, v, 0.0)
         models = (trained_models["cb_a"], trained_models["cb_b"])
-        for bad in (0.004, -1.0, math.inf, math.nan):
+        # None and 0 are one window; False is a bool, not 0
+        for bad in (0.004, -1.0, math.inf, math.nan, "2", True, False):
             with pytest.raises(ValueError, match="mega_frame_seconds"):
                 separate(y, *models, framing, method="gvq", max_outer=1,
                          mega_frame_seconds=bad)

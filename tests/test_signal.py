@@ -157,6 +157,10 @@ class TestAudioSignal:
         (np.zeros((2, 10)), 8000, "mono required"),
         (np.zeros(10), 0, "sample_rate must be positive"),
         (np.zeros(10), -8000, "sample_rate must be positive"),
+        (np.zeros(10), "8000", "sample_rate must be positive"),
+        (np.zeros(10), True, "sample_rate must be positive"),
+        (np.zeros(10), None, "sample_rate must be positive"),
+        (np.zeros(10), 8000.5, "sample_rate must be positive"),
     ])
     def test_bad_signal_rejected(self, samples, rate, match):
         with pytest.raises(ValueError, match=match):
@@ -225,6 +229,17 @@ class TestConfigValidation:
     def test_frame_longer_than_dft_rejected(self):
         with pytest.raises(ValueError):
             FramingConfig(frame_len=512, hop=80, dft_size=256)
+
+    # hop=True would frame at hop 1, 3,745 frames from 0.5 s at 8 kHz
+    @pytest.mark.parametrize("setting", [
+        {"hop": "80"}, {"hop": True}, {"hop": None}, {"hop": 80.0},
+        {"frame_len": "256"}, {"hop": 1, "frame_len": True},
+        {"frame_len": None}, {"dft_size": "256"},
+        {"hop": 1, "frame_len": 1, "dft_size": True}, {"dft_size": None},
+    ], ids=repr)
+    def test_setting_that_is_no_count_rejected(self, setting):
+        with pytest.raises(ValueError, match="need 0 < hop <= frame_len"):
+            FramingConfig(**setting)
 
     def test_log_spectra_matches_per_frame(self, cfg):
         sig = noise_signal(1200, seed=9)

@@ -1,6 +1,6 @@
 """Print the size of the specsep package: total lines, code-only lines and
-the number of public names; with --names, the public names instead, one
-per line.
+the number of public names, then each module's code-only lines; with
+--names, the public names instead, one per line.
 
 Code-only lines skip blank lines, comment lines, and the lines of module,
 class and function docstrings.  Public names are the names in
@@ -44,10 +44,12 @@ def main(argv):
     args = [a for a in argv[1:] if a != "--names"]
     package = Path(args[0] if args else "src/specsep")
     total = code = 0
+    per_module = []
     for path in sorted(package.rglob("*.py")):
         t, c = file_size(path)
         total += t
         code += c
+        per_module.append((path.relative_to(package).as_posix(), c))
     sys.path.insert(0, str(package.parent))
     module = importlib.import_module(package.name)
     public = [name for name in dir(module) if not name.startswith("_")]
@@ -57,6 +59,8 @@ def main(argv):
     print(f"total lines: {total}")
     print(f"code-only lines: {code}")
     print(f"public names: {len(public)}")
+    for name, c in per_module:
+        print(f"  {name}: {c}")
 
 
 if __name__ == "__main__":
