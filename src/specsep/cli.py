@@ -18,7 +18,7 @@ from .gain import estimate_gy
 from .models import (BW_DEFAULT_MAX_ITERS, BW_DEFAULT_REL_TOL,
                      ModelMismatchError, _check_em_settings, baum_welch,
                      init_hmm_from_codebook, load_model, save_model)
-from .quantize import train_lbg
+from .quantize import _check_size, train_lbg
 from .separate import METHODS, separate
 from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
                      log_spectra, read_wav, write_wav)
@@ -65,6 +65,8 @@ def cmd_mix(args):
 
 
 def cmd_train(args):
+    # before any clip is read and its log spectra computed
+    _check_size(args.states)
     if args.kind == "hmm":
         # before the codebook, which takes as long as a whole VQ training
         _check_em_settings(args.tol, args.max_iters)
@@ -89,22 +91,18 @@ def cmd_train(args):
     print(f"training on {len(utterances)} utterances, "
           f"{vectors.shape[0]} frames, K={args.states}")
 
-    meta = {"sample_rate": args.sample_rate, **asdict(cfg)}
-    codebook = train_lbg(vectors, args.states)
-    codebook.meta.update(meta)
-    if args.kind == "vq":
-        save_model(codebook, args.out)
-        print(f"wrote VQ model ({args.states} codevectors) to {args.out}")
-        return EXIT_OK
-
-    init = init_hmm_from_codebook(codebook)
-    model, trace = baum_welch(utterances, init, rel_tol=args.tol,
-                              max_iters=args.max_iters)
-    for i, ll in enumerate(trace, start=1):
-        print(f"iteration {i}: log-likelihood {ll:.4f}")
-    model.meta.update(meta)
+    model = train_lbg(vectors, args.states)
+    # the HMM copies the codebook's meta
+    model.meta.update(sample_rate=args.sample_rate, **asdict(cfg))
+    what = f"VQ model ({args.states} codevectors)"
+    if args.kind == "hmm":
+        model, trace = baum_welch(utterances, init_hmm_from_codebook(model),
+                                  rel_tol=args.tol, max_iters=args.max_iters)
+        for i, ll in enumerate(trace, start=1):
+            print(f"iteration {i}: log-likelihood {ll:.4f}")
+        what = f"HMM model ({args.states} states)"
     save_model(model, args.out)
-    print(f"wrote HMM model ({args.states} states) to {args.out}")
+    print(f"wrote {what} to {args.out}")
     return EXIT_OK
 
 

@@ -153,9 +153,11 @@ def parallel_viterbi(y_seq, lambda_x, lambda_v, theta, ctx):
     outer rounds, so one Viterbi pass over the whole sequence.
 
     theta must be finite and lie in [THETA_MIN_DB, THETA_MAX_DB], else
-    ValueError.  Returns a DecodeResult whose theta_hat echoes the input,
-    whose logprob is the exact maximum of the joint path likelihood, and
-    whose iterations is 0, as for every zero-round decode.
+    ValueError, and a model that fails its validate() raises
+    ModelMismatchError, before any decode.  Returns a DecodeResult whose
+    theta_hat echoes the input, whose logprob is the exact maximum of the
+    joint path likelihood, and whose iterations is 0, as for every
+    zero-round decode.
     """
     _check_theta(theta, "theta")
     return gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=theta,
@@ -170,7 +172,8 @@ def brute_force_decode(y_seq, lambda_x, lambda_v, theta, ctx):
     lexicographically smallest (path_x, path_v).  Only the decode step
     differs from parallel_viterbi's: the same zero-round loop (_alternate)
     checks the input (a theta outside [THETA_MIN_DB, THETA_MAX_DB] raises
-    ValueError) and returns the mask along the paths and 0 iterations.
+    ValueError, a malformed model ModelMismatchError) and returns the mask
+    along the paths and 0 iterations.
     """
     _check_theta(theta, "theta")
 
@@ -333,11 +336,12 @@ def _alternate(decode, models, prototype, y_seq, ctx, theta0, outer_tol,
     one in which no theta moved by outer_tol or more.  So a run of n
     rounds makes n + 1 decodes, and the paths and score always belong to
     the returned thetas.  The target mask is built from the means along
-    the final paths at the final thetas (_target_mask).  Frames that do
-    not fit the models (mixmax._check_pair), then settings that _check_loop
-    or mega_frame_slices refuses, raise ValueError before any decode, and
-    theta0 is clamped into [THETA_MIN_DB, THETA_MAX_DB].  A non-finite
-    decoder score raises NumericError.
+    the final paths at the final thetas (_target_mask).  Before any
+    decode, a model that fails its validate() raises ModelMismatchError,
+    and frames that do not fit the models (mixmax._check_pair), then
+    settings that _check_loop or mega_frame_slices refuses, raise
+    ValueError; theta0 is clamped into [THETA_MIN_DB, THETA_MAX_DB].  A
+    non-finite decoder score raises NumericError.
     """
     y_seq = _check_pair(y_seq, *models)
     prototypes = tuple(prototype(m) for m in models)
@@ -398,7 +402,9 @@ def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
     frames_per_chunk, when given, splits the frames into windows of about
     that many (mega_frame_slices); theta is estimated independently per
     window while the Viterbi pass always spans the full sequence.  The
-    result's mask_x compares the state means along the final paths.
+    result's mask_x compares the state means along the final paths.  A
+    model that fails HmmModel.validate raises ModelMismatchError before
+    any decode.
     """
     def decode(y_seq, chunks, thetas):
         b = np.empty((len(y_seq), lambda_x.K, lambda_v.K))
@@ -417,7 +423,8 @@ def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
               max_outer=MAX_OUTER_ITERS, frames_per_chunk=None):
     """VQ counterpart of gfhmm_infer.
 
-    The frames are checked against the codebooks before anything else.
+    The codebooks (Codebook.validate, else ModelMismatchError), then the
+    frames against them, are checked before anything else.
     The decode step picks the best codevector pair per frame (gvq_score);
     the theta step maximizes the path objective along the picked pairs
     with the codevectors as means and unit variances.  That objective is

@@ -23,6 +23,9 @@ SNR_CAP_DB = 100.0
 MANIFEST_KEYS = ("theta_grid", "methods", "models", "pairs", "sample_rate",
                  "framing", "seed", "jobs", "theta0", "fix_theta")
 
+SOURCE_KINDS = ("hmm_sample", "tonal", "filtered_noise")
+SYNTH_KEYS = ("kind", "duration", "speaker", "seed", "model")
+
 CSV_COLUMNS = ["pair_id", "method", "theta_true", "theta_hat", "iterations",
                "snr_target_db", "snr_interf_db", "logprob", "wall_ms",
                "error"]
@@ -113,6 +116,26 @@ def _frames_to_signal(log_frames, cfg, sample_rate, rng):
     return AudioSignal(out, sample_rate)
 
 
+def _check_synth_numbers(what, sample_rate, **synth):
+    """ValueError unless synth's duration, where given, is a finite number
+    of seconds that gives at least one sample at sample_rate, and its
+    speaker and seed, where given, are integers >= 0 (a bool is not one);
+    other keys are not checked.  The numbers of a synthetic source, checked
+    by synth_source and, for each manifest source, by _check_manifest;
+    what starts the message."""
+    if "duration" in synth:
+        duration = synth["duration"]
+        n = duration * sample_rate if _is_real(duration) else np.nan
+        if not (_is_real(n) and round(n) >= 1):
+            raise ValueError(f"{what} duration must be a finite number of "
+                             "seconds giving at least one sample at "
+                             f"{sample_rate} Hz, got {duration!r}")
+    for key in ("speaker", "seed"):
+        if key in synth and not _is_count(synth[key], 0):
+            raise ValueError(f"{what} {key} must be an integer >= 0, got "
+                             f"{synth[key]!r}")
+
+
 def synth_source(kind, model=None, seed=0, duration=2.0,
                  sample_rate=DEFAULT_SAMPLE_RATE, cfg=None, speaker=0):
     """Deterministic synthetic test source.
@@ -123,8 +146,11 @@ def synth_source(kind, model=None, seed=0, duration=2.0,
     ModelMismatchError).  kind "tonal": a sum of harmonics of a
     speaker-specific fundamental, so different speakers occupy disjoint
     DFT bins.  kind "filtered_noise": white noise shaped by a fixed
-    speaker-specific spectral envelope.
+    speaker-specific spectral envelope.  A duration, speaker or seed that
+    _check_synth_numbers refuses raises ValueError before any sampling.
     """
+    _check_synth_numbers("synth_source", sample_rate, duration=duration,
+                         speaker=speaker, seed=seed)
     rng = np.random.default_rng(seed)
     cfg = cfg or FramingConfig()
     n = int(round(duration * sample_rate))
@@ -168,19 +194,45 @@ def synth_source(kind, model=None, seed=0, duration=2.0,
 
 
 def _resolve_source(spec_entry, sample_rate, cfg, default_seed=0):
-    """Materialize one manifest source entry (wav path or synth spec)."""
+    """Materialize one manifest source entry (wav path or synth spec,
+    as _check_source admits)."""
     if "wav" in spec_entry:
         return read_wav(spec_entry["wav"], expected_rate=sample_rate)
-    if "synth" in spec_entry:
-        s = dict(spec_entry["synth"])
-        kind = s.pop("kind")
-        s.setdefault("seed", default_seed)
-        model = None
-        if "model" in s:
-            model = load_model(s.pop("model"))
-        return synth_source(kind, model=model, sample_rate=sample_rate,
-                            cfg=cfg, **s)
-    raise ValueError(f"source entry needs 'wav' or 'synth': {spec_entry}")
+    s = {"seed": default_seed, **spec_entry["synth"]}
+    kind = s.pop("kind")
+    model = load_model(s.pop("model")) if "model" in s else None
+    return synth_source(kind, model=model, sample_rate=sample_rate, cfg=cfg,
+                        **s)
+
+
+def _check_source(entry, what, sample_rate):
+    """ValueError unless entry is an object holding exactly one of "wav", a
+    path string, and "synth", an object whose "kind" is one of
+    SOURCE_KINDS, that holds no key outside SYNTH_KEYS, whose "model" is
+    a path string, required for hmm_sample, and whose numbers
+    _check_synth_numbers admits at sample_rate; what starts the message.
+    A missing WAV file or an unreadable model is left to the run."""
+    if not (isinstance(entry, dict) and len(entry) == 1
+            and (isinstance(entry.get("wav"), str)
+                 or isinstance(entry.get("synth"), dict))):
+        raise ValueError(f"{what} must be an object holding exactly one key, "
+                         "'wav' (a path string) or 'synth' (an object), got "
+                         f"{entry!r}")
+    if "wav" in entry:
+        return
+    synth = entry["synth"]
+    if synth.get("kind") not in SOURCE_KINDS:
+        raise ValueError(f"{what} synth kind {synth.get('kind')!r} is not "
+                         f"one of {', '.join(SOURCE_KINDS)}")
+    for key in synth:
+        if key not in SYNTH_KEYS:
+            raise ValueError(f"{what} synth has unknown key {key!r} (known: "
+                             f"{', '.join(SYNTH_KEYS)})")
+    if (("model" in synth or synth["kind"] == "hmm_sample")
+            and not isinstance(synth.get("model"), str)):
+        raise ValueError(f"{what} synth 'model' must be a path string, got "
+                         f"{synth.get('model')!r}")
+    _check_synth_numbers(what, sample_rate, **synth)
 
 
 def _attempt(fn, *args):
@@ -234,7 +286,8 @@ def _check_manifest(manifest):
     """Raise ValueError unless manifest is an object holding only
     MANIFEST_KEYS, whose required keys
     theta_grid (finite numbers), methods (strings) and pairs hold arrays and
-    models an object, every pair is an object with an id, the ids are all
+    models an object, every pair is an object with an id and target and
+    interf source entries that _check_source admits, the ids are all
     strings or all numbers (not NaN), the optional framing is an object
     holding only FramingConfig fields, sample_rate and each framing setting
     are positive integers, theta0 is a finite number, fix_theta null or a
@@ -275,8 +328,8 @@ def _check_manifest(manifest):
             raise ValueError(f"manifest 'framing' has unknown key {key!r} "
                              f"(known: {', '.join(known)})")
     # int() would run a hop of 80.7 as 80 and one of true as 1
-    _check_settings({**framing, "sample_rate": manifest.get(
-        "sample_rate", DEFAULT_SAMPLE_RATE)}, "manifest")
+    sample_rate = manifest.get("sample_rate", DEFAULT_SAMPLE_RATE)
+    _check_settings({**framing, "sample_rate": sample_rate}, "manifest")
     # int() would run a seed of 1.5 as 1, and a negative seed would fail
     # every synthesized source
     for key, valid, what in (
@@ -294,6 +347,10 @@ def _check_manifest(manifest):
     for idx, entry in enumerate(manifest["pairs"]):
         if not (isinstance(entry, dict) and "id" in entry):
             raise ValueError(f"manifest pair {idx} has no 'id'")
+        # each would otherwise fail every row of the pair
+        for role in ("target", "interf"):
+            _check_source(entry.get(role), f"manifest pair {idx} {role}",
+                          sample_rate)
     # rows sort by pair id, so ids must compare with each other
     ids = [entry["id"] for entry in manifest["pairs"]]
     if not (all(isinstance(i, str) for i in ids)
@@ -330,10 +387,14 @@ def run_experiment(manifest, out_csv, jobs=None):
     other than frame_len, hop and dft_size, a sample_rate or framing
     setting or jobs that is not a positive integer, a seed that is not a
     non-negative integer), a pair without an id, a method that is not one
-    of separate.METHODS or a models object that lacks a path one of the
-    methods needs, or holds one that is not a string, raises ValueError
-    before any run; failing runs land in the CSV with an error column
-    rather than aborting the batch.  Returns a summary dict of
+    of separate.METHODS, a models object that lacks a path one of the
+    methods needs, or holds one that is not a string, or a pair's target
+    or interf source entry that is not one "wav" path string or one
+    "synth" object (a kind of SOURCE_KINDS, no key outside SYNTH_KEYS, a
+    "model" path string, which hmm_sample needs, a finite duration giving
+    at least one sample, a speaker and seed that are integers >= 0)
+    raises ValueError before any run; failing runs land in the CSV with
+    an error column rather than aborting the batch.  Returns a summary dict of
     per-(theta, method) means.
     """
     if isinstance(manifest, (str, bytes, os.PathLike)):
@@ -349,19 +410,14 @@ def run_experiment(manifest, out_csv, jobs=None):
     options = {k: manifest[k] for k in ("theta0", "fix_theta")
                if k in manifest}
 
-    cache = {}   # model path -> the model, or the exception its load raised
+    def load_pair(kind):
+        return tuple(load_model(manifest["models"][f"{kind}_{role}"])
+                     for role in "xv")
 
-    def load_pair(method):
-        kind = model_kind(method)
-        paths = [manifest["models"][f"{kind}_{role}"] for role in "xv"]
-        for path in paths:
-            if path not in cache:
-                cache[path] = _attempt(load_model, path)
-        pair = tuple(cache[path] for path in paths)
-        return next((m for m in pair if isinstance(m, Exception)), pair)
-
-    # method -> (model_x, model_v), or the exception to report
-    models = {method: load_pair(method) for method in methods}
+    # model kind -> (model_x, model_v), or the exception that the first
+    # failing load raised; each kind loads once, in first-use order
+    models = {kind: _attempt(load_pair, kind)
+              for kind in dict.fromkeys(map(model_kind, methods))}
 
     default_seed = int(manifest.get("seed", 0))
 
@@ -374,7 +430,7 @@ def run_experiment(manifest, out_csv, jobs=None):
     pairs = [(entry["id"], _attempt(load_sources, idx, entry))
              for idx, entry in enumerate(manifest["pairs"])]
 
-    tasks = [(pair_id, sources, theta, method, models[method])
+    tasks = [(pair_id, sources, theta, method, models[model_kind(method)])
              for pair_id, sources in pairs
              for theta in theta_grid for method in methods]
     with ThreadPoolExecutor(max_workers=manifest.get("jobs", 1)) as pool:

@@ -15,8 +15,11 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 def _check_pair(y_seq, model_x, model_v):
     """y_seq as a float64 (R, dim) array, R >= 1, whose dim both models
-    share; ValueError otherwise, naming the shape of an array that is not
-    2-D and "empty input" for R = 0."""
+    share.  Each model's validate() runs first, so a malformed model raises
+    models.ModelMismatchError; then a ValueError names the shape of frames
+    that are not 2-D, or "empty input" for R = 0."""
+    model_x.validate()
+    model_v.validate()
     y_seq = np.asarray(y_seq, dtype=np.float64)
     if y_seq.ndim != 2:
         raise ValueError(f"frames must be an (R, dim) array, got shape "

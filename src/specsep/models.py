@@ -54,7 +54,9 @@ def _check_finite(values, what):
     finite = np.isfinite(values)
     if not finite.all():
         at = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise ValueError(f"{what} {at} is {values[at]}, not a finite number")
+        # a position in a 1-D array is named by its bare index
+        raise ValueError(f"{what} {at[0] if len(at) == 1 else at} is "
+                         f"{values[at]}, not a finite number")
 
 
 @dataclass
@@ -148,7 +150,7 @@ def init_hmm_from_codebook(cb):
         pi=np.log(pi),
         trans=np.log(trans),
         means=cb.codevectors.copy(),
-        vars=np.maximum(cb.cluster_variances, VARIANCE_FLOOR),
+        vars=cb.cluster_variances.copy(),
         meta=dict(cb.meta),
     )
 
@@ -296,7 +298,8 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
     max_iters that is not an integer >= 0 (a bool is not one), a rel_tol
     that is not a finite number >= 0, an utterance that is not a 2-D
     array or a frame value that is not a finite number raises ValueError
-    before any EM pass.
+    before any EM pass, as an init that fails HmmModel.validate or does not
+    match the frames' dimension raises ModelMismatchError.
     """
     _check_em_settings(rel_tol, max_iters)
     utterances = [np.asarray(u, dtype=np.float64) for u in utterances]
@@ -311,6 +314,7 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
     dim = utterances[0].shape[1]
     if any(u.shape[1] != dim for u in utterances):
         raise ValueError("inconsistent frame dimensions across utterances")
+    init.validate()
     if init.dim != dim:
         raise ModelMismatchError(
             f"model dimension {init.dim} does not match frames ({dim})")

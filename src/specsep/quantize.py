@@ -67,18 +67,22 @@ def _nearest(frames, centers):
     return index, dist
 
 
-def _lloyd(vectors, codevectors, max_iters, rel_tol, trace=None):
+def _lloyd(vectors, codevectors, max_iters, rel_tol, distortion_trace=None):
     """Lloyd iterations at fixed codebook size; distortion never increases.
 
     Empty cells are repaired by moving their centroid to the vector
-    farthest from the centroid of the most populous cluster.
+    farthest from the centroid of the most populous cluster.  When
+    distortion_trace is a list, appends one list to it, the mean
+    distortion at each iteration.
     """
+    level = []
+    if distortion_trace is not None:
+        distortion_trace.append(level)
     prev = np.inf
     for _ in range(max_iters):
         labels, dist = _nearest(vectors, codevectors)
         distortion = float(np.mean(dist))
-        if trace is not None:
-            trace.append(distortion)
+        level.append(distortion)
         counts = np.bincount(labels, minlength=codevectors.shape[0])
         new_cb = codevectors.copy()
         for i in range(codevectors.shape[0]):
@@ -92,6 +96,14 @@ def _lloyd(vectors, codevectors, max_iters, rel_tol, trace=None):
             break
         prev = distortion
     return codevectors
+
+
+def _check_size(K):
+    """ValueError unless K is an integer power of two (a bool is no
+    integer, a numpy integer is one): train_lbg's codebook size, checked by
+    train_lbg and, before it reads any clip, by `specsep train`."""
+    if not _is_count(K, 1) or (K & (K - 1)) != 0:
+        raise ValueError(f"K must be an integer power of two, got {K!r}")
 
 
 def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
@@ -118,8 +130,7 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError("need a non-empty (N, dim) array of vectors")
-    if not _is_count(K, 1) or (K & (K - 1)) != 0:
-        raise ValueError(f"K must be an integer power of two, got {K!r}")
+    _check_size(K)
     if not _is_count(max_iters, 1):
         raise ValueError("max_iters must be an integer >= 1, "
                          f"got {max_iters!r}")
@@ -129,20 +140,15 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
         raise ValueError(f"too few vectors ({vectors.shape[0]}) for K={K}")
     _check_finite(vectors, "training vector, bin")
 
-    def level_trace():
-        if distortion_trace is None:
-            return None
-        distortion_trace.append([])
-        return distortion_trace[-1]
-
+    # refine each level, then split it until K entries exist
     codevectors = vectors.mean(axis=0, keepdims=True)
-    codevectors = _lloyd(vectors, codevectors, max_iters, rel_tol,
-                         level_trace())
-    while codevectors.shape[0] < K:
+    while True:
+        codevectors = _lloyd(vectors, codevectors, max_iters, rel_tol,
+                             distortion_trace)
+        if codevectors.shape[0] == K:
+            break
         codevectors = np.vstack([codevectors + SPLIT_DELTA,
                                  codevectors - SPLIT_DELTA])
-        codevectors = _lloyd(vectors, codevectors, max_iters, rel_tol,
-                             level_trace())
 
     labels, _ = _nearest(vectors, codevectors)
     variances = np.empty_like(codevectors)
@@ -162,8 +168,10 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     maximum is nearest in squared error; ties pick the smallest target
     index, then the smallest interference index.  Returns (idx_x, idx_v, Q)
     where Q is the negated total cost; Q <= 0, with equality only when
-    every frame is exactly representable.  Frames that are empty or do not
-    match the codebooks' dimension raise ValueError.
+    every frame is exactly representable.  A codebook that fails
+    Codebook.validate raises ModelMismatchError, and frames that are empty
+    or do not match the codebooks' dimension raise ValueError, before any
+    scoring.
 
     The (K_x * K_v, dim) pair maxima m are formed once (mixmax_combine),
     and each frame's nearest is found among them by the search LBG uses

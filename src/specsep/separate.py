@@ -5,11 +5,9 @@ mixture."""
 import math
 from dataclasses import asdict
 
-import numpy as np
-
 from . import decode as _decode
 from .gain import GainContext, _check_theta, estimate_gy
-from .models import Codebook, HmmModel, ModelMismatchError
+from .models import Codebook, HmmModel, ModelMismatchError, _check_finite
 # perfbench's traced run patches this name here; keep it bound
 from .quantize import gvq_score  # noqa: F401
 from .signal import _is_real, apply_masks_and_reconstruct, log_spectra
@@ -99,16 +97,12 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
                 f"configured {cfg.n_bins} bins")
         for key, value in setting.items():
             recorded = m.meta.get(key)
-            if recorded is not None and int(recorded) != value:
+            if recorded is not None and recorded != value:
                 raise ModelMismatchError(
                     f"{role} model was trained with {key}={recorded} but "
                     f"the mixture is separated with {key}={value}")
 
-    finite = np.isfinite(mixture.samples)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        raise ValueError(f"mixture sample {first} is "
-                         f"{mixture.samples[first]}, not a finite number")
+    _check_finite(mixture.samples, "mixture sample")
 
     # None and 0 seconds mean one window
     frames_per_chunk = None

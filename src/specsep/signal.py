@@ -150,12 +150,17 @@ def apply_masks_and_reconstruct(mixture, masks_x, masks_v, cfg):
     analysis*synthesis window envelope (floored at 1e-3) so that all-ones
     masks reconstruct the input essentially exactly away from the edges.
 
-    Returns (x_hat, v_hat) as AudioSignals of length (R-1)*hop + frame_len.
+    Masks that are not 2-D, or whose frame or bin count does not match,
+    raise ValueError.  Returns (x_hat, v_hat) as AudioSignals of length
+    (R-1)*hop + frame_len.
     """
     spec = _analyze(mixture, cfg)
     R = spec.shape[0]
     masks_x = np.asarray(masks_x, dtype=np.float64)
     masks_v = np.asarray(masks_v, dtype=np.float64)
+    if masks_x.ndim != 2 or masks_v.ndim != 2:
+        raise ValueError(f"masks must be (frames, bins) arrays, got shapes "
+                         f"{masks_x.shape} and {masks_v.shape}")
     if masks_x.shape[0] != R or masks_v.shape[0] != R:
         raise ValueError(
             f"mask count ({masks_x.shape[0]}, {masks_v.shape[0]}) does not "

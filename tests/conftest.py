@@ -123,6 +123,32 @@ MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
                     "non_string_model_path", "outside_fix_theta",
                     "nan_pair_id")
 
+# a pair's interf source entry with one defect planted; each would
+# otherwise fail every row of the pair
+BROKEN_SOURCES = {
+    "source_without_wav_or_synth": {"wave": "v.wav"},
+    "source_with_wav_and_synth": {"wav": "v.wav",
+                                  "synth": {"kind": "tonal"}},
+    "non_string_wav": {"wav": 3},
+    "scalar_synth": {"synth": "tonal"},
+    "null_interf": None,
+    "unknown_synth_kind": {"synth": {"kind": "speech"}},
+    "misspelt_synth_key": {"synth": {"kind": "tonal", "duratoin": 1.0}},
+    "hmm_sample_without_model": {"synth": {"kind": "hmm_sample"}},
+    "non_string_synth_model": {"synth": {"kind": "hmm_sample",
+                                         "model": ["v.ssm"]}},
+    "negative_synth_duration": {"synth": {"kind": "tonal", "duration": -1}},
+    "nan_synth_duration": {"synth": {"kind": "tonal",
+                                     "duration": float("nan")}},
+    "boolean_synth_duration": {"synth": {"kind": "tonal", "duration": True}},
+    # half a sample at the default 8 kHz rounds to none
+    "sub_sample_synth_duration": {"synth": {"kind": "tonal",
+                                            "duration": 0.5 / 8000}},
+    "negative_synth_speaker": {"synth": {"kind": "tonal", "speaker": -1}},
+    "fractional_synth_seed": {"synth": {"kind": "tonal", "seed": 1.5}},
+}
+MANIFEST_DEFECTS += tuple(BROKEN_SOURCES)
+
 
 def patch_out_decoding(monkeypatch):
     """Patch both decode kernels to fail, for checks that must raise
@@ -151,6 +177,9 @@ def broken_manifest(defect):
     if defect == "nan_pair_id":
         return {**manifest, "pairs": [{**manifest["pairs"][0], "id": i}
                                       for i in (0, float("nan"))]}
+    if defect in BROKEN_SOURCES:
+        return {**manifest, "pairs": [{**manifest["pairs"][0],
+                                       "interf": BROKEN_SOURCES[defect]}]}
     if defect == "mixed_methods":
         return {**manifest, "methods": ["vq", 3]}
     if defect == "null_theta":

@@ -218,11 +218,18 @@ class TestTrain:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_states_exits_1(self, speaker_dirs):
+    def test_bad_states_exits_1(self, speaker_dirs, capsys, monkeypatch):
+        # refused before any clip is read and its log spectra computed
+        def no_read(*args, **kwargs):
+            raise AssertionError("read a clip before checking K")
+
+        monkeypatch.setattr("specsep.cli.read_wav", no_read)
         rc = main(["train", "--kind", "vq", "--speaker-dir",
                    str(speaker_dirs["dirs"]["a"]), "--states", "3",
                    "--out", str(speaker_dirs["tmp"] / "no.ssm")])
         assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: K must be an integer power of two, got 3\n")
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specsep import (GainContext, HmmModel, brute_force_decode,
-                     gains_from_theta, gfhmm_infer, gvq_infer,
-                     log_b_table, maximize_theta, parallel_viterbi)
+from specsep import (GainContext, HmmModel, ModelMismatchError,
+                     brute_force_decode, gains_from_theta, gfhmm_infer,
+                     gvq_infer, log_b_table, maximize_theta,
+                     parallel_viterbi)
 from specsep import decode
 from specsep.decode import (MAX_OUTER_ITERS, NumericError,
                             _viterbi_from_table, mega_frame_slices)
@@ -16,7 +17,8 @@ from specsep.gain import THETA_MAX_DB, THETA_MIN_DB
 from specsep.mixmax import mixmax_combine
 from specsep.quantize import Codebook, gvq_score
 
-from conftest import (backpointer_viterbi, log_b_jk, naive_viterbi_deltas,
+from conftest import (CODEBOOK_DEFECTS, HMM_DEFECTS, backpointer_viterbi,
+                      log_b_jk, malformed, naive_viterbi_deltas,
                       patch_out_decoding, path_loglik,
                       planted_path_objective, random_hmm,
                       sampled_feature_mixture, shared_variance_hmm,
@@ -646,6 +648,47 @@ def undecodable(ctx, monkeypatch):
     patch_out_decoding(monkeypatch)
     return [lambda **options: gfhmm_infer(y, mx, mv, ctx, **options),
             lambda **options: gvq_infer(y, cb_x, cb_v, ctx, **options)]
+
+
+# each public decoder: the model kind it takes, and a call on frames, the
+# two models and a gain context
+DECODERS = {
+    "gfhmm_infer": ("hmm", lambda y, mx, mv, ctx: gfhmm_infer(y, mx, mv, ctx)),
+    "parallel_viterbi": ("hmm", lambda y, mx, mv, ctx:
+                         parallel_viterbi(y, mx, mv, 0.0, ctx)),
+    "brute_force_decode": ("hmm", lambda y, mx, mv, ctx:
+                           brute_force_decode(y, mx, mv, 0.0, ctx)),
+    "gvq_infer": ("vq", lambda y, mx, mv, ctx: gvq_infer(y, mx, mv, ctx)),
+    "gvq_score": ("vq", lambda y, mx, mv, ctx: gvq_score(y, mx, mv, 0.0,
+                                                         ctx)),
+}
+
+
+@pytest.mark.parametrize("decoder, defect, role", [
+    (decoder, defect, role) for decoder, (kind, _) in DECODERS.items()
+    for defect in (HMM_DEFECTS if kind == "hmm" else CODEBOOK_DEFECTS)
+    for role in ("target", "interference")])
+def test_malformed_model_rejected_before_any_work(ctx, monkeypatch, decoder,
+                                                  defect, role):
+    # a NaN codevector would otherwise never be picked, and gvq_infer and
+    # gvq_score would return a finite score
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a malformed model")
+
+    for name in ("specsep.decode.log_b_table",
+                 "specsep.decode._viterbi_from_table",
+                 "specsep.decode.gvq_score",
+                 "specsep.quantize.mixmax_combine"):
+        monkeypatch.setattr(name, no_work)
+    rng = np.random.default_rng(29)
+    models = [random_hmm(rng, 2, 6), random_hmm(rng, 2, 6)]
+    kind, call = DECODERS[decoder]
+    if kind == "vq":
+        models = [Codebook(m.means, m.vars, np.ones(m.K)) for m in models]
+    which = 0 if role == "target" else 1
+    models[which] = malformed(models[which], defect)
+    with pytest.raises(ModelMismatchError):
+        call(rng.normal(0, 1, (3, 6)), *models, ctx)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "3", True, None])

@@ -194,6 +194,17 @@ class TestSynthSource:
         with pytest.raises(ValueError, match="unknown source kind"):
             synth_source("square_wave", seed=0)
 
+    @pytest.mark.parametrize("options", [
+        {"duration": True}, {"duration": -1}, {"duration": np.nan},
+        {"duration": np.inf}, {"duration": 1e-5}, {"duration": "1"},
+        {"speaker": -1}, {"speaker": 1.0}, {"seed": -1}, {"seed": True},
+    ], ids=repr)
+    def test_bad_numbers_rejected(self, options):
+        # a duration of True would give a 1 s clip
+        key = next(iter(options))
+        with pytest.raises(ValueError, match=f"synth_source {key} must be"):
+            synth_source("tonal", **options)
+
 
 @pytest.fixture(scope="module")
 def experiment_env(tmp_path_factory, framing, speaker_generators,
@@ -269,26 +280,6 @@ class TestRunExperiment:
         assert all(r["error"] == "" for r in good)
         assert all(r["error"] != "" for r in bad)
         assert all(r["snr_target_db"] == "" for r in bad)
-
-    def test_source_without_wav_or_synth_gives_error_rows(
-            self, experiment_env):
-        env = experiment_env
-        entry = {**env["pair_entry"](1), "interf": {"path": "v.wav"}}
-        manifest = {
-            "sample_rate": 8000,
-            "theta_grid": [0, 6],
-            "methods": ["vq"],
-            "models": env["paths"],
-            "pairs": [entry],
-        }
-        out_csv = env["tmp"] / "no_source.csv"
-        assert run_experiment(manifest, out_csv) == {}
-        with open(out_csv, newline="") as f:
-            rows = list(csv.DictReader(f))
-        assert len(rows) == 2
-        for row in rows:
-            assert row["error"].startswith(
-                "ValueError: source entry needs 'wav' or 'synth'")
 
     def test_models_framed_otherwise_give_error_rows(self, experiment_env,
                                                      trained_models):

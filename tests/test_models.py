@@ -366,6 +366,28 @@ class TestBaumWelch:
         with pytest.raises(ValueError, match=match):
             baum_welch([np.zeros((5, 3))], init, **options)
 
+    @pytest.mark.parametrize("defect", HMM_DEFECTS + ("all_variances_1e-300",
+                                                      "pi_one_short"))
+    def test_malformed_init_rejected_before_any_pass(self, monkeypatch,
+                                                     defect):
+        # a NaN mean would return a NaN model and trace, variances of 1e-300
+        # a first log-likelihood of -3.8e302, and a short pi a numpy
+        # broadcast error from inside the pass
+        def no_pass(*args):
+            raise AssertionError("ran an EM pass before checking")
+
+        monkeypatch.setattr("specsep.models._forward_backward", no_pass)
+        init = random_hmm(np.random.default_rng(3), K=4, dim=3)
+        if defect == "all_variances_1e-300":
+            init = dataclasses.replace(init, vars=np.full((4, 3), 1e-300))
+        elif defect == "pi_one_short":
+            init = dataclasses.replace(init, pi=np.log(np.full(3, 1 / 3)))
+        else:
+            init = malformed(init, defect)
+        frames = np.random.default_rng(4).normal(0, 1, (50, 3))
+        with pytest.raises(ModelMismatchError):
+            baum_welch([frames], init)
+
     @pytest.mark.parametrize("max_iters", [0, np.int64(0)], ids=repr)
     def test_zero_iterations_run_no_pass(self, monkeypatch, max_iters):
         def no_pass(*args):

@@ -144,6 +144,10 @@ class TestMaskingReconstruction:
         bad = np.ones((R, cfg.n_bins - 1))
         with pytest.raises(ValueError, match="DFT bins"):
             apply_masks_and_reconstruct(sig, bad, bad, cfg)
+        # a 1-D mask of the frame count has no bin axis at all
+        flat = np.ones(R)
+        with pytest.raises(ValueError, match=r"\(frames, bins\) arrays"):
+            apply_masks_and_reconstruct(sig, flat, flat, cfg)
 
     def test_frame_count_mismatch_rejected(self, cfg):
         sig = noise_signal(1000)
