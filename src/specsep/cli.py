@@ -109,11 +109,15 @@ def cmd_train(args):
 def cmd_separate(args):
     model_x = load_model(args.model_x)
     model_v = load_model(args.model_v)
-    # separate() checks both models' kind, dimension and recorded framing
-    cfg = FramingConfig.from_meta(model_x.meta)
-    mixture = read_wav(args.mixture)
+    # separate() checks both models' kind and recorded framing, and its
+    # decoder their dimension; a recorded framing with no FramingConfig
+    # (a hop beyond frame_len) is a bad model file
+    try:
+        cfg = FramingConfig.from_meta(model_x.meta)
+    except ValueError as exc:
+        raise ModelMismatchError(f"{args.model_x}: {exc}") from None
     x_hat, v_hat, diag = separate(
-        mixture, model_x, model_v, cfg, method=args.method,
+        read_wav(args.mixture), model_x, model_v, cfg, method=args.method,
         theta0=args.theta0, fix_theta=args.fix_theta)
     write_wav(args.out_x, x_hat)
     write_wav(args.out_v, v_hat)

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gain import THETA_MAX_DB, THETA_MIN_DB, _check_theta, gains_from_theta
-from .mixmax import (_check_pair, dominant, log_b_table,
-                     path_emission_loglik)
+from .mixmax import dominant, log_b_table, path_emission_loglik
+from .models import _check_fit
 from .quantize import gvq_score
 from .signal import _is_count, _is_real
 
@@ -337,13 +337,14 @@ def _alternate(decode, models, prototype, y_seq, ctx, theta0, outer_tol,
     rounds makes n + 1 decodes, and the paths and score always belong to
     the returned thetas.  The target mask is built from the means along
     the final paths at the final thetas (_target_mask).  Before any
-    decode, a model that fails its validate() raises ModelMismatchError,
-    and frames that do not fit the models (mixmax._check_pair), then
-    settings that _check_loop or mega_frame_slices refuses, raise
-    ValueError; theta0 is clamped into [THETA_MIN_DB, THETA_MAX_DB].  A
-    non-finite decoder score raises NumericError.
+    decode, models._check_fit checks the models and the frames (a model
+    that fails its validate() or does not match the frames' bin count
+    raises ModelMismatchError, frames that are not 2-D or empty
+    ValueError), then settings that _check_loop or mega_frame_slices
+    refuses raise ValueError; theta0 is clamped into [THETA_MIN_DB,
+    THETA_MAX_DB].  A non-finite decoder score raises NumericError.
     """
-    y_seq = _check_pair(y_seq, *models)
+    y_seq = _check_fit(y_seq, *models)
     prototypes = tuple(prototype(m) for m in models)
     _check_loop(theta0, outer_tol, max_outer)
     chunks = mega_frame_slices(len(y_seq), frames_per_chunk)
@@ -403,8 +404,8 @@ def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
     that many (mega_frame_slices); theta is estimated independently per
     window while the Viterbi pass always spans the full sequence.  The
     result's mask_x compares the state means along the final paths.  A
-    model that fails HmmModel.validate raises ModelMismatchError before
-    any decode.
+    model that fails HmmModel.validate or does not match the frames' bin
+    count raises ModelMismatchError before any decode.
     """
     def decode(y_seq, chunks, thetas):
         b = np.empty((len(y_seq), lambda_x.K, lambda_v.K))
@@ -423,8 +424,9 @@ def gvq_infer(y_seq, cb_x, cb_v, ctx, theta0=0.0, outer_tol=OUTER_TOL_DB,
               max_outer=MAX_OUTER_ITERS, frames_per_chunk=None):
     """VQ counterpart of gfhmm_infer.
 
-    The codebooks (Codebook.validate, else ModelMismatchError), then the
-    frames against them, are checked before anything else.
+    The frames and the codebooks (models._check_fit: Codebook.validate and
+    the bin count, else ModelMismatchError) are checked before anything
+    else.
     The decode step picks the best codevector pair per frame (gvq_score);
     the theta step maximizes the path objective along the picked pairs
     with the codevectors as means and unit variances.  That objective is

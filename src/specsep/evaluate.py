@@ -290,11 +290,12 @@ def _check_manifest(manifest):
     interf source entries that _check_source admits, the ids are all
     strings or all numbers (not NaN), the optional framing is an object
     holding only FramingConfig fields, sample_rate and each framing setting
-    are positive integers, theta0 is a finite number, fix_theta null or a
+    are positive integers, the framing makes a FramingConfig (0 < hop <=
+    frame_len <= dft_size), theta0 is a finite number, fix_theta null or a
     number in [-15, 15] dB (gain._check_theta), seed a
     non-negative integer, jobs a positive integer, every method is
     one of separate.METHODS and models holds the two model paths of each
-    method's kind as strings."""
+    method's kind as strings.  Returns its sample_rate and FramingConfig."""
     if not isinstance(manifest, dict):
         raise ValueError("manifest must be a JSON object, got "
                          f"{type(manifest).__name__}")
@@ -330,6 +331,10 @@ def _check_manifest(manifest):
     # int() would run a hop of 80.7 as 80 and one of true as 1
     sample_rate = manifest.get("sample_rate", DEFAULT_SAMPLE_RATE)
     _check_settings({**framing, "sample_rate": sample_rate}, "manifest")
+    try:
+        cfg = FramingConfig.from_meta(framing)
+    except ValueError as exc:
+        raise ValueError(f"manifest 'framing' {framing}: {exc}") from None
     # int() would run a seed of 1.5 as 1, and a negative seed would fail
     # every synthesized source
     for key, valid, what in (
@@ -367,6 +372,7 @@ def _check_manifest(manifest):
             if not isinstance(manifest["models"].get(key), str):
                 raise ValueError(f"manifest 'models' lacks {key!r}, which "
                                  f"method {method!r} needs as a path string")
+    return sample_rate, cfg
 
 
 def run_experiment(manifest, out_csv, jobs=None):
@@ -383,8 +389,9 @@ def run_experiment(manifest, out_csv, jobs=None):
     the wrong kind (a theta, theta0 or fix_theta that is
     not a finite number, a fix_theta outside [-15, 15] dB,
     a method that is not a string, ids that mix strings and numbers or
-    include NaN, a framing that is not an object or holds a key
-    other than frame_len, hop and dft_size, a sample_rate or framing
+    include NaN, a framing that is not an object, holds a key
+    other than frame_len, hop and dft_size or breaks 0 < hop <= frame_len
+    <= dft_size, a sample_rate or framing
     setting or jobs that is not a positive integer, a seed that is not a
     non-negative integer), a pair without an id, a method that is not one
     of separate.METHODS, a models object that lacks a path one of the
@@ -402,9 +409,7 @@ def run_experiment(manifest, out_csv, jobs=None):
     # the jobs argument is checked as the manifest's "jobs" key is
     if jobs is not None and isinstance(manifest, dict):
         manifest = {**manifest, "jobs": jobs}
-    _check_manifest(manifest)
-    sample_rate = int(manifest.get("sample_rate", DEFAULT_SAMPLE_RATE))
-    cfg = FramingConfig.from_meta(manifest.get("framing", {}))
+    sample_rate, cfg = _check_manifest(manifest)
     theta_grid = [float(t) for t in manifest["theta_grid"]]
     methods = list(manifest["methods"])
     options = {k: manifest[k] for k in ("theta0", "fix_theta")

@@ -1,34 +1,16 @@
-"""The max-combination observation model for log spectra: the check that
-mixture frames fit a model pair, combining clean log-spectral frames under
-gains, the per-bin dominance rule (the larger gain-shifted mean wins, ties
-to the target), the Gaussian kernel (diagonal-Gaussian log-densities of
-frames against a table of centers as one GEMM, for the HMM tables and
-Baum-Welch), and the joint emission log-likelihoods of mixture frames for
-every state pair (log_b_table) or along fixed paths.  The VQ pair costs
+"""The max-combination observation model for log spectra: combining clean
+log-spectral frames under gains, the per-bin dominance rule (the larger
+gain-shifted mean wins, ties to the target), the Gaussian kernel
+(diagonal-Gaussian log-densities of frames against a table of centers as
+one GEMM, for the HMM tables and Baum-Welch), and the joint emission
+log-likelihoods of mixture frames for every state pair (log_b_table) or
+along fixed paths.  The VQ pair costs
 (quantize.gvq_score) score frames against the pair maxima of
 mixmax_combine with quantize's nearest-center search."""
 
 import numpy as np
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-
-def _check_pair(y_seq, model_x, model_v):
-    """y_seq as a float64 (R, dim) array, R >= 1, whose dim both models
-    share.  Each model's validate() runs first, so a malformed model raises
-    models.ModelMismatchError; then a ValueError names the shape of frames
-    that are not 2-D, or "empty input" for R = 0."""
-    model_x.validate()
-    model_v.validate()
-    y_seq = np.asarray(y_seq, dtype=np.float64)
-    if y_seq.ndim != 2:
-        raise ValueError(f"frames must be an (R, dim) array, got shape "
-                         f"{y_seq.shape}")
-    if y_seq.shape[0] == 0:
-        raise ValueError("empty input")
-    if model_x.dim != y_seq.shape[1] or model_v.dim != y_seq.shape[1]:
-        raise ValueError("model dimension does not match frames")
-    return y_seq
 
 
 def mixmax_combine(x, v, gp):

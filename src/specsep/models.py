@@ -1,6 +1,6 @@
-"""Speaker models and their well-formedness checks: diagonal-Gaussian HMMs
-(VQ-based initialization, multi-utterance Baum-Welch training), VQ
-codebooks, and persistence.
+"""Speaker models and their checks (well-formedness, and the fit of frames
+to them): diagonal-Gaussian HMMs (VQ-based initialization, multi-utterance
+Baum-Welch training), VQ codebooks, and persistence.
 
 Log-probability convention: model parameters (pi, trans) and all
 likelihoods are natural-log; the spectral features themselves stay in
@@ -46,6 +46,28 @@ def check_model(model, shapes, variances):
         raise ModelMismatchError(
             f"{variances} has values below {VARIANCE_FLOOR:g}")
     _check_settings(model.meta, "recorded", ModelMismatchError)
+
+
+def _check_fit(frames, *models):
+    """frames as a float64 (R, dim) array, R >= 1, whose dim every model
+    shares: the check before any decode or training pass.  A ValueError
+    names the shape of frames that are not 2-D, or says "empty input" for
+    R = 0; then, model by model, a model that fails its validate() or has
+    another dimension raises ModelMismatchError, whose dimension message
+    names the role of each model of a (target, interference) pair."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2:
+        raise ValueError(f"frames must be an (R, dim) array, got shape "
+                         f"{frames.shape}")
+    if frames.shape[0] == 0:
+        raise ValueError("empty input")
+    roles = ("target ", "interference ") if len(models) == 2 else ("",)
+    for role, model in zip(roles, models):
+        model.validate()
+        if model.dim != frames.shape[1]:
+            raise ModelMismatchError(f"{role}model dimension {model.dim} "
+                                     f"does not match {frames.shape[1]} bins")
+    return frames
 
 
 def _check_finite(values, what):
@@ -314,10 +336,7 @@ def baum_welch(utterances, init, rel_tol=BW_DEFAULT_REL_TOL,
     dim = utterances[0].shape[1]
     if any(u.shape[1] != dim for u in utterances):
         raise ValueError("inconsistent frame dimensions across utterances")
-    init.validate()
-    if init.dim != dim:
-        raise ModelMismatchError(
-            f"model dimension {init.dim} does not match frames ({dim})")
+    _check_fit(utterances[0], init)
 
     K = init.K
     tiny = np.finfo(np.float64).tiny

@@ -8,8 +8,8 @@ doubt."""
 import numpy as np
 
 from .gain import gains_from_theta
-from .mixmax import _check_pair, mixmax_combine
-from .models import VARIANCE_FLOOR, Codebook, _check_finite
+from .mixmax import mixmax_combine
+from .models import VARIANCE_FLOOR, Codebook, _check_finite, _check_fit
 from .signal import _is_count, _is_real
 
 SPLIT_DELTA = 0.01
@@ -168,10 +168,10 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     maximum is nearest in squared error; ties pick the smallest target
     index, then the smallest interference index.  Returns (idx_x, idx_v, Q)
     where Q is the negated total cost; Q <= 0, with equality only when
-    every frame is exactly representable.  A codebook that fails
-    Codebook.validate raises ModelMismatchError, and frames that are empty
-    or do not match the codebooks' dimension raise ValueError, before any
-    scoring.
+    every frame is exactly representable.  Before any scoring,
+    models._check_fit checks the codebooks and the frames: a codebook that
+    fails Codebook.validate or does not match the frames' bin count raises
+    ModelMismatchError, and frames that are not 2-D or empty ValueError.
 
     The (K_x * K_v, dim) pair maxima m are formed once (mixmax_combine),
     and each frame's nearest is found among them by the search LBG uses
@@ -183,7 +183,7 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     g_y / (sqrt(2) G0), so every pair maximum, and with it the score,
     stays finite at any finite theta.
     """
-    y_seq = _check_pair(y_seq, cb_x, cb_v)
+    y_seq = _check_fit(y_seq, cb_x, cb_v)
     pair_max = mixmax_combine(cb_x.codevectors[:, None, :],
                               cb_v.codevectors[None, :, :],
                               gains_from_theta(theta, ctx))

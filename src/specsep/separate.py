@@ -65,12 +65,14 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
         window; any other value that is not a finite number giving at
         least one hop after rounding raises ValueError
 
-    Both models must be of the method's class, pass their validate() and
-    have cfg.n_bins bins, and every setting a model's meta records
-    (sample_rate, frame_len, hop, dft_size) must match the mixture and
-    cfg, else ModelMismatchError.  The two models may differ in size.
-    A mixture with a sample that is not a finite number (NaN or inf)
-    raises ValueError before any decode, for every method.
+    Both models must be of the method's class, and every setting a
+    model's meta records (sample_rate, frame_len, hop, dft_size) must
+    match the mixture and cfg, else ModelMismatchError; the decoder's fit
+    check (models._check_fit) then requires, before any decode, that both
+    pass their validate() and have the frames' cfg.n_bins bins.  The two
+    models may differ in size.  A mixture with a sample that is not a
+    finite number (NaN or inf) raises ValueError before any decode, for
+    every method.
     A non-finite decoder score raises decode.NumericError.
 
     The target keeps the bins of the decoder's mask_x and the
@@ -90,16 +92,11 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
             raise ModelMismatchError(
                 f"method '{method}' needs a {cls.__name__} for the {role} "
                 f"speaker, got {type(m).__name__}")
-        m.validate()
-        if m.dim != cfg.n_bins:
-            raise ModelMismatchError(
-                f"{role} model dimension {m.dim} does not match "
-                f"configured {cfg.n_bins} bins")
         for key, value in setting.items():
             recorded = m.meta.get(key)
             if recorded is not None and recorded != value:
                 raise ModelMismatchError(
-                    f"{role} model was trained with {key}={recorded} but "
+                    f"{role} model was trained with {key}={recorded!r} but "
                     f"the mixture is separated with {key}={value}")
 
     _check_finite(mixture.samples, "mixture sample")

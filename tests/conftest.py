@@ -11,8 +11,8 @@ from specsep import (AudioSignal, FramingConfig, HmmModel, baum_welch,
                      gains_from_theta, init_hmm_from_codebook,
                      mixmax_combine, sample_hmm_frames, save_model,
                      synth_source, train_lbg)
-from specsep.mixmax import (LOG_2PI, _check_pair, log_gauss_table,
-                            path_emission_loglik)
+from specsep.mixmax import LOG_2PI, log_gauss_table, path_emission_loglik
+from specsep.models import _check_fit
 from specsep.signal import log_spectra
 
 
@@ -33,6 +33,10 @@ def malformed(model, defect):
     if defect in ("pi_plus_one", "trans_plus_one"):
         name = defect.partition("_")[0]
         return dataclasses.replace(model, **{name: getattr(model, name) + 1.0})
+    # well formed, but one bin narrower than the frames it is meant for
+    if defect == "one_bin_short":
+        return dataclasses.replace(model, **{name: getattr(model, name)[:, :-1]
+                                             for name in (mean, var)})
     if defect in ("hop_inf", "hop_text"):
         # JSON keeps each value's type: inf loads back as a float, "80" as
         # a string
@@ -121,7 +125,7 @@ MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
                     "huge_theta0", "huge_theta", "unknown_key",
                     "unknown_method", "missing_model_key",
                     "non_string_model_path", "outside_fix_theta",
-                    "nan_pair_id")
+                    "nan_pair_id", "hop_beyond_frame_len")
 
 # a pair's interf source entry with one defect planted; each would
 # otherwise fail every row of the pair
@@ -207,6 +211,9 @@ def broken_manifest(defect):
         return {**manifest, "framing": {"hop": 80.7}}
     if defect == "boolean_hop":
         return {**manifest, "framing": {"hop": True}}
+    # each setting a positive integer, but no FramingConfig has them
+    if defect == "hop_beyond_frame_len":
+        return {**manifest, "framing": {"hop": 300}}
     if defect == "unknown_key":
         return {**manifest, "fix_thetaa": 3}
     if defect == "unknown_method":
@@ -402,7 +409,7 @@ def path_loglik(paths, y_seq, lambda_x, lambda_v, theta, ctx):
     this is the objective that the theta optimizer maximizes.
     """
     path_x, path_v = (np.asarray(p, dtype=np.int64) for p in paths)
-    y_seq = _check_pair(y_seq, lambda_x, lambda_v)
+    y_seq = _check_fit(y_seq, lambda_x, lambda_v)
     R = y_seq.shape[0]
     if path_x.shape != (R,) or path_v.shape != (R,):
         raise ValueError("path length does not match frame count")

@@ -412,6 +412,25 @@ class TestFramingCheck:
             assert "frame_len" in capsys.readouterr().err
             assert not (tmp / "fr_x.wav").exists()
 
+    def test_impossible_recorded_framing_exits_3(self, speaker_dirs,
+                                                 cli_models, mixture_file,
+                                                 capsys):
+        # each setting is a positive integer, so the file loads, but no
+        # framing has a hop beyond its frame length
+        tmp = speaker_dirs["tmp"]
+        model = load_model(cli_models["vq_a"])
+        model.meta["hop"] = 300
+        bad = tmp / "vq_a_hop_300.ssm"
+        save_model(model, bad)
+        rc = main(["separate", "--mixture", str(mixture_file),
+                   "--model-x", str(bad), "--model-v", str(cli_models["vq_b"]),
+                   "--method", "gvq", "--out-x", str(tmp / "hop_x.wav"),
+                   "--out-v", str(tmp / "hop_v.wav")])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {bad}: need 0 < hop <= frame_len <= dft_size"]
+        assert not (tmp / "hop_x.wav").exists()
+
 
 class TestEvaluateReport:
     def test_round_trip_single_pair(self, speaker_dirs, cli_models):

@@ -667,11 +667,12 @@ DECODERS = {
 @pytest.mark.parametrize("decoder, defect, role", [
     (decoder, defect, role) for decoder, (kind, _) in DECODERS.items()
     for defect in (HMM_DEFECTS if kind == "hmm" else CODEBOOK_DEFECTS)
-    for role in ("target", "interference")])
+    + ("one_bin_short",) for role in ("target", "interference")])
 def test_malformed_model_rejected_before_any_work(ctx, monkeypatch, decoder,
                                                   defect, role):
     # a NaN codevector would otherwise never be picked, and gvq_infer and
-    # gvq_score would return a finite score
+    # gvq_score would return a finite score; a model one bin short of the
+    # frames is a model mismatch that names its role
     def no_work(*args, **kwargs):
         raise AssertionError("worked on a malformed model")
 
@@ -687,7 +688,9 @@ def test_malformed_model_rejected_before_any_work(ctx, monkeypatch, decoder,
         models = [Codebook(m.means, m.vars, np.ones(m.K)) for m in models]
     which = 0 if role == "target" else 1
     models[which] = malformed(models[which], defect)
-    with pytest.raises(ModelMismatchError):
+    match = (f"^{role} model dimension 5 " if defect == "one_bin_short"
+             else None)
+    with pytest.raises(ModelMismatchError, match=match):
         call(rng.normal(0, 1, (3, 6)), *models, ctx)
 
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specsep import (AudioSignal, GainContext, ModelMismatchError,
-                     apply_masks_and_reconstruct, frame_signal,
-                     g_of_theta, gains_from_theta, gvq_infer, log_spectra,
-                     mix_at_tir, normalize_equal_power, parallel_viterbi,
-                     separate, snr, synth_source)
+from specsep import (AudioSignal, Codebook, GainContext, HmmModel,
+                     ModelMismatchError, apply_masks_and_reconstruct,
+                     frame_signal, g_of_theta, gains_from_theta, gvq_infer,
+                     log_spectra, mix_at_tir, normalize_equal_power,
+                     parallel_viterbi, separate, snr, synth_source)
 from specsep.decode import NumericError, _target_mask, mega_frame_slices
 from specsep.gain import THETA_MAX_DB, THETA_MIN_DB
 from specsep.separate import BASELINE_GY_OVER_G0, MEGA_FRAME_SECONDS
@@ -310,6 +310,35 @@ class TestSeparatePipeline:
         estimated = method in ("gfhmm", "gvq") and fix_theta is None
         assert len(trace) == (diag["iterations"] + 1 if estimated else 1)
         assert trace[-1] == diag["logprob"]
+
+    @pytest.mark.parametrize("method, kind, options, calls", [
+        ("gfhmm", "hmm", {}, 2), ("fhmm", "hmm", {}, 2), ("vq", "cb", {}, 4),
+        # theta settles in the third round: 4 decodes of one window
+        ("gvq", "cb", {}, 10),
+        # the benchmark's options: 3 fixed rounds, 1 s windows (one window
+        # on this 1.5 s mixture)
+        ("gvq", "cb", {"outer_tol": 0.0, "max_outer": 3,
+                       "mega_frame_seconds": 1.0}, 10)])
+    def test_models_validated_by_the_fit_check_and_each_gvq_score(
+            self, framing, trained_models, mixture_setup, monkeypatch,
+            method, kind, options, calls):
+        # separate() validates neither model itself; the decoder's fit check
+        # validates both, and every gvq_score call both codebooks again
+        validated = []
+        for cls in (HmmModel, Codebook):
+            def counted(self, validate=cls.validate):
+                validated.append(self)
+                validate(self)
+            monkeypatch.setattr(cls, "validate", counted)
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 6.0)
+        _, _, diag = separate(y, trained_models[f"{kind}_a"],
+                              trained_models[f"{kind}_b"], framing,
+                              method=method, **options)
+        assert len(validated) == calls
+        scores = (len(diag["objective_trace"]) * len(diag["theta_per_chunk"])
+                  if kind == "cb" else 0)
+        assert calls == 2 + 2 * scores
 
     def test_fix_theta_skips_estimation(self, framing, trained_models,
                                         mixture_setup):
