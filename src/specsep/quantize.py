@@ -1,9 +1,13 @@
 """LBG codebook training over log-spectral vectors, and the gain-adapted
 VQ decoder that matches each observed frame against the gain-shifted
 maxima of all codevector pairs.  Both find each frame's nearest center by
-squared error with one search (_nearest): one matrix product per block of
-frames, then an exact rescoring of the centers that its rounding leaves in
-doubt."""
+squared error with one search (_nearest): one matrix product per tile of
+centers by frames, near 256 KiB each, with the centers as the outer loop,
+so each center is read once; each frame keeps the centers within a slack
+of its running best product cost, and an exact rescoring orders those
+that the product's rounding leaves in doubt."""
+
+import itertools
 
 import numpy as np
 
@@ -32,38 +36,81 @@ def _nearest(frames, centers):
     (y - c)^2, ties to the smallest index, the first np.argmin of the
     naive broadcast distances on finite input.
 
-    Each block of frames is scored against all centers by one matrix
-    product, sum c^2 - 2 y . c: the distance less the frame's own sum y^2.
-    Every center within the frame's slack of its best product cost,
-    8 (dim + 2) eps (sum y^2 + 2 max sum c^2), which bounds the rounding of
-    both the product and the exact sums, is rescored by the exact sum of
-    (y - c)^2, so no center outside the slack can win and exact ties
-    resolve by the rule above whatever the BLAS, its thread count and the
-    number of centers.  A frame equal to a center scores exactly 0.
+    The search runs over tiles of centers by frames whose costs take about
+    256 KiB: ceil(K dim 8 / 2^18) blocks of equal size split the centers,
+    so each block's rows stay near 256 KiB too, and _frame_blocks sizes
+    the frame blocks by the center block's rows.  The center blocks are
+    the outer loop, so each center is read once per call.  Each tile is
+    scored by one matrix product, sum c^2 - 2 y . c: the distance less
+    the frame's own sum y^2.  Each frame keeps its best product cost so
+    far and the centers within its slack of it,
+    8 (dim + 2) eps (sum y^2 + 2 max sum c^2), which bounds the rounding
+    of both the product and the exact sums.  The best only falls, so a
+    center dropped or never kept lies above the slack of the final best
+    too; after the last tile a frame keeps exactly the centers within
+    its slack of its best over all of them.  These are rescored by the
+    exact sum of (y - c)^2, so no center outside the slack can win and
+    exact ties resolve by the rule above whatever the BLAS, its thread
+    count and the number of centers.  A frame equal to a center scores
+    exactly 0.  A frame whose final best plus slack is NaN or inf (a NaN
+    or inf in the frame, or an overflow) keeps every center, and is
+    rescored against all of them on its own after the last tile, so that
+    no more than one such frame's K candidates are held at once.
     """
+    dim = frames.shape[1]
     sq_c = np.einsum("kd,kd->k", centers, centers)
-    rounding = 8 * (frames.shape[1] + 2) * np.finfo(np.float64).eps
+    slack = (8 * (dim + 2) * np.finfo(np.float64).eps
+             * (np.einsum("rd,rd->r", frames, frames) + 2 * sq_c.max()))
+    n_blocks = max(1, -(-len(centers) * dim * 8 // (1 << 18)))
+    step = -(-len(centers) // n_blocks)
+    blocks = _frame_blocks(len(frames), 8 * step)
+    best = np.full(len(frames), np.inf)
+    # per frame block: each kept center's frame within the block, its
+    # index and its product cost
+    kept = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
+            for _ in blocks]
+    for c0 in range(0, len(centers), step):
+        for b, sl in enumerate(blocks):
+            # sq_c - 2.0 * (y . c) bit for bit, in one tile
+            cost = frames[sl] @ centers[c0:c0 + step].T
+            cost *= -2.0
+            cost += sq_c[c0:c0 + step]
+            best[sl] = np.minimum(best[sl], cost.min(axis=1))
+            limit = best[sl] + slack[sl]
+            # a NaN or inf limit keeps every center: the frame holds none
+            # (a NaN best and an infinite slack stay, and costs that are
+            # all +inf so far lie above any finite limit a later tile sets)
+            limit[~(limit < np.inf)] = np.nan
+            which, cand, held = kept[b]
+            stay = held <= limit[which]
+            # flat indices: np.nonzero on the 2-D mask takes 10 times as long
+            near = np.flatnonzero(cost <= limit[:, None])
+            r, c = np.divmod(near, cost.shape[1])
+            kept[b] = (np.concatenate((which[stay], r)),
+                       np.concatenate((cand[stay], c0 + c)),
+                       np.concatenate((held[stay], cost.ravel()[near])))
+    keep_all = np.flatnonzero(~(best + slack < np.inf))
+    # the frames that keep every center come one at a time, after the
+    # blocks' kept centers; a NaN frame's exact distance, and with it
+    # gvq_score's Q, comes out NaN
+    groups = itertools.chain(
+        ((sl, which, cand) for sl, (which, cand, _) in zip(blocks, kept)),
+        ((slice(f, f + 1), np.zeros(len(centers), np.intp),
+          np.arange(len(centers))) for f in keep_all))
     index = np.empty(len(frames), dtype=np.intp)
     dist = np.empty(len(frames))
-    for sl in _frame_blocks(len(frames), 8 * len(centers)):
+    for sl, which, cand in groups:
         rows = frames[sl]
-        slack = rounding * (np.einsum("rd,rd->r", rows, rows)
-                            + 2 * sq_c.max())
-        cost = sq_c - 2.0 * (rows @ centers.T)
-        # not "<=": a frame whose costs are NaN keeps all its centers, and
-        # its exact distance (and gvq_score's Q) comes out NaN
-        near = ~(cost > (cost.min(axis=1) + slack)[:, None])
-        which, cand = np.nonzero(near)  # by frame, then by center index
         exact = np.empty(len(cand))
-        # about four (candidates, dim) float64 temporaries per block
-        for part in _frame_blocks(len(cand), 32 * frames.shape[1]):
+        # about four (candidates, dim) float64 temporaries per part
+        for part in _frame_blocks(len(cand), 32 * dim):
             terms = rows[which[part]] - centers[cand[part]]
             terms **= 2
             exact[part] = terms.sum(axis=1)
         # per frame: the smallest exact distance, then the smallest index
         order = np.lexsort((cand, exact, which))
-        _, first = np.unique(which[order], return_index=True)
-        index[sl], dist[sl] = cand[order[first]], exact[order[first]]
+        at, first = np.unique(which[order], return_index=True)
+        index[sl][at], dist[sl][at] = cand[order[first]], exact[order[first]]
     return index, dist
 
 
@@ -175,10 +222,14 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
 
     The (K_x * K_v, dim) pair maxima m are formed once (mixmax_combine),
     and each frame's nearest is found among them by the search LBG uses
-    (_nearest): one matrix product per block of frames, and an exact
+    (_nearest): one matrix product per tile of pairs by frames, near
+    256 KiB each (at K_x = K_v = 64 and 129 bins, 17 blocks of 241 pairs
+    by 135 frames), over which each pair is read once, and an exact
     rescoring of every pair within the frame's slack of its best product
-    cost, so exact ties resolve by the rule above whatever the BLAS and the
-    codebook sizes.  A frame equal to a pair's maximum scores exactly 0.
+    cost over all pairs: the frame's running best only falls, so a pair
+    it drops lies above that slack too.  Exact ties thus resolve by the
+    rule above whatever the BLAS and the codebook sizes.  A frame equal
+    to a pair's maximum scores exactly 0.
     Both gains are at most g_y / G0 and the louder one at least
     g_y / (sqrt(2) G0), so every pair maximum, and with it the score,
     stays finite at any finite theta.

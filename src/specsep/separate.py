@@ -10,7 +10,8 @@ from .gain import GainContext, _check_theta, estimate_gy
 from .models import Codebook, HmmModel, ModelMismatchError, _check_finite
 # perfbench's traced run patches this name here; keep it bound
 from .quantize import gvq_score  # noqa: F401
-from .signal import _is_real, apply_masks_and_reconstruct, log_spectra
+from .signal import (_check_settings, _is_real, apply_masks_and_reconstruct,
+                     log_spectra)
 
 # method -> (the model kind it decodes with, whether theta is estimated);
 # the fixed-gain baselines fhmm and vq decode once at theta 0
@@ -66,8 +67,9 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
         least one hop after rounding raises ValueError
 
     Both models must be of the method's class, and every setting a
-    model's meta records (sample_rate, frame_len, hop, dft_size) must
-    match the mixture and cfg, else ModelMismatchError; the decoder's fit
+    model's meta records (sample_rate, frame_len, hop, dft_size) must be
+    a positive integer that matches the mixture and cfg, else
+    ModelMismatchError naming the setting; the decoder's fit
     check (models._check_fit) then requires, before any decode, that both
     pass their validate() and have the frames' cfg.n_bins bins.  The two
     models may differ in size.  A mixture with a sample that is not a
@@ -92,6 +94,9 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
             raise ModelMismatchError(
                 f"method '{method}' needs a {cls.__name__} for the {role} "
                 f"speaker, got {type(m).__name__}")
+        # each recorded setting a positive integer first, so that the
+        # comparison below cannot raise (a numpy array would)
+        _check_settings(m.meta, f"{role} model recorded", ModelMismatchError)
         for key, value in setting.items():
             recorded = m.meta.get(key)
             if recorded is not None and recorded != value:

@@ -134,7 +134,7 @@ class TestNearest:
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(R=st.integers(1, 40), K=st.integers(1, 40),
            dim=st.integers(1, 140),
-           case=st.sampled_from(["spread", "ties", "far"]),
+           case=st.sampled_from(["spread", "ties", "far", "late"]),
            seed=st.integers(0, 2 ** 32 - 1))
     @example(R=1, K=3, dim=129, case="spread", seed=0)
     @example(R=1, K=2, dim=129, case="spread", seed=1)
@@ -147,6 +147,14 @@ class TestNearest:
     @example(R=513, K=64, dim=129, case="far", seed=5)
     @example(R=1100, K=64, dim=129, case="ties", seed=6)
     @example(R=40, K=1, dim=129, case="far", seed=7)
+    # beyond 256 KiB of centers the search tiles them too: 700 centers of
+    # 129 bins make 3 blocks of 234, 234 and 232, and 300 frames 3 blocks
+    # of 140, 140 and 20.  Each of the tied duplicates i and i + 350 lies
+    # in another block than its twin, and each late center's near copy in
+    # an earlier block than it
+    @example(R=300, K=700, dim=129, case="ties", seed=8)
+    @example(R=300, K=700, dim=129, case="late", seed=9)
+    @example(R=300, K=700, dim=129, case="far", seed=10)
     def test_equals_naive_argmin(self, R, K, dim, case, seed):
         rng = np.random.default_rng(seed)
         if case == "far":
@@ -159,19 +167,27 @@ class TestNearest:
         else:
             frames = rng.normal(0.0, 2.0, (R, dim))
             centers = rng.normal(0.0, 2.0, (K, dim))
-        if case != "spread":
+        if case == "late":
+            # each of the first K // 2 centers sits 1e-8 to 1e-4 off one of
+            # the last ones in every bin, and the frames on a late center
+            # find its earlier copy nearly as near: within the slack, or
+            # just above it, of a best that only a later tile reaches
+            centers[:K // 2] = (centers[K - K // 2:] + 10.0 ** rng.integers(
+                -8, -3, (K // 2, 1)) * rng.choice([-1.0, 1.0], (K // 2, dim)))
+            frames[::2] = centers[rng.integers(K // 2, K, R)[::2]]
+        elif case != "spread":
             # duplicated centers tie exactly, and frames on a center score
             # exactly 0
             centers[K // 2:] = centers[:K - K // 2]
             frames[::2] = centers[rng.integers(0, K, R)[::2]]
         index, dist = _nearest(frames, centers)
         # the naive broadcast, a few frames at a time to keep it small
-        for s in range(0, R, 100):
-            d2 = ((frames[s:s + 100, None, :] - centers) ** 2).sum(axis=-1)
+        for s in range(0, R, 10):
+            d2 = ((frames[s:s + 10, None, :] - centers) ** 2).sum(axis=-1)
             want = np.argmin(d2, axis=1)
-            np.testing.assert_array_equal(index[s:s + 100], want)
+            np.testing.assert_array_equal(index[s:s + 10], want)
             np.testing.assert_array_equal(
-                dist[s:s + 100], d2[np.arange(len(want)), want])
+                dist[s:s + 10], d2[np.arange(len(want)), want])
         if case != "spread":
             assert np.all(dist[::2] == 0.0)
 
@@ -255,15 +271,25 @@ class TestGvqFrameDecode:
         # a frame whose product costs are NaN must keep its pairs, so that
         # Q reports it (the decoders raise NumericError on it) rather than
         # the frame going without a pair; the decoders score under the
-        # same errstate
+        # same errstate.  64 x 64 pairs of 129 bins make 17 blocks of pairs
         rng = np.random.default_rng(15)
-        cb_x, cb_v = random_codebook(rng, 3, 6), random_codebook(rng, 4, 6)
-        y = rng.normal(0.0, 1.0, (5, 6))
-        y[2, 3] = bad
-        with np.errstate(over="ignore", invalid="ignore"):
-            idx_x, idx_v, q = gvq_score(y, cb_x, cb_v, 2.0, ctx)
-        assert len(idx_x) == len(idx_v) == 5
-        assert not np.isfinite(q)
+        for K_x, K_v, dim in ((3, 4, 6), (64, 64, 129)):
+            cb_x = random_codebook(rng, K_x, dim)
+            cb_v = random_codebook(rng, K_v, dim)
+            y = rng.normal(0.0, 1.0, (5, dim))
+            clean = gvq_score(y, cb_x, cb_v, 2.0, ctx)
+            y[2, 3] = bad
+            with np.errstate(over="ignore", invalid="ignore"):
+                idx_x, idx_v, q = gvq_score(y, cb_x, cb_v, 2.0, ctx)
+            assert len(idx_x) == len(idx_v) == 5
+            assert not np.isfinite(q)
+            # every pair's exact cost is NaN or inf, so the frame keeps
+            # every pair through the last block and ties to the first; the
+            # others keep their pairs
+            assert idx_x[2] == idx_v[2] == 0
+            others = [0, 1, 3, 4]
+            np.testing.assert_array_equal(idx_x[others], clean[0][others])
+            np.testing.assert_array_equal(idx_v[others], clean[1][others])
 
     @pytest.mark.parametrize("theta", [np.nan, np.inf])
     def test_nonfinite_theta_rejected(self, ctx, theta):
@@ -511,7 +537,8 @@ class TestGvqMemory:
     bins (2 s of audio at the default framing) stays within 6 MB at K=64,
     where the (K * K, dim) pair maxima take 4.2 MB, and within 1.07 MB at
     K=16, also when a masked interference codebook has every frame's pairs
-    rescored: no block's costs or rescoring temporaries outlive it."""
+    rescored: no tile's costs or rescoring temporaries outlive it, and a
+    frame holds only the pairs within the slack of its best so far."""
 
     @pytest.mark.parametrize("K, limit", [(64, 6e6), (16, 1.07e6)])
     @pytest.mark.parametrize("masked", [False, True])
@@ -529,3 +556,23 @@ class TestGvqMemory:
         finally:
             tracemalloc.stop()
         assert peak <= limit
+
+    # a NaN frame's best is NaN; a frame of 1e160 has a finite best but an
+    # infinite slack, as sum y^2 overflows
+    @pytest.mark.parametrize("bad", [np.nan, 1e160])
+    def test_frames_keeping_every_pair_peak_bounded(self, ctx, bad):
+        # such a frame keeps all 4096 pairs; holding them for all 25 such
+        # frames until the last tile peaked at 10.7 MB
+        rng = np.random.default_rng(64)
+        cb_x, cb_v = random_codebook(rng, 64, 129), random_codebook(rng, 64,
+                                                                    129)
+        y = rng.normal(0.0, 1.5, (197, 129))
+        y[::8, 3] = bad
+        tracemalloc.start()
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(gvq_score(y, cb_x, cb_v, 6.0, ctx)[2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6

@@ -454,6 +454,21 @@ class TestSeparatePipeline:
             with pytest.raises(ModelMismatchError, match=f"{key}={value}"):
                 separate(y, model_x, model_v, framing, method=method)
 
+    @pytest.mark.parametrize("method, x_key, v_key", [
+        ("gfhmm", "hmm_a", "hmm_b"), ("gvq", "cb_a", "cb_b")])
+    def test_array_setting_rejected(self, framing, trained_models,
+                                    mixture_setup, method, x_key, v_key):
+        # an in-memory meta may hold what no model file can; an array
+        # cannot be compared with the mixture's setting as one truth value
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 0.0)
+        model_v = dataclasses.replace(trained_models[v_key],
+                                      meta={"hop": np.array([80, 80])})
+        with pytest.raises(ModelMismatchError,
+                           match=r"interference model recorded hop=array"):
+            separate(y, trained_models[x_key], model_v, framing,
+                     method=method)
+
     @pytest.mark.parametrize("defect", MODEL_DEFECTS)
     def test_malformed_model_rejected(self, framing, trained_models,
                                       mixture_setup, defect):
