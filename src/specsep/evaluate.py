@@ -6,6 +6,7 @@ import csv
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
@@ -20,11 +21,7 @@ from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
 
 SNR_CAP_DB = 100.0
 
-MANIFEST_KEYS = ("theta_grid", "methods", "models", "pairs", "sample_rate",
-                 "framing", "seed", "jobs", "theta0", "fix_theta")
-
 SOURCE_KINDS = ("hmm_sample", "tonal", "filtered_noise")
-SYNTH_KEYS = ("kind", "duration", "speaker", "seed", "model")
 
 CSV_COLUMNS = ["pair_id", "method", "theta_true", "theta_hat", "iterations",
                "snr_target_db", "snr_interf_db", "logprob", "wall_ms",
@@ -195,44 +192,13 @@ def synth_source(kind, model=None, seed=0, duration=2.0,
 
 def _resolve_source(spec_entry, sample_rate, cfg, default_seed=0):
     """Materialize one manifest source entry (wav path or synth spec,
-    as _check_source admits)."""
+    as _check_manifest admits)."""
     if "wav" in spec_entry:
         return read_wav(spec_entry["wav"], expected_rate=sample_rate)
     s = {"seed": default_seed, **spec_entry["synth"]}
-    kind = s.pop("kind")
-    model = load_model(s.pop("model")) if "model" in s else None
-    return synth_source(kind, model=model, sample_rate=sample_rate, cfg=cfg,
-                        **s)
-
-
-def _check_source(entry, what, sample_rate):
-    """ValueError unless entry is an object holding exactly one of "wav", a
-    path string, and "synth", an object whose "kind" is one of
-    SOURCE_KINDS, that holds no key outside SYNTH_KEYS, whose "model" is
-    a path string, required for hmm_sample, and whose numbers
-    _check_synth_numbers admits at sample_rate; what starts the message.
-    A missing WAV file or an unreadable model is left to the run."""
-    if not (isinstance(entry, dict) and len(entry) == 1
-            and (isinstance(entry.get("wav"), str)
-                 or isinstance(entry.get("synth"), dict))):
-        raise ValueError(f"{what} must be an object holding exactly one key, "
-                         "'wav' (a path string) or 'synth' (an object), got "
-                         f"{entry!r}")
-    if "wav" in entry:
-        return
-    synth = entry["synth"]
-    if synth.get("kind") not in SOURCE_KINDS:
-        raise ValueError(f"{what} synth kind {synth.get('kind')!r} is not "
-                         f"one of {', '.join(SOURCE_KINDS)}")
-    for key in synth:
-        if key not in SYNTH_KEYS:
-            raise ValueError(f"{what} synth has unknown key {key!r} (known: "
-                             f"{', '.join(SYNTH_KEYS)})")
-    if (("model" in synth or synth["kind"] == "hmm_sample")
-            and not isinstance(synth.get("model"), str)):
-        raise ValueError(f"{what} synth 'model' must be a path string, got "
-                         f"{synth.get('model')!r}")
-    _check_synth_numbers(what, sample_rate, **synth)
+    if "model" in s:
+        s["model"] = load_model(s["model"])
+    return synth_source(sample_rate=sample_rate, cfg=cfg, **s)
 
 
 def _attempt(fn, *args):
@@ -266,7 +232,7 @@ def _run_single(pair_id, sources, theta, method, models, cfg, options):
     may hold the exception that their resolution raised, which is not
     raised again: threads share it, and each raise extends its traceback."""
     row = dict.fromkeys(CSV_COLUMNS, "")
-    row.update(pair_id=pair_id, method=method, theta_true=theta)
+    row.update(pair_id=pair_id, method=method, theta_true=float(theta))
     t0 = time.perf_counter()
     stored = [s for s in (sources, models) if isinstance(s, Exception)]
     error = stored[0] if stored else _attempt(
@@ -277,141 +243,174 @@ def _run_single(pair_id, sources, theta, method, models, cfg, options):
     return row
 
 
+def _no_repeats(pairs, what="key"):
+    """dict(pairs) for a list of (key, value) pairs: a JSON object's, as
+    json reads them, or the pair ids with their pairs.  ValueError names
+    the first key that appears twice, of which dict() would keep the last
+    value; what says what a key is."""
+    for key, n in Counter(key for key, _ in pairs).items():
+        if n > 1:
+            raise ValueError(f"manifest has duplicate {what} {key!r}")
+    return dict(pairs)
+
+
 def load_manifest(path):
     with open(path) as f:
-        return json.load(f)
+        return json.load(f, object_pairs_hook=_no_repeats)
+
+
+def _is_text(value):
+    return isinstance(value, str)
+
+
+def _setting(key):
+    """The rule for sample_rate or a framing field: signal._check_settings,
+    the check that model meta shares."""
+    return lambda value: not _check_settings({key: value}, "manifest")
+
+
+# One schema per manifest object: key -> (required, rule, what the value
+# must be).  A rule is a predicate, which may instead raise the ValueError
+# of the check that owns it; a schema, for an object; [rule], for an array
+# whose items the rule admits; or None, for a value that a rule after the
+# walk checks.  _check_object walks them, and _check_manifest then checks
+# the rules that span keys.  README's manifest section lists them.
+_PATH = (False, _is_text, "a path string")
+MODELS_SCHEMA = dict.fromkeys(("hmm_x", "hmm_v", "vq_x", "vq_v"), _PATH)
+FRAMING_SCHEMA = {f.name: (False, _setting(f.name), "a positive integer")
+                  for f in fields(FramingConfig)}
+SYNTH_SCHEMA = {
+    "kind": (True, SOURCE_KINDS.__contains__,
+             f"one of {', '.join(SOURCE_KINDS)}"),
+    # at the manifest's sample rate, by _check_synth_numbers
+    **dict.fromkeys(("duration", "speaker", "seed"), (False, None, None)),
+    "model": _PATH}
+SOURCE_SCHEMA = {"wav": _PATH, "synth": (False, SYNTH_SCHEMA, "an object")}
+PAIR_SCHEMA = {
+    "id": (True, lambda i: _is_text(i) or _is_real(i, -np.inf, np.inf),
+           "a string or a number"),
+    **dict.fromkeys(("target", "interf"), (True, SOURCE_SCHEMA, "a source"))}
+MANIFEST_SCHEMA = {
+    "theta_grid": (True, [_is_real], "a finite number"),
+    "methods": (True, [_is_text], "a string"),
+    "models": (True, MODELS_SCHEMA, "an object"),
+    "pairs": (True, [PAIR_SCHEMA], "a pair"),
+    "sample_rate": (False, _setting("sample_rate"), "a positive integer"),
+    "framing": (False, FRAMING_SCHEMA, "an object"),
+    "seed": (False, lambda v: _is_count(v, 0), "a non-negative integer"),
+    "jobs": (False, lambda v: _is_count(v, 1), "a positive integer"),
+    "theta0": (False, _is_real, "a finite number"),
+    # one outside the search interval would fail every gain-adapted row
+    "fix_theta": (False, lambda v: v is None or _is_real(v) and not
+                  _check_theta(v, "manifest 'fix_theta'"),
+                  "a finite number or null")}
+# filled in after the walk; separate() keeps theta0's and fix_theta's
+MANIFEST_DEFAULTS = {"sample_rate": DEFAULT_SAMPLE_RATE, "framing": {},
+                     "seed": 0, "jobs": 1}
+
+
+def _check_object(obj, schema, what):
+    """Raise ValueError, starting with what, unless obj is an object that
+    holds every required key of schema and no other key, and each value
+    meets its rule, walked in schema order.  An array's items are named
+    one by one, and an object or array that is refused is named by its
+    type alone, since a batch's may be long."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {type(obj).__name__}")
+    # a misspelt key would otherwise run the batch at its default
+    for key in obj:
+        if key not in schema:
+            raise ValueError(f"{what} has unknown key {key!r} (known: "
+                             f"{', '.join(schema)})")
+    for key, (required, rule, must) in schema.items():
+        if key in obj:
+            _check_value(obj[key], rule, must, f"{what} '{key}'")
+        elif required:
+            raise ValueError(f"{what} lacks required key '{key}'")
+
+
+def _check_value(value, rule, must, name):
+    """Raise ValueError, starting with name, unless value meets rule, one
+    of a schema's rules."""
+    if isinstance(rule, dict):
+        _check_object(value, rule, name)
+    elif isinstance(rule, list):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be an array, got "
+                             f"{type(value).__name__}")
+        for idx, item in enumerate(value):
+            _check_value(item, rule[0], must, f"{name}[{idx}]")
+    elif rule is not None and not rule(value):
+        raise ValueError(f"{name} must be {must}, got {value!r}")
 
 
 def _check_manifest(manifest):
-    """Raise ValueError unless manifest is an object holding only
-    MANIFEST_KEYS, whose required keys
-    theta_grid (finite numbers), methods (strings) and pairs hold arrays and
-    models an object, every pair is an object with an id and target and
-    interf source entries that _check_source admits, the ids are all
-    strings or all numbers (not NaN), the optional framing is an object
-    holding only FramingConfig fields, sample_rate and each framing setting
-    are positive integers, the framing makes a FramingConfig (0 < hop <=
-    frame_len <= dft_size), theta0 is a finite number, fix_theta null or a
-    number in [-15, 15] dB (gain._check_theta), seed a
-    non-negative integer, jobs a positive integer, every method is
-    one of separate.METHODS and models holds the two model paths of each
-    method's kind as strings.  Returns its sample_rate and FramingConfig."""
-    if not isinstance(manifest, dict):
-        raise ValueError("manifest must be a JSON object, got "
-                         f"{type(manifest).__name__}")
-    # a misspelt "fix_thetaa" would otherwise run the batch at the default
-    for key in manifest:
-        if key not in MANIFEST_KEYS:
-            raise ValueError(f"manifest has unknown key {key!r} "
-                             f"(known: {', '.join(MANIFEST_KEYS)})")
-    for key, kind, name in (("theta_grid", (list, tuple), "an array"),
-                            ("methods", (list, tuple), "an array"),
-                            ("models", dict, "an object"),
-                            ("pairs", (list, tuple), "an array")):
-        if key not in manifest:
-            raise ValueError(f"manifest lacks required key '{key}'")
-        if not isinstance(manifest[key], kind):
-            raise ValueError(f"manifest '{key}' must be {name}, got "
-                             f"{type(manifest[key]).__name__}")
-    # json reads NaN and Infinity, which mix_at_tir would reject per run
-    if not all(_is_real(t) for t in manifest["theta_grid"]):
-        raise ValueError("manifest 'theta_grid' must hold only finite "
-                         "numbers")
-    if not all(isinstance(m, str) for m in manifest["methods"]):
-        raise ValueError("manifest 'methods' must hold only strings")
-    framing = manifest.get("framing", {})
-    if not isinstance(framing, dict):
-        raise ValueError("manifest 'framing' must be an object")
-    # FramingConfig.from_meta would run a misspelt key at the default
-    known = [f.name for f in fields(FramingConfig)]
-    for key in framing:
-        if key not in known:
-            raise ValueError(f"manifest 'framing' has unknown key {key!r} "
-                             f"(known: {', '.join(known)})")
-    # int() would run a hop of 80.7 as 80 and one of true as 1
-    sample_rate = manifest.get("sample_rate", DEFAULT_SAMPLE_RATE)
-    _check_settings({**framing, "sample_rate": sample_rate}, "manifest")
+    """Raise ValueError unless manifest meets MANIFEST_SCHEMA and the
+    schemas below it, and then the rules that span keys: the framing makes
+    a FramingConfig, the pair ids are all strings or all numbers and
+    distinct, every source holds exactly one of "wav" and "synth", an
+    hmm_sample synth names its model, _check_synth_numbers admits each
+    synth's numbers at the manifest's sample rate, and every method is one
+    of separate.METHODS with its two model paths in "models".  Returns the
+    checked manifest with MANIFEST_DEFAULTS filled in and its "framing" a
+    FramingConfig."""
+    _check_object(manifest, MANIFEST_SCHEMA, "manifest")
+    manifest = {**MANIFEST_DEFAULTS, **manifest}
     try:
-        cfg = FramingConfig.from_meta(framing)
+        cfg = FramingConfig.from_meta(manifest["framing"])
     except ValueError as exc:
-        raise ValueError(f"manifest 'framing' {framing}: {exc}") from None
-    # int() would run a seed of 1.5 as 1, and a negative seed would fail
-    # every synthesized source
-    for key, valid, what in (
-            ("theta0", _is_real, "a finite number"),
-            ("fix_theta", lambda v: v is None or _is_real(v),
-             "a finite number or null"),
-            ("seed", lambda v: _is_count(v, 0), "a non-negative integer"),
-            ("jobs", lambda v: _is_count(v, 1), "a positive integer")):
-        if key in manifest and not valid(manifest[key]):
-            raise ValueError(f"manifest '{key}' must be {what}, got "
-                             f"{manifest[key]!r}")
-    # one outside the search interval would fail every row
-    if manifest.get("fix_theta") is not None:
-        _check_theta(manifest["fix_theta"], "manifest 'fix_theta'")
-    for idx, entry in enumerate(manifest["pairs"]):
-        if not (isinstance(entry, dict) and "id" in entry):
-            raise ValueError(f"manifest pair {idx} has no 'id'")
-        # each would otherwise fail every row of the pair
+        raise ValueError(f"manifest 'framing' {manifest['framing']}: "
+                         f"{exc}") from None
+    # rows sort by pair id, so ids must compare with each other, and a
+    # repeated one would write rows that no reader can tell apart
+    ids = [pair["id"] for pair in manifest["pairs"]]
+    if len({_is_text(pair_id) for pair_id in ids}) > 1:
+        raise ValueError("manifest pair ids mix strings and numbers")
+    _no_repeats(list(zip(ids, manifest["pairs"])), "pair id")
+    # a missing WAV file or an unreadable model is left to the run
+    for idx, pair in enumerate(manifest["pairs"]):
         for role in ("target", "interf"):
-            _check_source(entry.get(role), f"manifest pair {idx} {role}",
-                          sample_rate)
-    # rows sort by pair id, so ids must compare with each other
-    ids = [entry["id"] for entry in manifest["pairs"]]
-    if not (all(isinstance(i, str) for i in ids)
-            or all(_is_real(i, -np.inf, np.inf) for i in ids)):
-        raise ValueError("manifest pair ids must be all strings or all "
-                         "numbers")
+            entry, what = pair[role], f"manifest 'pairs'[{idx}] '{role}'"
+            if len(entry) != 1:
+                raise ValueError(f"{what} must hold exactly one of 'wav' and "
+                                 f"'synth', got {sorted(entry)}")
+            synth = entry.get("synth", {})
+            if synth.get("kind") == "hmm_sample" and "model" not in synth:
+                raise ValueError(f"{what} 'synth' lacks 'model', which kind "
+                                 "'hmm_sample' needs")
+            _check_synth_numbers(f"{what} 'synth'", manifest["sample_rate"],
+                                 **synth)
     # each would otherwise run the whole batch and fill its rows with errors
     for method in manifest["methods"]:
         if method not in METHODS:
             raise ValueError(f"manifest method {method!r} is unknown (one "
                              f"of {', '.join(METHODS)})")
         for key in (f"{model_kind(method)}_{role}" for role in "xv"):
-            # a path that is not a string would fail every row of the method
-            if not isinstance(manifest["models"].get(key), str):
+            if key not in manifest["models"]:
                 raise ValueError(f"manifest 'models' lacks {key!r}, which "
                                  f"method {method!r} needs as a path string")
-    return sample_rate, cfg
+    return {**manifest, "framing": cfg}
 
 
 def run_experiment(manifest, out_csv, jobs=None):
     """Run the full (pairs x theta grid x methods) batch.
 
-    manifest is a dict (or a path to a JSON file) with required keys
-    theta_grid, methods, models {hmm_x, hmm_v, vq_x, vq_v} and pairs
-    [{id, target, interf}], and optional keys sample_rate, framing
-    {frame_len, hop, dft_size}, seed (the default synth seed of pair i's
-    sources is seed + 2i and seed + 2i + 1), jobs (worker threads; the
-    jobs argument, when given, replaces it and is checked as it is) and
-    the separate options theta0 and fix_theta.  A manifest that is not an
-    object, holds any other key, lacks a required key, holds a value of
-    the wrong kind (a theta, theta0 or fix_theta that is
-    not a finite number, a fix_theta outside [-15, 15] dB,
-    a method that is not a string, ids that mix strings and numbers or
-    include NaN, a framing that is not an object, holds a key
-    other than frame_len, hop and dft_size or breaks 0 < hop <= frame_len
-    <= dft_size, a sample_rate or framing
-    setting or jobs that is not a positive integer, a seed that is not a
-    non-negative integer), a pair without an id, a method that is not one
-    of separate.METHODS, a models object that lacks a path one of the
-    methods needs, or holds one that is not a string, or a pair's target
-    or interf source entry that is not one "wav" path string or one
-    "synth" object (a kind of SOURCE_KINDS, no key outside SYNTH_KEYS, a
-    "model" path string, which hmm_sample needs, a finite duration giving
-    at least one sample, a speaker and seed that are integers >= 0)
-    raises ValueError before any run; failing runs land in the CSV with
-    an error column rather than aborting the batch.  Returns a summary dict of
-    per-(theta, method) means.
+    manifest is a dict, or a path to a JSON file, that _check_manifest
+    admits: MANIFEST_SCHEMA and the schemas below it give each key, and
+    README's manifest section lists them.  The jobs argument, when given,
+    replaces its "jobs" and is checked as it is.  The default synth seed
+    of pair i's sources is seed + 2i and seed + 2i + 1.  A manifest that
+    _check_manifest refuses raises ValueError before any run; failing runs
+    land in the CSV with an error column rather than aborting the batch.
+    Returns a summary dict of per-(theta, method) means.
     """
     if isinstance(manifest, (str, bytes, os.PathLike)):
         manifest = load_manifest(manifest)
     # the jobs argument is checked as the manifest's "jobs" key is
     if jobs is not None and isinstance(manifest, dict):
         manifest = {**manifest, "jobs": jobs}
-    sample_rate, cfg = _check_manifest(manifest)
-    theta_grid = [float(t) for t in manifest["theta_grid"]]
-    methods = list(manifest["methods"])
+    manifest = _check_manifest(manifest)
+    sample_rate, cfg = manifest["sample_rate"], manifest["framing"]
     options = {k: manifest[k] for k in ("theta0", "fix_theta")
                if k in manifest}
 
@@ -422,12 +421,10 @@ def run_experiment(manifest, out_csv, jobs=None):
     # model kind -> (model_x, model_v), or the exception that the first
     # failing load raised; each kind loads once, in first-use order
     models = {kind: _attempt(load_pair, kind)
-              for kind in dict.fromkeys(map(model_kind, methods))}
-
-    default_seed = int(manifest.get("seed", 0))
+              for kind in dict.fromkeys(map(model_kind, manifest["methods"]))}
 
     def load_sources(idx, entry):
-        seed = default_seed + 2 * idx
+        seed = manifest["seed"] + 2 * idx
         x = _resolve_source(entry["target"], sample_rate, cfg, seed)
         v = _resolve_source(entry["interf"], sample_rate, cfg, seed + 1)
         return normalize_equal_power(x, v)
@@ -436,13 +433,12 @@ def run_experiment(manifest, out_csv, jobs=None):
              for idx, entry in enumerate(manifest["pairs"])]
 
     tasks = [(pair_id, sources, theta, method, models[model_kind(method)])
-             for pair_id, sources in pairs
-             for theta in theta_grid for method in methods]
-    with ThreadPoolExecutor(max_workers=manifest.get("jobs", 1)) as pool:
+             for pair_id, sources in pairs for theta in manifest["theta_grid"]
+             for method in manifest["methods"]]
+    with ThreadPoolExecutor(max_workers=manifest["jobs"]) as pool:
         rows = list(pool.map(lambda t: _run_single(*t, cfg, options), tasks))
 
-    rows.sort(key=lambda r: (r["pair_id"], float(r["theta_true"]),
-                             r["method"]))
+    rows.sort(key=lambda r: (r["pair_id"], r["theta_true"], r["method"]))
     with open(out_csv, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
         writer.writeheader()

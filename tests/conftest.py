@@ -112,46 +112,116 @@ def save_bad_file(model, path, defect):
         np.savez(f, **entries)
 
 
-# manifests that run_experiment rejects before any run
-MANIFEST_DEFECTS = ("no_models", "no_theta_grid", "no_methods", "no_pairs",
-                    "pair_without_id", "scalar_theta_grid", "top_level_list",
-                    "mixed_pair_ids", "mixed_methods", "null_theta",
-                    "scalar_framing", "null_sample_rate", "fractional_hop",
-                    "boolean_hop", "fractional_sample_rate",
-                    "unknown_framing_key", "nan_theta", "infinite_theta",
-                    "boolean_theta0", "string_theta0", "nan_theta0",
-                    "string_fix_theta", "fractional_seed",
-                    "fractional_jobs", "negative_seed", "zero_jobs",
-                    "huge_theta0", "huge_theta", "unknown_key",
-                    "unknown_method", "missing_model_key",
-                    "non_string_model_path", "outside_fix_theta",
-                    "nan_pair_id", "hop_beyond_frame_len")
-
-# a pair's interf source entry with one defect planted; each would
-# otherwise fail every row of the pair
-BROKEN_SOURCES = {
-    "source_without_wav_or_synth": {"wave": "v.wav"},
-    "source_with_wav_and_synth": {"wav": "v.wav",
-                                  "synth": {"kind": "tonal"}},
-    "non_string_wav": {"wav": 3},
-    "scalar_synth": {"synth": "tonal"},
-    "null_interf": None,
-    "unknown_synth_kind": {"synth": {"kind": "speech"}},
-    "misspelt_synth_key": {"synth": {"kind": "tonal", "duratoin": 1.0}},
-    "hmm_sample_without_model": {"synth": {"kind": "hmm_sample"}},
-    "non_string_synth_model": {"synth": {"kind": "hmm_sample",
-                                         "model": ["v.ssm"]}},
-    "negative_synth_duration": {"synth": {"kind": "tonal", "duration": -1}},
-    "nan_synth_duration": {"synth": {"kind": "tonal",
-                                     "duration": float("nan")}},
-    "boolean_synth_duration": {"synth": {"kind": "tonal", "duration": True}},
-    # half a sample at the default 8 kHz rounds to none
-    "sub_sample_synth_duration": {"synth": {"kind": "tonal",
-                                            "duration": 0.5 / 8000}},
-    "negative_synth_speaker": {"synth": {"kind": "tonal", "speaker": -1}},
-    "fractional_synth_seed": {"synth": {"kind": "tonal", "seed": 1.5}},
+# manifests that run_experiment rejects before any run, each with the
+# message it raises; BROKEN_SOURCES below adds a pair's broken sources
+MANIFEST_DEFECTS = {
+    "no_models": "manifest lacks required key 'models'",
+    "no_theta_grid": "manifest lacks required key 'theta_grid'",
+    "no_methods": "manifest lacks required key 'methods'",
+    "no_pairs": "manifest lacks required key 'pairs'",
+    "pair_without_id": "manifest 'pairs'[0] lacks required key 'id'",
+    "scalar_theta_grid": "manifest 'theta_grid' must be an array, got int",
+    "top_level_list": "manifest must be an object, got list",
+    "mixed_pair_ids": "manifest pair ids mix strings and numbers",
+    "mixed_methods": "manifest 'methods'[1] must be a string, got 3",
+    "null_theta": "manifest 'theta_grid'[1] must be a finite number, got None",
+    "scalar_framing": "manifest 'framing' must be an object, got int",
+    "null_sample_rate": "manifest sample_rate=None is not a positive integer",
+    "fractional_hop": "manifest hop=80.7 is not a positive integer",
+    "boolean_hop": "manifest hop=True is not a positive integer",
+    "fractional_sample_rate": ("manifest sample_rate=8000.5 is not a "
+                               "positive integer"),
+    "unknown_framing_key": ("manifest 'framing' has unknown key 'hopp' "
+                            "(known: frame_len, hop, dft_size)"),
+    "nan_theta": "manifest 'theta_grid'[1] must be a finite number, got nan",
+    "infinite_theta": ("manifest 'theta_grid'[0] must be a finite number, "
+                       "got -inf"),
+    "boolean_theta0": "manifest 'theta0' must be a finite number, got True",
+    "string_theta0": "manifest 'theta0' must be a finite number, got '5'",
+    "nan_theta0": "manifest 'theta0' must be a finite number, got nan",
+    "string_fix_theta": ("manifest 'fix_theta' must be a finite number or "
+                         "null, got '5'"),
+    "fractional_seed": ("manifest 'seed' must be a non-negative integer, "
+                        "got 1.5"),
+    "fractional_jobs": "manifest 'jobs' must be a positive integer, got 1.5",
+    "negative_seed": "manifest 'seed' must be a non-negative integer, got -3",
+    "zero_jobs": "manifest 'jobs' must be a positive integer, got 0",
+    "huge_theta0": ("manifest 'theta0' must be a finite number, got "
+                    f"{-10 ** 400}"),
+    "huge_theta": ("manifest 'theta_grid'[1] must be a finite number, got "
+                   f"{10 ** 400}"),
+    "unknown_key": ("manifest has unknown key 'fix_thetaa' (known: "
+                    "theta_grid, methods, models, pairs, sample_rate, "
+                    "framing, seed, jobs, theta0, fix_theta)"),
+    "unknown_method": ("manifest method 'gfhm' is unknown (one of gfhmm, "
+                       "gvq, fhmm, vq)"),
+    "missing_model_key": ("manifest 'models' lacks 'hmm_x', which method "
+                          "'fhmm' needs as a path string"),
+    "non_string_model_path": ("manifest 'models' 'vq_x' must be a path "
+                              "string, got ['a']"),
+    "outside_fix_theta": ("manifest 'fix_theta' 20 dB is outside "
+                          "[-15.0, 15.0] dB"),
+    "nan_pair_id": ("manifest 'pairs'[1] 'id' must be a string or a number, "
+                    "got nan"),
+    "hop_beyond_frame_len": ("manifest 'framing' {'hop': 300}: need 0 < hop "
+                             "<= frame_len <= dft_size"),
+    "pair_level_seed": ("manifest 'pairs'[0] has unknown key 'seed' (known: "
+                        "id, target, interf)"),
+    "unknown_model_key": ("manifest 'models' has unknown key 'vq_z' (known: "
+                          "hmm_x, hmm_v, vq_x, vq_v)"),
+    "duplicate_pair_id": "manifest has duplicate pair id 'p0'",
 }
-MANIFEST_DEFECTS += tuple(BROKEN_SOURCES)
+
+# a pair's interf source entry with one defect planted, and its message
+# after the name of the entry; each would otherwise fail every row of the
+# pair
+_DURATION = ("'synth' duration must be a finite number of seconds giving at "
+             "least one sample at 8000 Hz, got ")
+BROKEN_SOURCES = {
+    "source_without_wav_or_synth": (
+        {"wave": "v.wav"},
+        "has unknown key 'wave' (known: wav, synth)"),
+    "source_with_wav_and_synth": (
+        {"wav": "v.wav", "synth": {"kind": "tonal"}},
+        "must hold exactly one of 'wav' and 'synth', got ['synth', 'wav']"),
+    "non_string_wav": ({"wav": 3}, "'wav' must be a path string, got 3"),
+    "scalar_synth": ({"synth": "tonal"},
+                     "'synth' must be an object, got str"),
+    "null_interf": (None, "must be an object, got NoneType"),
+    "unknown_synth_kind": (
+        {"synth": {"kind": "speech"}},
+        "'synth' 'kind' must be one of hmm_sample, tonal, filtered_noise, "
+        "got 'speech'"),
+    "misspelt_synth_key": (
+        {"synth": {"kind": "tonal", "duratoin": 1.0}},
+        "'synth' has unknown key 'duratoin' (known: kind, duration, speaker, "
+        "seed, model)"),
+    "hmm_sample_without_model": (
+        {"synth": {"kind": "hmm_sample"}},
+        "'synth' lacks 'model', which kind 'hmm_sample' needs"),
+    "non_string_synth_model": (
+        {"synth": {"kind": "hmm_sample", "model": ["v.ssm"]}},
+        "'synth' 'model' must be a path string, got ['v.ssm']"),
+    "negative_synth_duration": ({"synth": {"kind": "tonal", "duration": -1}},
+                                _DURATION + "-1"),
+    "nan_synth_duration": ({"synth": {"kind": "tonal",
+                                      "duration": float("nan")}},
+                           _DURATION + "nan"),
+    "boolean_synth_duration": ({"synth": {"kind": "tonal", "duration": True}},
+                               _DURATION + "True"),
+    # half a sample at the default 8 kHz rounds to none
+    "sub_sample_synth_duration": ({"synth": {"kind": "tonal",
+                                             "duration": 0.5 / 8000}},
+                                  _DURATION + "6.25e-05"),
+    "negative_synth_speaker": (
+        {"synth": {"kind": "tonal", "speaker": -1}},
+        "'synth' speaker must be an integer >= 0, got -1"),
+    "fractional_synth_seed": (
+        {"synth": {"kind": "tonal", "seed": 1.5}},
+        "'synth' seed must be an integer >= 0, got 1.5"),
+}
+MANIFEST_DEFECTS.update((defect, f"manifest 'pairs'[0] 'interf' {message}")
+                        for defect, (_, message) in BROKEN_SOURCES.items())
 
 
 def patch_out_decoding(monkeypatch):
@@ -183,7 +253,7 @@ def broken_manifest(defect):
                                       for i in (0, float("nan"))]}
     if defect in BROKEN_SOURCES:
         return {**manifest, "pairs": [{**manifest["pairs"][0],
-                                       "interf": BROKEN_SOURCES[defect]}]}
+                                       "interf": BROKEN_SOURCES[defect][0]}]}
     if defect == "mixed_methods":
         return {**manifest, "methods": ["vq", 3]}
     if defect == "null_theta":
@@ -228,6 +298,14 @@ def broken_manifest(defect):
         return {**manifest, "framing": {"hopp": 40}}
     if defect == "fractional_sample_rate":
         return {**manifest, "sample_rate": 8000.5}
+    # keys that only a pair's own or the models object's schema knows
+    if defect == "pair_level_seed":
+        return {**manifest, "pairs": [{**manifest["pairs"][0], "seed": 5}]}
+    if defect == "unknown_model_key":
+        return {**manifest, "models": {**manifest["models"], "vq_z": 3}}
+    # two pairs would write rows that no reader can tell apart
+    if defect == "duplicate_pair_id":
+        return {**manifest, "pairs": manifest["pairs"] * 2}
     if defect == "pair_without_id":
         return {**manifest, "pairs": [{"target": {"wav": "x.wav"},
                                        "interf": {"wav": "v.wav"}}]}

@@ -498,7 +498,19 @@ class TestEvaluateReport:
                    "--out", str(tmp_path / "r.csv")])
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: manifest")
+        assert err == [f"error: {MANIFEST_DEFECTS[defect]}"]
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_duplicate_manifest_key_exits_1(self, tmp_path, capsys):
+        mpath = tmp_path / "manifest.json"
+        # json keeps the last value: this ran from -40 dB and exited 0
+        mpath.write_text('{"theta_grid": [0], "methods": [], "models": {}, '
+                         '"pairs": [], "theta0": 3, "theta0": -40}')
+        rc = main(["evaluate", "--manifest", str(mpath),
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: manifest has duplicate key 'theta0'"]
         assert not (tmp_path / "r.csv").exists()
 
     def test_unknown_method_and_missing_models_exit_1(self, tmp_path,

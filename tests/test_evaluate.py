@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conftest import (BAD_FILES, CODEBOOK_DEFECTS, HMM_DEFECTS,
 
 # the module, which the package's separate() function shadows
 separate_module = importlib.import_module("specsep.separate")
+evaluate_module = importlib.import_module("specsep.evaluate")
 
 
 class TestNormalizeEqualPower:
@@ -235,7 +237,10 @@ def experiment_env(tmp_path_factory, framing, speaker_generators,
                                      "seed": 4000 + i * 7,
                                      "duration": 1.5}}}
 
-    return {"tmp": tmp, "paths": paths, "pair_entry": pair_entry}
+    # the models object a manifest may hold: the generators are sources
+    models = {k: paths[k] for k in ("hmm_x", "hmm_v", "vq_x", "vq_v")}
+    return {"tmp": tmp, "paths": paths, "models": models,
+            "pair_entry": pair_entry}
 
 
 class TestRunExperiment:
@@ -356,7 +361,7 @@ class TestRunExperiment:
             "sample_rate": 8000,
             "theta_grid": [6],
             "methods": ["gvq", "vq"],
-            "models": {**env["paths"], "vq_v": str(bad)},
+            "models": {**env["models"], "vq_v": str(bad)},
             "pairs": [env["pair_entry"](1)],
         }
         out_csv = env["tmp"] / f"unreadable_{defect}.csv"
@@ -464,7 +469,7 @@ class TestRunExperiment:
             "sample_rate": 8000,
             "theta_grid": [0, 6],
             "methods": ["vq"],
-            "models": env["paths"],
+            "models": env["models"],
             "pairs": [entry],
         }
         out_csv = env["tmp"] / "codebook_source.csv"
@@ -538,8 +543,24 @@ class TestRunExperiment:
     @pytest.mark.parametrize("defect", MANIFEST_DEFECTS)
     def test_malformed_manifest_rejected(self, tmp_path, defect):
         out_csv = tmp_path / "r.csv"
-        with pytest.raises(ValueError, match="manifest"):
+        with pytest.raises(ValueError) as excinfo:
             run_experiment(broken_manifest(defect), out_csv)
+        assert str(excinfo.value) == MANIFEST_DEFECTS[defect]
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("extra, key", [
+        ('"theta0": 3, "theta0": -40', "theta0"),
+        ('"models": {"vq_x": "a.ssm", "vq_x": "b.ssm"}', "vq_x"),
+    ], ids=["top_level", "nested"])
+    def test_duplicate_key_in_file_rejected(self, tmp_path, extra, key):
+        # json keeps the last value: these ran, the first from -40 dB
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text('{"theta_grid": [0], "methods": [], "pairs": [], '
+                         f'"models": {{}}, {extra}}}')
+        out_csv = tmp_path / "r.csv"
+        with pytest.raises(ValueError) as excinfo:
+            run_experiment(mpath, out_csv)
+        assert str(excinfo.value) == f"manifest has duplicate key '{key}'"
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("options", [
@@ -552,6 +573,31 @@ class TestRunExperiment:
         _check_manifest({"theta_grid": [0], "methods": ["vq"],
                          "models": {"vq_x": "x.ssm", "vq_v": "v.ssm"},
                          "pairs": [], **options})
+
+
+class TestManifestDocs:
+    @pytest.fixture(scope="class")
+    def section(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        return text[text.index("### Experiment manifest"):
+                    text.index("## Library")]
+
+    def test_readme_tables_list_each_schema(self, section):
+        # a table's rows belong to the last schema that the text above it
+        # names
+        tables, name = {}, None
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                tables.setdefault(name, []).append(line.split("`")[1])
+            elif not line.startswith("|"):
+                name = (re.findall(r"`(\w+_SCHEMA)`", line) or [name])[-1]
+        assert tables == {name: list(getattr(evaluate_module, name))
+                          for name in dir(evaluate_module)
+                          if name.endswith("_SCHEMA")}
+
+    def test_readme_example_checks(self, section):
+        example = section.split("```json")[1].split("```")[0]
+        _check_manifest(json.loads(example))
 
 
 class TestReport:

@@ -1,12 +1,15 @@
 """Print the size of the specsep package: total lines, code-only lines and
 the number of public names, then each module's code-only lines; with
---names, the public names instead, one per line.
+--names, the public names instead, one per line; with --functions, the
+code-only lines of each top-level function and class instead, module by
+module, one "<module> <name> <lines>" line each.
 
 Code-only lines skip blank lines, comment lines, and the lines of module,
 class and function docstrings.  Public names are the names in
 dir(specsep) that do not start with an underscore.
 
-Run from the repository root:  python tools/src_size.py [--names] [src/specsep]
+Run from the repository root:
+    python tools/src_size.py [--names | --functions] [src/specsep]
 """
 
 import ast
@@ -29,37 +32,53 @@ def docstring_lines(tree):
 
 
 def file_size(path):
-    """(total lines, code-only lines) of one Python file."""
+    """(total lines, code-only lines, [(name, code-only lines)] of each
+    top-level function and class) of one Python file."""
     text = path.read_text()
     lines = text.splitlines()
-    skip = docstring_lines(ast.parse(text))
-    code = sum(1 for number, line in enumerate(lines, start=1)
-               if number not in skip and line.strip()
-               and not line.strip().startswith("#"))
-    return len(lines), code
+    tree = ast.parse(text)
+    skip = docstring_lines(tree)
+
+    def code(first, last):
+        return sum(1 for number in range(first, last + 1)
+                   if number not in skip and lines[number - 1].strip()
+                   and not lines[number - 1].strip().startswith("#"))
+
+    defs = [(node.name, code(min([node.lineno] + [d.lineno for d in
+                                                  node.decorator_list]),
+                             node.end_lineno))
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))]
+    return len(lines), code(1, len(lines)), defs
 
 
 def main(argv):
-    names_only = "--names" in argv[1:]
-    args = [a for a in argv[1:] if a != "--names"]
+    flags = {"--names", "--functions"}
+    args = [a for a in argv[1:] if a not in flags]
     package = Path(args[0] if args else "src/specsep")
     total = code = 0
     per_module = []
     for path in sorted(package.rglob("*.py")):
-        t, c = file_size(path)
+        t, c, defs = file_size(path)
         total += t
         code += c
-        per_module.append((path.relative_to(package).as_posix(), c))
+        per_module.append((path.relative_to(package).as_posix(), c, defs))
+    if "--functions" in argv[1:]:
+        for name, _, defs in per_module:
+            for def_name, c in defs:
+                print(f"{name} {def_name} {c}")
+        return
     sys.path.insert(0, str(package.parent))
     module = importlib.import_module(package.name)
     public = [name for name in dir(module) if not name.startswith("_")]
-    if names_only:
+    if "--names" in argv[1:]:
         print("\n".join(public))
         return
     print(f"total lines: {total}")
     print(f"code-only lines: {code}")
     print(f"public names: {len(public)}")
-    for name, c in per_module:
+    for name, c, _ in per_module:
         print(f"  {name}: {c}")
 
 
