@@ -25,9 +25,11 @@ from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_IO = 2
-EXIT_MODEL = 3
-EXIT_NUMERIC = 4
+# each error class a command may raise -> its exit code: 3 model mismatch,
+# 4 numeric failure, 2 I/O failure, 1 bad argument.  The first class that
+# matches wins, so ModelMismatchError, a ValueError, comes first
+EXIT_CODES = ((ModelMismatchError, 3), (NumericError, 4), (OSError, 2),
+              (wave.Error, 2), (ValueError, EXIT_USAGE))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,18 +235,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModelMismatchError as exc:
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (OSError, wave.Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

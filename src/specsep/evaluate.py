@@ -16,8 +16,8 @@ from .gain import ASYMPTOTE_BELOW_DB, _check_theta, estimate_gy
 from .models import HmmModel, ModelMismatchError, load_model
 from .separate import METHODS, model_kind, separate
 from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
-                     _check_settings, _is_count, _is_real, read_wav,
-                     synthesize)
+                     _check_settings, _is_count, _is_real, _shown,
+                     read_wav, synthesize)
 
 SNR_CAP_DB = 100.0
 
@@ -126,11 +126,11 @@ def _check_synth_numbers(what, sample_rate, **synth):
         if not (_is_real(n) and round(n) >= 1):
             raise ValueError(f"{what} duration must be a finite number of "
                              "seconds giving at least one sample at "
-                             f"{sample_rate} Hz, got {duration!r}")
+                             f"{sample_rate} Hz, got {_shown(duration)}")
     for key in ("speaker", "seed"):
         if key in synth and not _is_count(synth[key], 0):
             raise ValueError(f"{what} {key} must be an integer >= 0, got "
-                             f"{synth[key]!r}")
+                             f"{_shown(synth[key])}")
 
 
 def synth_source(kind, model=None, seed=0, duration=2.0,
@@ -245,12 +245,12 @@ def _run_single(pair_id, sources, theta, method, models, cfg, options):
 
 def _no_repeats(pairs, what="key"):
     """dict(pairs) for a list of (key, value) pairs: a JSON object's, as
-    json reads them, or the pair ids with their pairs.  ValueError names
-    the first key that appears twice, of which dict() would keep the last
-    value; what says what a key is."""
+    json reads them, or a manifest's pair ids, thetas or methods.
+    ValueError names the first key that appears twice, of which dict()
+    would keep the last value; what says what a key is."""
     for key, n in Counter(key for key, _ in pairs).items():
         if n > 1:
-            raise ValueError(f"manifest has duplicate {what} {key!r}")
+            raise ValueError(f"manifest has duplicate {what} {_shown(key)}")
     return dict(pairs)
 
 
@@ -292,7 +292,8 @@ PAIR_SCHEMA = {
     **dict.fromkeys(("target", "interf"), (True, SOURCE_SCHEMA, "a source"))}
 MANIFEST_SCHEMA = {
     "theta_grid": (True, [_is_real], "a finite number"),
-    "methods": (True, [_is_text], "a string"),
+    "methods": (True, [lambda m: _is_text(m) and m in METHODS],
+                f"one of {', '.join(METHODS)}"),
     "models": (True, MODELS_SCHEMA, "an object"),
     "pairs": (True, [PAIR_SCHEMA], "a pair"),
     "sample_rate": (False, _setting("sample_rate"), "a positive integer"),
@@ -341,32 +342,35 @@ def _check_value(value, rule, must, name):
         for idx, item in enumerate(value):
             _check_value(item, rule[0], must, f"{name}[{idx}]")
     elif rule is not None and not rule(value):
-        raise ValueError(f"{name} must be {must}, got {value!r}")
+        raise ValueError(f"{name} must be {must}, got {_shown(value)}")
 
 
 def _check_manifest(manifest):
     """Raise ValueError unless manifest meets MANIFEST_SCHEMA and the
     schemas below it, and then the rules that span keys: the framing makes
-    a FramingConfig, the pair ids are all strings or all numbers and
-    distinct, every source holds exactly one of "wav" and "synth", an
-    hmm_sample synth names its model, _check_synth_numbers admits each
-    synth's numbers at the manifest's sample rate, and every method is one
-    of separate.METHODS with its two model paths in "models".  Returns the
-    checked manifest with MANIFEST_DEFAULTS filled in and its "framing" a
+    a FramingConfig, the pair ids are all strings or all numbers, no pair
+    id, theta or method repeats, every source holds exactly one of "wav"
+    and "synth", an hmm_sample synth names its model, _check_synth_numbers
+    admits each synth's numbers at the manifest's sample rate, and every
+    method has its two model paths in "models".  Returns the checked
+    manifest with MANIFEST_DEFAULTS filled in and its "framing" a
     FramingConfig."""
     _check_object(manifest, MANIFEST_SCHEMA, "manifest")
     manifest = {**MANIFEST_DEFAULTS, **manifest}
     try:
         cfg = FramingConfig.from_meta(manifest["framing"])
     except ValueError as exc:
-        raise ValueError(f"manifest 'framing' {manifest['framing']}: "
-                         f"{exc}") from None
-    # rows sort by pair id, so ids must compare with each other, and a
-    # repeated one would write rows that no reader can tell apart
+        raise ValueError(f"manifest 'framing' {_shown(manifest['framing'])}"
+                         f": {exc}") from None
+    # rows sort by pair id, so ids must compare with each other
     ids = [pair["id"] for pair in manifest["pairs"]]
     if len({_is_text(pair_id) for pair_id in ids}) > 1:
         raise ValueError("manifest pair ids mix strings and numbers")
-    _no_repeats(list(zip(ids, manifest["pairs"])), "pair id")
+    # a repeated one would write rows that no reader can tell apart, and
+    # summarize_rows would count each of them twice
+    for what, keys in (("pair id", ids), ("theta", manifest["theta_grid"]),
+                       ("method", manifest["methods"])):
+        _no_repeats([(key, None) for key in keys], what)
     # a missing WAV file or an unreadable model is left to the run
     for idx, pair in enumerate(manifest["pairs"]):
         for role in ("target", "interf"):
@@ -382,9 +386,6 @@ def _check_manifest(manifest):
                                  **synth)
     # each would otherwise run the whole batch and fill its rows with errors
     for method in manifest["methods"]:
-        if method not in METHODS:
-            raise ValueError(f"manifest method {method!r} is unknown (one "
-                             f"of {', '.join(METHODS)})")
         for key in (f"{model_kind(method)}_{role}" for role in "xv"):
             if key not in manifest["models"]:
                 raise ValueError(f"manifest 'models' lacks {key!r}, which "

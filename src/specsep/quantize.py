@@ -170,13 +170,12 @@ def train_lbg(vectors, K, max_iters=100, rel_tol=DEFAULT_REL_TOL,
     Starts from the global centroid and doubles the codebook by perturbing
     each codevector by +/-SPLIT_DELTA until K entries exist.  Per-cluster
     diagonal variances (floored) and occupancy counts are recorded from the
-    final assignment.  A K, max_iters or rel_tol outside the ranges above
-    (a bool is no integer, a numpy integer is one) or a vector value that
-    is not a finite number raises ValueError before any Lloyd iteration.
+    final assignment.  Vectors that models._check_fit refuses (not 2-D,
+    or none), a K, max_iters or rel_tol outside the ranges above (a bool
+    is no integer, a numpy integer is one) or a vector value that is not
+    a finite number raise ValueError before any Lloyd iteration.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise ValueError("need a non-empty (N, dim) array of vectors")
+    vectors = _check_fit(vectors)
     _check_size(K)
     if not _is_count(max_iters, 1):
         raise ValueError("max_iters must be an integer >= 1, "

@@ -10,8 +10,8 @@ from .gain import GainContext, _check_theta, estimate_gy
 from .models import Codebook, HmmModel, ModelMismatchError, _check_finite
 # perfbench's traced run patches this name here; keep it bound
 from .quantize import gvq_score  # noqa: F401
-from .signal import (_check_settings, _is_real, apply_masks_and_reconstruct,
-                     log_spectra)
+from .signal import (_check_settings, _is_real, _shown,
+                     apply_masks_and_reconstruct, log_spectra)
 
 # method -> (the model kind it decodes with, whether theta is estimated);
 # the fixed-gain baselines fhmm and vq decode once at theta 0
@@ -101,8 +101,8 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
             recorded = m.meta.get(key)
             if recorded is not None and recorded != value:
                 raise ModelMismatchError(
-                    f"{role} model was trained with {key}={recorded!r} but "
-                    f"the mixture is separated with {key}={value}")
+                    f"{role} model was trained with {key}={_shown(recorded)}"
+                    f" but the mixture is separated with {key}={value}")
 
     _check_finite(mixture.samples, "mixture sample")
 

@@ -77,7 +77,8 @@ def _check_settings(recorded, what, error=ValueError):
     for key in ("sample_rate", *(f.name for f in fields(FramingConfig))):
         value = recorded.get(key, 1)
         if not _is_count(value, 1):
-            raise error(f"{what} {key}={value!r} is not a positive integer")
+            raise error(f"{what} {key}={_shown(value)} is not a positive "
+                        "integer")
 
 
 def _is_count(value, least):
@@ -99,6 +100,15 @@ def _is_real(value, least=-sys.float_info.max, most=sys.float_info.max):
     value = value.item() if isinstance(value, np.generic) else value
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and least <= value <= most)
+
+
+def _shown(value, most=40):
+    """repr(value) as a message shows a value read from a file: cut to its
+    first most characters, with its full length stated, when longer.  JSON
+    reads an integer of any size, which would be echoed digit by digit."""
+    text = repr(value)
+    cut = f"{text[:most]}... ({len(text)} characters)"
+    return text if len(text) <= most else cut
 
 
 def frame_signal(signal, cfg):
@@ -202,21 +212,31 @@ def read_wav(path, expected_rate=None):
     """Read a 16-bit PCM mono WAV file, scaling samples to [-1, 1].
 
     With expected_rate set, a file at any other rate is rejected; pass
-    expected_rate=None to accept whatever rate the file carries.
+    expected_rate=None to accept whatever rate the file carries.  A file
+    that is not a readable WAV (empty, cut inside its header, or foreign)
+    raises wave.Error, and a WAV that is not 16-bit mono at the expected
+    rate ValueError; both messages start with the path.  A path that
+    cannot be opened raises OSError.
     """
-    with wave.open(str(path), "rb") as w:
-        if w.getnchannels() != 1:
-            raise ValueError("mono required")
-        if w.getsampwidth() != 2:
-            raise ValueError(
-                f"unsupported bit depth: {8 * w.getsampwidth()}-bit "
-                "(16-bit PCM required)")
-        rate = w.getframerate()
-        if expected_rate is not None and rate != expected_rate:
-            raise ValueError(
-                f"sample rate mismatch: file is {rate} Hz, "
-                f"expected {expected_rate} Hz")
-        raw = w.readframes(w.getnframes())
+    try:
+        with wave.open(str(path), "rb") as w:
+            if w.getnchannels() != 1:
+                raise ValueError("mono required")
+            if w.getsampwidth() != 2:
+                raise ValueError(
+                    f"unsupported bit depth: {8 * w.getsampwidth()}-bit "
+                    "(16-bit PCM required)")
+            rate = w.getframerate()
+            if expected_rate is not None and rate != expected_rate:
+                raise ValueError(
+                    f"sample rate mismatch: file is {rate} Hz, "
+                    f"expected {expected_rate} Hz")
+            raw = w.readframes(w.getnframes())
+    # the wave module reads a header that ends early as a bare EOFError
+    except EOFError:
+        raise wave.Error(f"{path}: file ends inside its header") from None
+    except (ValueError, wave.Error) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioSignal(samples, rate)
 

@@ -10,7 +10,7 @@ import pytest
 from specsep import (AudioSignal, FramingConfig, HmmModel, baum_welch,
                      gains_from_theta, init_hmm_from_codebook,
                      mixmax_combine, sample_hmm_frames, save_model,
-                     synth_source, train_lbg)
+                     synth_source, train_lbg, write_wav)
 from specsep.mixmax import LOG_2PI, log_gauss_table, path_emission_loglik
 from specsep.models import _check_fit
 from specsep.signal import log_spectra
@@ -112,6 +112,27 @@ def save_bad_file(model, path, defect):
         np.savez(f, **entries)
 
 
+# damage that makes a WAV file unreadable, each with the message that
+# read_wav gives after the path; wave.open reads the first three as a bare
+# EOFError
+BAD_WAVS = {**dict.fromkeys(("empty", "riff_only", "header_cut"),
+                            "file ends inside its header"),
+            "not_wav": "file does not start with RIFF id"}
+
+
+def save_bad_wav(path, defect):
+    """Write a short WAV file to path, then plant one defect in it."""
+    write_wav(path, AudioSignal(np.full(100, 0.1)))
+    raw = path.read_bytes()
+    path.write_bytes({"empty": b"", "riff_only": raw[:4],
+                      "header_cut": raw[:30],
+                      "not_wav": b"not a WAV file\n"}[defect])
+
+
+# signal._shown's text of -10**400 and 10**400, which json reads: an
+# integer beyond a float's range is echoed cut to 40 characters
+_HUGE_SHOWN = {"-": f"-1{'0' * 38}... (402 characters)",
+               "+": f"1{'0' * 39}... (401 characters)"}
 # manifests that run_experiment rejects before any run, each with the
 # message it raises; BROKEN_SOURCES below adds a pair's broken sources
 MANIFEST_DEFECTS = {
@@ -123,7 +144,8 @@ MANIFEST_DEFECTS = {
     "scalar_theta_grid": "manifest 'theta_grid' must be an array, got int",
     "top_level_list": "manifest must be an object, got list",
     "mixed_pair_ids": "manifest pair ids mix strings and numbers",
-    "mixed_methods": "manifest 'methods'[1] must be a string, got 3",
+    "mixed_methods": ("manifest 'methods'[1] must be one of gfhmm, gvq, "
+                      "fhmm, vq, got 3"),
     "null_theta": "manifest 'theta_grid'[1] must be a finite number, got None",
     "scalar_framing": "manifest 'framing' must be an object, got int",
     "null_sample_rate": "manifest sample_rate=None is not a positive integer",
@@ -147,14 +169,25 @@ MANIFEST_DEFECTS = {
     "negative_seed": "manifest 'seed' must be a non-negative integer, got -3",
     "zero_jobs": "manifest 'jobs' must be a positive integer, got 0",
     "huge_theta0": ("manifest 'theta0' must be a finite number, got "
-                    f"{-10 ** 400}"),
+                    f"{_HUGE_SHOWN['-']}"),
     "huge_theta": ("manifest 'theta_grid'[1] must be a finite number, got "
-                   f"{10 ** 400}"),
+                   f"{_HUGE_SHOWN['+']}"),
+    "huge_fix_theta": ("manifest 'fix_theta' must be a finite number or "
+                       f"null, got {_HUGE_SHOWN['-']}"),
+    "huge_sample_rate": (f"manifest sample_rate={_HUGE_SHOWN['-']} is not a "
+                         "positive integer"),
+    "huge_negative_hop": (f"manifest hop={_HUGE_SHOWN['-']} is not a "
+                          "positive integer"),
+    # a positive integer, but beyond frame_len
+    "huge_hop": (f"manifest 'framing' {{'hop': 1{'0' * 31}... (410 "
+                 "characters): need 0 < hop <= frame_len <= dft_size"),
+    "huge_duplicate_pair_id": ("manifest has duplicate pair id "
+                               f"{_HUGE_SHOWN['+']}"),
     "unknown_key": ("manifest has unknown key 'fix_thetaa' (known: "
                     "theta_grid, methods, models, pairs, sample_rate, "
                     "framing, seed, jobs, theta0, fix_theta)"),
-    "unknown_method": ("manifest method 'gfhm' is unknown (one of gfhmm, "
-                       "gvq, fhmm, vq)"),
+    "unknown_method": ("manifest 'methods'[1] must be one of gfhmm, gvq, "
+                       "fhmm, vq, got 'gfhm'"),
     "missing_model_key": ("manifest 'models' lacks 'hmm_x', which method "
                           "'fhmm' needs as a path string"),
     "non_string_model_path": ("manifest 'models' 'vq_x' must be a path "
@@ -170,6 +203,8 @@ MANIFEST_DEFECTS = {
     "unknown_model_key": ("manifest 'models' has unknown key 'vq_z' (known: "
                           "hmm_x, hmm_v, vq_x, vq_v)"),
     "duplicate_pair_id": "manifest has duplicate pair id 'p0'",
+    "repeated_theta": "manifest has duplicate theta 0",
+    "repeated_method": "manifest has duplicate method 'vq'",
 }
 
 # a pair's interf source entry with one defect planted, and its message
@@ -219,6 +254,12 @@ BROKEN_SOURCES = {
     "fractional_synth_seed": (
         {"synth": {"kind": "tonal", "seed": 1.5}},
         "'synth' seed must be an integer >= 0, got 1.5"),
+    "huge_synth_duration": ({"synth": {"kind": "tonal",
+                                       "duration": 10 ** 400}},
+                            _DURATION + _HUGE_SHOWN["+"]),
+    "huge_synth_seed": (
+        {"synth": {"kind": "tonal", "seed": -10 ** 400}},
+        f"'synth' seed must be an integer >= 0, got {_HUGE_SHOWN['-']}"),
 }
 MANIFEST_DEFECTS.update((defect, f"manifest 'pairs'[0] 'interf' {message}")
                         for defect, (_, message) in BROKEN_SOURCES.items())
@@ -284,6 +325,20 @@ def broken_manifest(defect):
     # each setting a positive integer, but no FramingConfig has them
     if defect == "hop_beyond_frame_len":
         return {**manifest, "framing": {"hop": 300}}
+    if defect == "huge_sample_rate":
+        return {**manifest, "sample_rate": -10 ** 400}
+    if defect in ("huge_hop", "huge_negative_hop"):
+        return {**manifest, "framing": {
+            "hop": 10 ** 400 if defect == "huge_hop" else -10 ** 400}}
+    if defect == "huge_duplicate_pair_id":
+        return {**manifest, "pairs": [{**manifest["pairs"][0], "id": 10 ** 400}
+                                      for _ in range(2)]}
+    # each would write rows that no reader can tell apart, and count twice
+    # in summarize_rows's n
+    if defect == "repeated_theta":
+        return {**manifest, "theta_grid": [0, 0.0]}
+    if defect == "repeated_method":
+        return {**manifest, "methods": ["vq", "vq"]}
     if defect == "unknown_key":
         return {**manifest, "fix_thetaa": 3}
     if defect == "unknown_method":

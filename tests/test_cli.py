@@ -1,5 +1,6 @@
 import json
 import shutil
+import wave
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from specsep import (AudioSignal, Codebook, FramingConfig, GainContext,
                      apply_masks_and_reconstruct, gvq_infer,
                      load_model, log_spectra, read_wav, save_model,
                      synth_source, write_wav)
-from specsep.cli import build_parser, main
+from specsep.cli import EXIT_CODES, build_parser, main
+from specsep.decode import NumericError
+from specsep.models import ModelMismatchError
 from specsep.separate import BASELINE_GY_OVER_G0
 
-from conftest import (BAD_FILES, CODEBOOK_DEFECTS, HMM_DEFECTS,
+from conftest import (BAD_FILES, BAD_WAVS, CODEBOOK_DEFECTS, HMM_DEFECTS,
                       MANIFEST_DEFECTS, MODEL_DEFECTS, broken_manifest,
-                      malformed, overflowing, save_bad_file)
+                      malformed, overflowing, save_bad_file, save_bad_wav)
 
 
 @pytest.fixture(scope="module")
@@ -382,6 +385,86 @@ class TestSeparate:
         assert not (tmp / "nan_x.wav").exists()
 
 
+# one real refusal of each class in cli.EXIT_CODES: a `specsep separate`
+# run with one thing broken
+EXIT_CODE_CASES = [(ModelMismatchError, 3, "hmm_model_for_gvq"),
+                   (NumericError, 4, "overflowing_model"),
+                   (OSError, 2, "missing_mixture"),
+                   (wave.Error, 2, "not_wav_mixture"),
+                   (ValueError, 1, "nan_theta0")]
+
+
+class TestExitCodes:
+    def test_every_row_has_a_case(self):
+        assert [(cls, code) for cls, code, _ in EXIT_CODE_CASES] == list(
+            EXIT_CODES)
+
+    @pytest.mark.parametrize("cls, code, broken", EXIT_CODE_CASES,
+                             ids=[c[2] for c in EXIT_CODE_CASES])
+    def test_refusal_exits_with_its_class_code(
+            self, cli_models, mixture_file, tmp_path, capsys, cls, code,
+            broken):
+        mixture, model_x = mixture_file, cli_models["vq_a"]
+        model_v, extra = cli_models["vq_b"], []
+        if broken == "hmm_model_for_gvq":
+            model_x = cli_models["hmm_a"]
+        elif broken == "overflowing_model":
+            model_v = tmp_path / "overflowing.ssm"
+            save_model(overflowing(load_model(cli_models["vq_b"])), model_v)
+        elif broken == "missing_mixture":
+            mixture = tmp_path / "absent.wav"
+        elif broken == "not_wav_mixture":
+            mixture = tmp_path / "not_wav.wav"
+            save_bad_wav(mixture, "not_wav")
+        else:
+            extra = ["--theta0", "nan"]
+        out_x = tmp_path / "x.wav"
+        argv = ["separate", "--mixture", str(mixture),
+                "--model-x", str(model_x), "--model-v", str(model_v),
+                "--method", "gvq", "--out-x", str(out_x),
+                "--out-v", str(tmp_path / "v.wav"), *extra]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(cls):
+            args.func(args)
+        assert main(argv) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out_x.exists()
+
+
+class TestUnreadableWav:
+    """A file that is no readable WAV is an I/O failure named by its path;
+    an empty or truncated one used to end in a traceback and exit 1."""
+
+    @pytest.mark.parametrize("defect", BAD_WAVS)
+    @pytest.mark.parametrize("command", ["mix", "separate", "train"])
+    def test_exits_2_naming_the_file(self, speaker_dirs, cli_models,
+                                     mixture_file, tmp_path, capsys,
+                                     command, defect):
+        bad, out = tmp_path / f"{defect}.wav", tmp_path / "out.wav"
+        if command == "train":
+            clips = tmp_path / "clips"
+            clips.mkdir()
+            for clip in sorted(speaker_dirs["dirs"]["a"].glob("*.wav"))[:2]:
+                shutil.copy(clip, clips)
+            bad, out = clips / f"{defect}.wav", tmp_path / "out.ssm"
+        save_bad_wav(bad, defect)
+        argv = {
+            "mix": ["mix", "--target", str(mixture_file), "--interf",
+                    str(bad), "--tir", "0", "--out", str(out)],
+            "separate": ["separate", "--mixture", str(bad),
+                         "--model-x", str(cli_models["vq_a"]),
+                         "--model-v", str(cli_models["vq_b"]),
+                         "--method", "gvq", "--out-x", str(out),
+                         "--out-v", str(tmp_path / "out_v.wav")],
+            "train": ["train", "--kind", "vq", "--speaker-dir",
+                      str(bad.parent), "--states", "2", "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {BAD_WAVS[defect]}\n"
+        assert not list(tmp_path.glob("out*"))
+
+
 class TestFramingCheck:
     @pytest.fixture(scope="class")
     def vq_200(self, speaker_dirs):
@@ -525,8 +608,8 @@ class TestEvaluateReport:
                    "--out", str(tmp_path / "r.csv")])
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: manifest method 'gfhm' is unknown (one of "
-                       "gfhmm, gvq, fhmm, vq)"]
+        assert err == ["error: manifest 'methods'[0] must be one of gfhmm, "
+                       "gvq, fhmm, vq, got 'gfhm'"]
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("jobs", ["-2", "0"])

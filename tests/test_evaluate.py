@@ -15,9 +15,9 @@ from specsep.evaluate import (CSV_COLUMNS, _check_manifest, summarize_rows,
                               write_report)
 from specsep.models import save_model
 
-from conftest import (BAD_FILES, CODEBOOK_DEFECTS, HMM_DEFECTS,
+from conftest import (BAD_FILES, BAD_WAVS, CODEBOOK_DEFECTS, HMM_DEFECTS,
                       MANIFEST_DEFECTS, MODEL_DEFECTS, broken_manifest,
-                      malformed, overflowing, save_bad_file)
+                      malformed, overflowing, save_bad_file, save_bad_wav)
 
 # the module, which the package's separate() function shadows
 separate_module = importlib.import_module("specsep.separate")
@@ -286,6 +286,22 @@ class TestRunExperiment:
         assert all(r["error"] != "" for r in bad)
         assert all(r["snr_target_db"] == "" for r in bad)
 
+    @pytest.mark.parametrize("defect", BAD_WAVS)
+    def test_unreadable_wav_gives_error_rows_naming_it(self, experiment_env,
+                                                       tmp_path, defect):
+        # an empty or truncated file gave the bare error "EOFError: "
+        bad = tmp_path / f"{defect}.wav"
+        save_bad_wav(bad, defect)
+        entry = {**experiment_env["pair_entry"](1),
+                 "target": {"wav": str(bad)}}
+        out_csv = tmp_path / "r.csv"
+        run_experiment({"theta_grid": [0], "methods": ["vq"],
+                        "models": experiment_env["models"],
+                        "pairs": [entry]}, out_csv)
+        with open(out_csv, newline="") as f:
+            (row,) = csv.DictReader(f)
+        assert row["error"] == f"Error: {bad}: {BAD_WAVS[defect]}"
+
     def test_models_framed_otherwise_give_error_rows(self, experiment_env,
                                                      trained_models):
         # models recorded at 200/100 and a manifest with no "framing":
@@ -437,8 +453,8 @@ class TestRunExperiment:
                            tmp_path / "r.csv")
 
     @pytest.mark.parametrize("methods, models, message", [
-        (["gfhm", "gvq"], {}, "method 'gfhm' is unknown (one of gfhmm, "
-                              "gvq, fhmm, vq)"),
+        (["gfhm", "gvq"], {}, "'methods'[0] must be one of gfhmm, gvq, "
+                              "fhmm, vq, got 'gfhm'"),
         (["gvq"], {}, "'models' lacks 'vq_x', which method 'gvq' needs"),
         (["vq", "gfhmm"], {"vq_x": "x.ssm", "vq_v": "v.ssm",
                            "hmm_x": "x.ssm"},
@@ -546,6 +562,9 @@ class TestRunExperiment:
         with pytest.raises(ValueError) as excinfo:
             run_experiment(broken_manifest(defect), out_csv)
         assert str(excinfo.value) == MANIFEST_DEFECTS[defect]
+        # a refused value is shown cut, however long: the huge_* defects,
+        # integers of 401 digits that json reads, were echoed in full
+        assert len(str(excinfo.value)) <= 200
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("extra, key", [

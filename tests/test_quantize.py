@@ -77,10 +77,14 @@ class TestTrainLbg:
         assert cb.occupancy.sum() == 6
         assert np.all(cb.cluster_variances >= VARIANCE_FLOOR)
 
-    @pytest.mark.parametrize("vectors", [np.zeros((0, 2)), np.zeros(5)],
-                             ids=["no_rows", "one_dimensional"])
-    def test_empty_vectors_rejected(self, vectors):
-        with pytest.raises(ValueError, match="non-empty"):
+    # models._check_fit's messages, the fit check of every decoder
+    @pytest.mark.parametrize("vectors, message", [
+        (np.zeros((0, 2)), "empty input"),
+        (np.zeros(5),
+         r"frames must be an \(R, dim\) array, got shape \(5,\)")],
+        ids=["no_rows", "one_dimensional"])
+    def test_empty_vectors_rejected(self, vectors, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             train_lbg(vectors, 1)
 
     def test_too_few_vectors_rejected(self):

@@ -1,3 +1,4 @@
+import wave
 from dataclasses import asdict
 
 import numpy as np
@@ -8,7 +9,7 @@ from specsep import (AudioSignal, FramingConfig, apply_masks_and_reconstruct,
 from specsep.evaluate import snr
 from specsep.signal import LOG_FLOOR, log_spectra, overlap_add
 
-from conftest import loop_overlap_add
+from conftest import BAD_WAVS, loop_overlap_add, save_bad_wav
 
 
 @pytest.fixture
@@ -212,6 +213,24 @@ class TestWavIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_wav(tmp_path / "absent.wav")
+
+    @pytest.mark.parametrize("defect", BAD_WAVS)
+    def test_unreadable_file_named(self, tmp_path, defect):
+        # the first three raised a bare EOFError, which named nothing and
+        # which no exit code mapped
+        path = tmp_path / f"{defect}.wav"
+        save_bad_wav(path, defect)
+        with pytest.raises(wave.Error) as excinfo:
+            read_wav(path)
+        assert str(excinfo.value) == f"{path}: {BAD_WAVS[defect]}"
+
+    def test_refused_wav_named(self, tmp_path):
+        path = tmp_path / "fast.wav"
+        write_wav(path, AudioSignal(np.zeros(100), sample_rate=16000))
+        with pytest.raises(ValueError) as excinfo:
+            read_wav(path, expected_rate=8000)
+        assert str(excinfo.value) == (f"{path}: sample rate mismatch: file "
+                                      "is 16000 Hz, expected 8000 Hz")
 
     def test_unsupported_bit_depth(self, tmp_path):
         import wave as wave_mod
