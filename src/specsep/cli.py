@@ -25,11 +25,10 @@ from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-# each error class a command may raise -> its exit code: 3 model mismatch,
-# 4 numeric failure, 2 I/O failure, 1 bad argument.  The first class that
-# matches wins, so ModelMismatchError, a ValueError, comes first
+# the first class that matches wins, so ModelMismatchError, a ValueError,
+# comes first
 EXIT_CODES = ((ModelMismatchError, 3), (NumericError, 4), (OSError, 2),
-              (wave.Error, 2), (ValueError, EXIT_USAGE))
+              (wave.Error, 2), (ValueError, 1))
 
 
 class _Parser(argparse.ArgumentParser):

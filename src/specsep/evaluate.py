@@ -321,7 +321,7 @@ def _check_object(obj, schema, what):
     # a misspelt key would otherwise run the batch at its default
     for key in obj:
         if key not in schema:
-            raise ValueError(f"{what} has unknown key {key!r} (known: "
+            raise ValueError(f"{what} has unknown key {_shown(key)} (known: "
                              f"{', '.join(schema)})")
     for key, (required, rule, must) in schema.items():
         if key in obj:

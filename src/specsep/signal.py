@@ -102,13 +102,13 @@ def _is_real(value, least=-sys.float_info.max, most=sys.float_info.max):
             and least <= value <= most)
 
 
-def _shown(value, most=40):
+def _shown(value):
     """repr(value) as a message shows a value read from a file: cut to its
-    first most characters, with its full length stated, when longer.  JSON
+    first 40 characters, with its full length stated, when longer.  JSON
     reads an integer of any size, which would be echoed digit by digit."""
     text = repr(value)
-    cut = f"{text[:most]}... ({len(text)} characters)"
-    return text if len(text) <= most else cut
+    return (text if len(text) <= 40
+            else f"{text[:40]}... ({len(text)} characters)")
 
 
 def frame_signal(signal, cfg):

@@ -186,6 +186,10 @@ MANIFEST_DEFECTS = {
     "unknown_key": ("manifest has unknown key 'fix_thetaa' (known: "
                     "theta_grid, methods, models, pairs, sample_rate, "
                     "framing, seed, jobs, theta0, fix_theta)"),
+    "long_unknown_key": (f"manifest has unknown key '{'k' * 39}... (10002 "
+                         "characters) (known: theta_grid, methods, models, "
+                         "pairs, sample_rate, framing, seed, jobs, theta0, "
+                         "fix_theta)"),
     "unknown_method": ("manifest 'methods'[1] must be one of gfhmm, gvq, "
                        "fhmm, vq, got 'gfhm'"),
     "missing_model_key": ("manifest 'models' lacks 'hmm_x', which method "
@@ -341,6 +345,9 @@ def broken_manifest(defect):
         return {**manifest, "methods": ["vq", "vq"]}
     if defect == "unknown_key":
         return {**manifest, "fix_thetaa": 3}
+    # a json key may be of any length, and is echoed cut like a value
+    if defect == "long_unknown_key":
+        return {**manifest, "k" * 10000: 1}
     if defect == "unknown_method":
         return {**manifest, "methods": ["vq", "gfhm"]}
     # fhmm needs hmm_x and hmm_v, which the models object lacks

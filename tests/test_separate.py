@@ -613,15 +613,11 @@ def random_models(rng, source, K, cfg):
     is a random frame of the source's log spectra plus Gaussian noise, so
     that theta is estimated inside the search interval."""
     feats = log_spectra(source, cfg)
-    means = (feats[rng.integers(0, len(feats), K)]
-             + rng.normal(0.0, 0.1, (K, cfg.n_bins)))
-    variances = rng.uniform(0.05, 0.5, (K, cfg.n_bins))
-    pi = rng.random(K) + 0.1
-    trans = rng.random((K, K)) + 0.1
-    hmm = HmmModel(pi=np.log(pi / pi.sum()),
-                   trans=np.log(trans / trans.sum(axis=1, keepdims=True)),
-                   means=means, vars=variances)
-    return hmm, Codebook(means, variances, rng.integers(1, 20, K))
+    hmm = dataclasses.replace(
+        random_hmm(rng, K, cfg.n_bins, 0.05, 0.5),
+        means=(feats[rng.integers(0, len(feats), K)]
+               + rng.normal(0.0, 0.1, (K, cfg.n_bins))))
+    return hmm, Codebook(hmm.means, hmm.vars, rng.integers(1, 20, K))
 
 
 def random_case(seed, k_x, k_v, duration, theta, cfg):
@@ -661,10 +657,11 @@ class TestMetamorphicProperties:
     @metamorphic
     def test_level(self, framing, seed, k_x, k_v, duration, theta):
         # the log spectra and log10 g_y shift together; theta_hat moves by
-        # rounding, which the parabolic steps amplify.  In 150 random
-        # draws gfhmm's moved by at most 4.4e-11 dB and gvq's by 4.8e-7 dB,
-        # where the vertex of a flat stretch of Q pins it least; either
-        # bound lies far below the search's resolution, THETA_STEP_TOL_DB
+        # rounding, which the parabolic steps amplify.  In 600 random
+        # draws gfhmm's moved by at most 1.0e-8 dB (median 4e-14) and gvq's
+        # by 8.2e-7 dB, where the vertex of a flat stretch of Q pins it
+        # least; either lies far below the search's resolution,
+        # THETA_STEP_TOL_DB
         y, models = random_case(seed, k_x, k_v, duration, theta, framing)
         for method, kind, moves in (("gfhmm", "hmm", 1e-8),
                                     ("gvq", "cb", 1e-5)):
