@@ -407,11 +407,17 @@ def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
     model that fails HmmModel.validate or does not match the frames' bin
     count raises ModelMismatchError before any decode.
     """
+    b = None
+
     def decode(y_seq, chunks, thetas):
-        b = np.empty((len(y_seq), lambda_x.K, lambda_v.K))
+        # one emission table per call, which every decode refills window by
+        # window in place
+        nonlocal b
+        if b is None:
+            b = np.empty((len(y_seq), lambda_x.K, lambda_v.K))
         for sl, th in zip(chunks, thetas):
-            b[sl] = log_b_table(y_seq[sl], lambda_x, lambda_v,
-                                gains_from_theta(th, ctx))
+            log_b_table(y_seq[sl], lambda_x, lambda_v,
+                        gains_from_theta(th, ctx), out=b[sl])
         return _viterbi_from_table(b, lambda_x.pi, lambda_v.pi,
                                    lambda_x.trans, lambda_v.trans)
 

@@ -213,10 +213,10 @@ def read_wav(path, expected_rate=None):
 
     With expected_rate set, a file at any other rate is rejected; pass
     expected_rate=None to accept whatever rate the file carries.  A file
-    that is not a readable WAV (empty, cut inside its header, or foreign)
-    raises wave.Error, and a WAV that is not 16-bit mono at the expected
-    rate ValueError; both messages start with the path.  A path that
-    cannot be opened raises OSError.
+    that is not a readable WAV (empty, cut inside its header or its data,
+    or foreign) raises wave.Error, and a WAV that is not 16-bit mono at
+    the expected rate ValueError; both messages start with the path.  A
+    path that cannot be opened raises OSError.
     """
     try:
         with wave.open(str(path), "rb") as w:
@@ -231,7 +231,11 @@ def read_wav(path, expected_rate=None):
                 raise ValueError(
                     f"sample rate mismatch: file is {rate} Hz, "
                     f"expected {expected_rate} Hz")
-            raw = w.readframes(w.getnframes())
+            n_frames = w.getnframes()
+            raw = w.readframes(n_frames)
+            if len(raw) < 2 * n_frames:
+                raise wave.Error(f"data ends after {len(raw) // 2} of "
+                                 f"{n_frames} frames")
     # the wave module reads a header that ends early as a bare EOFError
     except EOFError:
         raise wave.Error(f"{path}: file ends inside its header") from None

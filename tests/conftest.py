@@ -11,7 +11,8 @@ from specsep import (AudioSignal, FramingConfig, HmmModel, baum_welch,
                      gains_from_theta, init_hmm_from_codebook,
                      mixmax_combine, sample_hmm_frames, save_model,
                      synth_source, train_lbg, write_wav)
-from specsep.mixmax import LOG_2PI, log_gauss_table, path_emission_loglik
+from specsep.mixmax import (LOG_2PI, _dominant_gaussian, log_gauss_table,
+                            path_emission_loglik)
 from specsep.models import _check_fit
 from specsep.signal import log_spectra
 
@@ -114,10 +115,14 @@ def save_bad_file(model, path, defect):
 
 # damage that makes a WAV file unreadable, each with the message that
 # read_wav gives after the path; wave.open reads the first three as a bare
-# EOFError
+# EOFError.  The last two keep the 44-byte header that declares 100 frames
+# and cut the data after 1 byte (numpy refused the odd buffer) or after 50
+# frames (which loaded as 50 samples)
 BAD_WAVS = {**dict.fromkeys(("empty", "riff_only", "header_cut"),
                             "file ends inside its header"),
-            "not_wav": "file does not start with RIFF id"}
+            "not_wav": "file does not start with RIFF id",
+            "data_cut_in_sample": "data ends after 0 of 100 frames",
+            "data_cut_on_sample": "data ends after 50 of 100 frames"}
 
 
 def save_bad_wav(path, defect):
@@ -126,7 +131,9 @@ def save_bad_wav(path, defect):
     raw = path.read_bytes()
     path.write_bytes({"empty": b"", "riff_only": raw[:4],
                       "header_cut": raw[:30],
-                      "not_wav": b"not a WAV file\n"}[defect])
+                      "not_wav": b"not a WAV file\n",
+                      "data_cut_in_sample": raw[:45],
+                      "data_cut_on_sample": raw[:144]}[defect])
 
 
 # signal._shown's text of -10**400 and 10**400, which json reads: an
@@ -517,6 +524,16 @@ def broadcast_gvq_costs(y_seq, cb_x, cb_v, theta, ctx):
                               cb_v.codevectors[None, :, :],
                               gains_from_theta(theta, ctx))
     return np.array([((y - combined) ** 2).sum(axis=-1) for y in y_seq])
+
+
+def whole_table(y, model_x, model_v, gp):
+    """The emission table as one log_gauss_table call on the (K_x, K_v,
+    dim) dominant centers, with no blocks: the reference for
+    mixmax.log_b_table, bit for bit."""
+    m_max, var_max = _dominant_gaussian(
+        model_x.means[:, None, :], model_x.vars[:, None, :],
+        model_v.means[None, :, :], model_v.vars[None, :, :], gp)
+    return log_gauss_table(y, m_max, var_max)
 
 
 def log_b_jk(y, mean_x, var_x, mean_v, var_v, gp):

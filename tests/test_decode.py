@@ -22,7 +22,7 @@ from conftest import (CODEBOOK_DEFECTS, HMM_DEFECTS, backpointer_viterbi,
                       patch_out_decoding, path_loglik,
                       planted_path_objective, random_hmm,
                       sampled_feature_mixture, shared_variance_hmm,
-                      structured_hmm)
+                      structured_hmm, whole_table)
 
 
 @pytest.fixture
@@ -241,6 +241,22 @@ class TestViterbiMemory:
         finally:
             tracemalloc.stop()
         assert peak <= limit
+
+    def test_gfhmm_decode_adds_nothing_to_the_viterbi_peak(self, ctx):
+        # one round at K=64 on 197 frames peaks at the Viterbi pass's own
+        # 19.3e6 bytes (the emission table, the score tables, two tiles and
+        # one cube); a fresh table per window copied into the decode's
+        # table, built through K^2 dim temporaries, peaked at 30.3e6
+        rng = np.random.default_rng(64)
+        mx, mv = random_hmm(rng, 64, 129), random_hmm(rng, 64, 129)
+        y = rng.normal(0.0, 1.5, (197, 129))
+        tracemalloc.start()
+        try:
+            gfhmm_infer(y, mx, mv, ctx, outer_tol=0.0, max_outer=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20.4e6
 
 
 class TestBacktraceByRecomputation:
@@ -539,6 +555,32 @@ class TestGfhmmInfer:
         assert len(res.theta_per_chunk) == 2
         for th in res.theta_per_chunk:
             assert abs(th - 8.0) <= 1.5
+
+    def test_windows_filled_in_place_match_copied_tables(self, ctx,
+                                                         monkeypatch):
+        # each decode refills one table window by window through
+        # log_b_table's out; the reference copies a whole-table product per
+        # window into a fresh table.  K=32 at 129 bins is 2 blocks
+        rng = np.random.default_rng(32)
+        mx = structured_hmm(rng, K=32, dim=129)
+        mv = structured_hmm(rng, K=32, dim=129)
+        y = sampled_feature_mixture(mx, mv, 4.0, ctx, 130, seed=33)
+        options = dict(outer_tol=0.0, max_outer=2, frames_per_chunk=40)
+        res = gfhmm_infer(y, mx, mv, ctx, **options)
+
+        def copied(y_seq, model_x, model_v, gp, out):
+            out[...] = whole_table(y_seq, model_x, model_v, gp)
+            return out
+
+        monkeypatch.setattr("specsep.decode.log_b_table", copied)
+        want = gfhmm_infer(y, mx, mv, ctx, **options)
+        assert len(res.theta_per_chunk) == 3
+        np.testing.assert_array_equal(res.path_x, want.path_x)
+        np.testing.assert_array_equal(res.path_v, want.path_v)
+        assert res.logprob == want.logprob
+        assert res.objective_trace == want.objective_trace
+        assert res.theta_per_chunk == want.theta_per_chunk
+        assert res.theta_hat == want.theta_hat
 
     def test_zero_rounds_is_one_viterbi_pass(self, ctx):
         rng = np.random.default_rng(20)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from specsep import (GainContext, GainPair, gains_from_theta, log_b_table,
                      mixmax_combine)
 from specsep.mixmax import LOG_2PI, dominant, log_gauss_table
 
-from conftest import log_b_jk, random_hmm
+from conftest import log_b_jk, random_hmm, whole_table
 
 
 @pytest.fixture
@@ -183,6 +184,81 @@ class TestLogBTable:
                     want = log_b_jk(y[r], mx.means[j], mx.vars[j],
                                     mv.means[k], mv.vars[k], gp)
                     assert table[r, j, k] == pytest.approx(want, rel=1e-10)
+
+
+class TestLogBTableBlocks:
+    """log_b_table scores blocks of target states straight into its table,
+    and every value is the whole-table product's, bit for bit.  That is a
+    property of the BLAS: OpenBLAS splits a block of a power-of-two number
+    of columns as it splits the whole table, while a product of 2 frames
+    can take its small-matrix kernel and round otherwise, so the frames
+    here number a window's worth."""
+
+    # the target states of each block at 129 bins: the whole table at
+    # K=16, 8 at K=64, two blocks at K_x=64, K_v=16, and at K_x=38 (not a
+    # power of two) several blocks and a shorter one
+    @pytest.mark.parametrize("K_x, K_v, blocks", [
+        (16, 16, [16]), (64, 64, [8] * 8), (64, 16, [32, 32]),
+        (38, 64, [10, 10, 10, 8])])
+    def test_bit_identical_to_whole_table(self, ctx, monkeypatch, K_x, K_v,
+                                          blocks):
+        dim, R = 129, 40
+        rng = np.random.default_rng(K_x * K_v)
+        mx, mv = random_hmm(rng, K_x, dim), random_hmm(rng, K_v, dim)
+        y = rng.normal(0.0, 1.5, (R, dim))
+        gp = gains_from_theta(-4.5, ctx)
+        want = whole_table(y, mx, mv, gp)
+        # a window of a larger table, as a multi-window decode fills it
+        b = np.full((R + 9, K_x, K_v), np.nan)
+        seen = []
+
+        def spy(frames, means, var, out=None):
+            seen.append(out.shape[1])
+            return log_gauss_table(frames, means, var, out=out)
+
+        monkeypatch.setattr("specsep.mixmax.log_gauss_table", spy)
+        got = log_b_table(y, mx, mv, gp, out=b[5:5 + R])
+        monkeypatch.undo()
+        assert seen == blocks
+        assert got.base is b
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(b[5:5 + R], want)
+        assert np.isnan(b[:5]).all() and np.isnan(b[5 + R:]).all()
+        np.testing.assert_array_equal(log_b_table(y, mx, mv, gp), want)
+
+    @pytest.mark.parametrize("bad", ["columns_strided", "rows_strided",
+                                     "shape", "float32"])
+    def test_out_that_cannot_take_the_product_rejected(self, ctx, bad):
+        # a reshape of out that copied would leave out unwritten
+        rng = np.random.default_rng(3)
+        mx, mv = random_hmm(rng, 3, 5), random_hmm(rng, 4, 5)
+        out = {"columns_strided": np.empty((6, 3, 8))[:, :, ::2],
+               "rows_strided": np.empty((6, 6, 4))[:, ::2],
+               "shape": np.empty((6, 4, 3)),
+               "float32": np.empty((6, 3, 4), np.float32)}[bad]
+        with pytest.raises(ValueError, match="out must be a float64 array "
+                           r"of shape \(6, 3, 4\) with contiguous rows"):
+            log_b_table(rng.normal(0, 1, (6, 5)), mx, mv,
+                        gains_from_theta(0.0, ctx), out=out)
+
+    @pytest.mark.parametrize("K", [64, 128])
+    def test_peak_bounded_beside_the_table(self, ctx, K):
+        # into an existing 197-frame table (2 s) the blocks hold about
+        # 2.7 MB; a whole-table build held K^2 dim temporaries and its
+        # result, a 23.9 MB peak at K=64 and 94.0 MB at K=128
+        rng = np.random.default_rng(K)
+        mx, mv = random_hmm(rng, K, 129), random_hmm(rng, K, 129)
+        y = rng.normal(0.0, 1.5, (197, 129))
+        gp = gains_from_theta(2.0, ctx)
+        b = np.empty((197, K, K))
+        log_b_table(y, mx, mv, gp, out=b)
+        tracemalloc.start()
+        try:
+            log_b_table(y, mx, mv, gp, out=b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
 
 class TestLogGaussTable:
