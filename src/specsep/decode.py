@@ -98,7 +98,7 @@ def _max_stage(scores, tile):
 
 
 def _viterbi_from_table(b, log_pi_x, log_pi_v, log_a_x, log_a_v,
-                        delta_trace=None):
+                        delta_trace=None, overwrite_b=False):
     """Max-product decoding over the K_x*K_v product state space.
 
     The per-frame max over predecessor pairs (i, l) is taken in two
@@ -120,9 +120,15 @@ def _viterbi_from_table(b, log_pi_x, log_pi_v, log_a_x, log_a_v,
     lexicographically smallest (j, k) at termination.  delta_trace, when a
     list, collects a copy of every per-frame score table for equivalence
     testing.
+
+    With overwrite_b, the score tables are written over b, so the call
+    allocates no R x K_x x K_v table of its own and leaves the score
+    tables in b: frame r reads b[r] and the score table in slot r - 1,
+    then writes slot r, and the backtrace reads only score tables.  By
+    default b is left as it was given.
     """
     R, K_x, K_v = b.shape
-    deltas = np.empty((R, K_x, K_v))
+    deltas = b if overwrite_b else np.empty((R, K_x, K_v))
     deltas[0] = log_pi_x[:, None] + log_pi_v[None, :] + b[0]
     tile_x = np.repeat(log_a_x[:, None, :], K_v, axis=1)   # (i, l, j)
     tile_v = np.repeat(log_a_v[:, None, :], K_x, axis=1)   # (l, j, k)
@@ -410,8 +416,9 @@ def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
     b = None
 
     def decode(y_seq, chunks, thetas):
-        # one emission table per call, which every decode refills window by
-        # window in place
+        # one table per call: every decode refills it window by window
+        # with emissions, and the Viterbi pass writes its score tables
+        # over them, so a decode holds one R x K_x x K_v table, not two
         nonlocal b
         if b is None:
             b = np.empty((len(y_seq), lambda_x.K, lambda_v.K))
@@ -419,7 +426,8 @@ def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
             log_b_table(y_seq[sl], lambda_x, lambda_v,
                         gains_from_theta(th, ctx), out=b[sl])
         return _viterbi_from_table(b, lambda_x.pi, lambda_v.pi,
-                                   lambda_x.trans, lambda_v.trans)
+                                   lambda_x.trans, lambda_v.trans,
+                                   overwrite_b=True)
 
     return _alternate(decode, (lambda_x, lambda_v),
                       lambda m: (m.means, m.vars), y_seq, ctx, theta0,

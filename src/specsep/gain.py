@@ -7,6 +7,7 @@ carried by the observation RMS g_y and by theta.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,12 +83,24 @@ def gains_from_theta(theta, ctx):
 
 
 def estimate_gy(signal):
-    """RMS of the observation signal."""
+    """RMS of the observation signal.
+
+    The mean square is taken as it is when it is a normal float.  When the
+    squares overflow or underflow instead (samples beyond about 1e154 or
+    below about 1e-154), the samples are first divided by their peak
+    magnitude, so that any finite signal that is not all zeros has a
+    finite, positive RMS.  Empty and all-zero samples raise ValueError.
+    """
     samples = np.asarray(signal.samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("empty input")
-    power = float(np.mean(samples ** 2))
-    if power == 0.0:
-        raise ValueError("silent observation")
+    with np.errstate(over="ignore"):
+        power = float(np.mean(samples ** 2))
+    if not sys.float_info.min <= power < math.inf:
+        peak = float(np.max(np.abs(samples)))
+        if peak == 0.0:
+            raise ValueError("silent observation")
+        if math.isfinite(peak):          # else a sample is inf or NaN
+            return peak * float(np.sqrt(np.mean((samples / peak) ** 2)))
     return float(np.sqrt(power))
 

@@ -167,6 +167,46 @@ class TestBruteForceOracle:
             brute_force_decode(np.zeros((8, 2)), m, m, 0.0, ctx)
 
 
+def viterbi_draws(test):
+    """A property over viterbi_inputs' arguments, 200 derandomized draws
+    and two fixed examples."""
+    test = example(K_x=12, K_v=2, R=8, tie_heavy=True, p_impossible=0.8,
+                   seed=1)(test)
+    test = example(K_x=3, K_v=7, R=5, tie_heavy=False, p_impossible=0.3,
+                   seed=0)(test)
+    return settings(derandomize=True, max_examples=200, deadline=None)(
+        given(K_x=st.integers(1, 12), K_v=st.integers(1, 12),
+              R=st.integers(1, 8), tie_heavy=st.booleans(),
+              p_impossible=st.sampled_from([0, 0.3, 0.8]),
+              seed=st.integers(0, 2 ** 32 - 1))(test))
+
+
+def viterbi_inputs(K_x, K_v, R, tie_heavy, p_impossible, seed):
+    """_viterbi_from_table's positional arguments (b, log_pi_x, log_pi_v,
+    log_a_x, log_a_v), drawn at random.
+
+    The two chains differ in size, so a layout that swaps K_x and K_v
+    fails; impossible (-inf) priors and transitions are the probability-0
+    entries HmmModel.validate accepts, one finite entry kept per row, and
+    tie-heavy draws hold small integers throughout."""
+    rng = np.random.default_rng(seed)
+
+    def table(shape):
+        if tie_heavy:
+            return rng.integers(-2, 1, shape).astype(np.float64)
+        return rng.normal(-2.0, 3.0, shape)
+
+    def log_probs(n_rows, K):
+        rows = table((n_rows, K))
+        impossible = rng.random((n_rows, K)) < p_impossible
+        impossible[np.arange(n_rows), rng.integers(0, K, n_rows)] = False
+        rows[impossible] = -np.inf
+        return rows
+
+    return (table((R, K_x, K_v)), log_probs(1, K_x)[0], log_probs(1, K_v)[0],
+            log_probs(K_x, K_x), log_probs(K_v, K_v))
+
+
 class TestTwoStageEquivalence:
     def test_bit_identical_to_naive_k4(self, ctx):
         for seed in range(20):
@@ -184,34 +224,10 @@ class TestTwoStageEquivalence:
             for fast_d, naive_d in zip(trace, naive):
                 np.testing.assert_array_equal(fast_d, naive_d)
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(K_x=st.integers(1, 12), K_v=st.integers(1, 12), R=st.integers(1, 8),
-           tie_heavy=st.booleans(), p_impossible=st.sampled_from([0, 0.3, 0.8]),
-           seed=st.integers(0, 2 ** 32 - 1))
-    @example(K_x=3, K_v=7, R=5, tie_heavy=False, p_impossible=0.3, seed=0)
-    @example(K_x=12, K_v=2, R=8, tie_heavy=True, p_impossible=0.8, seed=1)
+    @viterbi_draws
     def test_bit_identical_with_any_state_counts(self, K_x, K_v, R, tie_heavy,
                                                  p_impossible, seed):
-        # the two chains differ in size, so a layout that swaps K_x and K_v
-        # fails here; impossible (-inf) priors and transitions are the
-        # probability-0 entries HmmModel.validate accepts, one finite entry
-        # kept per row, and tie-heavy draws hold small integers throughout
-        rng = np.random.default_rng(seed)
-
-        def table(shape):
-            if tie_heavy:
-                return rng.integers(-2, 1, shape).astype(np.float64)
-            return rng.normal(-2.0, 3.0, shape)
-
-        def log_probs(n_rows, K):
-            rows = table((n_rows, K))
-            impossible = rng.random((n_rows, K)) < p_impossible
-            impossible[np.arange(n_rows), rng.integers(0, K, n_rows)] = False
-            rows[impossible] = -np.inf
-            return rows
-
-        args = (table((R, K_x, K_v)), log_probs(1, K_x)[0],
-                log_probs(1, K_v)[0], log_probs(K_x, K_x), log_probs(K_v, K_v))
+        args = viterbi_inputs(K_x, K_v, R, tie_heavy, p_impossible, seed)
         trace = []
         _viterbi_from_table(*args, delta_trace=trace)
         naive = naive_viterbi_deltas(*args)
@@ -219,44 +235,87 @@ class TestTwoStageEquivalence:
         for fast_d, naive_d in zip(trace, naive):
             np.testing.assert_array_equal(fast_d, naive_d)
 
+    @viterbi_draws
+    def test_score_tables_written_over_the_emissions(self, K_x, K_v, R,
+                                                     tie_heavy, p_impossible,
+                                                     seed):
+        # by default b is left as given; with overwrite_b the same paths
+        # and logprob come back, and b ends up holding the score tables
+        b, *model = viterbi_inputs(K_x, K_v, R, tie_heavy, p_impossible,
+                                   seed)
+        given_b, trace = b.copy(), []
+        want = _viterbi_from_table(b, *model, delta_trace=trace)
+        np.testing.assert_array_equal(b, given_b)
+        path_x, path_v, logprob = _viterbi_from_table(b, *model,
+                                                      overwrite_b=True)
+        np.testing.assert_array_equal(path_x, want[0])
+        np.testing.assert_array_equal(path_v, want[1])
+        assert logprob == want[2]
+        np.testing.assert_array_equal(b, np.array(trace))
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestViterbiMemory:
     """The tracemalloc peak of one _viterbi_from_table call over 197 frames
     (2 s of audio at the default framing) stays within 16 MB at K=64 and
-    within 3.5 MB at K_x=64, K_v=16.  At K=64 the score tables take
-    6.5 MB and each (K, K, K) float64 cube 2.1 MB."""
+    within 3.5 MB at K_x=64, K_v=16; written over the emission table, the
+    score tables take no memory of their own, and the peaks stay within
+    6.8 MB and 1.5 MB.  At K=64 a 197-frame table takes 6.5 MB and each
+    (K, K, K) float64 cube 2.1 MB.  A gfhmm decode holds one such table,
+    8 K_x K_v bytes per frame."""
+
+    @staticmethod
+    def viterbi_args(K_x, K_v):
+        rng = np.random.default_rng(K_v)
+        mx, mv = random_hmm(rng, K=K_x, dim=1), random_hmm(rng, K=K_v, dim=1)
+        return (rng.normal(0.0, 30.0, (197, K_x, K_v)), mx.pi, mv.pi,
+                mx.trans, mv.trans)
 
     @pytest.mark.parametrize("K_x, K_v, limit", [(64, 64, 16e6),
                                                  (64, 16, 3.5e6)])
     def test_peak_bounded(self, K_x, K_v, limit):
-        rng = np.random.default_rng(K_v)
-        mx, mv = random_hmm(rng, K=K_x, dim=1), random_hmm(rng, K=K_v, dim=1)
-        args = (rng.normal(0.0, 30.0, (197, K_x, K_v)), mx.pi, mv.pi,
-                mx.trans, mv.trans)
+        args = self.viterbi_args(K_x, K_v)
         _viterbi_from_table(*args)
-        tracemalloc.start()
-        try:
-            _viterbi_from_table(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= limit
+        assert traced_peak(lambda: _viterbi_from_table(*args)) <= limit
+
+    @pytest.mark.parametrize("K_x, K_v, limit", [(64, 64, 6.8e6),
+                                                 (64, 16, 1.5e6)])
+    def test_peak_bounded_over_the_emissions(self, K_x, K_v, limit):
+        args = self.viterbi_args(K_x, K_v)
+        _viterbi_from_table(*args, overwrite_b=True)
+        assert traced_peak(lambda: _viterbi_from_table(
+            *args, overwrite_b=True)) <= limit
 
     def test_gfhmm_decode_adds_nothing_to_the_viterbi_peak(self, ctx):
-        # one round at K=64 on 197 frames peaks at the Viterbi pass's own
-        # 19.3e6 bytes (the emission table, the score tables, two tiles and
-        # one cube); a fresh table per window copied into the decode's
-        # table, built through K^2 dim temporaries, peaked at 30.3e6
+        # one round at K=64 on 197 frames peaks at 12.9e6 bytes: one table
+        # that holds the emissions and then the score tables, the Viterbi
+        # pass's two tiles and one cube; a second table would add 6.5e6
         rng = np.random.default_rng(64)
         mx, mv = random_hmm(rng, 64, 129), random_hmm(rng, 64, 129)
         y = rng.normal(0.0, 1.5, (197, 129))
-        tracemalloc.start()
-        try:
-            gfhmm_infer(y, mx, mv, ctx, outer_tol=0.0, max_outer=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 20.4e6
+        peak = traced_peak(lambda: gfhmm_infer(y, mx, mv, ctx, outer_tol=0.0,
+                                               max_outer=1))
+        assert peak <= 13.6e6
+
+    def test_decode_memory_per_frame_is_one_table_row(self, ctx):
+        # a zero-round decode grows by one 8 K^2-byte row of the one table
+        # per frame, and by two if the score tables had a table of their own
+        rng = np.random.default_rng(65)
+        mx, mv = random_hmm(rng, 64, 129), random_hmm(rng, 64, 129)
+        ys = [rng.normal(0.0, 1.5, (R, 129)) for R in (198, 998)]
+        small, large = (traced_peak(lambda: parallel_viterbi(y, mx, mv, 0.0,
+                                                             ctx))
+                        for y in ys)
+        assert (large - small) / 800 <= 1.1 * 8 * 64 * 64
 
 
 class TestBacktraceByRecomputation:

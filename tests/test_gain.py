@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,9 +129,29 @@ class TestEstimateGy:
         twice = estimate_gy(AudioSignal(np.concatenate([x, x])))
         assert once == pytest.approx(twice, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300, 1e-200, 1e-300])
+    def test_levels_whose_squares_overflow_or_underflow(self, scale):
+        # the plain mean square overflows to inf or underflows to 0 here;
+        # measured relative to the peak, the RMS scales with the samples
+        x = np.random.default_rng(5).standard_normal(2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g_y = estimate_gy(AudioSignal(scale * x))
+        assert g_y / scale == pytest.approx(estimate_gy(AudioSignal(x)),
+                                            rel=1e-14)
+
     def test_silent_signal_rejected(self):
         with pytest.raises(ValueError, match="silent"):
             estimate_gy(AudioSignal(np.zeros(100)))
+
+    def test_least_subnormal_sample_is_not_silent(self):
+        assert estimate_gy(AudioSignal([0.0, 5e-324])) > 0.0
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_sample_gives_nonfinite_rms(self, bad):
+        # no peak to divide by: the plain mean square's root, unwarned
+        g_y = estimate_gy(AudioSignal([bad, 1.0]))
+        assert g_y == bad or (math.isnan(g_y) and math.isnan(bad))
 
     def test_empty_signal_rejected(self):
         with pytest.raises(ValueError, match="empty"):

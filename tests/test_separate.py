@@ -715,6 +715,21 @@ class TestMetamorphicProperties:
             if method == "gfhmm":
                 assert relabeled["logprob"] == base["logprob"]
 
+    def test_level_beyond_the_range_of_squares(self, framing):
+        # at 1e200 the samples' squares overflow: g_y scales with the
+        # mixture, so gfhmm decodes as at the mixture's own level, and the
+        # fhmm baseline still reports a finite g_y
+        y, models = random_case(0, 6, 6, 1.0, 3.0, framing)
+        loud = AudioSignal(1e200 * y.samples)
+        base = decoded(y, models["hmm"], framing, "gfhmm")
+        scaled = decoded(loud, models["hmm"], framing, "gfhmm")
+        for key in ("path_x", "path_v", "mask_x"):
+            np.testing.assert_array_equal(scaled[key], base[key])
+        assert abs(scaled["theta_hat"] - base["theta_hat"]) <= 1e-8
+        assert scaled["g_y"] / 1e200 == pytest.approx(base["g_y"], rel=1e-14)
+        assert math.isfinite(decoded(loud, models["hmm"], framing,
+                                     "fhmm")["g_y"])
+
     def test_baselines_depend_on_level(self, framing):
         # fhmm and vq decode at the training loudness whatever the
         # mixture's: the premise of gain adaptation
