@@ -6,6 +6,10 @@ path objective, the emission log-likelihood of each window along its
 decoded paths, over theta for both model kinds and ends with the binary
 target mask that those paths and thetas give."""
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +27,11 @@ MAX_THETA_EVALS = 20
 BRUTE_FORCE_MAX_INSTANCES = 10_000_000
 
 GOLDEN = 0.3819660112501051  # 2 - golden ratio
+
+# the Viterbi forward pass runs on two threads from this many cells per
+# frame, K_x K_v (K_x + K_v): below it the per-frame sync costs more than the
+# second core saves (break-even near K_x = K_v = 50)
+_SPLIT_MIN_CELLS = 2 ** 18
 
 
 class NumericError(RuntimeError):
@@ -83,18 +92,86 @@ def _target_mask(proto_x, proto_v, chunks, thetas, ctx):
     return mask_x
 
 
-def _max_stage(scores, tile):
+def _max_stage(scores, tile, cube=None, out=None):
     """max over a of scores[a, b] + tile[a, b, c], as a (b, c) table.
 
     The sum is built as a contiguous cube, scores repeated along c plus the
     contiguous tile, and reduced over its leading axis: numpy runs one
     long add and an elementwise max of whole rows, where a broadcast add
     would run one short inner loop per (a, b).  The cube is freed on
-    return.
+    return; given cube, a flat float64 buffer of at least tile.size, the
+    sum is built in it instead, and the maximum goes to out when given.
     """
-    cube = scores.repeat(tile.shape[2]).reshape(tile.shape)
+    if cube is None:
+        cube = scores.repeat(tile.shape[2]).reshape(tile.shape)
+    else:
+        cube = cube[:tile.size].reshape(tile.shape)
+        np.copyto(cube, scores[..., None])
     cube += tile
-    return cube.max(axis=0)
+    return cube.max(axis=0, out=out)
+
+
+def _usable_cpus():
+    """The CPUs this process may run on, or the machine's count where the
+    platform cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _forward_split(b, deltas, log_a_x, tile_v):
+    """deltas[1:] from deltas[0] and b, as the one-thread loop in
+    _viterbi_from_table computes them, on the calling thread and one
+    helper thread.
+
+    Thread p owns one half L_p of the interference states l, the columns
+    of every score table.  Per frame it takes stage 1 over its own
+    columns, then the partial stage-2 maximum over its own l,
+    partial[p][j, k] = max over l in L_p of t1[l, j] + a_v[l, k], waits at
+    the one barrier of the frame, and writes its columns of the next score
+    table, max(partial[0], partial[1]) + b[r].  The partial tables
+    alternate by frame parity, so neither thread writes one that the
+    other may still read.  The sums are the one-thread loop's and a
+    maximum is exact in any order, so every table is the same bit for bit.
+    The caller allocates every buffer, so the helper allocates no array
+    memory.  The helper is joined before return, and an error on either
+    thread breaks the barrier and is raised here.
+    """
+    R, K_x, K_v = b.shape
+    halves = (slice(0, K_v // 2), slice(K_v // 2, K_v))
+    tiles_x = [np.repeat(log_a_x[:, None, :], c.stop - c.start, axis=1)
+               for c in halves]                              # (i, l, j)
+    t1s = [np.empty((c.stop - c.start, K_x)) for c in halves]  # (l, j)
+    cubes = np.empty((2, K_x * (K_v - K_v // 2) * max(K_x, K_v)))
+    partial = np.empty((2, 2, K_x, K_v))      # [frame parity, thread]
+    barrier = threading.Barrier(2)
+
+    def columns(p):
+        cols, t1 = halves[p], t1s[p]
+        try:
+            for r in range(1, R):
+                part = partial[r % 2]
+                _max_stage(deltas[r - 1][:, cols], tiles_x[p], cubes[p], t1)
+                _max_stage(t1, tile_v[cols], cubes[p], part[p])
+                barrier.wait()
+                mine = part[p][:, cols]
+                np.maximum(mine, part[1 - p][:, cols], out=mine)
+                np.add(mine, b[r][:, cols], out=deltas[r][:, cols])
+        except BaseException:
+            barrier.abort()
+            raise
+
+    # numpy's error state lives in a context variable: the helper runs in a
+    # copy of the caller's context, so np.errstate covers both threads
+    with ThreadPoolExecutor(1, thread_name_prefix="specsep-viterbi") as pool:
+        helper = pool.submit(contextvars.copy_context().run, columns, 1)
+        try:
+            columns(0)
+        except threading.BrokenBarrierError:
+            helper.result()              # the helper's error broke it
+            raise
+    helper.result()
 
 
 def _viterbi_from_table(b, log_pi_x, log_pi_v, log_a_x, log_a_v,
@@ -113,6 +190,16 @@ def _viterbi_from_table(b, log_pi_x, log_pi_v, log_a_x, log_a_v,
     tables, a call holds the two tiles and one stage's cube with its
     repeated scores, about three K^3 float64 cubes (2 MB each at K=64).
 
+    From _SPLIT_MIN_CELLS cells per frame, K_x K_v (K_x + K_v), the
+    forward pass runs on the calling thread and one helper thread when
+    two CPUs are usable and the caller is the process's only thread
+    (_forward_split): each thread owns half of the interference states l,
+    the columns of every score table, runs stage 1 on its columns and
+    stage 2 over its own l, and the two partial stage-2 maxima meet at
+    one barrier per frame.  The sums are the same, so the tables are bit
+    for bit those of the one-thread pass, and the helper is joined before
+    the call returns.
+
     The forward pass keeps every frame's score table and no backpointers;
     the backtrace recomputes the two-stage argmax for the one (j, k) on
     the path, from the same sums, in O(K_x K_v) per frame.  Argmax ties
@@ -130,11 +217,17 @@ def _viterbi_from_table(b, log_pi_x, log_pi_v, log_a_x, log_a_v,
     R, K_x, K_v = b.shape
     deltas = b if overwrite_b else np.empty((R, K_x, K_v))
     deltas[0] = log_pi_x[:, None] + log_pi_v[None, :] + b[0]
-    tile_x = np.repeat(log_a_x[:, None, :], K_v, axis=1)   # (i, l, j)
     tile_v = np.repeat(log_a_v[:, None, :], K_x, axis=1)   # (l, j, k)
-    for r in range(1, R):
-        t1 = _max_stage(deltas[r - 1], tile_x)              # (l, j)
-        np.add(_max_stage(t1, tile_v), b[r], out=deltas[r])
+    # a second core only while no other thread may want it: beside a second
+    # decode, splitting one of them made both slower
+    if (R > 1 and K_v > 1 and K_x * K_v * (K_x + K_v) >= _SPLIT_MIN_CELLS
+            and threading.active_count() == 1 and _usable_cpus() > 1):
+        _forward_split(b, deltas, log_a_x, tile_v)
+    else:
+        tile_x = np.repeat(log_a_x[:, None, :], K_v, axis=1)   # (i, l, j)
+        for r in range(1, R):
+            t1 = _max_stage(deltas[r - 1], tile_x)              # (l, j)
+            np.add(_max_stage(t1, tile_v), b[r], out=deltas[r])
     if delta_trace is not None:
         delta_trace.extend(d.copy() for d in deltas)
 

@@ -1,4 +1,7 @@
+import faulthandler
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -316,6 +319,188 @@ class TestViterbiMemory:
                                                              ctx))
                         for y in ys)
         assert (large - small) / 800 <= 1.1 * 8 * 64 * 64
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """The shapes of b for which _viterbi_from_table ran its forward pass
+    on two threads (_forward_split), one entry per call."""
+    calls, split = [], decode._forward_split
+
+    def spy(b, *args):
+        calls.append(b.shape)
+        return split(b, *args)
+
+    monkeypatch.setattr(decode, "_forward_split", spy)
+    return calls
+
+
+def forward_pass_outputs(args):
+    """What the forward pass shows: the paths and logprob of a default
+    call, its delta_trace, and b and the result after overwrite_b."""
+    trace, b = [], args[0].copy()
+    return (_viterbi_from_table(*args, delta_trace=trace), trace, b,
+            _viterbi_from_table(b, *args[1:], overwrite_b=True))
+
+
+def assert_same_outputs(got, want):
+    (paths, trace, b, over), (want_paths, want_trace, want_b, want_over) = \
+        got, want
+    for result, want_result in ((paths, want_paths), (over, want_over)):
+        np.testing.assert_array_equal(result[0], want_result[0])
+        np.testing.assert_array_equal(result[1], want_result[1])
+        assert result[2] == want_result[2]
+    assert len(trace) == len(want_trace)
+    for d, want_d in zip(trace, want_trace):
+        np.testing.assert_array_equal(d, want_d)
+    np.testing.assert_array_equal(b, want_b)
+
+
+def two_cpus(monkeypatch):
+    """Two usable CPUs, whatever the affinity the tests run with."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+def one_and_two_threads(monkeypatch, args):
+    """forward_pass_outputs on one thread, then, with two usable CPUs and
+    the switch-over forced down, on two wherever the pass can split."""
+    two_cpus(monkeypatch)
+    monkeypatch.setattr(decode, "_SPLIT_MIN_CELLS", np.inf)
+    one = forward_pass_outputs(args)
+    monkeypatch.setattr(decode, "_SPLIT_MIN_CELLS", 0)
+    return one, forward_pass_outputs(args)
+
+
+class TestTwoThreadForwardPass:
+    """From _SPLIT_MIN_CELLS cells per frame, while the caller is the
+    process's only thread and two CPUs are usable, the forward pass runs
+    on the caller and one helper thread, each owning half of the
+    interference states, and gives the one-thread pass's outputs bit for
+    bit."""
+
+    @pytest.mark.parametrize("K_x, K_v, R", [
+        (64, 64, 197), (64, 48, 50), (48, 64, 3), (80, 40, 30),
+        (64, 64, 2), (40, 33, 20), (3, 2, 6)])
+    @pytest.mark.parametrize("tie_heavy, p_impossible",
+                             [(False, 0), (True, 0.3), (False, 0.8)])
+    def test_bit_identical_to_one_thread(self, monkeypatch, split_calls,
+                                         K_x, K_v, R, tie_heavy,
+                                         p_impossible):
+        args = viterbi_inputs(K_x, K_v, R, tie_heavy, p_impossible, R)
+        one, two = one_and_two_threads(monkeypatch, args)
+        assert split_calls == [(R, K_x, K_v)] * 2
+        assert_same_outputs(two, one)
+
+    @viterbi_draws
+    def test_bit_identical_with_any_state_counts(self, K_x, K_v, R, tie_heavy,
+                                                 p_impossible, seed):
+        args = viterbi_inputs(K_x, K_v, R, tie_heavy, p_impossible, seed)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            one, two = one_and_two_threads(monkeypatch, args)
+        assert_same_outputs(two, one)
+
+    @pytest.mark.parametrize("K_x, K_v, R", [(64, 64, 1), (64, 1, 20),
+                                             (1, 1, 5)])
+    def test_nothing_to_split_runs_on_one_thread(self, monkeypatch,
+                                                 split_calls, K_x, K_v, R):
+        # one frame has no forward step, and one interference state no
+        # second half
+        args = viterbi_inputs(K_x, K_v, R, False, 0.3, 7)
+        one, two = one_and_two_threads(monkeypatch, args)
+        assert split_calls == []
+        assert_same_outputs(two, one)
+
+    @pytest.mark.parametrize("K", [48, 64])
+    def test_switch_over(self, monkeypatch, split_calls, K):
+        # K_x K_v (K_x + K_v) is 221,184 cells at K=48 and 524,288 at K=64
+        two_cpus(monkeypatch)
+        _viterbi_from_table(*viterbi_inputs(K, K, 4, False, 0, 1))
+        assert split_calls == ([(4, K, K)] if K == 64 else [])
+
+    def test_split_follows_the_process_affinity(self, split_calls):
+        # pinned to one CPU (CI runs this file under taskset -c 0 as well),
+        # a K=64 pass stays on the calling thread
+        _viterbi_from_table(*viterbi_inputs(64, 64, 4, False, 0, 1))
+        assert split_calls == ([(4, 64, 64)] if decode._usable_cpus() > 1
+                               else [])
+
+    def test_one_usable_cpu_runs_on_one_thread(self, monkeypatch,
+                                               split_calls):
+        args = viterbi_inputs(8, 8, 6, False, 0.3, 2)
+        one, _ = one_and_two_threads(monkeypatch, args)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert_same_outputs(forward_pass_outputs(args), one)
+        assert split_calls == [(6, 8, 8)] * 2
+
+    @pytest.mark.parametrize("n_cpus, splits", [(1, 0), (None, 0), (2, 2)])
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch,
+                                                 split_calls, n_cpus,
+                                                 splits):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n_cpus)
+        monkeypatch.setattr(decode, "_SPLIT_MIN_CELLS", 0)
+        forward_pass_outputs(viterbi_inputs(8, 8, 6, False, 0.3, 3))
+        assert split_calls == [(6, 8, 8)] * splits
+
+    def test_another_thread_alive_runs_on_one_thread(self, monkeypatch,
+                                                     split_calls):
+        # another thread may be decoding too, or hold the helper of a
+        # split pass: the second core is not idle
+        args = viterbi_inputs(8, 8, 6, False, 0.3, 4)
+        one, _ = one_and_two_threads(monkeypatch, args)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            got = forward_pass_outputs(args)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert split_calls == [(6, 8, 8)] * 2
+        assert_same_outputs(got, one)
+
+    def test_callers_error_state_covers_the_helper(self, monkeypatch,
+                                                   split_calls):
+        # scores near the float64 limit overflow to -inf on both threads;
+        # the caller's np.errstate silences the helper too, where pyproject
+        # turns a RuntimeWarning into an error
+        b, *model = viterbi_inputs(8, 8, 6, False, 0.3, 6)
+        with np.errstate(over="ignore"):
+            one, two = one_and_two_threads(monkeypatch, (b - 1.7e308,
+                                                         *model))
+        assert split_calls == [(6, 8, 8)] * 2
+        assert_same_outputs(two, one)
+        assert np.isneginf(one[0][2])
+
+    @pytest.mark.parametrize("on_helper", [True, False])
+    @pytest.mark.parametrize("failing_call", [1, 7])
+    def test_error_on_either_thread_raised_without_hang_or_stray_thread(
+            self, monkeypatch, split_calls, on_helper, failing_call):
+        caller, stage, calls = threading.get_ident(), decode._max_stage, []
+
+        def failing(*args, **kwargs):
+            if (threading.get_ident() != caller) == on_helper:
+                calls.append(None)
+                if len(calls) == failing_call:
+                    raise FloatingPointError("stage failed")
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(decode, "_max_stage", failing)
+        monkeypatch.setattr(decode, "_SPLIT_MIN_CELLS", 0)
+        two_cpus(monkeypatch)
+        baseline = threading.active_count()
+        # a pass that hangs at the barrier ends the run with a traceback
+        faulthandler.dump_traceback_later(60, exit=True)
+        try:
+            with pytest.raises(FloatingPointError, match="stage failed"):
+                _viterbi_from_table(*viterbi_inputs(8, 8, 10, False, 0, 5))
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert split_calls == [(10, 8, 8)]
+        assert threading.active_count() == baseline
 
 
 class TestBacktraceByRecomputation:
