@@ -1,12 +1,13 @@
 """Command-line surface: mix, train, separate, evaluate, report.
 
 Exit codes: 0 success, 1 usage or bad argument, 2 I/O failure, 3 model
-mismatch, 4 numeric failure.
+mismatch, 4 numeric failure, 5 a batch worker process exited.
 """
 
 import argparse
 import sys
 import wave
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -26,9 +27,10 @@ from .signal import (DEFAULT_SAMPLE_RATE, AudioSignal, FramingConfig,
 EXIT_OK = 0
 EXIT_USAGE = 1
 # the first class that matches wins, so ModelMismatchError, a ValueError,
-# comes first
+# comes first; BrokenExecutor covers the BrokenProcessPool of a batch
+# that lost a worker
 EXIT_CODES = ((ModelMismatchError, 3), (NumericError, 4), (OSError, 2),
-              (wave.Error, 2), (ValueError, 1))
+              (wave.Error, 2), (ValueError, 1), (BrokenExecutor, 5))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -5,9 +5,9 @@ writes one CSV row per (pair, theta, method) run."""
 import csv
 import json
 import os
+import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -202,12 +202,14 @@ def _resolve_source(spec_entry, sample_rate, cfg, default_seed=0):
 
 
 def _attempt(fn, *args):
-    """fn(*args), or the exception it raised: a batch stores a failure and
-    reports it in the rows it affects instead of stopping."""
+    """fn(*args), or the row text ("Type: message") of the exception it
+    raised: a batch stores a failure and reports it in the rows it affects
+    instead of stopping, and text crosses to a worker process where some
+    exceptions could not be rebuilt from their pickle."""
     try:
         return fn(*args)
     except Exception as exc:  # noqa: BLE001 - failures become CSV rows
-        return exc
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _separate_row(row, sources, models, theta, method, cfg, options):
@@ -229,18 +231,62 @@ def _separate_row(row, sources, models, theta, method, cfg, options):
 def _run_single(pair_id, sources, theta, method, models, cfg, options):
     """One (pair, theta, method) run; never raises, returns a row dict.
     sources (the pair's two signals) and models (the method's two models)
-    may hold the exception that their resolution raised, which is not
-    raised again: threads share it, and each raise extends its traceback."""
+    may instead hold the row text of the error that their resolution
+    raised, which becomes the row's error."""
     row = dict.fromkeys(CSV_COLUMNS, "")
     row.update(pair_id=pair_id, method=method, theta_true=float(theta))
     t0 = time.perf_counter()
-    stored = [s for s in (sources, models) if isinstance(s, Exception)]
+    stored = [s for s in (sources, models) if isinstance(s, str)]
     error = stored[0] if stored else _attempt(
         _separate_row, row, sources, models, theta, method, cfg, options)
     if error is not None:
-        row["error"] = f"{type(error).__name__}: {error}"
+        row["error"] = error
     row["wall_ms"] = f"{(time.perf_counter() - t0) * 1e3:.1f}"
     return row
+
+
+# a pool worker's batch: (tasks, cfg, options), set by _start_worker
+_worker_batch = None
+
+
+def _start_worker(*batch):
+    """Pool initializer: hold the batch, which a fork worker inherits and
+    a spawn worker unpickles once, so that a task crosses as its index."""
+    global _worker_batch
+    _worker_batch = batch
+
+
+def _run_task(index):
+    tasks, cfg, options = _worker_batch
+    return _run_single(*tasks[index], cfg, options)
+
+
+def _run_rows(tasks, jobs, cfg, options):
+    """The row of each task, in task order: on the calling thread when
+    there are fewer than two tasks or jobs is 1, else on min(jobs, tasks)
+    worker processes.  The workers fork from the caller where the platform
+    can and the caller is the process's only thread, and start a fresh
+    interpreter otherwise.  Every worker has exited when this returns or
+    raises; a worker that exits before its rows are done raises
+    BrokenProcessPool."""
+    workers = min(jobs, len(tasks))
+    if workers < 2:
+        return [_run_single(*task, cfg, options) for task in tasks]
+    # imported here: they add about 1 MB to every process that imports
+    # specsep, most of which run no pool
+    import multiprocessing
+    from concurrent.futures.process import (BrokenProcessPool,
+                                            ProcessPoolExecutor)
+    fork = ("fork" in multiprocessing.get_all_start_methods()
+            and threading.active_count() == 1)
+    context = multiprocessing.get_context("fork" if fork else "spawn")
+    try:
+        with ProcessPoolExecutor(workers, context, initializer=_start_worker,
+                                 initargs=(tasks, cfg, options)) as pool:
+            return list(pool.map(_run_task, range(len(tasks))))
+    except BrokenProcessPool as exc:
+        raise BrokenProcessPool("a batch worker exited before its rows "
+                                "were done; no CSV was written") from exc
 
 
 def _no_repeats(pairs, what="key"):
@@ -403,7 +449,14 @@ def run_experiment(manifest, out_csv, jobs=None):
     of pair i's sources is seed + 2i and seed + 2i + 1.  A manifest that
     _check_manifest refuses raises ValueError before any run; failing runs
     land in the CSV with an error column rather than aborting the batch.
-    Returns a summary dict of per-(theta, method) means.
+
+    The sources and models load once, on the calling thread; the rows
+    run there too with jobs 1, and on up to jobs worker processes with
+    more (_run_rows).  A worker that exits before its rows are done raises
+    BrokenProcessPool, and no CSV is written.  Rows are sorted by (pair
+    id, theta, method) before writing, so the CSV is the same, apart from
+    wall_ms, whatever jobs is.  Returns a summary dict of per-(theta,
+    method) means.
     """
     if isinstance(manifest, (str, bytes, os.PathLike)):
         manifest = load_manifest(manifest)
@@ -419,8 +472,8 @@ def run_experiment(manifest, out_csv, jobs=None):
         return tuple(load_model(manifest["models"][f"{kind}_{role}"])
                      for role in "xv")
 
-    # model kind -> (model_x, model_v), or the exception that the first
-    # failing load raised; each kind loads once, in first-use order
+    # model kind -> (model_x, model_v), or the row text of the first
+    # failing load's error; each kind loads once, in first-use order
     models = {kind: _attempt(load_pair, kind)
               for kind in dict.fromkeys(map(model_kind, manifest["methods"]))}
 
@@ -436,9 +489,7 @@ def run_experiment(manifest, out_csv, jobs=None):
     tasks = [(pair_id, sources, theta, method, models[model_kind(method)])
              for pair_id, sources in pairs for theta in manifest["theta_grid"]
              for method in manifest["methods"]]
-    with ThreadPoolExecutor(max_workers=manifest["jobs"]) as pool:
-        rows = list(pool.map(lambda t: _run_single(*t, cfg, options), tasks))
-
+    rows = _run_rows(tasks, manifest["jobs"], cfg, options)
     rows.sort(key=lambda r: (r["pair_id"], r["theta_true"], r["method"]))
     with open(out_csv, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)

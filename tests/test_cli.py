@@ -1,6 +1,9 @@
+import importlib
 import json
+import os
 import shutil
 import wave
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
@@ -386,12 +389,13 @@ class TestSeparate:
 
 
 # one real refusal of each class in cli.EXIT_CODES: a `specsep separate`
-# run with one thing broken
+# run with one thing broken, or an `evaluate` batch that loses a worker
 EXIT_CODE_CASES = [(ModelMismatchError, 3, "hmm_model_for_gvq"),
                    (NumericError, 4, "overflowing_model"),
                    (OSError, 2, "missing_mixture"),
                    (wave.Error, 2, "not_wav_mixture"),
-                   (ValueError, 1, "nan_theta0")]
+                   (ValueError, 1, "nan_theta0"),
+                   (BrokenExecutor, 5, "lost_batch_worker")]
 
 
 class TestExitCodes:
@@ -402,8 +406,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("cls, code, broken", EXIT_CODE_CASES,
                              ids=[c[2] for c in EXIT_CODE_CASES])
     def test_refusal_exits_with_its_class_code(
-            self, cli_models, mixture_file, tmp_path, capsys, cls, code,
-            broken):
+            self, speaker_dirs, cli_models, mixture_file, tmp_path, capsys,
+            monkeypatch, cls, code, broken):
         mixture, model_x = mixture_file, cli_models["vq_a"]
         model_v, extra = cli_models["vq_b"], []
         if broken == "hmm_model_for_gvq":
@@ -423,6 +427,20 @@ class TestExitCodes:
                 "--model-x", str(model_x), "--model-v", str(model_v),
                 "--method", "gvq", "--out-x", str(out_x),
                 "--out-v", str(tmp_path / "v.wav"), *extra]
+        if broken == "lost_batch_worker":
+            # each forked worker dies at its first row
+            monkeypatch.setattr(importlib.import_module("specsep.evaluate"),
+                                "_run_single", lambda *args: os._exit(3))
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({
+                "theta_grid": [0, 6], "methods": ["vq"],
+                "models": {f"vq_{r}": str(cli_models[f"vq_{n}"])
+                           for r, n in (("x", "a"), ("v", "b"))},
+                "pairs": [{"id": "p", **{role: {"wav": str(
+                    speaker_dirs["tmp"] / f"test_{n}.wav")}
+                    for role, n in (("target", "a"), ("interf", "b"))}}]}))
+            argv = ["evaluate", "--manifest", str(manifest), "--out",
+                    str(out_x), "--jobs", "2"]
         args = build_parser().parse_args(argv)
         with pytest.raises(cls):
             args.func(args)

@@ -1,9 +1,15 @@
 import csv
 import dataclasses
+import faulthandler
 import importlib
 import json
 import math
+import multiprocessing
+import os
 import re
+import threading
+import concurrent.futures.process
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +23,13 @@ from specsep.models import save_model
 
 from conftest import (BAD_FILES, BAD_WAVS, CODEBOOK_DEFECTS, HMM_DEFECTS,
                       MANIFEST_DEFECTS, MODEL_DEFECTS, broken_manifest,
-                      malformed, overflowing, save_bad_file, save_bad_wav)
+                      malformed, overflowing, random_hmm, save_bad_file,
+                      save_bad_wav)
 
 # the module, which the package's separate() function shadows
 separate_module = importlib.import_module("specsep.separate")
 evaluate_module = importlib.import_module("specsep.evaluate")
+decode_module = importlib.import_module("specsep.decode")
 
 
 class TestNormalizeEqualPower:
@@ -592,6 +600,161 @@ class TestRunExperiment:
         _check_manifest({"theta_grid": [0], "methods": ["vq"],
                          "models": {"vq_x": "x.ssm", "vq_v": "v.ssm"},
                          "pairs": [], **options})
+
+
+def rows_without_timing(path):
+    with open(path, newline="") as f:
+        return [{k: v for k, v in row.items() if k != "wall_ms"}
+                for row in csv.DictReader(f)]
+
+
+class NeedsTwoArguments(Exception):
+    """An exception that its pickle cannot rebuild: unpickling calls
+    __init__ with the one message argument."""
+
+    def __init__(self, path, why):
+        super().__init__(f"{path}: {why}")
+
+
+class TestBatchWorkers:
+    """With jobs > 1 the rows run on worker processes, forked from a
+    caller that is the process's only thread, else spawned; with jobs 1
+    they run on the calling thread."""
+
+    @pytest.fixture
+    def manifest(self, experiment_env):
+        env = experiment_env
+        return {"sample_rate": 8000, "theta_grid": [0, 9],
+                "methods": ["gvq", "vq"], "models": env["models"],
+                "pairs": [env["pair_entry"](1),
+                          env["pair_entry"](2, bad=True)]}
+
+    @pytest.fixture
+    def start_methods(self, monkeypatch):
+        """The start method of each pool that run_experiment makes."""
+        methods, pool = [], concurrent.futures.process.ProcessPoolExecutor
+
+        def spy(workers, context, **kwargs):
+            methods.append(context.get_start_method())
+            return pool(workers, context, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                            spy)
+        return methods
+
+    @staticmethod
+    def nothing_left_running(threads):
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_fork_workers_match_one_job(self, manifest, tmp_path,
+                                        start_methods, jobs):
+        threads = threading.active_count()
+        serial = run_experiment(manifest, tmp_path / "serial.csv", jobs=1)
+        assert start_methods == []
+        pooled = run_experiment(manifest, tmp_path / "pooled.csv", jobs=jobs)
+        assert start_methods == ["fork"]
+        self.nothing_left_running(threads)
+        assert pooled == serial
+        assert (rows_without_timing(tmp_path / "pooled.csv")
+                == rows_without_timing(tmp_path / "serial.csv"))
+
+    def test_spawn_workers_get_no_exception_objects(
+            self, manifest, tmp_path, monkeypatch, start_methods):
+        # a source's error crosses as its row text: this exception's
+        # pickle would fail in the worker and break the pool
+        resolve = evaluate_module._resolve_source
+
+        def resolve_or_refuse(entry, *args):
+            if entry.get("wav", "").endswith("nope.wav"):
+                raise NeedsTwoArguments(entry["wav"], "no such clip")
+            return resolve(entry, *args)
+
+        monkeypatch.setattr(evaluate_module, "_resolve_source",
+                            resolve_or_refuse)
+        serial = run_experiment(manifest, tmp_path / "serial.csv", jobs=1)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        threads = threading.active_count()
+        spawned = run_experiment(manifest, tmp_path / "spawned.csv", jobs=2)
+        assert start_methods == ["spawn"]
+        self.nothing_left_running(threads)
+        rows = rows_without_timing(tmp_path / "spawned.csv")
+        assert rows == rows_without_timing(tmp_path / "serial.csv")
+        assert spawned == serial
+        errors = {row["error"] for row in rows if row["pair_id"] == "p2"}
+        assert errors == {"NeedsTwoArguments: "
+                          f"{manifest['pairs'][1]['target']['wav']}: "
+                          "no such clip"}
+
+    def test_another_thread_alive_spawns_workers(self, manifest, tmp_path,
+                                                 start_methods):
+        # a fork would copy the other thread's locks, held or not
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            run_experiment({**manifest, "pairs": manifest["pairs"][1:]},
+                           tmp_path / "r.csv", jobs=2)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert start_methods == ["spawn"]
+
+    @pytest.mark.parametrize("n_pairs, jobs", [(0, 2), (1, 1)])
+    def test_no_pool_without_two_tasks_or_jobs(self, manifest, tmp_path,
+                                               start_methods, n_pairs, jobs):
+        manifest = {**manifest, "theta_grid": [0], "methods": ["vq"],
+                    "pairs": manifest["pairs"][:n_pairs]}
+        run_experiment(manifest, tmp_path / "r.csv", jobs=jobs)
+        assert start_methods == []
+
+    def test_lost_worker_raises_and_leaves_nothing(self, manifest, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(evaluate_module, "_run_single",
+                            lambda *args: os._exit(3))
+        threads, out_csv = threading.active_count(), tmp_path / "r.csv"
+        assert threads == 1          # so the workers fork, patch and all
+        # a pool that hangs ends the run with a traceback
+        faulthandler.dump_traceback_later(120, exit=True)
+        try:
+            with pytest.raises(BrokenProcessPool,
+                               match="a batch worker exited"):
+                run_experiment(manifest, out_csv, jobs=2)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert not out_csv.exists()
+        self.nothing_left_running(threads)
+
+    def test_one_job_decodes_on_the_caller_and_splits_k64(
+            self, tmp_path, monkeypatch, start_methods):
+        # the caller is the process's only thread, so a K=64 forward pass
+        # takes both cores; on a pool thread it took none of them
+        calls, split = [], decode_module._forward_split
+
+        def spy(b, *args):
+            calls.append(b.shape)
+            return split(b, *args)
+
+        monkeypatch.setattr(decode_module, "_forward_split", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        rng, models = np.random.default_rng(64), {}
+        for role in "xv":
+            models[f"hmm_{role}"] = str(tmp_path / f"hmm_{role}.ssm")
+            save_model(random_hmm(rng, 64, 129), models[f"hmm_{role}"])
+        pair = {"id": "p", **{role: {"synth": {
+            "kind": "tonal", "speaker": speaker, "duration": 0.5}}
+            for speaker, role in enumerate(("target", "interf"))}}
+        run_experiment({"theta_grid": [0, 6], "methods": ["fhmm"],
+                        "models": models, "pairs": [pair]},
+                       tmp_path / "r.csv", jobs=1)
+        with open(tmp_path / "r.csv", newline="") as f:
+            assert [row["error"] for row in csv.DictReader(f)] == ["", ""]
+        assert start_methods == []
+        assert len(calls) == 2 and all(shape[1:] == (64, 64)
+                                       for shape in calls)
 
 
 class TestManifestDocs:
