@@ -17,13 +17,15 @@ def mixmax_combine(x, v, gp):
     """Elementwise maximum of the two gain-shifted log spectra.
 
     Works on single frames, (R, dim) stacks of frames, or any shapes that
-    broadcast against each other with the same number of bins.
+    broadcast against each other with the same number of bins.  The
+    values are dominant's winning means, NaN included, without its
+    target-wins comparison.
     """
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if x.shape[-1] != v.shape[-1]:
         raise ValueError(f"dimension mismatch: {x.shape} vs {v.shape}")
-    return dominant(x, v, gp)[1]
+    return np.maximum(x + gp.log10_gx, v + gp.log10_gv)
 
 
 def dominant(mean_x, mean_v, gp):

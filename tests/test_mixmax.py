@@ -58,6 +58,23 @@ class TestMixmaxCombine:
         with pytest.raises(ValueError, match="dimension"):
             mixmax_combine(np.zeros(3), np.zeros(4), gp)
 
+    def test_equals_dominant_winner(self, ctx):
+        # mixmax_combine skips dominant's comparison; its values, NaN, inf
+        # and ties included, are dominant's winning means bit for bit
+        rng = np.random.default_rng(4)
+        mx = rng.normal(0, 1, (5, 1, 7))
+        mv = rng.normal(0, 1, (1, 6, 7))
+        mx[0, 0, :3] = [np.nan, np.inf, -np.inf]
+        mv[0, 1, :3] = [np.nan, -np.inf, np.inf]
+        mv[0, 2] = mx[1, 0]
+        for theta in (-6.0, 0.0, 6.0):
+            gp = gains_from_theta(theta, ctx)
+            got = mixmax_combine(mx, mv, gp)
+            want = dominant(mx, mv, gp)[1]
+            assert got.shape == want.shape == (5, 6, 7)
+            # NaNs must sit in the same places
+            np.testing.assert_array_equal(got, want)
+
 
 class TestDominant:
     def test_ties_go_to_target(self, ctx):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from specsep import (GainContext, g_of_theta, gains_from_theta, gvq_score,
                      mixmax_combine)
+from specsep import quantize
 from specsep.quantize import Codebook, VARIANCE_FLOOR, _nearest, train_lbg
 
 from conftest import broadcast_gvq_costs
@@ -16,6 +17,21 @@ from conftest import broadcast_gvq_costs
 @pytest.fixture
 def ctx():
     return GainContext(g_y=1.0)
+
+
+@pytest.fixture
+def tile_dtypes(monkeypatch):
+    """The dtype of _nearest's tiles in each call, in call order."""
+    seen = []
+    precision = quantize._tile_precision
+
+    def spy(*args):
+        dt, slack = precision(*args)
+        seen.append(dt)
+        return dt, slack
+
+    monkeypatch.setattr(quantize, "_tile_precision", spy)
+    return seen
 
 
 def random_codebook(rng, K, dim):
@@ -29,6 +45,18 @@ def decode_frame(y_r, cb_x, cb_v, theta, ctx):
     idx_x, idx_v, q = gvq_score(np.asarray(y_r)[None, :], cb_x, cb_v,
                                 theta, ctx)
     return int(idx_x[0]), int(idx_v[0]), -q
+
+
+def assert_naive_argmin(frames, centers, index, dist):
+    """index and dist are the first np.argmin of the naive broadcast
+    distances and that distance, bit for bit; the broadcast runs a few
+    frames at a time to keep it small."""
+    for s in range(0, len(frames), 10):
+        d2 = ((frames[s:s + 10, None, :] - centers) ** 2).sum(axis=-1)
+        want = np.argmin(d2, axis=1)
+        np.testing.assert_array_equal(index[s:s + 10], want)
+        np.testing.assert_array_equal(
+            dist[s:s + 10], d2[np.arange(len(want)), want])
 
 
 class TestTrainLbg:
@@ -185,15 +213,73 @@ class TestNearest:
             centers[K // 2:] = centers[:K - K // 2]
             frames[::2] = centers[rng.integers(0, K, R)[::2]]
         index, dist = _nearest(frames, centers)
-        # the naive broadcast, a few frames at a time to keep it small
-        for s in range(0, R, 10):
-            d2 = ((frames[s:s + 10, None, :] - centers) ** 2).sum(axis=-1)
-            want = np.argmin(d2, axis=1)
-            np.testing.assert_array_equal(index[s:s + 10], want)
-            np.testing.assert_array_equal(
-                dist[s:s + 10], d2[np.arange(len(want)), want])
+        assert_naive_argmin(frames, centers, index, dist)
         if case != "spread":
             assert np.all(dist[::2] == 0.0)
+
+    # the float32 tiles' edge cases, each against the naive argmin, with
+    # the dtype that _tile_precision picks for it
+    @pytest.mark.parametrize("case, dtype", [
+        ("ulp", np.float32), ("subnormal", np.float32),
+        ("below_guard", np.float32), ("frame_above_guard", np.float64),
+        ("center_above_guard", np.float64), ("nonfinite", np.float32),
+        ("far", np.float64)])
+    def test_float32_edges_equal_naive_argmin(self, tile_dtypes, case,
+                                              dtype):
+        rng = np.random.default_rng(40)
+        R, K, dim = 40, 30, 129
+        frames = rng.normal(0.0, 2.0, (R, dim))
+        centers = rng.normal(0.0, 2.0, (K, dim))
+        if case == "ulp":
+            # the first 8 centers are one float32 value moved in bin 0 by
+            # quarters of its float32 ulp: distinct in float64, but the
+            # quarter steps round back to it, so their float32 costs tie
+            base = centers[0].astype(np.float32).astype(np.float64)
+            ulp = float(np.spacing(np.float32(base[0])))
+            centers[:8] = base
+            centers[:8, 0] += ulp * np.array([0, 0.25, -0.25, 1, 0.75, 2,
+                                              -1, 1])
+            frames[::2] = base
+            frames[::2, 0] += rng.integers(-8, 17, (R + 1) // 2) * ulp / 8
+        elif case == "subnormal":
+            # bins below float32's normal range, below its smallest
+            # subnormal and below float64's normal range, and two
+            # centers and some frames made of such values alone
+            tiny = np.array([1e-40, -3e-42, 1e-46, 5e-310])
+            frames[:, :4] = tiny * rng.choice([-1.0, 1.0], (R, 4))
+            centers[:, :4] = tiny * rng.choice([-1.0, 1.0], (K, 4))
+            centers[:2] = 1e-40 * rng.normal(0.0, 1.0, (2, dim))
+            frames[1::4] = 1e-41 * rng.normal(0.0, 1.0, (R // 4, dim))
+            frames[::4] = centers[rng.integers(0, K, R // 4)]
+        elif case.endswith("guard"):
+            # the largest sum of squares just below 2^80, or one frame or
+            # one center just above it
+            frames[::2] = centers[rng.integers(0, K, R // 2)]
+            sq = lambda a: np.einsum("rd,rd->r", a, a)
+            scale = np.sqrt(2.0 ** 80 * (1 - 1e-9)
+                            / max(sq(frames).max(), sq(centers).max()))
+            frames, centers = frames * scale, centers * scale
+            above = np.sqrt(2.0 ** 80 * (1 + 1e-9))
+            if case == "frame_above_guard":
+                frames[1] *= above / np.sqrt(sq(frames[1:2])[0])
+            elif case == "center_above_guard":
+                centers[1] *= above / np.sqrt(sq(centers[1:2])[0])
+        elif case == "nonfinite":
+            # frames whose sums of squares are NaN or inf keep every
+            # center beside finite frames that take the float32 tiles
+            frames[3, 5], frames[5, 0] = np.nan, np.inf
+            frames[9, 128] = -np.inf
+            frames[7] = 1e160
+            frames[::2] = centers[rng.integers(0, K, R // 2)]
+        else:
+            # on a common offset of 1e7 the float32 slack would keep every
+            # center, so the float64 tiles run
+            frames = 1e7 + 0.1 + rng.integers(-4, 5, (R, dim)) / 8
+            centers = 1e7 + 0.1 + rng.integers(-4, 5, (K, dim)) / 8
+        with np.errstate(over="ignore", invalid="ignore"):
+            index, dist = _nearest(frames, centers)
+            assert_naive_argmin(frames, centers, index, dist)
+        assert tile_dtypes == [dtype]
 
 
 class TestGvqFrameDecode:
@@ -560,6 +646,26 @@ class TestGvqMemory:
         finally:
             tracemalloc.stop()
         assert peak <= limit
+
+    def test_float64_tiles_peak_bounded(self, ctx, tile_dtypes):
+        # codebooks and frames of order 2^41 have sums of squares above
+        # 2^80, where float32 tiles could overflow: the search takes the
+        # float64 tiles, whose costs and operands take twice the bytes
+        rng = np.random.default_rng(64)
+        cb_x, cb_v = random_codebook(rng, 64, 129), random_codebook(rng, 64,
+                                                                    129)
+        cb_x.codevectors *= 2.0 ** 41
+        cb_v.codevectors *= 2.0 ** 41
+        y = 2.0 ** 41 * rng.normal(0.0, 1.5, (197, 129))
+        gvq_score(y, cb_x, cb_v, 6.0, ctx)
+        tracemalloc.start()
+        try:
+            gvq_score(y, cb_x, cb_v, 6.0, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tile_dtypes == [np.float64] * 2
+        assert peak <= 6e6
 
     # a NaN frame's best is NaN; a frame of 1e160 has a finite best but an
     # infinite slack, as sum y^2 overflows
