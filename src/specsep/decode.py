@@ -174,6 +174,17 @@ def _forward_split(b, deltas, log_a_x, tile_v):
     helper.result()
 
 
+def _emissions(y_seq, lambda_x, lambda_v, chunks, thetas, ctx):
+    """A fresh (R, K_x, K_v) emission table, each window's rows scored by
+    log_b_table at that window's theta: the one way the HMM decoders get
+    their emissions."""
+    b = np.empty((len(y_seq), lambda_x.K, lambda_v.K))
+    for sl, th in zip(chunks, thetas):
+        log_b_table(y_seq[sl], lambda_x, lambda_v, gains_from_theta(th, ctx),
+                    out=b[sl])
+    return b
+
+
 def _viterbi_from_table(b, log_pi_x, log_pi_v, log_a_x, log_a_v,
                         delta_trace=None, overwrite_b=False):
     """Max-product decoding over the K_x*K_v product state space.
@@ -268,8 +279,9 @@ def brute_force_decode(y_seq, lambda_x, lambda_v, theta, ctx):
 
     Intended for tests on tiny instances; refuses anything with more than
     BRUTE_FORCE_MAX_INSTANCES path pairs.  Ties resolve to the
-    lexicographically smallest (path_x, path_v).  Only the decode step
-    differs from parallel_viterbi's: the same zero-round loop (_alternate)
+    lexicographically smallest (path_x, path_v).  Only the search over
+    paths differs from parallel_viterbi's: the same emission table
+    (_emissions) is searched, and the same zero-round loop (_alternate)
     checks the input (a theta outside [THETA_MIN_DB, THETA_MAX_DB] raises
     ValueError, a malformed model ModelMismatchError) and returns the mask
     along the paths and 0 iterations.
@@ -282,8 +294,7 @@ def brute_force_decode(y_seq, lambda_x, lambda_v, theta, ctx):
             raise ValueError(
                 f"instance too large for brute force: K_x={lambda_x.K}, "
                 f"K_v={lambda_v.K}, R={R}")
-        b = log_b_table(y_seq, lambda_x, lambda_v,
-                        gains_from_theta(thetas[0], ctx))
+        b = _emissions(y_seq, lambda_x, lambda_v, chunks, thetas, ctx)
         paths_x, score_x = _every_path(lambda_x, R)
         paths_v, score_v = _every_path(lambda_v, R)
         score = score_x[:, None] + score_v[None, :]
@@ -506,21 +517,13 @@ def gfhmm_infer(y_seq, lambda_x, lambda_v, ctx, theta0=0.0,
     model that fails HmmModel.validate or does not match the frames' bin
     count raises ModelMismatchError before any decode.
     """
-    b = None
-
     def decode(y_seq, chunks, thetas):
-        # one table per call: every decode refills it window by window
-        # with emissions, and the Viterbi pass writes its score tables
-        # over them, so a decode holds one R x K_x x K_v table, not two
-        nonlocal b
-        if b is None:
-            b = np.empty((len(y_seq), lambda_x.K, lambda_v.K))
-        for sl, th in zip(chunks, thetas):
-            log_b_table(y_seq[sl], lambda_x, lambda_v,
-                        gains_from_theta(th, ctx), out=b[sl])
-        return _viterbi_from_table(b, lambda_x.pi, lambda_v.pi,
-                                   lambda_x.trans, lambda_v.trans,
-                                   overwrite_b=True)
+        # the Viterbi pass writes its score tables over the emissions, so a
+        # decode holds one R x K_x x K_v table, and the table goes with the
+        # decode: the theta step and the mask run without it
+        b = _emissions(y_seq, lambda_x, lambda_v, chunks, thetas, ctx)
+        return _viterbi_from_table(b, lambda_x.pi, lambda_v.pi, lambda_x.trans,
+                                   lambda_v.trans, overwrite_b=True)
 
     return _alternate(decode, (lambda_x, lambda_v),
                       lambda m: (m.means, m.vars), y_seq, ctx, theta0,

@@ -63,8 +63,9 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
         alternating estimation, checked for every method
     mega_frame_seconds : loudness-constancy window; utterances shorter
         than twice this get a single theta, and None or 0 means one
-        window; any other value that is not a finite number giving at
-        least one hop after rounding raises ValueError
+        window; any other value raises ValueError, naming the rule it
+        breaks, unless it is a finite number that gives a finite count of
+        at least one frame per window after rounding
 
     Both models must be of the method's class, and every setting a
     model's meta records (sample_rate, frame_len, hop, dft_size) must be
@@ -109,12 +110,13 @@ def separate(mixture, model_x, model_v, cfg, method="gfhmm", theta0=0.0,
     # None and 0 seconds mean one window
     frames_per_chunk = None
     if not (mega_frame_seconds is None or _is_real(mega_frame_seconds, 0, 0)):
-        frames = (mega_frame_seconds * mixture.sample_rate / cfg.hop
-                  if _is_real(mega_frame_seconds) else math.nan)
+        what = f"mega_frame_seconds {_shown(mega_frame_seconds)}"
+        if not _is_real(mega_frame_seconds):
+            raise ValueError(f"{what} is not a finite number")
+        frames = mega_frame_seconds * mixture.sample_rate / cfg.hop
         if not (_is_real(frames) and round(frames) >= 1):
-            raise ValueError(
-                f"mega_frame_seconds {mega_frame_seconds} gives {frames} "
-                "frames per window; need at least 1 after rounding")
+            raise ValueError(f"{what} gives {frames} frames per window, not a "
+                             "finite count of at least 1 after rounding")
         frames_per_chunk = int(round(frames))
     # checked here for every method, as the decoders check them, because a
     # fixed theta below replaces theta0 and max_outer

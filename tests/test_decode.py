@@ -309,6 +309,17 @@ class TestViterbiMemory:
                                                max_outer=1))
         assert peak <= 13.6e6
 
+    def test_theta_step_runs_without_the_table(self, ctx):
+        # one round at K=32 on 1,998 frames peaks at 24.7e6 bytes while a
+        # decode fills its 16.4e6-byte table; a table kept through the theta
+        # step and the mask, which then run beside it, peaked at 31.1e6
+        rng = np.random.default_rng(32)
+        mx, mv = random_hmm(rng, 32, 129), random_hmm(rng, 32, 129)
+        y = rng.normal(0.0, 1.5, (1998, 129))
+        peak = traced_peak(lambda: gfhmm_infer(y, mx, mv, ctx, outer_tol=0.0,
+                                               max_outer=1))
+        assert peak <= 27e6
+
     def test_decode_memory_per_frame_is_one_table_row(self, ctx):
         # a zero-round decode grows by one 8 K^2-byte row of the one table
         # per frame, and by two if the score tables had a table of their own
@@ -802,7 +813,7 @@ class TestGfhmmInfer:
 
     def test_windows_filled_in_place_match_copied_tables(self, ctx,
                                                          monkeypatch):
-        # each decode refills one table window by window through
+        # each decode fills its own table window by window through
         # log_b_table's out; the reference copies a whole-table product per
         # window into a fresh table.  K=32 at 129 bins is 2 blocks
         rng = np.random.default_rng(32)
@@ -1104,20 +1115,33 @@ class TestAlternatingLoopProperties:
             models = tuple(Codebook(m.means, m.vars, np.ones(m.K))
                            for m in (mx, mv))
             infer, kernel = gvq_infer, "gvq_score"
-        calls = []
-        original = getattr(decode, kernel)
+        calls = {}
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def count(name):
+            original = getattr(decode, name)
 
-        monkeypatch.setattr(decode, kernel, counted)
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(decode, name, counted)
+
+        count(kernel)
+        if kind == "gfhmm":
+            # perfbench's traced run counts the emission table through this
+            # name in decode: one call per window per decode
+            count("log_b_table")
         res = infer(y, *models, ctx, theta0=np.float64(0.0),
                     outer_tol=np.float64(0.0), max_outer=rounds,
-                    frames_per_chunk=np.int64(30))
+                    frames_per_chunk=np.int64(15))
+        windows = len(res.theta_per_chunk)
+        assert windows == 2
         assert res.iterations == rounds
         assert len(res.objective_trace) == rounds + 1
-        assert len(calls) == rounds + 1
+        per_decode = 1 if kind == "gfhmm" else windows
+        assert calls[kernel] == per_decode * (rounds + 1)
+        if kind == "gfhmm":
+            assert calls["log_b_table"] == windows * (rounds + 1)
 
 
 class TestMegaFrameSlices:

@@ -567,8 +567,19 @@ class TestSeparatePipeline:
         y, _, _ = mix_at_tir(x, v, 0.0)
         models = (trained_models["cb_a"], trained_models["cb_b"])
         # None and 0 are one window; False is a bool, not 0
-        for bad in (0.004, -1.0, math.inf, math.nan, "2", True, False):
-            with pytest.raises(ValueError, match="mega_frame_seconds"):
+        # each refusal names the value as given, cut short when long, and
+        # the rule it breaks: a finite number, then a finite count of frames
+        for bad, shown, counted in (
+                (0.004, "0.004", True), (-1.0, "-1.0", True),
+                (1e308, "1e+308", True), (math.inf, "inf", False),
+                (math.nan, "nan", False), ("2", "'2'", False),
+                (True, "True", False), (False, "False", False),
+                (10 ** 400, "1" + "0" * 39 + "... (401 characters)", False)):
+            rule = (f"gives {bad * y.sample_rate / framing.hop} frames per "
+                    "window, not a finite count of at least 1 after rounding"
+                    if counted else "is not a finite number")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"mega_frame_seconds {shown} {rule}") + "$"):
                 separate(y, *models, framing, method="gvq", max_outer=1,
                          mega_frame_seconds=bad)
         for seconds, n_windows in ((None, 1), (0, 1), (0.5, 2)):
