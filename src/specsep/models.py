@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mixmax import log_gauss_table
-from .signal import _check_settings, _is_count, _is_real
+from .signal import _check_finite, _check_settings, _is_count, _is_real
 
 VARIANCE_FLOOR = 1e-4
 PI_FLOOR = 1e-6
@@ -68,17 +68,6 @@ def _check_fit(frames, *models):
             raise ModelMismatchError(f"{role}model dimension {model.dim} "
                                      f"does not match {frames.shape[1]} bins")
     return frames
-
-
-def _check_finite(values, what):
-    """ValueError naming the first entry of values that is not a finite
-    number: training on one would return NaN parameters."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        at = tuple(int(i) for i in np.argwhere(~finite)[0])
-        # a position in a 1-D array is named by its bare index
-        raise ValueError(f"{what} {at[0] if len(at) == 1 else at} is "
-                         f"{values[at]}, not a finite number")
 
 
 @dataclass
@@ -399,19 +388,6 @@ _LAYOUT = {"hmm": (HmmModel, {"pi": "pi", "trans": "trans", "means": "means",
                              "occupancy": "occupancy"})}
 
 
-def _meta_from_arrays(keys, values):
-    """Version-1 metadata: each value loads back by its text, an int, else
-    a float, else a string."""
-    meta = {}
-    for k, v in zip(keys.tolist(), values.tolist()):
-        try:
-            num = float(v)
-            meta[k] = int(num) if num.is_integer() else num
-        except ValueError:
-            meta[k] = v
-    return meta
-
-
 def _json_exact(value):
     """True if JSON loads value back equal and of the same types: dicts
     with string keys, lists, strings, ints, bools, None and floats other
@@ -462,8 +438,8 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Load a model container (an HmmModel or a Codebook).  Version-1
-    files, with string-coded metadata, still load.  A file that is not a
+    """Load a model container (an HmmModel or a Codebook) of version
+    MODEL_VERSION.  A file of any other version, or one that is not a
     model or cannot be read as one (an empty, truncated or foreign file, a
     missing entry, metadata that is not a JSON object), or a malformed
     model (see HmmModel.validate and Codebook.validate), raises
@@ -474,13 +450,11 @@ def load_model(path):
             if str(data.get("magic")) != MODEL_MAGIC:
                 raise ModelMismatchError("not a model file")
             version = int(data["version"])
-            if version not in (1, MODEL_VERSION):
+            if version != MODEL_VERSION:
                 raise ModelMismatchError(
-                    f"unsupported model version {version}")
-            # version 1, written before metadata became JSON, coded it as text
-            meta = (json.loads(str(data["meta"])) if version == MODEL_VERSION
-                    else _meta_from_arrays(data["meta_keys"],
-                                           data["meta_values"]))
+                    f"unsupported model version {version}; this release "
+                    f"reads version {MODEL_VERSION}")
+            meta = json.loads(str(data["meta"]))
             if not isinstance(meta, dict):
                 raise ModelMismatchError("meta is not a JSON object")
             kind = str(data["kind"])

@@ -14,8 +14,8 @@ import numpy as np
 
 from .gain import gains_from_theta
 from .mixmax import mixmax_combine
-from .models import VARIANCE_FLOOR, Codebook, _check_finite, _check_fit
-from .signal import _is_count, _is_real
+from .models import VARIANCE_FLOOR, Codebook, _check_fit
+from .signal import _check_finite, _is_count, _is_real
 
 SPLIT_DELTA = 0.01
 DEFAULT_REL_TOL = 1e-4

@@ -7,10 +7,10 @@ from dataclasses import asdict
 
 from . import decode as _decode
 from .gain import GainContext, _check_theta, estimate_gy
-from .models import Codebook, HmmModel, ModelMismatchError, _check_finite
+from .models import Codebook, HmmModel, ModelMismatchError
 # perfbench's traced run patches this name here; keep it bound
 from .quantize import gvq_score  # noqa: F401
-from .signal import (_check_settings, _is_real, _shown,
+from .signal import (_check_finite, _check_settings, _is_real, _shown,
                      apply_masks_and_reconstruct, log_spectra)
 
 # method -> (the model kind it decodes with, whether theta is estimated);

@@ -111,6 +111,18 @@ def _shown(value):
             else f"{text[:40]}... ({len(text)} characters)")
 
 
+def _check_finite(values, what):
+    """ValueError naming the first entry of values that is not a finite
+    number: training on one would return NaN parameters, and a separated
+    or written signal would carry it."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        at = tuple(int(i) for i in np.argwhere(~finite)[0])
+        # a position in a 1-D array is named by its bare index
+        raise ValueError(f"{what} {at[0] if len(at) == 1 else at} is "
+                         f"{values[at]}, not a finite number")
+
+
 def frame_signal(signal, cfg):
     """Split a signal into overlapping frames.
 
@@ -246,7 +258,10 @@ def read_wav(path, expected_rate=None):
 
 
 def write_wav(path, signal):
-    """Write an AudioSignal as 16-bit PCM mono WAV (clipped to [-1, 1])."""
+    """Write an AudioSignal as 16-bit PCM mono WAV (clipped to [-1, 1]).  A
+    sample that is not a finite number (NaN, +-inf) raises ValueError
+    naming its index before the file is opened."""
+    _check_finite(signal.samples, "sample")
     x = np.clip(signal.samples, -1.0, 1.0)
     # scale by 2^15 and clip the top code so the round trip stays within
     # one quantization step everywhere, including x = +/-1

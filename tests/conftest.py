@@ -52,34 +52,12 @@ def malformed(model, defect):
     return dataclasses.replace(model, **{name: arr})
 
 
-def save_model_v1(model, path):
-    """Write model in the version-1 .ssm layout, which held the metadata as
-    two string arrays, the sorted keys and the text of each value."""
-    if isinstance(model, HmmModel):
-        kind, arrays = "hmm", dict(pi=model.pi, trans=model.trans,
-                                   means=model.means, variances=model.vars)
-    else:
-        kind, arrays = "vq", dict(
-            codevectors=model.codevectors,
-            cluster_variances=model.cluster_variances,
-            occupancy=model.occupancy.astype("<i8"))
-    keys = sorted(model.meta)
-    with open(path, "wb") as f:
-        np.savez(f, magic=np.array("specsep-model"),
-                 version=np.array(1, dtype="<i8"), kind=np.array(kind),
-                 K=np.array(model.K, dtype="<i8"),
-                 dim=np.array(model.dim, dtype="<i8"),
-                 meta_keys=np.array(keys, dtype=str),
-                 meta_values=np.array([str(model.meta[k]) for k in keys],
-                                      dtype=str),
-                 **{k: v.astype("<f8") if v.dtype.kind == "f" else v
-                    for k, v in arrays.items()})
-
-
-# damage that makes a .ssm file unreadable, whatever model it holds
+# damage that makes a .ssm file unreadable, whatever model it holds;
+# version_1 marks an otherwise sound file with a version this release
+# does not read
 BAD_FILES = ("empty", "truncated", "not_npz", "lone_npy", "missing_array",
              "missing_header", "meta_not_object", "meta_not_json",
-             "unknown_kind", "wrong_K")
+             "unknown_kind", "wrong_K", "version_1")
 
 
 def save_bad_file(model, path, defect):
@@ -106,6 +84,8 @@ def save_bad_file(model, path, defect):
         entries["kind"] = np.array("gmm")
     elif defect == "wrong_K":
         entries["K"] = entries["K"] + 1
+    elif defect == "version_1":
+        entries["version"] = np.array(1, dtype="<i8")
     else:
         entries["meta"] = np.array({"meta_not_object": "[8000, 80]",
                                     "meta_not_json": "{hop: 80}"}[defect])

@@ -1127,6 +1127,9 @@ class TestAlternatingLoopProperties:
             monkeypatch.setattr(decode, name, counted)
 
         count(kernel)
+        # perfbench's traced run times the theta search through this name
+        # in decode: one call per window per round
+        count("maximize_theta")
         if kind == "gfhmm":
             # perfbench's traced run counts the emission table through this
             # name in decode: one call per window per decode
@@ -1140,6 +1143,7 @@ class TestAlternatingLoopProperties:
         assert len(res.objective_trace) == rounds + 1
         per_decode = 1 if kind == "gfhmm" else windows
         assert calls[kernel] == per_decode * (rounds + 1)
+        assert calls.get("maximize_theta", 0) == windows * rounds
         if kind == "gfhmm":
             assert calls["log_b_table"] == windows * (rounds + 1)
 

@@ -16,7 +16,7 @@ from specsep.models import VARIANCE_FLOOR, _forward_backward
 
 from conftest import (BAD_FILES, CODEBOOK_DEFECTS, HMM_DEFECTS, malformed,
                       per_frame_xi_counts, per_utterance_forward_backward,
-                      random_hmm, save_bad_file, save_model_v1)
+                      random_hmm, save_bad_file)
 
 
 def assert_same_model(back, model):
@@ -539,31 +539,18 @@ class TestPersistence:
             save_model(model, path)
             assert_same_model(load_model(path), model)
 
-    @pytest.mark.parametrize("hmm", [True, False], ids=["hmm", "vq"])
-    def test_version_1_file_loads_bit_exact(self, tmp_path, hmm):
-        rng = np.random.default_rng(9)
-        meta = {"sample_rate": 8000, "frame_len": 256, "hop": 80,
-                "dft_size": 256, "speaker": "a_b", "gain": 0.25}
-        if hmm:
-            model = random_hmm(rng, K=3, dim=5)
-            model.meta = meta
-        else:
-            model = Codebook(rng.normal(0, 3, (3, 5)),
-                             rng.uniform(1e-3, 2, (3, 5)),
-                             rng.integers(0, 1000, 3), meta=meta)
-        path = tmp_path / "v1.ssm"
-        save_model_v1(model, path)
-        back = load_model(path)
-        assert_same_model(back, model)
-
-    def test_unknown_version_rejected(self, tmp_path):
+    # version 1, whose metadata was text, is no longer read
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_unknown_version_rejected(self, tmp_path, version):
         path = tmp_path / "m.ssm"
         save_model(random_hmm(np.random.default_rng(10), K=2, dim=3), path)
         with np.load(path) as data:
-            entries = {**data, "version": np.array(3)}
+            entries = {**data, "version": np.array(version)}
         with open(path, "wb") as f:
             np.savez(f, **entries)
-        with pytest.raises(ModelMismatchError, match="m.ssm: unsupported"):
+        with pytest.raises(ModelMismatchError,
+                           match=f"m.ssm: unsupported model version "
+                                 f"{version}; this release reads version 2"):
             load_model(path)
 
     @pytest.mark.parametrize("defect", BAD_FILES)

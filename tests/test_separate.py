@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import re
 
@@ -310,6 +311,26 @@ class TestSeparatePipeline:
         estimated = method in ("gfhmm", "gvq") and fix_theta is None
         assert len(trace) == (diag["iterations"] + 1 if estimated else 1)
         assert trace[-1] == diag["logprob"]
+
+    @pytest.mark.parametrize("method, kind", EVERY_METHOD)
+    def test_signal_stages_looked_up_by_name(self, framing, trained_models,
+                                             mixture_setup, monkeypatch,
+                                             method, kind):
+        # perfbench's traced run times features and masks + OLA through
+        # these names in specsep.separate, which the package's separate()
+        # function hides as an attribute
+        module = importlib.import_module("specsep.separate")
+        calls = {}
+        for name in ("log_spectra", "apply_masks_and_reconstruct"):
+            def counted(*args, name=name, original=getattr(module, name)):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+            monkeypatch.setattr(module, name, counted)
+        x, v = mixture_setup
+        y, _, _ = mix_at_tir(x, v, 6.0)
+        separate(y, trained_models[f"{kind}_a"], trained_models[f"{kind}_b"],
+                 framing, method=method)
+        assert calls == {"log_spectra": 1, "apply_masks_and_reconstruct": 1}
 
     @pytest.mark.parametrize("method, kind, options, calls", [
         ("gfhmm", "hmm", {}, 2), ("fhmm", "hmm", {}, 2), ("vq", "cb", {}, 4),

@@ -191,6 +191,25 @@ class TestWavIO:
         assert back.sample_rate == sig.sample_rate
         assert np.max(np.abs(back.samples - sig.samples)) <= 2.0 ** -15
 
+    # cast to int16, a NaN would be written as silence and +-inf as full
+    # scale
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_refused(self, tmp_path, bad):
+        samples = np.full(10, 0.1)
+        samples[7] = bad
+        path = tmp_path / "bad.wav"
+        with pytest.raises(ValueError) as excinfo:
+            write_wav(path, AudioSignal(samples))
+        assert str(excinfo.value) == f"sample 7 is {bad}, not a finite number"
+        assert not path.exists()
+
+    def test_finite_samples_beyond_full_scale_clip(self, tmp_path):
+        path = tmp_path / "loud.wav"
+        write_wav(path, AudioSignal(np.array([0.1, 1.5, -2.0])))
+        back = read_wav(path).samples
+        assert back[0] == pytest.approx(0.1, abs=2.0 ** -15)
+        assert back[1:].tolist() == [32767 / 32768, -1.0]
+
     def test_stereo_rejected(self, tmp_path):
         import wave as wave_mod
         path = tmp_path / "stereo.wav"
