@@ -140,8 +140,9 @@ def _forward_split(b, deltas, log_a_x, tile_v):
     """
     R, K_x, K_v = b.shape
     halves = (slice(0, K_v // 2), slice(K_v // 2, K_v))
-    tiles_x = [np.repeat(log_a_x[:, None, :], c.stop - c.start, axis=1)
-               for c in halves]                              # (i, l, j)
+    # one stage-1 tile (i, l, j) as wide as the wider half, of which each
+    # thread reads a view of its own width
+    tile_x = np.repeat(log_a_x[:, None, :], K_v - K_v // 2, axis=1)
     t1s = [np.empty((c.stop - c.start, K_x)) for c in halves]  # (l, j)
     cubes = np.empty((2, K_x * (K_v - K_v // 2) * max(K_x, K_v)))
     partial = np.empty((2, 2, K_x, K_v))      # [frame parity, thread]
@@ -149,10 +150,11 @@ def _forward_split(b, deltas, log_a_x, tile_v):
 
     def columns(p):
         cols, t1 = halves[p], t1s[p]
+        tile = tile_x[:, :len(t1)]
         try:
             for r in range(1, R):
                 part = partial[r % 2]
-                _max_stage(deltas[r - 1][:, cols], tiles_x[p], cubes[p], t1)
+                _max_stage(deltas[r - 1][:, cols], tile, cubes[p], t1)
                 _max_stage(t1, tile_v[cols], cubes[p], part[p])
                 barrier.wait()
                 mine = part[p][:, cols]

@@ -73,11 +73,27 @@ def log_gauss_table(frames, means, var, out=None):
     the result is (R, K) or (R, K_x, K_v), written into out when given
     (_table).  The square is expanded,
     sum (f - m)^2 / v = f^2 . (1/v) - 2 f . (m/v) + sum m^2 / v, so the
-    frame operand [f^2 | f] meets the stacked center operand [1/v | -2m/v]
-    in one GEMM, to which the per-center constant is added.  The values
-    agree with the direct sum to within a few ulps of the terms'
-    magnitudes, not bit for bit.
+    frame operand [f^2 | f] (_frame_operand) meets the stacked center
+    operand [1/v | -2m/v] in one GEMM (_log_gauss_product), to which the
+    per-center constant is added.  The values agree with the direct sum
+    to within a few ulps of the terms' magnitudes, not bit for bit.
     """
+    return _log_gauss_product(_frame_operand(frames), means, var, out)
+
+
+def _frame_operand(frames):
+    """The (R, 2 dim) frame operand [f^2 | f] of log_gauss_table, built in
+    one buffer with no other temporary."""
+    dim = frames.shape[1]
+    lhs = np.empty((len(frames), 2 * dim), frames.dtype)
+    np.multiply(frames, frames, out=lhs[:, :dim])
+    lhs[:, dim:] = frames
+    return lhs
+
+
+def _log_gauss_product(lhs, means, var, out):
+    """log_gauss_table from its frame operand lhs (_frame_operand), so
+    that one operand serves several blocks of centers."""
     dim = means.shape[-1]
     w = np.empty(means.shape[:-1] + (2 * dim,))
     inv, cross = w[..., :dim], w[..., dim:]
@@ -87,10 +103,9 @@ def log_gauss_table(frames, means, var, out=None):
              + np.log(var).sum(axis=-1) + dim * LOG_2PI)
     cross *= -2.0
     centers = w.reshape(-1, 2 * dim)
-    out = _table(out, frames.shape[:1] + means.shape[:-1])
-    flat = out.reshape(len(frames), len(centers))
-    np.matmul(np.concatenate([frames * frames, frames], axis=1), centers.T,
-              out=flat)
+    out = _table(out, lhs.shape[:1] + means.shape[:-1])
+    flat = out.reshape(len(lhs), len(centers))
+    np.matmul(lhs, centers.T, out=flat)
     flat += const.reshape(-1)
     flat *= -0.5
     return out
@@ -111,7 +126,8 @@ def log_b_table(y_seq, model_x, model_v, gp, out=None):
     gains, so it is made once for all frames.  The table is scored in
     blocks of target states (_CENTER_BLOCK_BYTES), each block's GEMM
     written straight into its columns of the table, so no K_x x K_v x dim
-    temporary is held.  With power-of-two K_x and K_v, as training gives,
+    temporary is held; the frame operand is built once per call, for
+    every block.  With power-of-two K_x and K_v, as training gives,
     every block spans a power-of-two number of columns (512 or more at 129
     bins), and under OpenBLAS each value is then the one a single
     whole-table log_gauss_table gives, bit for bit, but for a product of
@@ -122,12 +138,13 @@ def log_b_table(y_seq, model_x, model_v, gp, out=None):
     out = _table(out, (len(y_seq), K_x, K_v))
     n_blocks = K_x * K_v * 16 * y_seq.shape[1] // _CENTER_BLOCK_BYTES
     step = -(-K_x // (1 << max(0, n_blocks.bit_length() - 1)))
+    lhs = _frame_operand(y_seq)
     for j in range(0, K_x, step):
         m_max, var_max = _dominant_gaussian(
             model_x.means[j:j + step, None, :],
             model_x.vars[j:j + step, None, :],
             model_v.means[None, :, :], model_v.vars[None, :, :], gp)
-        log_gauss_table(y_seq, m_max, var_max, out=out[:, j:j + step])
+        _log_gauss_product(lhs, m_max, var_max, out[:, j:j + step])
     return out
 
 

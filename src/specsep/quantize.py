@@ -6,7 +6,11 @@ tile of centers by frames, with the centers as the outer loop, so each
 center is read once; each frame keeps the centers within a slack of its
 running best product cost, and an exact float64 rescoring orders those
 that the product's rounding leaves in doubt.  Where float32 could
-overflow, or its slack would keep most centers, the tiles are float64."""
+overflow, or its slack would keep most centers, the tiles are float64.
+The search reads its centers from a source (_Rows) a tile at a time:
+LBG's codevectors, or the pair maxima (_PairMaxima), which are formed
+per tile and never held whole, so gvq_score's memory does not grow with
+K_x K_v."""
 
 import itertools
 
@@ -29,9 +33,9 @@ _RESCORE_BYTES = 1 << 17
 
 
 def _frame_blocks(n_frames, frame_bytes):
-    """Slices that cover n_frames frames in blocks whose temporaries stay
-    near 256 KiB, given the bytes that one frame's temporaries take (at
-    least one frame per block)."""
+    """Slices that cover n_frames frames (or other rows) in blocks whose
+    temporaries stay near 256 KiB, given the bytes that one frame's
+    temporaries take (at least one frame per block)."""
     # blocks that fit a per-core L2 cache: larger ones are bound by memory
     # traffic, smaller ones by call overhead
     step = max(1, (1 << 18) // frame_bytes)
@@ -78,42 +82,107 @@ def _tile_precision(sq_y, sq_c, dim):
     return np.dtype(np.float64), slack
 
 
+class _Rows:
+    """The centers that _nearest searches, as a source that gives on
+    demand every center's sum of squares (sq), the rows from c0 on in a
+    tile's dtype (fill) and chosen rows in float64 (take, which may
+    overwrite a scratch buffer of out's shape); here the rows of a
+    (K, dim) array, as LBG's codevectors."""
+
+    def __init__(self, centers):
+        self.rows = centers
+        self.sq = np.einsum("kd,kd->k", centers, centers)
+
+    def fill(self, out, c0):
+        out[...] = self.rows[c0:c0 + len(out)]
+
+    def take(self, idx, out, scratch):
+        # np.take buffers out= under its default mode, "raise"
+        np.take(self.rows, idx, axis=0, out=out, mode="clip")
+
+
+class _PairMaxima(_Rows):
+    """gvq_score's centers: the pair maxima max(a[j], b[k]) of the
+    gain-shifted codebooks a = c_x + g_x and b = c_v + g_v, in flat order
+    j K_v + k, formed a block at a time and never held whole.
+
+    The sums of squares come from blocks of target states of about
+    256 KiB, each through mixmax_combine.  float32 rows are the maxima of
+    float32 copies of a and b, each clipped to float32's range: clipping
+    and rounding are monotone, so where a maximum lies in that range, as
+    every center of a float32 tile does, this is its float32 rounding,
+    and a quieter source beyond it (|theta| >= 1e200) does not overflow.
+    """
+
+    def __init__(self, cb_x, cb_v, gp):
+        self.a = cb_x.codevectors + gp.log10_gx
+        self.b = cb_v.codevectors + gp.log10_gv
+        K_v, dim = self.b.shape
+        self.sq = np.empty(len(self.a) * K_v)
+        for sl in _frame_blocks(len(self.a), 8 * K_v * dim):
+            m = mixmax_combine(cb_x.codevectors[sl, None], cb_v.codevectors,
+                               gp).reshape(-1, dim)
+            np.einsum("kd,kd->k", m, m,
+                      out=self.sq[sl.start * K_v:sl.stop * K_v])
+        big = float(np.finfo(np.float32).max)
+        self.f32 = [np.clip(s, -big, big).astype(np.float32)
+                    for s in (self.a, self.b)]
+
+    def fill(self, out, c0):
+        a, b = (self.a, self.b) if out.dtype == np.float64 else self.f32
+        # one maximum per target state: a gather of the rows took twice as
+        # long at K_x = K_v = 64
+        for p in range(c0 - c0 % len(b), c0 + len(out), len(b)):
+            lo, hi = max(p, c0), min(p + len(b), c0 + len(out))
+            np.maximum(a[p // len(b)], b[lo - p:hi - p],
+                       out=out[lo - c0:hi - c0])
+
+    def take(self, idx, out, scratch):
+        j, k = np.divmod(idx, len(self.b))
+        np.take(self.a, j, axis=0, out=out, mode="clip")
+        np.take(self.b, k, axis=0, out=scratch, mode="clip")
+        np.maximum(out, scratch, out=out)
+
+
 def _nearest(frames, centers):
     """Each (R, dim) frame's nearest (K, dim) center by squared error, as
     (index, exact distance): the smallest exact sum over bins of
     (y - c)^2, ties to the smallest index, the first np.argmin of the
     naive broadcast distances on finite input.
 
-    The search runs over tiles of centers by frames that hold as many
-    costs as 256 KiB of float64: ceil(K dim 8 / 2^18) blocks of equal
-    size split the centers, and _frame_blocks sizes the frame blocks by
-    the center block's rows at 8 bytes a cost.  The center blocks are the
-    outer loop, so each center is read once per call.  _tile_precision
-    picks the tiles' dtype and the frames' slack.  Each tile is scored by
-    one matrix product, [-2y | 1] . [c | sum c^2], the distance less the
-    frame's own sum y^2, with the center operand built one block at a
-    time.  Each frame keeps its best product cost so far and the centers
-    whose cost lies within its limit, best plus slack rounded up to the
-    tiles' dtype.  The best only falls, so a center dropped or never kept
-    lies above the slack of the final best too; after the last tile a
-    frame keeps exactly the centers within its slack of its best over all
-    of them.  These are rescored by the exact float64 sum of (y - c)^2,
-    so no center outside the slack can win and exact ties resolve by the
-    rule above whatever the tiles' dtype, the BLAS, its thread count and
-    the number of centers.  A frame equal to a center scores exactly 0.
-    A frame whose final best plus slack is NaN or inf (a NaN or inf in
-    the frame, or an overflow) keeps every center, and is rescored
-    against all of them on its own after the last tile, so that no more
-    than one such frame's K candidates are held at once; a frame whose
-    sum of squares is not finite scores 0 against every center in the
-    tiles.
+    centers is a (K, dim) array or a source of rows (_Rows), such as
+    gvq_score's pair maxima, which the search reads one block at a time
+    and, for the exact rescoring, candidate by candidate.  The search runs
+    over tiles of centers by frames that hold as many costs as 256 KiB of
+    float64: ceil(K dim 8 / 2^18) blocks of equal size split the centers,
+    and _frame_blocks sizes the frame blocks by the center block's rows at
+    8 bytes a cost.  The center blocks are the outer loop, so each center
+    is read once per call.  _tile_precision picks the tiles' dtype and the
+    frames' slack.  Each tile is scored by one matrix product, [-2y | 1] .
+    [c | sum c^2], the distance less the frame's own sum y^2, with the
+    center operand built one block at a time.  Each frame keeps its best
+    product cost so far and the centers whose cost lies within its limit,
+    best plus slack rounded up to the tiles' dtype.  The best only falls,
+    so a center dropped or never kept lies above the slack of the final
+    best too; after the last tile a frame keeps exactly the centers within
+    its slack of its best over all of them.  These are rescored by the
+    exact float64 sum of (y - c)^2, so no center outside the slack can win
+    and exact ties resolve by the rule above whatever the tiles' dtype,
+    the BLAS, its thread count and the number of centers.  A frame equal
+    to a center scores exactly 0.  A frame whose final best plus slack is
+    NaN or inf (a NaN or inf in the frame, or an overflow) keeps every
+    center, and is rescored against all of them on its own after the last
+    tile, so that no more than one such frame's K candidates are held at
+    once; a frame whose sum of squares is not finite scores 0 against
+    every center in the tiles.
     """
-    dim = frames.shape[1]
-    sq_c = np.einsum("kd,kd->k", centers, centers)
+    if not isinstance(centers, _Rows):
+        centers = _Rows(centers)
+    dim, K = frames.shape[1], len(centers.sq)
     sq_y = np.einsum("rd,rd->r", frames, frames)
-    dt, slack = _tile_precision(sq_y, sq_c, dim)
-    n_blocks = max(1, -(-len(centers) * dim * 8 // (1 << 18)))
-    step = -(-len(centers) // n_blocks)
+    dt, slack = _tile_precision(sq_y, centers.sq, dim)
+    n_blocks = max(1, -(-K * dim * 8 // (1 << 18)))
+    step = -(-K // n_blocks)
     blocks = _frame_blocks(len(frames), 8 * step)
     # the frame operand [-2y | 1]; a frame whose sum of squares is not
     # finite keeps every center anyway, and its row is zeroed so that no
@@ -129,10 +198,10 @@ def _nearest(frames, centers):
     # index and its product cost
     kept = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, dt))
             for _ in blocks]
-    for c0 in range(0, len(centers), step):
-        block = rhs[:len(centers) - c0]
-        block[:, :dim] = centers[c0:c0 + step]
-        block[:, dim] = sq_c[c0:c0 + step]
+    for c0 in range(0, K, step):
+        block = rhs[:K - c0]
+        centers.fill(block[:, :dim], c0)
+        block[:, dim] = centers.sq[c0:c0 + step]
         for b, sl in enumerate(blocks):
             cost = lhs[sl] @ block.T
             best[sl] = np.minimum(best[sl], cost.min(axis=1))
@@ -157,8 +226,8 @@ def _nearest(frames, centers):
     # gvq_score's Q, comes out NaN
     groups = itertools.chain(
         ((sl, which, cand) for sl, (which, cand, _) in zip(blocks, kept)),
-        ((slice(f, f + 1), np.zeros(len(centers), np.intp),
-          np.arange(len(centers))) for f in keep_all))
+        ((slice(f, f + 1), np.zeros(K, np.intp), np.arange(K))
+         for f in keep_all))
     index = np.empty(len(frames), dtype=np.intp)
     dist = np.empty(len(frames))
     part = max(1, _RESCORE_BYTES // (8 * dim))
@@ -168,9 +237,8 @@ def _nearest(frames, centers):
         exact = np.empty(len(cand))
         for p in range(0, len(cand), part):
             terms, sub = pick[:len(cand) - p], other[:len(cand) - p]
-            # np.take buffers out= under its default mode, "raise"
+            centers.take(cand[p:p + part], sub, terms)
             np.take(rows, which[p:p + part], axis=0, out=terms, mode="clip")
-            np.take(centers, cand[p:p + part], axis=0, out=sub, mode="clip")
             terms -= sub
             terms **= 2
             terms.sum(axis=1, out=exact[p:p + part])
@@ -181,7 +249,7 @@ def _nearest(frames, centers):
         low = np.full(len(rows), np.nan)
         np.fmin.at(low, which, exact)
         hit = (exact == low[which]) | np.isnan(low[which])
-        first = np.full(len(rows), len(centers))
+        first = np.full(len(rows), K)
         np.minimum.at(first, which[hit], cand[hit])
         index[sl], dist[sl] = first, low
     return index, dist
@@ -292,16 +360,17 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     fails Codebook.validate or does not match the frames' bin count raises
     ModelMismatchError, and frames that are not 2-D or empty ValueError.
 
-    The (K_x * K_v, dim) pair maxima m are formed once (mixmax_combine),
-    and each frame's nearest is found among them by the search LBG uses
-    (_nearest): one matrix product per tile of pairs by frames, float32
-    unless the sums of squares could overflow it or its slack would keep
-    most pairs, with as many costs as 256 KiB of float64 (at K_x = K_v =
-    64 and 129 bins, 17 blocks of 241 pairs by 135 frames), over which
-    each pair is read once, and an exact float64 rescoring of every pair
-    within the frame's slack of its best product cost over all pairs:
-    the frame's running best only falls, so a pair it drops lies above
-    that slack too.  Exact ties thus resolve by the rule above whatever
+    Each frame's nearest of the K_x * K_v pair maxima m is found by the
+    search LBG uses (_nearest), which forms them a tile of pairs at a time
+    (_PairMaxima), so no (K_x * K_v, dim) array of them is held and the
+    call's memory does not grow with K_x K_v: one matrix product per tile
+    of pairs by frames, float32 unless the sums of squares could overflow
+    it or its slack would keep most pairs, with as many costs as 256 KiB
+    of float64 (at K_x = K_v = 64 and 129 bins, 17 blocks of 241 pairs by
+    135 frames), over which each pair is read once, and an exact float64
+    rescoring of every pair within the frame's slack of its best product
+    cost over all pairs: the frame's running best only falls, so a pair
+    it drops lies above that slack too.  Exact ties thus resolve by the rule above whatever
     the tiles' dtype, the BLAS and the codebook sizes.  A frame equal to
     a pair's maximum scores exactly 0.
     Both gains are at most g_y / G0 and the louder one at least
@@ -309,10 +378,8 @@ def gvq_score(y_seq, cb_x, cb_v, theta, ctx):
     stays finite at any finite theta.
     """
     y_seq = _check_fit(y_seq, cb_x, cb_v)
-    pair_max = mixmax_combine(cb_x.codevectors[:, None, :],
-                              cb_v.codevectors[None, :, :],
-                              gains_from_theta(theta, ctx))
-    flat, best = _nearest(y_seq, pair_max.reshape(-1, y_seq.shape[1]))
+    flat, best = _nearest(y_seq, _PairMaxima(cb_x, cb_v,
+                                             gains_from_theta(theta, ctx)))
     idx_x, idx_v = np.divmod(flat, cb_v.K)
     # a frame-order running total; np.sum and sum() may add in another order
     return idx_x, idx_v, -float(np.add.accumulate(best)[-1])

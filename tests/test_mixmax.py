@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from specsep import (GainContext, GainPair, gains_from_theta, log_b_table,
                      mixmax_combine)
-from specsep.mixmax import LOG_2PI, dominant, log_gauss_table
+from specsep.mixmax import (LOG_2PI, _log_gauss_product, dominant,
+                            log_gauss_table)
 
 from conftest import log_b_jk, random_hmm, whole_table
 
@@ -229,11 +230,11 @@ class TestLogBTableBlocks:
         b = np.full((R + 9, K_x, K_v), np.nan)
         seen = []
 
-        def spy(frames, means, var, out=None):
+        def spy(lhs, means, var, out):
             seen.append(out.shape[1])
-            return log_gauss_table(frames, means, var, out=out)
+            return _log_gauss_product(lhs, means, var, out)
 
-        monkeypatch.setattr("specsep.mixmax.log_gauss_table", spy)
+        monkeypatch.setattr("specsep.mixmax._log_gauss_product", spy)
         got = log_b_table(y, mx, mv, gp, out=b[5:5 + R])
         monkeypatch.undo()
         assert seen == blocks
@@ -258,16 +259,22 @@ class TestLogBTableBlocks:
             log_b_table(rng.normal(0, 1, (6, 5)), mx, mv,
                         gains_from_theta(0.0, ctx), out=out)
 
-    @pytest.mark.parametrize("K", [64, 128])
-    def test_peak_bounded_beside_the_table(self, ctx, K):
-        # into an existing 197-frame table (2 s) the blocks hold about
-        # 2.7 MB; a whole-table build held K^2 dim temporaries and its
-        # result, a 23.9 MB peak at K=64 and 94.0 MB at K=128
+    # into an existing 197-frame table (2 s) the blocks hold about 3.1 MB;
+    # a whole-table build held K^2 dim temporaries and its result, a
+    # 23.9 MB peak at K=64 and 94.0 MB at K=128.  On 1,998 frames at K=32
+    # the one frame operand [f^2 | f] takes 4.1 MB and the peak is 6.8 MB;
+    # built again for every block beside a frames * frames temporary, it
+    # peaked at 8.3 MB
+    @pytest.mark.parametrize("K, R, limit", [(64, 197, 4e6),
+                                             (128, 197, 4e6),
+                                             (32, 1998, 7.5e6)],
+                             ids=["64", "128", "32-1998"])
+    def test_peak_bounded_beside_the_table(self, ctx, K, R, limit):
         rng = np.random.default_rng(K)
         mx, mv = random_hmm(rng, K, 129), random_hmm(rng, K, 129)
-        y = rng.normal(0.0, 1.5, (197, 129))
+        y = rng.normal(0.0, 1.5, (R, 129))
         gp = gains_from_theta(2.0, ctx)
-        b = np.empty((197, K, K))
+        b = np.empty((R, K, K))
         log_b_table(y, mx, mv, gp, out=b)
         tracemalloc.start()
         try:
@@ -275,7 +282,7 @@ class TestLogBTableBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4e6
+        assert peak <= limit
 
 
 class TestLogGaussTable:

@@ -59,6 +59,21 @@ def assert_naive_argmin(frames, centers, index, dist):
             dist[s:s + 10], d2[np.arange(len(want)), want])
 
 
+def assert_streamed_as_materialized(y, cb_x, cb_v, theta, ctx):
+    """gvq_score's indices and Q are, bit for bit, those of _nearest on the
+    materialized (K_x K_v, dim) pair maxima of mixmax_combine, the array
+    that gvq_score forms a tile at a time and never holds whole."""
+    pair_max = mixmax_combine(cb_x.codevectors[:, None, :],
+                              cb_v.codevectors[None, :, :],
+                              gains_from_theta(theta, ctx))
+    flat, best = _nearest(y, pair_max.reshape(-1, y.shape[1]))
+    idx_x, idx_v, q = gvq_score(y, cb_x, cb_v, theta, ctx)
+    np.testing.assert_array_equal(idx_x, flat // cb_v.K)
+    np.testing.assert_array_equal(idx_v, flat % cb_v.K)
+    want = -float(np.add.accumulate(best)[-1])
+    assert np.float64(q).tobytes() == np.float64(want).tobytes()
+
+
 class TestTrainLbg:
     def test_k1_is_global_mean(self):
         rng = np.random.default_rng(0)
@@ -355,6 +370,9 @@ class TestGvqFrameDecode:
         shift = g_of_theta(abs(theta), ctx)
         alone = ((y[:, None, :] - loud.codevectors - shift) ** 2).sum(axis=2)
         assert q == pytest.approx(-alone.min(axis=1).sum(), rel=1e-12)
+        # the quieter source's rows lie beyond float32's range, though the
+        # maxima do not
+        assert_streamed_as_materialized(y, cb_x, cb_v, theta, ctx)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_frame_gives_nonfinite_q(self, ctx, bad):
@@ -614,6 +632,7 @@ class TestGvqKernel:
         q_ref = -float(np.add.accumulate(best)[-1])
         assert abs(q - q_ref) <= 4 * dim * eps * abs(q_ref)
         assert q <= 0.0
+        assert_streamed_as_materialized(y, cb_x, cb_v, theta, ctx)
 
         # frames built exactly from pairs score exactly 0
         pi, pj = rng.integers(0, K_x, R), rng.integers(0, K_v, R)
@@ -625,12 +644,15 @@ class TestGvqKernel:
 class TestGvqMemory:
     """The tracemalloc peak of one gvq_score call over 197 frames of 129
     bins (2 s of audio at the default framing) stays within 6 MB at K=64,
-    where the (K * K, dim) pair maxima take 4.2 MB, and within 1.07 MB at
-    K=16, also when a masked interference codebook has every frame's pairs
-    rescored: no tile's costs or rescoring temporaries outlive it, and a
-    frame holds only the pairs within the slack of its best so far."""
+    within 1.07 MB at K=16 and within 4 MB at K=256, also when a masked
+    interference codebook has every frame's pairs rescored: the pair
+    maxima are formed a tile at a time, where a (K * K, dim) array of them
+    would take 4.2 MB at K=64 and 67.6 MB at K=256, no tile's costs or
+    rescoring temporaries outlive it, and a frame holds only the pairs
+    within the slack of its best so far."""
 
-    @pytest.mark.parametrize("K, limit", [(64, 6e6), (16, 1.07e6)])
+    @pytest.mark.parametrize("K, limit", [(64, 6e6), (16, 1.07e6),
+                                          (256, 4e6)])
     @pytest.mark.parametrize("masked", [False, True])
     def test_peak_bounded(self, ctx, K, limit, masked):
         rng = np.random.default_rng(K)
@@ -666,6 +688,7 @@ class TestGvqMemory:
             tracemalloc.stop()
         assert tile_dtypes == [np.float64] * 2
         assert peak <= 6e6
+        assert_streamed_as_materialized(y, cb_x, cb_v, 6.0, ctx)
 
     # a NaN frame's best is NaN; a frame of 1e160 has a finite best but an
     # infinite slack, as sum y^2 overflows
@@ -686,3 +709,5 @@ class TestGvqMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 6e6
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_streamed_as_materialized(y, cb_x, cb_v, 6.0, ctx)
